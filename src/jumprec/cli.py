@@ -38,11 +38,18 @@ from .precision import parse_precision, recover_single_jump_mp
 from .reconstruct import (
     Approximant,
     ReconstructionConfig,
+    _approximant,
     full_reconstruct,
     jump_free_error,
+    pipeline_geometry,
 )
 from .solver import half_order_recover, recover_single_jump
-from .spectrum import FourierSpectrum, load_spectrum, save_spectrum
+from .spectrum import (
+    FourierSpectrum,
+    circular_distance,
+    load_spectrum,
+    save_spectrum,
+)
 from .stability import (
     ERROR_FLOOR,
     PronyConfig,
@@ -55,11 +62,6 @@ from .stability import (
 )
 
 _METHODS = ("full-decimated", "half-order", "eckhoff-original")
-
-# pipeline geometry shared with full_reconstruct; the bench variants
-# rebuild it because they bypass the full pipeline on purpose
-_USABLE_FRACTION = 0.75
-_BENCH_BUMP_GATE = 5e-2
 
 
 def _guard(fn):
@@ -176,22 +178,13 @@ def _recover_extended(spec, cfg, digits) -> Approximant:
             "extended precision supports single-jump recovery only (K=1)"
         )
     prior = cfg.priors[0] if cfg.trust_priors else prony_order0(spec, 1)[0]
-    M_eff = max(int(cfg.usable_fraction * spec.M), cfg.d + 2)
+    M_eff = pipeline_geometry(spec.M, cfg.d, cfg.bounds.J, cfg.usable_fraction)[0]
     est = recover_single_jump_mp(
-        spec, cfg.d, prior, cfg.plan_kind, M=M_eff, digits=digits
+        spec, cfg.d, prior, cfg.plan_kind, M=M_eff, digits=digits,
+        weak_floor=cfg.bounds.B,
     )
-    mags = est.magnitudes
-    if spec.real_valued:
-        mags = tuple(float(np.real(a)) for a in mags)
-    model = JumpModel(cfg.d, ((est.xi, mags),))
-    corrected = spec.coeffs - phi_coeff_array(model, spec.M)
-    prov = cfg.to_json_dict()
-    prov["precision_digits"] = digits
-    return Approximant(
-        model,
-        FourierSpectrum(spec.M, corrected, spec.real_valued),
-        spec.M,
-        prov,
+    return _approximant(
+        spec, cfg.d, [est], {**cfg.to_json_dict(), "precision_digits": digits}
     )
 
 
@@ -259,7 +252,7 @@ def _default_bounds(model: JumpModel, noise_amp: float) -> AprioriBounds:
     locs = model.locations
     if len(locs) >= 2:
         gaps = [
-            min(abs(a - b) % (2 * np.pi), 2 * np.pi - abs(a - b) % (2 * np.pi))
+            circular_distance(a, b)
             for i, a in enumerate(locs) for b in locs[i + 1:]
         ]
         J = min(min(gaps), np.pi / 2)
@@ -390,43 +383,27 @@ def _variant_estimates(bs: BenchmarkSpec, method: str, spec: FourierSpectrum):
         return [(j[0], j[1]) for j in appr.estimate.jumps], d
 
     priors = prony_order0(spec, K)
-    M_eff = max(int(_USABLE_FRACTION * M), d + 2)
-    stride = M_eff // (d + 2)
+    M_eff, width, degree, gate = pipeline_geometry(M, d, bs.bounds.J)
     out = []
     for prior in priors:
         if K > 1:
-            width = min(0.9 * bs.bounds.J, np.pi / 2)
-            degree = max(1, min(M - M_eff, stride - 2))
-            bump = make_bump(
-                prior, width, M, plateau_tol=_BENCH_BUMP_GATE, degree=degree
-            )
+            bump = make_bump(prior, width, M, plateau_tol=gate, degree=degree)
             data = localize_jump(spec, bump)
         else:
             data = spec
+        order = d // 2 if method == "half-order" else d
         if method == "half-order":
-            est = half_order_recover(data, d // 2, M_eff)
-            out.append((est.xi, est.magnitudes))
-            order = d // 2
+            est = half_order_recover(data, order, M_eff)
         elif method == "eckhoff-original":
             est = recover_single_jump(data, d, None, "consecutive", M=M_eff)
-            out.append((est.xi, est.magnitudes))
-            order = d
         else:
+            # full-decimated in extended precision; double returned above
             ref = half_order_recover(data, d // 2, M_eff)
-            if digits is not None:
-                est = recover_single_jump_mp(
-                    data, d, ref.xi, "decimated", M=M_eff, digits=digits
-                )
-            else:
-                est = recover_single_jump(data, d, ref.xi, "decimated", M=M_eff)
-            out.append((est.xi, est.magnitudes))
-            order = d
+            est = recover_single_jump_mp(
+                data, d, ref.xi, "decimated", M=M_eff, digits=digits
+            )
+        out.append((est.xi, est.magnitudes))
     return out, order
-
-
-def _circ(a: float, b: float) -> float:
-    r = abs(a - b) % (2.0 * np.pi)
-    return min(r, 2.0 * np.pi - r)
 
 
 def _bench_point(bs: BenchmarkSpec, method: str, M: int):
@@ -439,9 +416,9 @@ def _bench_point(bs: BenchmarkSpec, method: str, M: int):
     err_a = [0.0] * (order + 1) + [float("nan")] * (d - order)
     matched = []
     for xi_true, mags_true in bs.model.jumps:
-        best = min(ests, key=lambda e: _circ(e[0], xi_true))
+        best = min(ests, key=lambda e: circular_distance(e[0], xi_true))
         matched.append(best)
-        err_xi = max(err_xi, _circ(best[0], xi_true))
+        err_xi = max(err_xi, circular_distance(best[0], xi_true))
         for l in range(order + 1):
             err_a[l] = max(err_a[l], abs(best[1][l] - mags_true[l]))
 
@@ -483,7 +460,10 @@ def run_bench(bs: BenchmarkSpec) -> str:
                 np.linalg.LinAlgError) as exc:
             return pair, None, f"{type(exc).__name__}: {exc}"
 
-    with ThreadPoolExecutor(max_workers=min(8, len(pairs))) as pool:
+    # mpmath's working precision is one process-wide setting: extended
+    # points run one at a time, or their solves change each other's digits
+    workers = 1 if bs.precision[0] == "extended" else min(8, len(pairs))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         results = dict()
         for pair, row, err in pool.map(worker, pairs):
             results[pair] = (row, err)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rootfind
 from .errors import DetectionError, ModelError, NumericError
-from .spectrum import FourierSpectrum, product_spectrum
+from .spectrum import FourierSpectrum, product_spectrum, wrap_angle
 
 __all__ = ["BumpSpec", "prony_order0", "make_bump", "localize_jump"]
 
@@ -74,9 +74,7 @@ def prony_order0(
         )
     # keep the K closest to the circle, then read angles
     good.sort(key=lambda r: abs(abs(r) - 1.0))
-    locs = sorted(
-        float(np.mod(-cmath.phase(r) + np.pi, 2.0 * np.pi) - np.pi) for r in good[:K]
-    )
+    locs = sorted(wrap_angle(-cmath.phase(r)) for r in good[:K])
     return locs
 
 
@@ -160,7 +158,7 @@ def make_bump(
     padded[ks % P] = coeffs
     series = np.fft.ifft(padded) * P
     xs = 2.0 * np.pi * np.arange(P) / P
-    u = np.abs(np.mod(xs - center + np.pi, 2.0 * np.pi) - np.pi)
+    u = np.abs(wrap_angle(xs - center))
     plateau = u <= inner
     outside = u >= J
     defect_in = float(np.max(np.abs(series[plateau] - 1.0))) if plateau.any() else 0.0

@@ -14,12 +14,17 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ModelError, NumericError
-from .spectrum import FourierSpectrum, coeffs_of_function
+from .spectrum import (
+    FourierSpectrum,
+    circular_distance,
+    coeffs_of_function,
+    wrap_angle,
+)
 
 __all__ = [
     "bernoulli_coefficients",
@@ -114,11 +119,6 @@ def vn_eval(n: int, x, xi: float):
     return val
 
 
-def _circular_distance(x: float, y: float) -> float:
-    d = abs(x - y) % (2.0 * np.pi)
-    return min(d, 2.0 * np.pi - d)
-
-
 @dataclass(frozen=True)
 class JumpModel:
     """Jump locations and per-order magnitudes of the singular part.
@@ -154,7 +154,7 @@ class JumpModel:
             raise ModelError(f"jump locations must be strictly increasing: {locs}")
         for i in range(len(locs)):
             for j in range(i + 1, len(locs)):
-                if _circular_distance(locs[i], locs[j]) < _JUMP_TOL:
+                if circular_distance(locs[i], locs[j]) < _JUMP_TOL:
                     raise ModelError(f"jumps {locs[i]} and {locs[j]} coincide mod 2pi")
         object.__setattr__(self, "jumps", tuple(norm))
 
@@ -232,6 +232,8 @@ class AprioriBounds:
     R: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.J, self.A, self.B, self.R)):
+            raise ModelError(f"bounds must be finite, got {self}")
         if self.J <= 0:
             raise ModelError(f"separation must be positive, got {self.J}")
         if self.B <= 0:
@@ -433,7 +435,7 @@ def shift_jumps(model: JumpModel, delta: float) -> JumpModel:
     """Translate every jump by delta, wrapping back into [-pi, pi)."""
     moved = []
     for xi, mags in model.jumps:
-        xi_new = float(np.mod(xi + delta + np.pi, 2.0 * np.pi) - np.pi)
+        xi_new = float(wrap_angle(xi + delta))
         moved.append((xi_new, mags))
     moved.sort(key=lambda item: item[0])
     return JumpModel(model.order, tuple(moved))

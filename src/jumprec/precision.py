@@ -1,24 +1,22 @@
-"""Extended-precision variant of the single-jump solve.
+"""Extended-precision entry point of the single-jump solve.
 
 Double precision saturates the decimated solve's cancellation structure
-around order 3-5 at large stride; this path reruns the moment
-weighting, the annihilator, the root finding, the disambiguation and
-the magnitude solve in mpmath at a caller-chosen digit count and rounds
-the recovered parameters back to doubles at the very end.
+around order 3-5 at large stride.  recover_single_jump_mp forms the
+weighted moments in mpmath at a caller-chosen digit count and runs the
+solver's own steps on them, so every intermediate keeps that precision;
+the recovered parameters are rounded back to doubles at the very end.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 import mpmath as mp
 import numpy as np
 
-from .errors import AmbiguityError, ModelError, NumericError
-from .rootfind import find_roots_mp
-from .solver import JumpEstimate, SamplePlan, _vandermonde_inverse
-from .spectrum import FourierSpectrum
+from .errors import ModelError
+from .solver import JumpEstimate, _recover_from_moments, _usable_plan
+from .spectrum import FourierSpectrum, MomentSequence
 
 __all__ = ["parse_precision", "recover_single_jump_mp"]
 
@@ -43,11 +41,6 @@ def parse_precision(text: str) -> Tuple[str, Optional[int]]:
     raise ModelError(f"unknown precision mode {text!r}")
 
 
-def _wrap_mp(x):
-    two_pi = 2 * mp.pi
-    return ((x + mp.pi) % two_pi) - mp.pi
-
-
 def recover_single_jump_mp(
     spec: FourierSpectrum,
     d: int,
@@ -56,120 +49,23 @@ def recover_single_jump_mp(
     *,
     M: Optional[int] = None,
     digits: int = _MIN_DIGITS,
+    weak_floor: Optional[float] = None,
 ) -> JumpEstimate:
     """Single-jump recovery with all arithmetic at `digits` decimal digits.
 
-    Mirrors recover_single_jump: same plan geometry, same annihilator,
-    same root disambiguation and magnitude back-substitution, but every
-    intermediate lives in mpmath.  Results come back as ordinary floats;
-    the gain is that intermediate cancellation no longer caps accuracy.
+    Same plan geometry, annihilator, root choice, disambiguation, magnitude
+    solve and weak-jump warning as solver.recover_single_jump, run on
+    moments 2 pi (ik)^{d+1} c_k formed in mpmath.  Results come back as
+    ordinary floats; the gain is that intermediate cancellation no longer
+    caps accuracy.
     """
     if digits < _MIN_DIGITS:
         raise ModelError(f"extended precision needs >= {_MIN_DIGITS} digits")
-    M_used = spec.M if M is None else int(M)
-    if M_used > spec.M:
-        raise ModelError(f"usable M={M_used} exceeds spectrum M={spec.M}")
-    plan = SamplePlan(plan_kind, d, M_used)
-
+    plan = _usable_plan(spec, plan_kind, d, M)
     with mp.workdps(digits):
-        moments = []
+        values = []
         for k in plan.indices:
             c = spec.coeff(k)
-            w = 2 * mp.pi * (mp.mpc(0, k)) ** (d + 1)
-            moments.append(w * mp.mpc(c.real, c.imag))
-
-        coeffs = [
-            (-1) ** j * math.comb(d + 1, j) * moments[j] for j in range(d + 2)
-        ]
-        roots = find_roots_mp(coeffs, digits)
-
-        best = None
-        best_dist = None
-        for r in roots:
-            dist = abs(abs(r) - 1)
-            if best is None or dist < best_dist:
-                best, best_dist = r, dist
-        z = best
-
-        if plan.kind == "decimated" and plan.stride > 1:
-            if xi_prior is None:
-                raise ModelError("decimated recovery requires a location prior")
-            N = plan.stride
-            t = -mp.arg(z)
-            cands = sorted(
-                _wrap_mp(t / N + 2 * mp.pi * n / N) for n in range(N)
-            )
-            dists = []
-            for xi_c in cands:
-                dd = abs(xi_c - xi_prior) % (2 * mp.pi)
-                dists.append(min(dd, 2 * mp.pi - dd))
-            order = sorted(range(len(cands)), key=lambda i: dists[i])
-            if len(cands) > 1 and abs(
-                dists[order[1]] - dists[order[0]]
-            ) < mp.mpf("1e-12"):
-                raise AmbiguityError(
-                    f"prior {xi_prior:.6g} cannot separate the stride-{N} "
-                    f"phase candidates"
-                )
-            xi = cands[order[0]]
-        else:
-            xi = _wrap_mp(-mp.arg(z))
-
-        omega = mp.e ** (mp.mpc(0, -1) * xi)
-        use = plan.indices[: d + 1]
-        rhs = [moments[j] * omega ** (-use[j]) for j in range(d + 1)]
-        if plan.kind == "decimated":
-            N = plan.stride
-            vinv = _vandermonde_inverse(tuple(range(1, d + 2)))
-            scaled = [
-                sum(mp.mpf(vinv[r][c].numerator)
-                    / vinv[r][c].denominator * rhs[c] for c in range(d + 1))
-                for r in range(d + 1)
-            ]
-            alpha = [scaled[l] / mp.mpf(N) ** l for l in range(d + 1)]
-        else:
-            base = use[0]
-            vinv = _vandermonde_inverse(tuple(range(0, d + 1)))
-            beta = [
-                sum(mp.mpf(vinv[r][c].numerator)
-                    / vinv[r][c].denominator * rhs[c] for c in range(d + 1))
-                for r in range(d + 1)
-            ]
-            alpha = [mp.mpc(0)] * (d + 1)
-            for l in range(d, -1, -1):
-                acc = beta[l]
-                for m_ in range(l + 1, d + 1):
-                    acc -= math.comb(m_, l) * mp.mpf(base) ** (m_ - l) * alpha[m_]
-                alpha[l] = acc
-
-        recon = [
-            sum(alpha[l] * mp.mpf(k) ** l for l in range(d + 1)) for k in use
-        ]
-        scale = max(abs(x) for x in rhs) or mp.mpf(1)
-        resid = max(abs(r - x) for r, x in zip(recon, rhs))
-        if resid > mp.mpf(10) ** (-(digits - 12)) * scale:
-            raise NumericError(
-                f"extended magnitude system residual {mp.nstr(resid, 3)} "
-                f"too large for {digits} digits"
-            )
-
-        a = [
-            mp.mpc(0, -1) ** (d - m_) * alpha[d - m_] for m_ in range(d + 1)
-        ]
-        p_val = sum(
-            c * z ** (d + 1 - j) for j, c in enumerate(coeffs)
-        )
-        return JumpEstimate(
-            xi=float(xi),
-            magnitudes=tuple(complex(x) for x in a),
-            alpha=tuple(complex(x) for x in alpha),
-            root_residual=float(abs(p_val)),
-            condition_note=float(
-                min(
-                    (abs(r1 - r2) for i, r1 in enumerate(roots)
-                     for r2 in roots[i + 1:]),
-                    default=np.inf,
-                )
-            ),
-            root=complex(z),
-        )
+            values.append(2 * mp.pi * mp.mpc(0, k) ** (d + 1) * mp.mpc(c.real, c.imag))
+        moments = MomentSequence(d, plan.indices, np.array(values, dtype=object))
+        return _recover_from_moments(moments, plan, xi_prior, weak_floor=weak_floor)

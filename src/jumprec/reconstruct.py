@@ -16,20 +16,21 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AmbiguityError, DetectionError, ModelError
+from .errors import DetectionError, ModelError
 from .localize import localize_jump, make_bump, prony_order0
-from .model import (
-    AprioriBounds,
-    JumpModel,
-    _circular_distance,
-    phi_coeff_array,
-    phi_eval,
-)
+from .model import AprioriBounds, JumpModel, phi_coeff_array, phi_eval
 from .solver import half_order_recover, recover_single_jump
-from .spectrum import FourierSpectrum, eval_partial_sum, product_spectrum
+from .spectrum import (
+    FourierSpectrum,
+    circular_distance,
+    eval_partial_sum,
+    product_spectrum,
+    wrap_angle,
+)
 
 __all__ = [
     "ReconstructionConfig",
+    "pipeline_geometry",
     "Approximant",
     "full_reconstruct",
     "eval_approximant",
@@ -44,6 +45,21 @@ _USABLE_FRACTION = 0.75
 # default because small-M runs cannot resolve any admissible window to
 # 1e-10 and the leakage is part of the pipeline's own error budget
 _PIPELINE_BUMP_GATE = 5e-2
+
+
+def pipeline_geometry(
+    M: int, d: int, J: float, usable_fraction: float = _USABLE_FRACTION
+) -> tuple:
+    """(M_eff, window half-width, window degree, window gate) of the pipeline.
+
+    Single-jump solves sample indices up to M_eff only.  The window degree
+    stays below the lowest decimated sample, so the window cannot fold
+    low-index content onto it, and below M - M_eff, so the windowed
+    coefficients are exact on every sampled index.
+    """
+    M_eff = max(int(usable_fraction * M), d + 2)
+    degree = max(1, min(M - M_eff, M_eff // (d + 2) - 2))
+    return M_eff, min(0.9 * J, np.pi / 2.0), degree, _PIPELINE_BUMP_GATE
 
 
 @dataclass(frozen=True)
@@ -188,6 +204,21 @@ def _single_jump_coeffs(d: int, xi: float, mags: tuple, M: int) -> np.ndarray:
     return phi_coeff_array(JumpModel(d, ((float(xi), tuple(mags)),)), M)
 
 
+def _approximant(spec: FourierSpectrum, d: int, estimates, provenance: dict):
+    """The recovered jumps, and spec minus their singular part.
+
+    Real data keep the real part of each recovered magnitude.
+    """
+    jumps = tuple(
+        (e.xi, tuple(m.real for m in e.magnitudes) if spec.real_valued else e.magnitudes)
+        for e in estimates
+    )
+    estimate = JumpModel(d, jumps)
+    corrected = spec.coeffs - phi_coeff_array(estimate, spec.M)
+    psi = FourierSpectrum(spec.M, corrected, real_valued=spec.real_valued)
+    return Approximant(estimate, psi, spec.M, provenance=provenance)
+
+
 def full_reconstruct(
     spec: FourierSpectrum, config: ReconstructionConfig
 ) -> Approximant:
@@ -220,7 +251,7 @@ def full_reconstruct(
     # distinct admissible jumps; asking for too many jumps lands here
     for i in range(len(priors)):
         for j in range(i + 1, len(priors)):
-            gap = _circular_distance(priors[i], priors[j])
+            gap = circular_distance(priors[i], priors[j])
             if gap < config.bounds.J / 2.0:
                 raise ModelError(
                     f"detected jump locations {priors[i]:.6g} and "
@@ -229,36 +260,25 @@ def full_reconstruct(
                     f"does not support K={config.K} jumps"
                 )
 
+    M_eff, width, degree, gate = pipeline_geometry(
+        M, config.d, config.bounds.J, config.usable_fraction
+    )
     if config.bump_half_width is not None:
         width = float(config.bump_half_width)
-    else:
-        width = min(0.9 * config.bounds.J, np.pi / 2.0)
-    M_eff = max(int(config.usable_fraction * M), config.d + 2)
-    # window degree: stay below the lowest decimated sample so the window
-    # cannot fold low-index content onto it, and below M - M_eff so the
-    # windowed coefficients are exact on every sampled index
-    stride = M_eff // (config.d + 2)
-    degree = max(1, min(M - M_eff, stride - 2))
+
+    def solve(data, prior):
+        return recover_single_jump(
+            data, config.d, prior, config.plan_kind, M=M_eff,
+            select_mode=config.select_mode, weak_floor=config.bounds.B,
+        )
 
     bumps = []
     estimates = []
     for prior in priors:
-        bump = make_bump(
-            prior, width, M, plateau_tol=_PIPELINE_BUMP_GATE, degree=degree
-        )
+        bump = make_bump(prior, width, M, plateau_tol=gate, degree=degree)
         f_j = localize_jump(spec, bump)
-        refined = half_order_recover(f_j, config.d1, M_eff)
-        est = recover_single_jump(
-            f_j,
-            config.d,
-            refined.xi,
-            config.plan_kind,
-            M=M_eff,
-            select_mode=config.select_mode,
-            weak_floor=config.bounds.B,
-        )
         bumps.append(bump)
-        estimates.append(est)
+        estimates.append(solve(f_j, half_order_recover(f_j, config.d1, M_eff).xi))
 
     best = list(estimates)
     best_change = math.inf
@@ -280,15 +300,7 @@ def full_reconstruct(
             data = FourierSpectrum(
                 M, windowed.coeffs + own[j], real_valued=False
             )
-            est = recover_single_jump(
-                data,
-                config.d,
-                estimates[j].xi,
-                config.plan_kind,
-                M=M_eff,
-                select_mode=config.select_mode,
-                weak_floor=config.bounds.B,
-            )
+            est = solve(data, estimates[j].xi)
             prev = estimates[j]
             moved = abs(est.xi - prev.xi) + float(
                 sum(abs(a - b) for a, b in zip(est.magnitudes, prev.magnitudes))
@@ -320,19 +332,7 @@ def full_reconstruct(
                 f"B={config.bounds.B:.3g}; the data does not support "
                 f"K={config.K} jumps"
             )
-    jumps = []
-    for est in estimates:
-        mags = est.magnitudes
-        if spec.real_valued:
-            mags = tuple(m.real for m in mags)
-        jumps.append((est.xi, mags))
-    estimate = JumpModel(config.d, tuple(jumps))
-
-    corrected = spec.coeffs - phi_coeff_array(estimate, M)
-    psi = FourierSpectrum(M, corrected, real_valued=spec.real_valued)
-    return Approximant(
-        estimate, psi, M, provenance=config.to_json_dict()
-    )
+    return _approximant(spec, config.d, estimates, config.to_json_dict())
 
 
 def eval_approximant(appr: Approximant, x, side: Optional[str] = None):
@@ -367,7 +367,7 @@ def jump_free_error(
     if true_jumps is not None:
         excl.extend(float(t) for t in true_jumps)
     for xi in excl:
-        dist = np.abs(np.mod(xs - xi + np.pi, 2.0 * np.pi) - np.pi)
+        dist = np.abs(wrap_angle(xs - xi))
         keep &= dist > radius
     if not np.any(keep):
         raise ModelError(

@@ -2,14 +2,16 @@
 
 Aberth-Ehrlich iteration from a fixed initial circle (no randomness, so
 repeated runs agree bitwise), followed by a short Newton polish and a
-residual acceptance gate.  Coefficients are given in descending powers,
-matching numpy.roots.
+residual acceptance gate.  The extended-precision variant hands the
+iteration to mpmath.polyroots and keeps the gate.  Coefficients are given
+in descending powers, matching numpy.roots.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 
 from .errors import RootFindError
@@ -21,16 +23,47 @@ __all__ = ["find_roots", "find_roots_mp"]
 _ANGLE_OFFSET = 0.7390851332151607
 
 _RESIDUAL_FACTOR = 1e-11
+# a double carries about 16 decimal digits; find_roots_mp tightens the gate
+# by one decade for every digit it works with beyond these
+_DOUBLE_DIGITS = 16
+# mpmath.polyroots iteration budget; its default of 50 assumes good
+# starting points, and it starts from a fixed spiral
+_MP_MAX_STEPS = 200
 
 
-def _eval_with_scale(coeffs: np.ndarray, z: complex):
-    acc = coeffs[0]
-    scale = abs(coeffs[0])
-    az = abs(z)
-    for c in coeffs[1:]:
-        acc = acc * z + c
-        scale = scale * az + abs(c)
-    return acc, scale
+def _normalized(c: np.ndarray, lead_tol) -> np.ndarray:
+    """c divided by its leading coefficient, after rejecting degenerate input."""
+    if c.ndim != 1 or c.size < 2:
+        raise RootFindError(f"need a polynomial of degree >= 1, got {c.size} coefficients")
+    moduli = [abs(x) for x in c]
+    if not all(m < math.inf for m in moduli):
+        raise RootFindError("polynomial has non-finite coefficients")
+    cmax = max(moduli)
+    if cmax == 0:
+        raise RootFindError("zero polynomial")
+    if abs(c[0]) < lead_tol * cmax:
+        raise RootFindError(
+            f"vanishing leading coefficient ({float(abs(c[0])):.3e} vs scale "
+            f"{float(cmax):.3e})"
+        )
+    return c / c[0]
+
+
+def _check_residuals(c: np.ndarray, roots, gate) -> None:
+    """Reject roots whose residual exceeds gate x the evaluation's own scale."""
+    for z in roots:
+        # Horner value and the same recurrence on the moduli
+        val, scale, az = c[0], abs(c[0]), abs(z)
+        for coeff in c[1:]:
+            val = val * z + coeff
+            scale = scale * az + abs(coeff)
+        # written so that a NaN residual fails the gate too
+        if not abs(val) <= gate * max(scale, 1e-300):
+            raise RootFindError(
+                f"root finding did not converge: residual {float(abs(val)):.3e} "
+                f"at z={complex(z):.6g} exceeds gate {float(gate):.1e} x scale "
+                f"{float(scale):.3e}"
+            )
 
 
 def find_roots(
@@ -45,17 +78,7 @@ def find_roots(
     leading coefficient) and when the residual gate fails after the
     iteration budget.
     """
-    c = np.asarray(coeffs, dtype=np.complex128)
-    if c.ndim != 1 or c.size < 2:
-        raise RootFindError(f"need a polynomial of degree >= 1, got {c.size} coefficients")
-    cmax = float(np.max(np.abs(c)))
-    if cmax == 0.0:
-        raise RootFindError("zero polynomial")
-    if abs(c[0]) < 1e-14 * cmax:
-        raise RootFindError(
-            f"vanishing leading coefficient ({abs(c[0]):.3e} vs scale {cmax:.3e})"
-        )
-    c = c / c[0]
+    c = _normalized(np.asarray(coeffs, dtype=np.complex128), 1e-14)
     deg = c.size - 1
     if deg == 1:
         return np.array([-c[1]], dtype=np.complex128)
@@ -95,67 +118,25 @@ def find_roots(
         step[big] = 0.0
         z = z - step
 
-    for zj in z:
-        val, scale = _eval_with_scale(c, complex(zj))
-        if abs(val) > residual_factor * max(scale, 1e-300):
-            raise RootFindError(
-                f"root finding did not converge: residual {abs(val):.3e} "
-                f"at z={zj:.6g} exceeds gate {residual_factor:.1e} x scale {scale:.3e}"
-            )
+    _check_residuals(c, z, residual_factor)
     order = np.lexsort((z.imag.round(10), z.real.round(10)))
     return z[order]
 
 
-def find_roots_mp(coeffs, prec_dps: int, max_iter: int = 800):
+def find_roots_mp(coeffs, prec_dps: int):
     """Extended-precision variant of find_roots using mpmath numbers.
 
-    coeffs is a sequence convertible to mpmath.mpc, descending powers;
-    returns a list of mpmath.mpc roots in the same deterministic order.
+    coeffs is a sequence convertible to mpmath.mpc, descending powers.
+    mpmath.polyroots iterates with extra guard bits; its roots pass the
+    same scaled residual gate as find_roots, moved to prec_dps digits.
+    Returns a list of mpmath roots (real roots first, sorted).
     """
-    import mpmath as mp
-
     with mp.workdps(prec_dps):
-        c = [mp.mpc(x) for x in coeffs]
-        if len(c) < 2:
-            raise RootFindError("need a polynomial of degree >= 1")
-        cmax = max(abs(x) for x in c)
-        if cmax == 0:
-            raise RootFindError("zero polynomial")
-        if abs(c[0]) < mp.mpf(10) ** (-(prec_dps - 2)) * cmax:
-            raise RootFindError("vanishing leading coefficient")
-        lead = c[0]
-        c = [x / lead for x in c]
-        deg = len(c) - 1
-        if deg == 1:
-            return [-c[1]]
-        dc = [c[i] * (deg - i) for i in range(deg)]
-
-        radius = max(abs(x) for x in c[1:]) ** (mp.mpf(1) / deg)
-        radius = max(radius, mp.mpf("1e-8"))
-        z = [
-            radius * mp.exp(1j * (2 * mp.pi * j / deg + _ANGLE_OFFSET))
-            for j in range(deg)
-        ]
-
-        tol = mp.mpf(10) ** (-(prec_dps - 5))
-        for _ in range(max_iter):
-            moved = mp.mpf(0)
-            for j in range(deg):
-                p = mp.polyval(c, z[j])
-                dp = mp.polyval(dc, z[j])
-                if dp == 0:
-                    dp = mp.mpf("1e-300")
-                w = p / dp
-                s = mp.mpc(0)
-                for k in range(deg):
-                    if k != j:
-                        s += 1 / (z[j] - z[k])
-                denom = 1 - w * s
-                if denom == 0:
-                    denom = mp.mpf("1e-300")
-                corr = w / denom
-                z[j] = z[j] - corr
-                moved = max(moved, abs(corr))
-            if moved <= tol * (1 + max(abs(x) for x in z)):
-                break
-        return z
+        c = np.array([mp.mpc(x) for x in coeffs], dtype=object)
+        c = _normalized(c, mp.mpf(10) ** (2 - prec_dps))
+        try:
+            roots = mp.polyroots(list(c), maxsteps=_MP_MAX_STEPS, extraprec=mp.mp.prec)
+        except mp.mp.NoConvergence as exc:
+            raise RootFindError(f"extended root finding did not converge: {exc}") from exc
+        _check_residuals(c, roots, _RESIDUAL_FACTOR * mp.mpf(10) ** (_DOUBLE_DIGITS - prec_dps))
+        return roots

@@ -5,22 +5,36 @@ finite-difference annihilating polynomial, find its roots, pick the one
 near the unit circle, undo the N-th power with a prior, then solve the
 small Vandermonde system for the weighted magnitudes.  The s_i^d family
 used in the analysis of the decimated construction lives here too.
+
+Every step runs in the arithmetic of the values it is handed: double for
+complex/numpy input, mpmath at the current working precision for mpmath
+numbers (see precision.recover_single_jump_mp).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional
 
+import mpmath as mp
 import numpy as np
 
 from . import rootfind
 from .errors import AmbiguityError, ModelError, NumericError, WeakJumpWarning
-from .spectrum import FourierSpectrum, MomentSequence, weight_moments
+from .spectrum import (
+    FourierSpectrum,
+    MomentSequence,
+    _complex_values,
+    circular_distance,
+    weight_moments,
+    wrap_angle,
+)
 
 __all__ = [
     "SamplePlan",
@@ -87,6 +101,7 @@ class AnnihilatorPoly:
     """Finite-difference polynomial in u; descending coefficients.
 
     The leading coefficient is the j = 0 moment (binomial weight +1).
+    Coefficients are complex128, or mpmath numbers in an extended solve.
     """
 
     degree: int
@@ -95,7 +110,7 @@ class AnnihilatorPoly:
     base_index: int
 
     def __post_init__(self):
-        arr = np.asarray(self.coefficients, dtype=np.complex128)
+        arr = _complex_values(self.coefficients)
         if arr.ndim != 1 or arr.size != self.degree + 1:
             raise ModelError(
                 f"degree {self.degree} needs {self.degree + 1} coefficients, "
@@ -153,16 +168,16 @@ def build_annihilator(moments: MomentSequence, plan: SamplePlan) -> AnnihilatorP
             f"{plan.indices}"
         )
     d = plan.d
+    # complex128 for double moments, an object array for mpmath ones
     coeffs = np.array(
-        [(-1) ** j * math.comb(d + 1, j) * moments.values[j] for j in range(d + 2)],
-        dtype=np.complex128,
+        [(-1) ** j * math.comb(d + 1, j) * moments.values[j] for j in range(d + 2)]
     )
     return AnnihilatorPoly(d + 1, coeffs, plan.stride, plan.base_index)
 
 
 def find_roots(poly: AnnihilatorPoly) -> np.ndarray:
     """All roots of the annihilator (deterministic order)."""
-    return rootfind.find_roots(poly.coefficients)
+    return _arith_of(poly.coefficients).find_roots(poly.coefficients)
 
 
 def select_root(roots, mode: str = "closest") -> complex:
@@ -172,9 +187,10 @@ def select_root(roots, mode: str = "closest") -> complex:
     magnitude.  mode="angle-average" returns the unit-modulus circular
     mean of all root angles, usable because exact-data roots share one ray.
     """
-    rs = [complex(r) for r in roots]
+    rs = list(roots)
     if not rs:
         raise ModelError("empty root list")
+    ar = _arith_of(rs)
     if mode == "angle-average":
         s = sum(r / abs(r) for r in rs if abs(r) > 0)
         if s == 0:
@@ -186,7 +202,7 @@ def select_root(roots, mode: str = "closest") -> complex:
     best_key = None
     for r in rs:
         dist = abs(abs(r) - 1.0)
-        key = (dist, abs(cmath.phase(r)))
+        key = (dist, abs(ar.phase(r)))
         if best is None or dist < best_key[0] - 1e-14:
             best, best_key = r, key
         elif abs(dist - best_key[0]) <= 1e-14 and key[1] < best_key[1]:
@@ -194,69 +210,108 @@ def select_root(roots, mode: str = "closest") -> complex:
     return best
 
 
-def _wrap_angle(x: float) -> float:
-    return float(np.mod(x + np.pi, 2.0 * np.pi) - np.pi)
-
-
 def disambiguate_nth_root(z: complex, N: int, xi_prior: float) -> float:
     """Resolve xi from z ~ e^{-i xi N} using a prior of accuracy < pi/N.
 
     Candidates are (-arg z + 2 pi n)/N wrapped into [-pi, pi); the one
     circularly closest to the prior wins.  Near-ties mean the prior was
-    too weak; that raises an ambiguity error rather than guessing.
+    too weak; that raises an ambiguity error rather than guessing.  The
+    candidates are evenly spaced, so the winner and the runner-up are the
+    two around the prior: only the branch n* nearest the prior and its
+    neighbours are evaluated.  xi comes back in the arithmetic of z.
     """
     if N < 1:
         raise ModelError(f"N must be >= 1, got {N}")
     if z == 0:
         raise ModelError("zero root cannot carry phase information")
-    t = -cmath.phase(z)
-    cands = sorted(_wrap_angle(t / N + 2.0 * np.pi * n / N) for n in range(N))
-    dists = []
-    for xi in cands:
-        d = abs(xi - xi_prior) % (2.0 * np.pi)
-        dists.append(min(d, 2.0 * np.pi - d))
-    order = np.argsort(dists)
-    best = int(order[0])
+    ar = _arith_of(z)
+    t = -ar.phase(z)
+    if not (math.isfinite(float(t)) and math.isfinite(xi_prior)):
+        raise ModelError(f"non-finite root {z} or prior {xi_prior}")
+    offset = (xi_prior - float(t) / N) % (2.0 * math.pi)
+    n_star = round(offset * N / (2.0 * math.pi))
+    branches = sorted({(n_star + k) % N for k in (-1, 0, 1)})
+    cands = [wrap_angle(t / N + 2 * ar.pi * n / N, ar.pi) for n in branches]
+    dists = [circular_distance(xi, xi_prior, ar.pi) for xi in cands]
+    order = sorted(range(len(cands)), key=dists.__getitem__)
+    best = order[0]
     if len(cands) > 1:
-        second = int(order[1])
+        second = order[1]
         if abs(dists[second] - dists[best]) < 1e-12:
             raise AmbiguityError(
                 f"prior {xi_prior:.6g} sits equidistant from candidates "
-                f"{cands[best]:.12g} and {cands[second]:.12g} (N={N})"
+                f"{float(cands[best]):.12g} and {float(cands[second]):.12g} (N={N})"
             )
-    return float(cands[best])
+    return cands[best]
 
 
+@functools.lru_cache(maxsize=None)
 def _vandermonde_inverse(nodes: tuple):
-    """Exact inverse of the Vandermonde matrix V[r][c] = nodes[r]^c."""
-    n = len(nodes)
-    aug = [
-        [Fraction(nodes[r]) ** c for c in range(n)]
-        + [Fraction(1 if c == r else 0) for c in range(n)]
-        for r in range(n)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    """Exact inverse of the Vandermonde matrix V[r][c] = nodes[r]^c.
+
+    Column r holds the ascending coefficients of the Lagrange basis
+    polynomial prod_{m != r} (x - x_m) / (x_r - x_m) of the distinct nodes.
+    """
+    cols = []
+    for r, xr in enumerate(nodes):
+        poly = [Fraction(1)]
+        for m, xm in enumerate(nodes):
+            if m != r:
+                poly = [(a - xm * b) / (xr - xm) for a, b in zip([0] + poly, poly + [0])]
+        cols.append(poly)
+    return tuple(zip(*cols))
 
 
-_VINV_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _vandermonde_inverse_float(nodes: tuple) -> np.ndarray:
-    if nodes not in _VINV_CACHE:
+    arr = np.array([[float(x) for x in row] for row in _vandermonde_inverse(nodes)])
+    arr.flags.writeable = False
+    return arr
+
+
+class _Arith(NamedTuple):
+    """The arithmetic a single-jump solve runs in: double or mpmath.
+
+    real builds real numbers and residual_tol is the relative gate of the
+    magnitude solve.  find_roots looks its root finder up in rootfind on
+    every call, so a replaced module attribute reaches every solve.
+    """
+
+    real: Callable
+    exp: Callable
+    phase: Callable
+    pi: Any
+    residual_tol: Any
+    find_roots: Callable
+    vandermonde_inverse: Callable
+
+
+_DOUBLE = _Arith(
+    real=float, exp=cmath.exp, phase=cmath.phase, pi=math.pi, residual_tol=1e-8,
+    find_roots=lambda coeffs: rootfind.find_roots(coeffs),
+    vandermonde_inverse=_vandermonde_inverse_float,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _extended(digits: int) -> _Arith:
+    def vandermonde_inverse(nodes):
         exact = _vandermonde_inverse(nodes)
-        _VINV_CACHE[nodes] = np.array(
-            [[float(x) for x in row] for row in exact], dtype=float
-        )
-    return _VINV_CACHE[nodes]
+        return np.array([[mp.mpf(x.numerator) / x.denominator for x in row]
+                         for row in exact], dtype=object)
+
+    return _Arith(
+        real=mp.mpf, exp=mp.exp, phase=mp.arg, pi=mp.pi,
+        residual_tol=mp.mpf(10) ** (12 - digits),
+        find_roots=lambda coeffs: rootfind.find_roots_mp(coeffs, digits),
+        vandermonde_inverse=vandermonde_inverse,
+    )
+
+
+def _arith_of(values) -> _Arith:
+    """mpmath at the working precision for mpmath numbers, else double."""
+    first = values[0] if isinstance(values, (list, tuple, np.ndarray)) else values
+    return _extended(mp.mp.dps) if isinstance(first, (mp.mpf, mp.mpc)) else _DOUBLE
 
 
 def alpha_to_magnitudes(alpha) -> tuple:
@@ -303,48 +358,46 @@ def solve_magnitudes(moments: MomentSequence, omega_est: complex, plan: SamplePl
         raise ModelError(
             f"moments {moments.indices} do not cover the magnitude indices {use}"
         )
+    ar = _arith_of(moments.values)
     rhs = np.array(
-        [moments.values[j] * omega_est ** (-use[j]) for j in range(d + 1)],
-        dtype=np.complex128,
+        [moments.values[j] * omega_est ** (-use[j]) for j in range(d + 1)]
     )
     if plan.kind == "decimated":
         N = plan.stride
-        vinv = _vandermonde_inverse_float(tuple(range(1, d + 2)))
+        vinv = ar.vandermonde_inverse(tuple(range(1, d + 2)))
         scaled = vinv @ rhs
-        alpha = scaled / np.power(float(N), np.arange(d + 1))
+        alpha = scaled / np.power(ar.real(N), np.arange(d + 1))
     else:
         base = use[0]
-        vinv = _vandermonde_inverse_float(tuple(range(0, d + 1)))
+        vinv = ar.vandermonde_inverse(tuple(range(0, d + 1)))
         beta = vinv @ rhs
-        alpha = np.zeros(d + 1, dtype=np.complex128)
+        alpha = np.zeros_like(beta)
         for l in range(d, -1, -1):
             acc = beta[l]
             for m in range(l + 1, d + 1):
-                acc -= math.comb(m, l) * float(base) ** (m - l) * alpha[m]
+                acc -= math.comb(m, l) * ar.real(base) ** (m - l) * alpha[m]
             alpha[l] = acc
     # residual check in the original system: sum_l alpha_l k^l vs rhs
     recon = np.array(
-        [sum(alpha[l] * float(k) ** l for l in range(d + 1)) for k in use],
-        dtype=np.complex128,
+        [sum(alpha[l] * ar.real(k) ** l for l in range(d + 1)) for k in use]
     )
-    scale = float(np.max(np.abs(rhs))) or 1.0
-    resid = float(np.max(np.abs(recon - rhs)))
-    if resid > 1e-8 * scale:
+    scale = np.max(np.abs(rhs)) or 1.0
+    resid = np.max(np.abs(recon - rhs))
+    if resid > ar.residual_tol * scale:
         raise NumericError(
-            f"magnitude system ill-conditioned: residual {resid:.3e} "
-            f"vs data scale {scale:.3e}"
+            f"magnitude system ill-conditioned: residual {float(resid):.3e} "
+            f"vs data scale {float(scale):.3e}"
         )
     a = alpha_to_magnitudes(alpha)
     return tuple(complex(x) for x in alpha), a
 
 
-def _min_pairwise_distance(roots) -> float:
-    rs = [complex(r) for r in roots]
-    if len(rs) < 2:
-        return float("inf")
-    return min(
-        abs(rs[i] - rs[j]) for i in range(len(rs)) for j in range(i + 1, len(rs))
-    )
+def _usable_plan(spec: FourierSpectrum, plan_kind: str, d: int, M: Optional[int]):
+    """The sample plan over the top usable index M (default: the spectrum's)."""
+    M_used = spec.M if M is None else int(M)
+    if M_used > spec.M:
+        raise ModelError(f"usable M={M_used} exceeds spectrum M={spec.M}")
+    return SamplePlan(plan_kind, d, M_used)
 
 
 def recover_single_jump(
@@ -363,10 +416,7 @@ def recover_single_jump(
     xi_prior is required for the decimated plan, where the annihilator
     root determines xi only up to the N-th roots of unity.
     """
-    M_used = spec.M if M is None else int(M)
-    if M_used > spec.M:
-        raise ModelError(f"usable M={M_used} exceeds spectrum M={spec.M}")
-    plan = SamplePlan(plan_kind, d, M_used)
+    plan = _usable_plan(spec, plan_kind, d, M)
     moments = weight_moments(spec, d, plan.indices)
     return _recover_from_moments(
         moments, plan, xi_prior, select_mode=select_mode, weak_floor=weak_floor
@@ -381,6 +431,7 @@ def _recover_from_moments(
     select_mode: str = "closest",
     weak_floor: Optional[float] = None,
 ) -> JumpEstimate:
+    ar = _arith_of(moments.values)
     poly = build_annihilator(moments, plan)
     roots = find_roots(poly)
     z = select_root(roots, mode=select_mode)
@@ -389,8 +440,8 @@ def _recover_from_moments(
             raise ModelError("decimated recovery requires a location prior")
         xi = disambiguate_nth_root(z, plan.stride, xi_prior)
     else:
-        xi = _wrap_angle(-cmath.phase(z))
-    omega = cmath.exp(-1j * xi)
+        xi = wrap_angle(-ar.phase(z), ar.pi)
+    omega = ar.exp(-1j * xi)
     alpha, a = solve_magnitudes(moments, omega, plan)
     if weak_floor is not None and abs(a[0]) < weak_floor / 2.0:
         warnings.warn(
@@ -399,11 +450,13 @@ def _recover_from_moments(
             WeakJumpWarning,
         )
     return JumpEstimate(
-        xi=xi,
+        xi=float(xi),
         magnitudes=a,
         alpha=alpha,
-        root_residual=abs(poly.eval(z)),
-        condition_note=_min_pairwise_distance(roots),
+        root_residual=float(abs(poly.eval(z))),
+        condition_note=float(min(
+            (abs(r1 - r2) for r1, r2 in itertools.combinations(roots, 2)), default=math.inf
+        )),
         root=complex(z),
     )
 
@@ -421,9 +474,6 @@ def half_order_recover(
     angle is read directly and no prior is needed.  d1 = d gives the
     classical full-order consecutive variant used as a benchmark.
     """
-    M_used = spec.M if M is None else int(M)
-    if M_used > spec.M:
-        raise ModelError(f"usable M={M_used} exceeds spectrum M={spec.M}")
-    plan = SamplePlan("consecutive", d1, M_used)
+    plan = _usable_plan(spec, "consecutive", d1, M)
     moments = weight_moments(spec, d1, plan.indices)
     return _recover_from_moments(moments, plan, None, weak_floor=weak_floor)

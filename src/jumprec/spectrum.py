@@ -3,20 +3,25 @@
 Conventions used throughout the package: coefficients c_k of a 2pi-periodic
 function are indexed k = -M..M and stored in ascending order, so position
 k + M holds c_k.  c_k = (1/2pi) * integral_0^{2pi} f(x) exp(-i k x) dx.
+Angles, jump locations among them, live in [-pi, pi); wrap_angle and
+circular_distance are the package's one circle geometry.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
+import mpmath as mp
 import numpy as np
 
 from .errors import ModelError
 
 __all__ = [
+    "wrap_angle",
+    "circular_distance",
     "FourierSpectrum",
     "MomentSequence",
     "eval_partial_sum",
@@ -29,6 +34,34 @@ __all__ = [
 
 # conjugate-symmetry certification tolerance for real_valued inputs
 _SYMMETRY_TOL = 1e-14
+
+
+def wrap_angle(x, pi=math.pi):
+    """x mapped into [-pi, pi); works on floats, arrays and mpmath numbers.
+
+    Extended-precision callers pass mpmath's pi so the wrap keeps their
+    working precision.
+    """
+    return (x + pi) % (2 * pi) - pi
+
+
+def circular_distance(a, b, pi=math.pi):
+    """Distance between two angles on the circle, in [0, pi]."""
+    d = abs(a - b) % (2 * pi)
+    return min(d, 2 * pi - d)
+
+
+def _complex_values(values) -> np.ndarray:
+    # complex128, unless the values are mpmath numbers of an
+    # extended-precision solve, which keep their precision as an object array
+    arr = np.asarray(values)
+    return arr if arr.dtype == object else arr.astype(np.complex128, copy=False)
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    if arr.dtype == object:
+        return all(mp.isfinite(x) for x in arr)
+    return bool(np.all(np.isfinite(arr)))
 
 
 @dataclass(frozen=True)
@@ -58,6 +91,8 @@ class FourierSpectrum:
             raise ModelError(
                 f"need 2M+1 = {2 * self.M + 1} coefficients, got shape {arr.shape}"
             )
+        if not _all_finite(arr):
+            raise ModelError("spectrum holds non-finite coefficients (NaN or inf)")
         object.__setattr__(self, "coeffs", arr)
         if self.real_valued:
             scale = float(np.max(np.abs(arr))) or 1.0
@@ -106,7 +141,10 @@ class FourierSpectrum:
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """Weighted moments m_k at a strictly increasing set of positive indices."""
+    """Weighted moments m_k at a strictly increasing set of positive indices.
+
+    values are complex128, or mpmath numbers for an extended-precision solve.
+    """
 
     order: int
     indices: tuple
@@ -116,9 +154,11 @@ class MomentSequence:
         if self.order < 0:
             raise ModelError(f"moment order must be >= 0, got {self.order}")
         idx = tuple(int(k) for k in self.indices)
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = _complex_values(self.values)
         if vals.ndim != 1 or vals.size != len(idx):
             raise ModelError("moment indices and values disagree in length")
+        if not _all_finite(vals):
+            raise ModelError("moments hold non-finite values (NaN or inf)")
         if any(k <= 0 for k in idx):
             raise ModelError(f"moment indices must be positive, got {idx}")
         if any(b <= a for a, b in zip(idx, idx[1:])):

@@ -23,7 +23,7 @@ from .solver import (
     magnitudes_to_alpha,
     synth_moments,
 )
-from .spectrum import MomentSequence
+from .spectrum import MomentSequence, circular_distance
 
 __all__ = [
     "PronyConfig",
@@ -197,11 +197,6 @@ def fit_loglog_slope(M_values, errors, floor: Optional[float] = ERROR_FLOOR):
     return slope, used
 
 
-def _circ_dist(x: float, y: float) -> float:
-    d = abs(x - y) % (2.0 * np.pi)
-    return min(d, 2.0 * np.pi - d)
-
-
 def run_cap_trials(
     d: int,
     n_trials: int,
@@ -298,7 +293,7 @@ def run_misspec_sweep(
                 vals.append(np.exp(-1j * k * xi) * poly + delta)
             moments = MomentSequence(d_used, plan.indices, np.array(vals))
             est = _recover_from_moments(moments, plan, xi)
-            errs.append(_circ_dist(est.xi, xi))
+            errs.append(circular_distance(est.xi, xi))
         medians.append(float(np.median(errs)))
     slope, used = fit_loglog_slope(np.asarray(N_values, float), medians)
     return {

@@ -155,6 +155,22 @@ def test_recover_extended_precision_rejects_multiple_jumps(runner, tmp_path):
     assert "single-jump" in errtext(res)
 
 
+@pytest.mark.parametrize("precision", ["double", "extended:60"])
+def test_non_finite_spectrum_file_is_a_model_error(runner, tmp_path, precision):
+    sp = synthesize(runner, tmp_path, M=64)
+    record = json.loads((tmp_path / "s.json").read_text(encoding="utf-8"))
+    record["coeffs"][64 + 21] = [float("nan"), 0.0]  # JSON NaN, sampled k=21
+    sp = write_json(tmp_path / "s.json", record)
+    bp = write_json(tmp_path / "b.json", BOUNDS)
+    res = runner.invoke(
+        main,
+        ["--precision", precision, "--out", str(tmp_path / "a.json"),
+         "recover", sp, "-d", "1", "-K", "1", "--bounds", bp],
+    )
+    assert res.exit_code == 2, errtext(res)
+    assert "non-finite" in errtext(res)
+
+
 def test_low_digit_extended_precision_is_rejected_up_front(runner, tmp_path):
     res = runner.invoke(main, ["--precision", "extended:10", "bounds", "x"])
     assert res.exit_code == 2

@@ -9,10 +9,7 @@ from jumprec.model import JumpModel, smooth_catalog, synth_spectrum
 from jumprec.solver import recover_single_jump
 from jumprec.spectrum import eval_partial_sum
 
-
-def _circ(a, b):
-    d = abs(a - b) % (2.0 * np.pi)
-    return min(d, 2.0 * np.pi - d)
+from conftest import circ
 
 
 TWO_JUMPS_D2 = JumpModel(2, ((-1.3, (1.0, 0.3, -0.2)), (0.7, (0.8, -0.4, 0.25))))
@@ -26,8 +23,8 @@ def test_detection_finds_both_jumps_within_coarse_accuracy():
     locs = prony_order0(spec, 2)
     assert len(locs) == 2
     assert list(locs) == sorted(locs)
-    assert _circ(locs[0], -1.3) <= 1e-4
-    assert _circ(locs[1], 0.7) <= 1e-4
+    assert circ(locs[0], -1.3) <= 1e-4
+    assert circ(locs[1], 0.7) <= 1e-4
 
 
 def test_detection_pinned_values():

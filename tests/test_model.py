@@ -144,6 +144,12 @@ def test_bounds_validation():
         AprioriBounds(J=1.0, A=0.2, B=0.3, R=2.0)
     with pytest.raises(ModelError):
         AprioriBounds(J=1.0, A=4.0, B=0.1, R=-1.0)
+    # NaN compares false, so without the check it would pass every test
+    # above and switch off the magnitude floor
+    with pytest.raises(ModelError):
+        AprioriBounds(J=1.0, A=4.0, B=float("nan"), R=2.0)
+    with pytest.raises(ModelError):
+        AprioriBounds(J=1.0, A=float("inf"), B=0.1, R=2.0)
 
 
 # ---------------------------------------------------------------- evaluation

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from jumprec import rootfind
 from jumprec.errors import RootFindError
 from jumprec.rootfind import find_roots, find_roots_mp
 
@@ -18,6 +19,8 @@ def test_degenerate_inputs_are_rejected():
         find_roots([0.0, 0.0, 0.0])
     with pytest.raises(RootFindError):
         find_roots([1e-16, 1.0, 1.0])  # leading coefficient below scale
+    with pytest.raises(RootFindError):
+        find_roots([1.0, float("nan"), 1.0])
 
 
 def test_linear_shortcut():
@@ -104,3 +107,19 @@ def test_extended_precision_validation():
         find_roots_mp([1.0], 30)
     with pytest.raises(RootFindError):
         find_roots_mp([0.0, 0.0], 30)
+    with pytest.raises(RootFindError):
+        find_roots_mp([1.0, float("inf"), 1.0], 30)
+
+
+def test_extended_precision_failures_are_root_find_errors(monkeypatch):
+    # roots +-sqrt(2) leave a nonzero rounding residual at any precision
+    coeffs = [1.0, 0.0, -2.0]
+    assert len(find_roots_mp(coeffs, 50)) == 2
+    monkeypatch.setattr(rootfind, "_RESIDUAL_FACTOR", 0.0)
+    with pytest.raises(RootFindError):
+        find_roots_mp(coeffs, 50)
+    monkeypatch.undo()
+    # mpmath's NoConvergence surfaces as the library's own error
+    monkeypatch.setattr(rootfind, "_MP_MAX_STEPS", 1)
+    with pytest.raises(RootFindError):
+        find_roots_mp([1.0, -6.0, 11.0, -6.0], 50)

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy
@@ -240,6 +241,76 @@ def test_branch_disambiguation_tolerates_prior_near_half_spacing():
     z = cmath.exp(-1j * xi * N)
     prior = xi + 0.95 * np.pi / (2 * N)
     assert disambiguate_nth_root(z, N, prior) == pytest.approx(xi, abs=1e-12)
+
+
+def _scan_double(z, N, xi_prior):
+    # the O(N) candidate scan the closed form replaced, kept as the reference
+    t = -cmath.phase(z)
+    cands = sorted(
+        float(np.mod(t / N + 2.0 * np.pi * n / N + np.pi, 2.0 * np.pi) - np.pi)
+        for n in range(N)
+    )
+    dists = []
+    for xi in cands:
+        d = abs(xi - xi_prior) % (2.0 * np.pi)
+        dists.append(min(d, 2.0 * np.pi - d))
+    order = np.argsort(dists)
+    if N > 1 and abs(dists[order[1]] - dists[order[0]]) < 1e-12:
+        raise AmbiguityError("tie")
+    return float(cands[order[0]])
+
+
+def _scan_mp(z, N, xi_prior):
+    # the extended-precision scan the closed form replaced
+    t = -mp.arg(z)
+    cands = sorted(
+        ((t / N + 2 * mp.pi * n / N) + mp.pi) % (2 * mp.pi) - mp.pi for n in range(N)
+    )
+    dists = []
+    for xi in cands:
+        d = abs(xi - xi_prior) % (2 * mp.pi)
+        dists.append(min(d, 2 * mp.pi - d))
+    order = sorted(range(N), key=lambda i: dists[i])
+    if N > 1 and abs(dists[order[1]] - dists[order[0]]) < mp.mpf("1e-12"):
+        raise AmbiguityError("tie")
+    return float(cands[order[0]])
+
+
+def _outcome(fn, *args):
+    try:
+        return float(fn(*args))
+    except AmbiguityError:
+        return "ambiguous"
+
+
+@given(
+    phase=st.floats(-np.pi, np.pi),
+    modulus=st.floats(0.5, 2.0),
+    N=st.integers(1, 1024),
+    free_prior=st.floats(-4.0, 4.0),
+    branch=st.integers(0, 1023),
+    # offsets from a midpoint between two branches, on both sides of the gate
+    tie_offset=st.one_of(
+        st.none(), st.sampled_from([0.0, 1e-14, -3e-13, 4e-13, -2e-12, 5e-12, 1e-9])
+    ),
+)
+def test_closed_form_disambiguation_matches_the_scan(
+    phase, modulus, N, free_prior, branch, tie_offset
+):
+    if tie_offset is None:
+        prior = free_prior
+    else:
+        mid = -phase / N + 2.0 * np.pi * (branch % N + 0.5) / N
+        prior = float(np.mod(mid + tie_offset + np.pi, 2.0 * np.pi) - np.pi)
+    z = cmath.rect(modulus, phase)
+    assert _outcome(disambiguate_nth_root, z, N, prior) == _outcome(
+        _scan_double, z, N, prior
+    )
+    with mp.workdps(50):
+        z_mp = mp.mpc(z.real, z.imag)
+        assert _outcome(disambiguate_nth_root, z_mp, N, prior) == _outcome(
+            _scan_mp, z_mp, N, prior
+        )
 
 
 def test_branch_disambiguation_errors():

@@ -1,5 +1,6 @@
 """Coefficient containers, partial sums, weighted moments, convolution."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -30,6 +31,19 @@ def jump_spectrum(model, M):
 def test_spectrum_rejects_wrong_coefficient_count():
     with pytest.raises(ModelError):
         FourierSpectrum(4, np.ones(8, dtype=complex), False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_spectrum_rejects_non_finite_coefficients(bad):
+    coeffs = np.ones(9, dtype=complex)
+    coeffs[6] = bad
+    with pytest.raises(ModelError):
+        FourierSpectrum(4, coeffs, False)
+    # JSON NaN parses as a float, so a spectrum file can carry it
+    record = FourierSpectrum(4, np.ones(9, dtype=complex)).to_json_dict()
+    record["coeffs"][6] = [float(np.real(bad)), float(np.imag(bad))]
+    with pytest.raises(ModelError):
+        FourierSpectrum.from_json_dict(record)
 
 
 def test_spectrum_rejects_negative_truncation():
@@ -71,6 +85,13 @@ def test_moment_sequence_validation():
         MomentSequence(1, (0, 8), np.ones(2, dtype=complex))
     with pytest.raises(ModelError):
         MomentSequence(-1, (8,), np.ones(1, dtype=complex))
+    with pytest.raises(ModelError):
+        MomentSequence(0, (4, 8), np.array([1j, np.nan]))
+    with pytest.raises(ModelError):
+        MomentSequence(0, (4, 8), np.array([mp.mpc(1), mp.mpc("inf")], dtype=object))
+    # extended-precision moments keep their mpmath values
+    ext = MomentSequence(0, (4, 8), np.array([mp.mpc(1), mp.mpc(2)], dtype=object))
+    assert isinstance(ext.values[1], mp.mpc)
     m = MomentSequence(0, (4, 8), np.array([1j, 2.0]))
     assert m.value_at(8) == 2.0
     with pytest.raises(ModelError):
