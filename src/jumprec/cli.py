@@ -93,14 +93,17 @@ def _require_out(ctx) -> str:
 
 def _load_bounds(path) -> AprioriBounds:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        return AprioriBounds.from_json_dict(json.load(fh))
+
+
+def _smooth_part(name, args) -> SmoothPart:
+    """Catalog smooth part from JSON arguments; malformed ones are a ModelError."""
+    if not isinstance(args, dict):
+        raise ModelError(f"smooth-part arguments must be a JSON object, got {args!r}")
     try:
-        return AprioriBounds(
-            J=float(data["J"]), A=float(data["A"]),
-            B=float(data["B"]), R=float(data["R"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ModelError(f"bounds file needs numeric J, A, B, R: {exc}") from exc
+        return smooth_catalog(name, **args)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"bad {name!r} smooth-part arguments {args}: {exc}") from exc
 
 
 def _fmt(v: float) -> str:
@@ -160,10 +163,7 @@ def synth(ctx, model_path, smooth_name, smooth_args, modes):
     """Write the first M Fourier coefficients of model + smooth part."""
     out = _require_out(ctx)
     model = load_model(model_path)
-    args = json.loads(smooth_args)
-    if not isinstance(args, dict):
-        raise ModelError("--smooth-args must be a JSON object")
-    smooth = smooth_catalog(smooth_name, **args)
+    smooth = _smooth_part(smooth_name, json.loads(smooth_args))
     spec = synth_spectrum(model, smooth, modes)
     save_spectrum(out, spec)
     click.echo(f"wrote spectrum with M={modes} to {out}")
@@ -177,8 +177,8 @@ def _recover_extended(spec, cfg, digits) -> Approximant:
         raise ModelError(
             "extended precision supports single-jump recovery only (K=1)"
         )
-    prior = cfg.priors[0] if cfg.trust_priors else prony_order0(spec, 1)[0]
-    M_eff = pipeline_geometry(spec.M, cfg.d, cfg.bounds.J, cfg.usable_fraction)[0]
+    prior = cfg.priors[0] if cfg.priors is not None else prony_order0(spec, 1)[0]
+    M_eff = pipeline_geometry(spec.M, cfg.d, cfg.bounds.J)[0]
     est = recover_single_jump_mp(
         spec, cfg.d, prior, cfg.plan_kind, M=M_eff, digits=digits,
         weak_floor=cfg.bounds.B,
@@ -200,13 +200,10 @@ def _recover_extended(spec, cfg, digits) -> Approximant:
               type=click.Choice(["decimated", "consecutive"]),
               help="Sampling plan for the full-order solve.")
 @click.option("--priors", default=None,
-              help="JSON list of K approximate jump locations.")
-@click.option("--trust-priors", is_flag=True, default=False,
-              help="Skip detection and refinement; use --priors as-is.")
+              help="JSON list of K approximate jump locations; replaces detection.")
 @click.pass_context
 @_guard
-def recover(ctx, spectrum_path, order, jumps, bounds_path, plan, priors,
-            trust_priors):
+def recover(ctx, spectrum_path, order, jumps, bounds_path, plan, priors):
     """Estimate jumps and the corrected smooth spectrum from coefficients."""
     out = _require_out(ctx)
     mode, digits = ctx.obj["precision"]
@@ -217,10 +214,9 @@ def recover(ctx, spectrum_path, order, jumps, bounds_path, plan, priors,
         parsed = json.loads(priors)
         if not isinstance(parsed, list):
             raise ModelError("--priors must be a JSON list of locations")
-        pri = tuple(float(p) for p in parsed)
+        pri = tuple(parsed)
     cfg = ReconstructionConfig(
-        d=order, K=jumps, bounds=bounds, plan_kind=plan,
-        priors=pri, trust_priors=trust_priors,
+        d=order, K=jumps, bounds=bounds, plan_kind=plan, priors=pri,
     )
     if mode == "extended":
         appr = _recover_extended(spec, cfg, digits)
@@ -289,7 +285,7 @@ def load_bench_spec(path, fallback_seed: int = 0) -> BenchmarkSpec:
     if sm is not None:
         if not isinstance(sm, dict) or "name" not in sm:
             raise ModelError("'smooth' must be {\"name\": ..., \"args\": {...}}")
-        smooth = smooth_catalog(sm["name"], **dict(sm.get("args", {})))
+        smooth = _smooth_part(sm["name"], sm.get("args", {}))
 
     nz = data.get("noise")
     noise_amp, noise_decay = 0.0, float(model.order + 2)
@@ -335,14 +331,7 @@ def load_bench_spec(path, fallback_seed: int = 0) -> BenchmarkSpec:
         raise ModelError(f"seed must be a u64, got {seed}")
 
     if "bounds" in data and data["bounds"] is not None:
-        b = data["bounds"]
-        try:
-            bounds = AprioriBounds(
-                J=float(b["J"]), A=float(b["A"]),
-                B=float(b["B"]), R=float(b["R"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ModelError(f"'bounds' needs numeric J, A, B, R: {exc}") from exc
+        bounds = AprioriBounds.from_json_dict(data["bounds"])
     else:
         bounds = _default_bounds(model, noise_amp)
 
@@ -607,8 +596,10 @@ def _eval_bound(query: dict) -> dict:
             raise ModelError(
                 f"unknown bound op {op!r}; choose from {list(_BOUND_OPS)}"
             )
-    except (KeyError, TypeError) as exc:
-        raise ModelError(f"bound query {op!r} missing parameter: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ModelError(
+            f"bound query {op!r} missing or invalid parameter: {exc}"
+        ) from exc
     return {"bound": float(value), "inputs": {"op": op, **params}}
 
 

@@ -27,24 +27,19 @@ _MODULUS_BAND = 0.5
 _RANK_TOL = 1e-8
 
 
-def prony_order0(
-    spec: FourierSpectrum, K: int, tail: Optional[int] = None
-) -> list:
+def prony_order0(spec: FourierSpectrum, K: int) -> list:
     """Approximate all K jump locations from the top-index coefficients.
 
-    Forms first-order moments 2 pi i k c_k on the `tail` highest indices
-    (default max(2K+1, 4K)), solves the monic K-term annihilating
-    polynomial in least squares over all Hankel rows, and reads jump
-    locations off the root angles.  Locations return sorted ascending.
+    Forms first-order moments 2 pi i k c_k on the 4K highest indices,
+    solves the monic K-term annihilating polynomial in least squares over
+    all Hankel rows, and reads jump locations off the root angles.
+    Locations return sorted ascending.
     """
     if K < 1:
         raise ModelError(f"detection needs K >= 1, got {K}")
-    if tail is None:
-        tail = max(2 * K + 1, 4 * K)
-    if tail < 2 * K + 1:
-        raise ModelError(f"tail={tail} below minimum 2K+1 = {2 * K + 1}")
+    tail = 4 * K
     if tail > spec.M:
-        raise ModelError(f"tail={tail} exceeds available top indices M={spec.M}")
+        raise ModelError(f"detection needs M >= 4K = {tail}, got M={spec.M}")
     k0 = spec.M - tail + 1
     ks = np.arange(k0, spec.M + 1)
     y = 2.0 * np.pi * 1j * ks * spec.coeffs[k0 + spec.M : 2 * spec.M + 1]

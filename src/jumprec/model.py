@@ -141,6 +141,8 @@ class JumpModel:
             if not -np.pi <= xi < np.pi:
                 raise ModelError(f"jump location {xi} outside [-pi, pi)")
             mags = tuple(complex(a) for a in mags)
+            if not all(cmath.isfinite(a) for a in mags):
+                raise ModelError(f"jump at {xi} has non-finite magnitudes {mags}")
             if len(mags) != self.order + 1:
                 raise ModelError(
                     f"jump at {xi} carries {len(mags)} magnitudes, "
@@ -242,6 +244,13 @@ class AprioriBounds:
             raise ModelError(f"magnitude floor {self.B} exceeds ceiling {self.A}")
         if self.R < 0:
             raise ModelError(f"smooth decay constant must be >= 0, got {self.R}")
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "AprioriBounds":
+        try:
+            return cls(*(float(data[k]) for k in ("J", "A", "B", "R")))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelError(f"bounds need numeric J, A, B, R: {exc}") from exc
 
 
 def phi_eval(model: JumpModel, x, side: Optional[str] = None):

@@ -10,6 +10,7 @@ remainder's coefficients.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -41,15 +42,16 @@ __all__ = [
 # carries convolution truncation error and is never sampled
 _USABLE_FRACTION = 0.75
 
+# polish stops once a sweep moves no estimate by more than this
+_REFINE_TOL = 5e-14
+
 # window plateau gate used inside the pipeline; looser than the make_bump
 # default because small-M runs cannot resolve any admissible window to
 # 1e-10 and the leakage is part of the pipeline's own error budget
 _PIPELINE_BUMP_GATE = 5e-2
 
 
-def pipeline_geometry(
-    M: int, d: int, J: float, usable_fraction: float = _USABLE_FRACTION
-) -> tuple:
+def pipeline_geometry(M: int, d: int, J: float) -> tuple:
     """(M_eff, window half-width, window degree, window gate) of the pipeline.
 
     Single-jump solves sample indices up to M_eff only.  The window degree
@@ -57,29 +59,25 @@ def pipeline_geometry(
     low-index content onto it, and below M - M_eff, so the windowed
     coefficients are exact on every sampled index.
     """
-    M_eff = max(int(usable_fraction * M), d + 2)
+    M_eff = max(int(_USABLE_FRACTION * M), d + 2)
     degree = max(1, min(M - M_eff, M_eff // (d + 2) - 2))
     return M_eff, min(0.9 * J, np.pi / 2.0), degree, _PIPELINE_BUMP_GATE
 
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
-    """Orders, counts and a-priori constants steering full_reconstruct."""
+    """Orders, counts and a-priori constants steering full_reconstruct.
+
+    priors, when given, are K approximate jump locations that replace
+    detection; the half-order refinement still runs on them.
+    """
 
     d: int
     K: int
     bounds: AprioriBounds
     plan_kind: str = "decimated"
-    d1: Optional[int] = None
-    exclusion_radius: Optional[float] = None
-    usable_fraction: float = _USABLE_FRACTION
-    bump_half_width: Optional[float] = None
-    trust_priors: bool = False
     priors: Optional[tuple] = None
-    select_mode: str = "closest"
-    grid_points: int = 2048
     refine_sweeps: int = 10
-    refine_tol: float = 5e-14
 
     def __post_init__(self):
         if self.d < 0:
@@ -94,70 +92,25 @@ class ReconstructionConfig:
                 f"separation J={self.bounds.J:.6g} impossible for K={self.K} "
                 f"jumps on the circle (needs J <= 2pi/K = {2.0 * np.pi / self.K:.6g})"
             )
-        d1 = self.d // 2 if self.d1 is None else int(self.d1)
-        if d1 > self.d // 2:
-            raise ModelError(
-                f"half order d1={d1} exceeds floor(d/2)={self.d // 2}"
-            )
-        if d1 < 0:
-            raise ModelError(f"half order must be >= 0, got {d1}")
-        object.__setattr__(self, "d1", d1)
-        excl = (
-            self.bounds.J / 4.0
-            if self.exclusion_radius is None
-            else float(self.exclusion_radius)
-        )
-        if not 0.0 < excl < self.bounds.J / 2.0:
-            raise ModelError(
-                f"exclusion radius {excl} must sit in (0, J/2) = (0, {self.bounds.J / 2})"
-            )
-        object.__setattr__(self, "exclusion_radius", excl)
-        if not 0.0 < self.usable_fraction <= 1.0:
-            raise ModelError(
-                f"usable fraction must be in (0, 1], got {self.usable_fraction}"
-            )
         if self.priors is not None:
-            pri = tuple(float(p) for p in self.priors)
+            try:
+                pri = tuple(float(p) for p in self.priors)
+            except (TypeError, ValueError) as exc:
+                raise ModelError(f"priors must be numbers: {exc}") from exc
             if len(pri) != self.K:
                 raise ModelError(
                     f"got {len(pri)} priors for K={self.K} jumps"
                 )
+            if not all(math.isfinite(p) for p in pri):
+                raise ModelError(f"priors must be finite, got {list(pri)}")
             object.__setattr__(self, "priors", pri)
-        if self.trust_priors and self.priors is None:
-            raise ModelError("trust_priors set but no priors supplied")
-        if self.grid_points < 16:
-            raise ModelError(f"evaluation grid too small: {self.grid_points}")
         if self.refine_sweeps < 0:
             raise ModelError(
                 f"refine sweep count must be >= 0, got {self.refine_sweeps}"
             )
-        if self.refine_tol <= 0:
-            raise ModelError(
-                f"refine tolerance must be positive, got {self.refine_tol}"
-            )
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "K": self.K,
-            "bounds": {
-                "J": self.bounds.J,
-                "A": self.bounds.A,
-                "B": self.bounds.B,
-                "R": self.bounds.R,
-            },
-            "plan_kind": self.plan_kind,
-            "d1": self.d1,
-            "exclusion_radius": self.exclusion_radius,
-            "usable_fraction": self.usable_fraction,
-            "bump_half_width": self.bump_half_width,
-            "trust_priors": self.trust_priors,
-            "priors": list(self.priors) if self.priors is not None else None,
-            "select_mode": self.select_mode,
-            "grid_points": self.grid_points,
-            "refine_sweeps": self.refine_sweeps,
-            "refine_tol": self.refine_tol,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -224,9 +177,9 @@ def full_reconstruct(
 ) -> Approximant:
     """Recover all jumps of the underlying function at full order.
 
-    Detection priors always pass through the window + half-order
-    refinement unless trust_priors short-circuits it; the refined priors
-    are what make the decimated root disambiguation safe.  After the
+    Supplied or detected priors always pass through the window +
+    half-order refinement; the refined priors are what make the
+    decimated root disambiguation safe.  After the
     first full-order pass, polish sweeps subtract every current jump
     estimate from the data, window only the peeled remainder, restore the
     jump's own coefficients and re-solve.  Window leakage then scales
@@ -237,7 +190,7 @@ def full_reconstruct(
     its own output stable.
     """
     M = spec.M
-    if config.trust_priors:
+    if config.priors is not None:
         priors = list(config.priors)
     else:
         try:
@@ -254,22 +207,18 @@ def full_reconstruct(
             gap = circular_distance(priors[i], priors[j])
             if gap < config.bounds.J / 2.0:
                 raise ModelError(
-                    f"detected jump locations {priors[i]:.6g} and "
+                    f"jump priors {priors[i]:.6g} and "
                     f"{priors[j]:.6g} sit {gap:.3g} apart, below half the "
                     f"declared separation J={config.bounds.J:.3g}; the data "
                     f"does not support K={config.K} jumps"
                 )
 
-    M_eff, width, degree, gate = pipeline_geometry(
-        M, config.d, config.bounds.J, config.usable_fraction
-    )
-    if config.bump_half_width is not None:
-        width = float(config.bump_half_width)
+    M_eff, width, degree, gate = pipeline_geometry(M, config.d, config.bounds.J)
 
     def solve(data, prior):
         return recover_single_jump(
             data, config.d, prior, config.plan_kind, M=M_eff,
-            select_mode=config.select_mode, weak_floor=config.bounds.B,
+            weak_floor=config.bounds.B,
         )
 
     bumps = []
@@ -278,19 +227,16 @@ def full_reconstruct(
         bump = make_bump(prior, width, M, plateau_tol=gate, degree=degree)
         f_j = localize_jump(spec, bump)
         bumps.append(bump)
-        estimates.append(solve(f_j, half_order_recover(f_j, config.d1, M_eff).xi))
+        estimates.append(solve(f_j, half_order_recover(f_j, config.d // 2, M_eff).xi))
 
     best = list(estimates)
     best_change = math.inf
     prev_change = math.inf
     grew = 0
+    own = [_single_jump_coeffs(config.d, e.xi, e.magnitudes, M) for e in estimates]
     for _ in range(config.refine_sweeps):
         change = 0.0
         for j, bump in enumerate(bumps):
-            own = [
-                _single_jump_coeffs(config.d, e.xi, e.magnitudes, M)
-                for e in estimates
-            ]
             peeled = spec.coeffs - np.sum(own, axis=0)
             windowed = product_spectrum(
                 FourierSpectrum(M, peeled, real_valued=False),
@@ -307,10 +253,11 @@ def full_reconstruct(
             )
             change = max(change, moved)
             estimates[j] = est
+            own[j] = _single_jump_coeffs(config.d, est.xi, est.magnitudes, M)
         if change < best_change:
             best_change = change
             best = list(estimates)
-        if change < config.refine_tol:
+        if change < _REFINE_TOL:
             break
         if change > prev_change:
             grew += 1

@@ -180,24 +180,16 @@ def find_roots(poly: AnnihilatorPoly) -> np.ndarray:
     return _arith_of(poly.coefficients).find_roots(poly.coefficients)
 
 
-def select_root(roots, mode: str = "closest") -> complex:
-    """Pick the root nearest the unit circle (default) or the ray average.
+def select_root(roots) -> complex:
+    """Pick the root nearest the unit circle.
 
     Ties within 1e-14 of circle distance break toward the smallest angle
-    magnitude.  mode="angle-average" returns the unit-modulus circular
-    mean of all root angles, usable because exact-data roots share one ray.
+    magnitude.
     """
     rs = list(roots)
     if not rs:
         raise ModelError("empty root list")
     ar = _arith_of(rs)
-    if mode == "angle-average":
-        s = sum(r / abs(r) for r in rs if abs(r) > 0)
-        if s == 0:
-            raise NumericError("angle-average undefined: root phases cancel")
-        return s / abs(s)
-    if mode != "closest":
-        raise ModelError(f"unknown root selection mode {mode!r}")
     best = None
     best_key = None
     for r in rs:
@@ -407,7 +399,6 @@ def recover_single_jump(
     plan_kind: str = "decimated",
     *,
     M: Optional[int] = None,
-    select_mode: str = "closest",
     weak_floor: Optional[float] = None,
 ) -> JumpEstimate:
     """Full single-jump recovery from a spectrum obeying the one-jump model.
@@ -418,9 +409,7 @@ def recover_single_jump(
     """
     plan = _usable_plan(spec, plan_kind, d, M)
     moments = weight_moments(spec, d, plan.indices)
-    return _recover_from_moments(
-        moments, plan, xi_prior, select_mode=select_mode, weak_floor=weak_floor
-    )
+    return _recover_from_moments(moments, plan, xi_prior, weak_floor=weak_floor)
 
 
 def _recover_from_moments(
@@ -428,13 +417,12 @@ def _recover_from_moments(
     plan: SamplePlan,
     xi_prior: Optional[float],
     *,
-    select_mode: str = "closest",
     weak_floor: Optional[float] = None,
 ) -> JumpEstimate:
     ar = _arith_of(moments.values)
     poly = build_annihilator(moments, plan)
     roots = find_roots(poly)
-    z = select_root(roots, mode=select_mode)
+    z = select_root(roots)
     if plan.kind == "decimated" and plan.stride > 1:
         if xi_prior is None:
             raise ModelError("decimated recovery requires a location prior")
@@ -462,11 +450,7 @@ def _recover_from_moments(
 
 
 def half_order_recover(
-    spec: FourierSpectrum,
-    d1: int,
-    M: Optional[int] = None,
-    *,
-    weak_floor: Optional[float] = None,
+    spec: FourierSpectrum, d1: int, M: Optional[int] = None
 ) -> JumpEstimate:
     """Consecutive-index recovery at reduced order d1.
 
@@ -476,4 +460,4 @@ def half_order_recover(
     """
     plan = _usable_plan(spec, "consecutive", d1, M)
     moments = weight_moments(spec, d1, plan.indices)
-    return _recover_from_moments(moments, plan, None, weak_floor=weak_floor)
+    return _recover_from_moments(moments, plan, None)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from jumprec import cli, reconstruct
 from jumprec.cli import load_bench_spec, main, run_bench
 from jumprec.errors import ModelError
 from jumprec.model import JumpModel, smooth_catalog, synth_spectrum
@@ -114,7 +115,27 @@ def test_recover_with_trusted_priors(runner, tmp_path):
     res = runner.invoke(
         main,
         ["--out", str(outp), "recover", sp, "-d", "1", "-K", "1",
-         "--bounds", bp, "--priors", "[0.69]", "--trust-priors"],
+         "--bounds", bp, "--priors", "[0.69]"],
+    )
+    assert res.exit_code == 0, errtext(res)
+    rec = json.loads(outp.read_text())
+    assert abs(rec["model"]["jumps"][0]["xi"] - 0.7) <= 1e-10
+
+
+@pytest.mark.parametrize("precision", ["double", "extended:60"])
+def test_priors_replace_detection(runner, tmp_path, monkeypatch, precision):
+    def no_detection(spec, K):
+        raise AssertionError("detection ran although --priors was given")
+
+    monkeypatch.setattr(reconstruct, "prony_order0", no_detection)
+    monkeypatch.setattr(cli, "prony_order0", no_detection)
+    sp = synthesize(runner, tmp_path)
+    bp = write_json(tmp_path / "b.json", BOUNDS)
+    outp = tmp_path / "a.json"
+    res = runner.invoke(
+        main,
+        ["--precision", precision, "--out", str(outp), "recover", sp,
+         "-d", "1", "-K", "1", "--bounds", bp, "--priors", "[0.69]"],
     )
     assert res.exit_code == 0, errtext(res)
     rec = json.loads(outp.read_text())
@@ -269,6 +290,34 @@ def test_bounds_bad_queries(runner, tmp_path):
     assert runner.invoke(main, ["bounds", qp2]).exit_code == 2
     qp3 = write_json(tmp_path / "q3.json", "c9")
     assert runner.invoke(main, ["bounds", qp3]).exit_code == 2
+
+
+def test_malformed_smooth_args_are_a_model_error(runner, tmp_path):
+    mp = write_json(tmp_path / "m.json", MODEL_D1)
+    res = runner.invoke(
+        main,
+        ["--out", str(tmp_path / "s.json"), "synth", mp, "-M", "32",
+         "--smooth", "poly-blend", "--smooth-args", '{"order": [1]}'],
+    )
+    assert res.exit_code == 2, errtext(res)
+    assert "model error" in errtext(res)
+
+
+def test_malformed_bench_smooth_args_are_a_model_error(runner, tmp_path):
+    sp = write_json(tmp_path / "sweep.json",
+                    dict(SMALL_SWEEP, smooth={"name": "sin", "args": [1]}))
+    res = runner.invoke(main, ["--out", str(tmp_path / "b.csv"), "bench", sp])
+    assert res.exit_code == 2, errtext(res)
+    assert "model error" in errtext(res)
+
+
+@pytest.mark.parametrize("N", [1e400, float("nan")])
+def test_non_integer_bound_parameter_is_a_model_error(runner, tmp_path, N):
+    qp = write_json(tmp_path / "q.json",
+                    {"op": "decimated-cap", "d": 1, "R": 1, "B": 1, "N": N})
+    res = runner.invoke(main, ["bounds", qp])
+    assert res.exit_code == 2, errtext(res)
+    assert "model error" in errtext(res)
 
 
 # ---------------------------------------------------------------- bench

@@ -107,6 +107,12 @@ def test_model_validation_paths():
         JumpModel(0, ((np.pi, (1.0,)),))  # outside the half-open interval
     with pytest.raises(ModelError):
         JumpModel(0, ((0.5, (1.0,)), (0.2, (1.0,))))  # not increasing
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ModelError, match="non-finite magnitudes"):
+            JumpModel(1, ((0.3, (1.0, bad)),))
+    record = {"d": 1, "jumps": [{"xi": 0.3, "a": [float("nan"), 0.3]}]}
+    with pytest.raises(ModelError, match="non-finite magnitudes"):
+        JumpModel.from_json_dict(record)
     with pytest.raises(ModelError):
         JumpModel(
             0, ((-np.pi + 5e-14, (1.0,)), (np.pi - 5e-14, (1.0,)))
@@ -150,6 +156,12 @@ def test_bounds_validation():
         AprioriBounds(J=1.0, A=4.0, B=float("nan"), R=2.0)
     with pytest.raises(ModelError):
         AprioriBounds(J=1.0, A=float("inf"), B=0.1, R=2.0)
+    good = {"J": 1.0, "A": 4.0, "B": 0.1, "R": 2.0}
+    assert AprioriBounds.from_json_dict(good) == AprioriBounds(**good)
+    for bad in ({"J": 1.0, "A": 4.0, "B": 0.1}, dict(good, R=None),
+                dict(good, R="x"), [1.0, 4.0, 0.1, 2.0]):
+        with pytest.raises(ModelError, match="numeric J, A, B, R"):
+            AprioriBounds.from_json_dict(bad)
 
 
 # ---------------------------------------------------------------- evaluation

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from jumprec import reconstruct
 from jumprec.errors import ModelError
 from jumprec.model import (
     AprioriBounds,
@@ -40,13 +41,7 @@ def test_config_validation():
     with pytest.raises(ModelError):
         ReconstructionConfig(d=1, K=1, bounds=BND, plan_kind="striped")
     with pytest.raises(ModelError):
-        ReconstructionConfig(d=1, K=1, bounds=BND, usable_fraction=0.0)
-    with pytest.raises(ModelError):
-        ReconstructionConfig(d=1, K=1, bounds=BND, grid_points=4)
-    with pytest.raises(ModelError):
         ReconstructionConfig(d=1, K=1, bounds=BND, refine_sweeps=-1)
-    with pytest.raises(ModelError):
-        ReconstructionConfig(d=1, K=1, bounds=BND, refine_tol=0.0)
 
 
 def test_config_rejects_overcrowded_circle():
@@ -56,29 +51,33 @@ def test_config_rejects_overcrowded_circle():
     ReconstructionConfig(d=1, K=4, bounds=BND)
 
 
-def test_config_half_order_defaults_and_cap():
-    assert ReconstructionConfig(d=5, K=1, bounds=BND).d1 == 2
-    assert ReconstructionConfig(d=0, K=1, bounds=BND).d1 == 0
-    with pytest.raises(ModelError):
-        ReconstructionConfig(d=4, K=1, bounds=BND, d1=3)
-    with pytest.raises(ModelError):
-        ReconstructionConfig(d=4, K=1, bounds=BND, d1=-1)
+def test_config_half_order_defaults_and_cap(monkeypatch):
+    # the half-order refinement runs at floor(d/2)
+    seen = []
+    original = reconstruct.half_order_recover
 
+    def half_order(spec, d1, M=None):
+        seen.append(d1)
+        return original(spec, d1, M)
 
-def test_config_exclusion_radius_window():
-    cfg = ReconstructionConfig(d=1, K=1, bounds=BND)
-    assert cfg.exclusion_radius == pytest.approx(BND.J / 4, abs=1e-15)
-    with pytest.raises(ModelError):
-        ReconstructionConfig(d=1, K=1, bounds=BND, exclusion_radius=0.0)
-    with pytest.raises(ModelError):
-        ReconstructionConfig(d=1, K=1, bounds=BND, exclusion_radius=BND.J)
+    monkeypatch.setattr(reconstruct, "half_order_recover", half_order)
+    for d, d1 in ((0, 0), (1, 0), (2, 1), (3, 1)):
+        model = JumpModel(d, ((0.7, (1.0,) + (0.3,) * d),))
+        full_reconstruct(
+            synth_spectrum(model, None, 256),
+            ReconstructionConfig(d=d, K=1, bounds=BND),
+        )
+        assert seen.pop() == d1
 
 
 def test_config_prior_plumbing():
     with pytest.raises(ModelError):
         ReconstructionConfig(d=1, K=2, bounds=BND, priors=(0.7,))
-    with pytest.raises(ModelError):
-        ReconstructionConfig(d=1, K=1, bounds=BND, trust_priors=True)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ModelError, match="priors must be finite"):
+            ReconstructionConfig(d=1, K=1, bounds=BND, priors=(bad,))
+    with pytest.raises(ModelError, match="priors must be numbers"):
+        ReconstructionConfig(d=1, K=1, bounds=BND, priors=(None,))
     cfg = ReconstructionConfig(d=1, K=2, bounds=BND, priors=(-1.3, 0.7))
     assert cfg.priors == (-1.3, 0.7)
 
@@ -108,12 +107,14 @@ def test_two_jump_recovery_with_smooth_background():
         assert max(abs(x - y) for x, y in zip(ae, at)) <= 1e-6
 
 
-def test_trusted_priors_skip_detection():
+def test_trusted_priors_skip_detection(monkeypatch):
+    def no_detection(spec, K):
+        raise AssertionError("detection ran although priors were supplied")
+
+    monkeypatch.setattr(reconstruct, "prony_order0", no_detection)
     ap = full_reconstruct(
         synth_spectrum(JumpModel(1, ((0.7, (1.0, -0.4)),)), None, 256),
-        ReconstructionConfig(
-            d=1, K=1, bounds=BND, priors=(0.69,), trust_priors=True
-        ),
+        ReconstructionConfig(d=1, K=1, bounds=BND, priors=(0.69,)),
     )
     assert abs(ap.estimate.locations[0] - 0.7) <= 1e-12
 
