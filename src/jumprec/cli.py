@@ -177,8 +177,14 @@ def _recover_extended(spec, cfg, digits) -> Approximant:
         raise ModelError(
             "extended precision supports single-jump recovery only (K=1)"
         )
-    prior = cfg.priors[0] if cfg.priors is not None else prony_order0(spec, 1)[0]
+    if cfg.priors is None:
+        # detection still certifies that the data carries a jump; without a
+        # window its coarse location is not needed
+        prony_order0(spec, 1)
     M_eff = pipeline_geometry(spec.M, cfg.d, cfg.bounds.J)[0]
+    # the half-order location, as in full_reconstruct, is what makes the
+    # decimated root disambiguation safe; a coarse prior is not
+    prior = half_order_recover(spec, cfg.d // 2, M_eff).xi
     est = recover_single_jump_mp(
         spec, cfg.d, prior, cfg.plan_kind, M=M_eff, digits=digits,
         weak_floor=cfg.bounds.B,

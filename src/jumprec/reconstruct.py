@@ -200,6 +200,11 @@ def full_reconstruct(
                 f"expected K={config.K} jumps but detection certified only "
                 f"{exc.rank}"
             ) from exc
+    # the floor and separation checks below fail alike for a wrong jump
+    # count and for a supplied prior far from every jump
+    cause = f"the data does not support K={config.K} jumps"
+    if config.priors is not None:
+        cause += " or the supplied priors are wrong"
     # priors closer than half the declared separation cannot belong to
     # distinct admissible jumps; asking for too many jumps lands here
     for i in range(len(priors)):
@@ -209,8 +214,7 @@ def full_reconstruct(
                 raise ModelError(
                     f"jump priors {priors[i]:.6g} and "
                     f"{priors[j]:.6g} sit {gap:.3g} apart, below half the "
-                    f"declared separation J={config.bounds.J:.3g}; the data "
-                    f"does not support K={config.K} jumps"
+                    f"declared separation J={config.bounds.J:.3g}; {cause}"
                 )
 
     M_eff, width, degree, gate = pipeline_geometry(M, config.d, config.bounds.J)
@@ -276,8 +280,7 @@ def full_reconstruct(
             raise ModelError(
                 f"recovered leading magnitude {abs(est.magnitudes[0]):.3e} at "
                 f"{est.xi:.6g} falls below half the declared floor "
-                f"B={config.bounds.B:.3g}; the data does not support "
-                f"K={config.K} jumps"
+                f"B={config.bounds.B:.3g}; {cause}"
             )
     return _approximant(spec, config.d, estimates, config.to_json_dict())
 

@@ -1,10 +1,10 @@
-"""Deterministic simultaneous polynomial root finding.
+"""Polynomial root finding behind one residual acceptance gate.
 
-Aberth-Ehrlich iteration from a fixed initial circle (no randomness, so
-repeated runs agree bitwise), followed by a short Newton polish and a
-residual acceptance gate.  The extended-precision variant hands the
-iteration to mpmath.polyroots and keeps the gate.  Coefficients are given
-in descending powers, matching numpy.roots.
+Double precision uses numpy.roots, extended precision mpmath.polyroots.
+Both normalize the polynomial by its leading coefficient first and accept
+the roots only if each one's residual is small against the scale of its
+own evaluation.  Coefficients are given in descending powers, matching
+numpy.roots.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ import numpy as np
 from .errors import RootFindError
 
 __all__ = ["find_roots", "find_roots_mp"]
-
-# fixed angular offset of the initial circle; breaks conjugate symmetry
-# so symmetric polynomials cannot trap the iteration
-_ANGLE_OFFSET = 0.7390851332151607
 
 _RESIDUAL_FACTOR = 1e-11
 # a double carries about 16 decimal digits; find_roots_mp tightens the gate
@@ -41,12 +37,17 @@ def _normalized(c: np.ndarray, lead_tol) -> np.ndarray:
     cmax = max(moduli)
     if cmax == 0:
         raise RootFindError("zero polynomial")
-    if abs(c[0]) < lead_tol * cmax:
+    # the zero test matters when lead_tol * cmax underflows to 0
+    if moduli[0] == 0 or moduli[0] < lead_tol * cmax:
         raise RootFindError(
-            f"vanishing leading coefficient ({float(abs(c[0])):.3e} vs scale "
+            f"vanishing leading coefficient ({float(moduli[0]):.3e} vs scale "
             f"{float(cmax):.3e})"
         )
-    return c / c[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = c / c[0]
+    if not all(abs(x) < math.inf for x in out):
+        raise RootFindError("polynomial has non-finite coefficients after normalization")
+    return out
 
 
 def _check_residuals(c: np.ndarray, roots, gate) -> None:
@@ -66,59 +67,20 @@ def _check_residuals(c: np.ndarray, roots, gate) -> None:
             )
 
 
-def find_roots(
-    coeffs,
-    max_iter: int = 500,
-    newton_steps: int = 3,
-    residual_factor: float = _RESIDUAL_FACTOR,
-) -> np.ndarray:
+def find_roots(coeffs) -> np.ndarray:
     """All complex roots of the polynomial with the given coefficients.
 
+    numpy.roots (eigenvalues of the companion matrix) on the normalized
+    polynomial; roots return in lexicographic (real, imag) order.
     Raises RootFindError for degenerate input (degree < 1 or vanishing
-    leading coefficient) and when the residual gate fails after the
-    iteration budget.
+    leading coefficient) and when a root fails the residual gate.
     """
     c = _normalized(np.asarray(coeffs, dtype=np.complex128), 1e-14)
-    deg = c.size - 1
-    if deg == 1:
-        return np.array([-c[1]], dtype=np.complex128)
-
-    dc = c[:-1] * np.arange(deg, 0, -1)
-
-    radius = float(np.max(np.abs(c[1:]))) ** (1.0 / deg) if np.any(c[1:]) else 1.0
-    radius = max(radius, 1e-8)
-    angles = 2.0 * np.pi * np.arange(deg) / deg + _ANGLE_OFFSET
-    z = radius * np.exp(1j * angles)
-
-    for _ in range(max_iter):
-        p = np.polyval(c, z)
-        dp = np.polyval(dc, z)
-        dp = np.where(np.abs(dp) < 1e-300, 1e-300, dp)
-        w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        denom = 1.0 - w * inv.sum(axis=1)
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        corr = w / denom
-        z = z - corr
-        if np.max(np.abs(corr)) <= 1e-14 * (1.0 + np.max(np.abs(z))):
-            break
-
-    for _ in range(newton_steps):
-        p = np.polyval(c, z)
-        dp = np.polyval(dc, z)
-        safe = np.abs(dp) > 1e-300
-        step = np.zeros_like(z)
-        step[safe] = p[safe] / dp[safe]
-        # keep polish local: a Newton step that jumps far signals a
-        # near-multiple root where polishing would hurt
-        big = np.abs(step) > 1e-2 * (1.0 + np.abs(z))
-        step[big] = 0.0
-        z = z - step
-
-    _check_residuals(c, z, residual_factor)
+    try:
+        z = np.roots(c)
+    except np.linalg.LinAlgError as exc:
+        raise RootFindError(f"root finding did not converge: {exc}") from exc
+    _check_residuals(c, z, _RESIDUAL_FACTOR)
     order = np.lexsort((z.imag.round(10), z.real.round(10)))
     return z[order]
 

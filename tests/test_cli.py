@@ -142,6 +142,34 @@ def test_priors_replace_detection(runner, tmp_path, monkeypatch, precision):
     assert abs(rec["model"]["jumps"][0]["xi"] - 0.7) <= 1e-10
 
 
+def test_extended_recover_refines_a_bad_prior(runner, tmp_path):
+    # the prior sits 2.7 rad from the jump; the half-order solve, not the
+    # prior, must pick the decimated root branch
+    sp = synthesize(runner, tmp_path)
+    bp = write_json(tmp_path / "b.json", BOUNDS)
+    outp = tmp_path / "a.json"
+    res = runner.invoke(
+        main,
+        ["--precision", "extended:60", "--out", str(outp), "recover", sp,
+         "-d", "1", "-K", "1", "--bounds", bp, "--priors", "[-2.0]"],
+    )
+    assert res.exit_code == 0, errtext(res)
+    rec = json.loads(outp.read_text())
+    assert abs(rec["model"]["jumps"][0]["xi"] - 0.7) <= 1e-10
+
+
+def test_bad_prior_is_named_in_the_model_error(runner, tmp_path):
+    sp = synthesize(runner, tmp_path)
+    bp = write_json(tmp_path / "b.json", BOUNDS)
+    res = runner.invoke(
+        main,
+        ["--out", str(tmp_path / "a.json"), "recover", sp,
+         "-d", "1", "-K", "1", "--bounds", bp, "--priors", "[-2.0]"],
+    )
+    assert res.exit_code == 2, errtext(res)
+    assert "prior" in errtext(res)
+
+
 def test_recover_extended_precision_single_jump(runner, tmp_path):
     sp = synthesize(runner, tmp_path)
     bp = write_json(tmp_path / "b.json", BOUNDS)

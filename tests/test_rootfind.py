@@ -83,11 +83,22 @@ def test_roots_reproduce_monic_factorization(vals):
         assert min(abs(z - r) for z in roots) <= 1e-6
 
 
-def test_residual_gate_can_fire():
-    # absurdly tight acceptance with no iterations to meet it
-    with pytest.raises(RootFindError):
-        find_roots([1.0, -6.0, 11.0, -6.0], max_iter=0, newton_steps=0,
-                   residual_factor=1e-30)
+def test_residual_gate_can_fire(monkeypatch):
+    # roots +-sqrt(2) leave a nonzero rounding residual in double
+    coeffs = [1.0, 0.0, -2.0]
+    assert len(find_roots(coeffs)) == 2
+    monkeypatch.setattr(rootfind, "_RESIDUAL_FACTOR", 0.0)
+    with pytest.raises(RootFindError, match="did not converge"):
+        find_roots(coeffs)
+
+
+def test_underflowing_leading_coefficient_is_rejected():
+    # 1e-14 x scale underflows to 0 here, so only the zero test catches it
+    with pytest.raises(RootFindError, match="vanishing leading coefficient"):
+        find_roots([0.0, 1e-310, 1e-310])
+    # a subnormal leading coefficient can overflow the normalization
+    with pytest.raises(RootFindError, match="non-finite"):
+        find_roots([-1e-310 + 1e-315j, -1e-315 - 1e-308j])
 
 
 def test_extended_precision_matches_double_and_refines():
