@@ -39,6 +39,7 @@ from .reconstruct import (
     Approximant,
     ReconstructionConfig,
     _approximant,
+    check_leading_floor,
     full_reconstruct,
     jump_free_error,
     pipeline_geometry,
@@ -189,6 +190,7 @@ def _recover_extended(spec, cfg, digits) -> Approximant:
         spec, cfg.d, prior, cfg.plan_kind, M=M_eff, digits=digits,
         weak_floor=cfg.bounds.B,
     )
+    check_leading_floor([est], cfg)
     return _approximant(
         spec, cfg.d, [est], {**cfg.to_json_dict(), "precision_digits": digits}
     )

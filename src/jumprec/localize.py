@@ -171,6 +171,8 @@ def localize_jump(spec: FourierSpectrum, bump: BumpSpec) -> FourierSpectrum:
 
     Exact convolution of the two truncated sequences; the top index band
     inherits truncation error from the input's unseen tail, which is why
-    downstream sampling plans stay away from it.
+    downstream sampling plans stay away from it.  The window has 2D+1
+    nonzero coefficients (D its degree), so the product costs about
+    (2M+1)(2D+1) multiply-adds, not (2M+1)^2.
     """
     return product_spectrum(spec, bump.spectrum, spec.M)

@@ -25,7 +25,6 @@ from .spectrum import (
     FourierSpectrum,
     circular_distance,
     eval_partial_sum,
-    product_spectrum,
     wrap_angle,
 )
 
@@ -33,6 +32,7 @@ __all__ = [
     "ReconstructionConfig",
     "pipeline_geometry",
     "Approximant",
+    "check_leading_floor",
     "full_reconstruct",
     "eval_approximant",
     "jump_free_error",
@@ -172,6 +172,31 @@ def _approximant(spec: FourierSpectrum, d: int, estimates, provenance: dict):
     return Approximant(estimate, psi, spec.M, provenance=provenance)
 
 
+def _cause(config: ReconstructionConfig) -> str:
+    # the floor and separation checks fail alike for a wrong jump count
+    # and for a supplied prior far from every jump
+    cause = f"the data does not support K={config.K} jumps"
+    if config.priors is not None:
+        cause += " or the supplied priors are wrong"
+    return cause
+
+
+def check_leading_floor(estimates, config: ReconstructionConfig) -> None:
+    """Raise ModelError when an estimate's |a_0| is below half the floor B.
+
+    Admissible jumps carry |a_0| >= B; an estimate stuck below half that
+    floor means the requested jump count, or a supplied prior, is wrong.
+    Both precisions of recovery end with this check.
+    """
+    for est in estimates:
+        if abs(est.magnitudes[0]) < config.bounds.B / 2.0:
+            raise ModelError(
+                f"recovered leading magnitude {abs(est.magnitudes[0]):.3e} at "
+                f"{est.xi:.6g} falls below half the declared floor "
+                f"B={config.bounds.B:.3g}; {_cause(config)}"
+            )
+
+
 def full_reconstruct(
     spec: FourierSpectrum, config: ReconstructionConfig
 ) -> Approximant:
@@ -200,11 +225,6 @@ def full_reconstruct(
                 f"expected K={config.K} jumps but detection certified only "
                 f"{exc.rank}"
             ) from exc
-    # the floor and separation checks below fail alike for a wrong jump
-    # count and for a supplied prior far from every jump
-    cause = f"the data does not support K={config.K} jumps"
-    if config.priors is not None:
-        cause += " or the supplied priors are wrong"
     # priors closer than half the declared separation cannot belong to
     # distinct admissible jumps; asking for too many jumps lands here
     for i in range(len(priors)):
@@ -214,7 +234,7 @@ def full_reconstruct(
                 raise ModelError(
                     f"jump priors {priors[i]:.6g} and "
                     f"{priors[j]:.6g} sit {gap:.3g} apart, below half the "
-                    f"declared separation J={config.bounds.J:.3g}; {cause}"
+                    f"declared separation J={config.bounds.J:.3g}; {_cause(config)}"
                 )
 
     M_eff, width, degree, gate = pipeline_geometry(M, config.d, config.bounds.J)
@@ -242,11 +262,7 @@ def full_reconstruct(
         change = 0.0
         for j, bump in enumerate(bumps):
             peeled = spec.coeffs - np.sum(own, axis=0)
-            windowed = product_spectrum(
-                FourierSpectrum(M, peeled, real_valued=False),
-                bump.spectrum,
-                M,
-            )
+            windowed = localize_jump(FourierSpectrum(M, peeled), bump)
             data = FourierSpectrum(
                 M, windowed.coeffs + own[j], real_valued=False
             )
@@ -273,15 +289,7 @@ def full_reconstruct(
     estimates = best
 
     estimates.sort(key=lambda e: e.xi)
-    # admissible jumps carry |a_0| >= B; an estimate stuck below half
-    # that floor after polishing means the requested count is wrong
-    for est in estimates:
-        if abs(est.magnitudes[0]) < config.bounds.B / 2.0:
-            raise ModelError(
-                f"recovered leading magnitude {abs(est.magnitudes[0]):.3e} at "
-                f"{est.xi:.6g} falls below half the declared floor "
-                f"B={config.bounds.B:.3g}; {cause}"
-            )
+    check_leading_floor(estimates, config)
     return _approximant(spec, config.d, estimates, config.to_json_dict())
 
 

@@ -35,6 +35,10 @@ __all__ = [
 # conjugate-symmetry certification tolerance for real_valued inputs
 _SYMMETRY_TOL = 1e-14
 
+# entries of eval_partial_sum's phase matrix built at once (8 MiB of
+# complex128); 63 rows at M=4096
+_PHASE_BLOCK = 2**19
+
 
 def wrap_angle(x, pi=math.pi):
     """x mapped into [-pi, pi); works on floats, arrays and mpmath numbers.
@@ -178,12 +182,17 @@ def eval_partial_sum(spectrum: FourierSpectrum, x) -> np.ndarray:
     """Evaluate sum_{|k|<=M} c_k exp(i k x) at the points x.
 
     Returns real values when the spectrum is declared real_valued, complex
-    otherwise.  Accepts scalars or arrays.
+    otherwise.  Accepts scalars or arrays.  The phase matrix is built in
+    row blocks of at most 2^19 entries, so memory stays bounded
+    for any number of points.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ks = np.arange(-spectrum.M, spectrum.M + 1)
-    # (npts, 2M+1) phase matrix; fine for the grid sizes used here
-    out = np.exp(1j * np.outer(xs, ks)) @ spectrum.coeffs
+    rows = max(1, _PHASE_BLOCK // ks.size)
+    out = np.empty(xs.size, dtype=np.complex128)
+    for i in range(0, xs.size, rows):
+        phases = np.exp(1j * np.outer(xs[i : i + rows], ks))
+        out[i : i + rows] = phases @ spectrum.coeffs
     if spectrum.real_valued:
         out = out.real
     if np.isscalar(x) or np.asarray(x).ndim == 0:
@@ -217,15 +226,25 @@ def product_spectrum(
 
     The discrete convolution c_k = sum_j a_j b_{k-j} is exact for the
     truncated sequences; out_M must not exceed a.M so every output index
-    has its full set of contributing terms from the shorter factor.
+    has its full set of contributing terms from the shorter factor.  Only
+    the nonzero band of b enters the sum, so the cost is (2 out_M + 1)
+    times the width of that band: pass the narrow factor (a window) as b.
     """
     if out_M > a.M:
         raise ModelError(f"requested out_M={out_M} exceeds first factor M={a.M}")
     if out_M < 0:
         raise ModelError(f"out_M must be >= 0, got {out_M}")
-    full = np.convolve(a.coeffs, b.coeffs)
-    center = a.M + b.M
-    part = full[center - out_M : center + out_M + 1]
+    nz = np.flatnonzero(b.coeffs)
+    first, last = (nz[0], nz[-1]) if nz.size else (b.M, b.M)
+    band = b.coeffs[first : last + 1]
+    # indices j of a that the outputs read; those past a.M count as zero
+    lo = -out_M - (last - b.M)
+    hi = out_M - (first - b.M)
+    need = np.zeros(hi - lo + 1, dtype=np.complex128)
+    start, stop = max(lo, -a.M), min(hi, a.M)
+    if start <= stop:
+        need[start - lo : stop - lo + 1] = a.coeffs[start + a.M : stop + a.M + 1]
+    part = np.convolve(need, band, mode="valid")
     return FourierSpectrum(out_M, part, a.real_valued and b.real_valued)
 
 

@@ -170,6 +170,21 @@ def test_bad_prior_is_named_in_the_model_error(runner, tmp_path):
     assert "prior" in errtext(res)
 
 
+@pytest.mark.parametrize("precision", ["double", "extended:60"])
+def test_weak_leading_magnitude_is_a_model_error(runner, tmp_path, precision):
+    # |a_0| = 0.01 sits below half the declared floor B = 0.05
+    model = {"d": 1, "jumps": [{"xi": 0.7, "a": [0.01, 0.3]}]}
+    sp = synthesize(runner, tmp_path, model=model)
+    bp = write_json(tmp_path / "b.json", BOUNDS)
+    res = runner.invoke(
+        main,
+        ["--precision", precision, "--out", str(tmp_path / "a.json"),
+         "recover", sp, "-d", "1", "-K", "1", "--bounds", bp],
+    )
+    assert res.exit_code == 2, errtext(res)
+    assert "below half the declared floor" in errtext(res)
+
+
 def test_recover_extended_precision_single_jump(runner, tmp_path):
     sp = synthesize(runner, tmp_path)
     bp = write_json(tmp_path / "b.json", BOUNDS)

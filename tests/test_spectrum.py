@@ -3,9 +3,10 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
+from jumprec import spectrum as spectrum_module
 from jumprec.errors import ModelError
 from jumprec.localize import make_bump
 from jumprec.model import JumpModel, phi_coeff_array, phi_eval
@@ -161,6 +162,24 @@ def test_partial_sum_vectorizes_and_respects_real_flag():
     assert scalar == pytest.approx(vals[3], abs=1e-15)
 
 
+@pytest.mark.parametrize("npts", [1, 5, 130, 301])
+def test_blocked_partial_sum_matches_the_dense_product(npts):
+    # at M=4096 a block holds 63 rows, so these counts leave partial blocks
+    M = 4096
+    assert spectrum_module._PHASE_BLOCK // (2 * M + 1) == 63
+    rng = np.random.default_rng(npts)
+    half = rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1)
+    cs = np.concatenate((half[:0:-1].conj(), [half[0].real], half[1:]))
+    sp = FourierSpectrum(M, cs, real_valued=True)
+    xs = rng.uniform(-np.pi, np.pi, size=npts)
+    dense = (np.exp(1j * np.outer(xs, np.arange(-M, M + 1))) @ cs).real
+    np.testing.assert_allclose(eval_partial_sum(sp, xs), dense, rtol=1e-14)
+    scalar = eval_partial_sum(sp, xs[0])
+    assert np.ndim(scalar) == 0
+    np.testing.assert_allclose(scalar, dense[0], rtol=1e-14)
+    assert np.ndim(eval_partial_sum(sp, np.array(xs[0]))) == 0
+
+
 # ---------------------------------------------------------------- moments
 
 
@@ -195,6 +214,46 @@ def test_moment_index_validation():
 
 
 # ---------------------------------------------------------------- products
+
+
+@given(
+    aM=st.integers(0, 24),
+    bM=st.integers(0, 40),
+    # out_M = 0 and out_M = a.M are drawn on purpose
+    out_frac=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    band=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    density=st.sampled_from([0.0, 0.5, 1.0]),
+    real=st.tuples(st.booleans(), st.booleans()),
+    seed=st.integers(0, 2**32 - 1),
+)
+# b's band sits wholly past the indices of a that the outputs read
+@example(aM=2, bM=4, out_frac=0.0, band=(1.0, 1.0), density=1.0,
+         real=(False, False), seed=0)
+def test_banded_product_matches_the_dense_convolution(
+    aM, bM, out_frac, band, density, real, seed
+):
+    # reference: the full convolution of both sequences, sliced at the centre
+    rng = np.random.default_rng(seed)
+
+    def draw(M, lo, hi, keep, symmetric):
+        cs = np.zeros(2 * M + 1, dtype=complex)
+        width = hi - lo + 1
+        vals = rng.normal(size=width) + 1j * rng.normal(size=width)
+        cs[lo : hi + 1] = vals * (rng.random(width) < keep)
+        # conjugate-symmetric spectra are those of real functions
+        return (cs + cs[::-1].conj()) / 2.0 if symmetric else cs
+
+    a = FourierSpectrum(aM, draw(aM, 0, 2 * aM, 1.0, real[0]), real[0])
+    lo, hi = sorted(int(u * 2 * bM) for u in band)
+    b = FourierSpectrum(bM, draw(bM, lo, hi, density, real[1]), real[1])
+    out_M = int(out_frac * aM)
+    got = product_spectrum(a, b, out_M)
+    centre = aM + bM
+    want = np.convolve(a.coeffs, b.coeffs)[centre - out_M : centre + out_M + 1]
+    tol = 1e-14 * np.sum(np.abs(a.coeffs)) * np.sum(np.abs(b.coeffs))
+    assert got.M == out_M
+    assert got.real_valued == (real[0] and real[1])
+    assert np.max(np.abs(got.coeffs - want)) <= tol
 
 
 def test_product_with_delta_spectrum_is_identity():
