@@ -8,6 +8,7 @@ given.  The same report is available through `jumprec bench`.
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 
@@ -36,10 +37,11 @@ def main():
     if args.spec:
         bs = load_bench_spec(args.spec, args.seed)
     else:
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            json.dump(_DEFAULT_SPEC, fh)
-            path = fh.name
-        bs = load_bench_spec(path, args.seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "spec.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(_DEFAULT_SPEC, fh)
+            bs = load_bench_spec(path, args.seed)
 
     text = run_bench(bs)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

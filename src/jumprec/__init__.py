@@ -64,7 +64,6 @@ from .stability import (
     method_gap_factor,
     misspec_exponent,
     node_perturbation_bound,
-    sampling_set,
 )
 
 __version__ = "0.1.0"

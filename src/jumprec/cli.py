@@ -44,10 +44,11 @@ from .reconstruct import (
     jump_free_error,
     pipeline_geometry,
 )
-from .solver import half_order_recover, recover_single_jump
+from .solver import half_order_recover
 from .spectrum import (
     FourierSpectrum,
     circular_distance,
+    eval_partial_sum,
     load_spectrum,
     save_spectrum,
 )
@@ -63,6 +64,11 @@ from .stability import (
 )
 
 _METHODS = ("full-decimated", "half-order", "eckhoff-original")
+
+_DOUBLE_ONLY = (
+    "benchmark sweeps run in double precision only; the coefficients arrive "
+    "as doubles, and a solve in more digits recovers no digit they lack"
+)
 
 
 def _guard(fn):
@@ -116,7 +122,8 @@ def _fmt(v: float) -> str:
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
 @click.option(
     "--precision", default="double", show_default=True,
-    help="Arithmetic mode: 'double' or 'extended:<digits>' with >= 50 digits.",
+    help="Arithmetic of recover: 'double' or 'extended:<digits>' with >= 50 "
+         "digits. bench runs in double only.",
 )
 @click.option(
     "--seed", default=0, show_default=True,
@@ -187,8 +194,7 @@ def _recover_extended(spec, cfg, digits) -> Approximant:
     # decimated root disambiguation safe; a coarse prior is not
     prior = half_order_recover(spec, cfg.d // 2, M_eff).xi
     est = recover_single_jump_mp(
-        spec, cfg.d, prior, cfg.plan_kind, M=M_eff, digits=digits,
-        weak_floor=cfg.bounds.B,
+        spec, cfg.d, prior, M=M_eff, digits=digits, weak_floor=cfg.bounds.B
     )
     check_leading_floor([est], cfg)
     return _approximant(
@@ -204,14 +210,11 @@ def _recover_extended(spec, cfg, digits) -> Approximant:
               help="Number of jumps to recover.")
 @click.option("--bounds", "bounds_path", required=True, type=click.Path(),
               help="JSON file with the a-priori constants J, A, B, R.")
-@click.option("--plan", default="decimated", show_default=True,
-              type=click.Choice(["decimated", "consecutive"]),
-              help="Sampling plan for the full-order solve.")
 @click.option("--priors", default=None,
               help="JSON list of K approximate jump locations; replaces detection.")
 @click.pass_context
 @_guard
-def recover(ctx, spectrum_path, order, jumps, bounds_path, plan, priors):
+def recover(ctx, spectrum_path, order, jumps, bounds_path, priors):
     """Estimate jumps and the corrected smooth spectrum from coefficients."""
     out = _require_out(ctx)
     mode, digits = ctx.obj["precision"]
@@ -223,9 +226,7 @@ def recover(ctx, spectrum_path, order, jumps, bounds_path, plan, priors):
         if not isinstance(parsed, list):
             raise ModelError("--priors must be a JSON list of locations")
         pri = tuple(parsed)
-    cfg = ReconstructionConfig(
-        d=order, K=jumps, bounds=bounds, plan_kind=plan, priors=pri,
-    )
+    cfg = ReconstructionConfig(d=order, K=jumps, bounds=bounds, priors=pri)
     if mode == "extended":
         appr = _recover_extended(spec, cfg, digits)
     else:
@@ -247,7 +248,6 @@ class BenchmarkSpec:
     noise_decay: float
     methods: tuple
     M_values: tuple
-    precision: tuple
     seed: int
     bounds: AprioriBounds
 
@@ -276,9 +276,9 @@ def load_bench_spec(path, fallback_seed: int = 0) -> BenchmarkSpec:
 
     JSON shape: {"model": {...}, "smooth": {"name", "args"}|null,
     "noise": {"amp", "decay"}|null, "methods": [...], "M_values": [...],
-    "precision": "double"|"extended:<digits>", "seed": int,
-    "bounds": {"J","A","B","R"}}.  smooth, noise, precision, seed and
-    bounds are optional; bounds default to values derived from the model.
+    "precision": "double", "seed": int, "bounds": {"J","A","B","R"}}.
+    smooth, noise, precision, seed and bounds are optional; bounds default
+    to values derived from the model.  Sweeps run in double precision only.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -301,14 +301,15 @@ def load_bench_spec(path, fallback_seed: int = 0) -> BenchmarkSpec:
         try:
             noise_amp = float(nz["amp"])
             noise_decay = float(nz.get("decay", model.order + 2))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"'noise' needs numeric amp (and decay): {exc}") from exc
-        if noise_amp < 0:
-            raise ModelError(f"noise amplitude must be >= 0, got {noise_amp}")
+        if not (0.0 <= noise_amp < math.inf and math.isfinite(noise_decay)):
+            raise ModelError(f"'noise' needs a finite amp >= 0 and decay, got {nz}")
 
-    methods = tuple(data.get("methods", list(_METHODS)))
-    if not methods:
-        raise ModelError("benchmark spec lists no methods")
+    methods = data.get("methods", list(_METHODS))
+    if not isinstance(methods, list) or not methods:
+        raise ModelError(f"'methods' must be a non-empty list, got {methods!r}")
+    methods = tuple(methods)
     bad = [m for m in methods if m not in _METHODS]
     if bad:
         raise ModelError(f"unknown methods {bad}; choose from {list(_METHODS)}")
@@ -317,7 +318,7 @@ def load_bench_spec(path, fallback_seed: int = 0) -> BenchmarkSpec:
 
     try:
         M_values = tuple(sorted(int(m) for m in data["M_values"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"'M_values' must be a list of integers: {exc}") from exc
     if len(M_values) < 3:
         raise ModelError(f"need >= 3 M values for slope fitting, got {len(M_values)}")
@@ -331,10 +332,13 @@ def load_bench_spec(path, fallback_seed: int = 0) -> BenchmarkSpec:
             f"smallest M={M_values[0]} below (d+2)K = {floor_M}"
         )
 
-    precision = parse_precision(data.get("precision", "double"))
-    if precision[0] == "extended" and model.K != 1:
-        raise ModelError("extended-precision benchmarks support K=1 only")
-    seed = int(data.get("seed", fallback_seed))
+    precision = data.get("precision", "double")
+    if precision != "double":
+        raise ModelError(f"benchmark precision {precision!r}: {_DOUBLE_ONLY}")
+    try:
+        seed = int(data.get("seed", fallback_seed))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelError(f"'seed' must be an integer: {exc}") from exc
     if not 0 <= seed < 2**64:
         raise ModelError(f"seed must be a u64, got {seed}")
 
@@ -346,95 +350,73 @@ def load_bench_spec(path, fallback_seed: int = 0) -> BenchmarkSpec:
     return BenchmarkSpec(
         model=model, smooth=smooth, noise_amp=noise_amp,
         noise_decay=noise_decay, methods=methods, M_values=M_values,
-        precision=precision, seed=seed, bounds=bounds,
+        seed=seed, bounds=bounds,
     )
 
 
-def _noisy_spectrum(bs: BenchmarkSpec, M: int) -> FourierSpectrum:
-    # noise is a function of (seed, M) only, so every method at a given
-    # M sees the identical perturbed data
+def _noisy_spectrum(bs: BenchmarkSpec, M: int):
+    # the data at M and its perturbation (None without noise); noise is a
+    # function of (seed, M) only, so every method at a given M sees the
+    # identical perturbed data
     spec = synth_spectrum(bs.model, bs.smooth, M)
     if bs.noise_amp == 0.0:
-        return spec
+        return spec, None
     rng = np.random.default_rng((bs.seed, M))
     ks = np.arange(1, M + 1, dtype=float)
     pert = (
         bs.noise_amp * ks ** (-bs.noise_decay)
         * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=M))
     )
-    coeffs = spec.coeffs.copy()
-    coeffs[M + 1:] += pert
-    coeffs[:M] += np.conj(pert)[::-1]
-    return FourierSpectrum(M, coeffs, real_valued=spec.real_valued)
+    coeffs = np.zeros(2 * M + 1, dtype=np.complex128)
+    coeffs[M + 1:] = pert
+    coeffs[:M] = np.conj(pert)[::-1]
+    noise = FourierSpectrum(M, coeffs, real_valued=True)
+    data = FourierSpectrum(M, spec.coeffs + coeffs, real_valued=spec.real_valued)
+    return data, noise
 
 
-def _variant_estimates(bs: BenchmarkSpec, method: str, spec: FourierSpectrum):
-    """Run one method variant; returns (list of (xi, mags), order recovered)."""
+def _variant_approximant(bs: BenchmarkSpec, method: str, spec: FourierSpectrum):
+    """Run one method variant on spec and return its Approximant."""
     d, K = bs.model.order, bs.model.K
-    M = spec.M
-    digits = bs.precision[1]
-
-    if method == "full-decimated" and digits is None:
-        cfg = ReconstructionConfig(d=d, K=K, bounds=bs.bounds)
-        appr = full_reconstruct(spec, cfg)
-        return [(j[0], j[1]) for j in appr.estimate.jumps], d
-
-    priors = prony_order0(spec, K)
-    M_eff, width, degree, gate = pipeline_geometry(M, d, bs.bounds.J)
-    out = []
-    for prior in priors:
+    if method == "full-decimated":
+        return full_reconstruct(spec, ReconstructionConfig(d=d, K=K, bounds=bs.bounds))
+    # baselines: detection, a window when K > 1 and one consecutive solve,
+    # at half order or (Eckhoff's original) at full order
+    order = d // 2 if method == "half-order" else d
+    M_eff, width, degree, gate = pipeline_geometry(spec.M, d, bs.bounds.J)
+    estimates = []
+    for prior in prony_order0(spec, K):
+        data = spec
         if K > 1:
-            bump = make_bump(prior, width, M, plateau_tol=gate, degree=degree)
+            bump = make_bump(prior, width, spec.M, plateau_tol=gate, degree=degree)
             data = localize_jump(spec, bump)
-        else:
-            data = spec
-        order = d // 2 if method == "half-order" else d
-        if method == "half-order":
-            est = half_order_recover(data, order, M_eff)
-        elif method == "eckhoff-original":
-            est = recover_single_jump(data, d, None, "consecutive", M=M_eff)
-        else:
-            # full-decimated in extended precision; double returned above
-            ref = half_order_recover(data, d // 2, M_eff)
-            est = recover_single_jump_mp(
-                data, d, ref.xi, "decimated", M=M_eff, digits=digits
-            )
-        out.append((est.xi, est.magnitudes))
-    return out, order
+        estimates.append(half_order_recover(data, order, M_eff))
+    return _approximant(spec, order, estimates, {"method": method})
 
 
 def _bench_point(bs: BenchmarkSpec, method: str, M: int):
     """One CSV row: errors of `method` on the (seed, M) data realization."""
     d = bs.model.order
-    spec = _noisy_spectrum(bs, M)
-    ests, order = _variant_estimates(bs, method, spec)
+    spec, noise = _noisy_spectrum(bs, M)
+    appr = _variant_approximant(bs, method, spec)
+    order = appr.estimate.order
 
     err_xi = 0.0
     err_a = [0.0] * (order + 1) + [float("nan")] * (d - order)
-    matched = []
     for xi_true, mags_true in bs.model.jumps:
-        best = min(ests, key=lambda e: circular_distance(e[0], xi_true))
-        matched.append(best)
-        err_xi = max(err_xi, circular_distance(best[0], xi_true))
+        xi, mags = min(
+            appr.estimate.jumps, key=lambda j: circular_distance(j[0], xi_true)
+        )
+        err_xi = max(err_xi, circular_distance(xi, xi_true))
         for l in range(order + 1):
-            err_a[l] = max(err_a[l], abs(best[1][l] - mags_true[l]))
-
-    est_model = JumpModel(
-        order,
-        tuple(
-            (float(e[0]), tuple(float(np.real(a)) for a in e[1]))
-            for e in sorted(set(matched), key=lambda e: e[0])
-        ),
-    )
-    corrected = spec.coeffs - phi_coeff_array(est_model, M)
-    appr = Approximant(
-        est_model, FourierSpectrum(M, corrected, spec.real_valued), M
-    )
+            err_a[l] = max(err_a[l], abs(mags[l] - mags_true[l]))
 
     def truth(xs):
         vals = phi_eval(bs.model, xs)
         if bs.smooth is not None:
             vals = vals + bs.smooth.evaluator(xs)
+        if noise is not None:
+            vals = vals + eval_partial_sum(noise, xs)
         return vals
 
     err_sup = jump_free_error(
@@ -457,10 +439,7 @@ def run_bench(bs: BenchmarkSpec) -> str:
                 np.linalg.LinAlgError) as exc:
             return pair, None, f"{type(exc).__name__}: {exc}"
 
-    # mpmath's working precision is one process-wide setting: extended
-    # points run one at a time, or their solves change each other's digits
-    workers = 1 if bs.precision[0] == "extended" else min(8, len(pairs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(8, len(pairs))) as pool:
         results = dict()
         for pair, row, err in pool.map(worker, pairs):
             results[pair] = (row, err)
@@ -512,6 +491,9 @@ def run_bench(bs: BenchmarkSpec) -> str:
 @_guard
 def bench(ctx, spec_path):
     """Convergence sweep over methods and M values; writes a CSV report."""
+    mode, digits = ctx.obj["precision"]
+    if mode != "double":
+        raise ModelError(f"--precision {mode}:{digits}: {_DOUBLE_ONLY}")
     out = _require_out(ctx)
     bs = load_bench_spec(spec_path, ctx.obj["seed"])
     text = run_bench(bs)

@@ -2,10 +2,10 @@
 
 Each jump is detected coarsely, isolated with a smooth window, refined at
 half order on consecutive indices, then solved at full order on the
-decimated plan.  A fixed-point polish repeats the full-order solves on
-peeled data until the estimates stop moving.  The recovered singular part
-is subtracted from the data to leave an estimate of the smooth
-remainder's coefficients.
+decimated plan.  Polish sweeps repeat the full-order solves on peeled
+data and keep the sweep whose estimates moved least.  The recovered
+singular part is subtracted from the data to leave an estimate of the
+smooth remainder's coefficients.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class ReconstructionConfig:
     d: int
     K: int
     bounds: AprioriBounds
-    plan_kind: str = "decimated"
     priors: Optional[tuple] = None
     refine_sweeps: int = 10
 
@@ -84,8 +83,6 @@ class ReconstructionConfig:
             raise ModelError(f"order must be >= 0, got {self.d}")
         if self.K < 1:
             raise ModelError(f"jump count must be >= 1, got {self.K}")
-        if self.plan_kind not in ("decimated", "consecutive"):
-            raise ModelError(f"unknown plan kind {self.plan_kind!r}")
         # K disjoint separation-J arcs must fit on the circle
         if self.bounds.J > 2.0 * np.pi / self.K:
             raise ModelError(
@@ -158,13 +155,13 @@ def _single_jump_coeffs(d: int, xi: float, mags: tuple, M: int) -> np.ndarray:
 
 
 def _approximant(spec: FourierSpectrum, d: int, estimates, provenance: dict):
-    """The recovered jumps, and spec minus their singular part.
+    """The recovered jumps in location order, and spec minus their singular part.
 
     Real data keep the real part of each recovered magnitude.
     """
     jumps = tuple(
         (e.xi, tuple(m.real for m in e.magnitudes) if spec.real_valued else e.magnitudes)
-        for e in estimates
+        for e in sorted(estimates, key=lambda e: e.xi)
     )
     estimate = JumpModel(d, jumps)
     corrected = spec.coeffs - phi_coeff_array(estimate, spec.M)
@@ -209,10 +206,11 @@ def full_reconstruct(
     estimate from the data, window only the peeled remainder, restore the
     jump's own coefficients and re-solve.  Window leakage then scales
     with the remaining estimation error rather than with the other jumps'
-    full amplitude, so the sweeps contract toward a fixed point whenever
-    the plan resolves the configuration; on a fixed point the whole map
-    reproduces its input, which is what makes rerunning the pipeline on
-    its own output stable.
+    full amplitude.  The sweeps need not contract: on noisy data the
+    change often grows or stalls at rounding level.  The loop stops when
+    a sweep moves no estimate by more than _REFINE_TOL, when the change
+    grows on two sweeps in a row, or when refine_sweeps run out, and it
+    keeps the sweep with the smallest change, not the last one.
     """
     M = spec.M
     if config.priors is not None:
@@ -241,8 +239,7 @@ def full_reconstruct(
 
     def solve(data, prior):
         return recover_single_jump(
-            data, config.d, prior, config.plan_kind, M=M_eff,
-            weak_floor=config.bounds.B,
+            data, config.d, prior, M=M_eff, weak_floor=config.bounds.B
         )
 
     bumps = []
@@ -286,11 +283,8 @@ def full_reconstruct(
         else:
             grew = 0
         prev_change = change
-    estimates = best
-
-    estimates.sort(key=lambda e: e.xi)
-    check_leading_floor(estimates, config)
-    return _approximant(spec, config.d, estimates, config.to_json_dict())
+    check_leading_floor(best, config)
+    return _approximant(spec, config.d, best, config.to_json_dict())
 
 
 def eval_approximant(appr: Approximant, x, side: Optional[str] = None):

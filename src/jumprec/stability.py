@@ -35,7 +35,6 @@ __all__ = [
     "method_gap_factor",
     "method_gap_exact",
     "misspec_exponent",
-    "sampling_set",
     "fit_loglog_slope",
     "run_cap_trials",
     "run_misspec_sweep",
@@ -157,22 +156,6 @@ def misspec_exponent(d_used: int, d_true: int) -> int:
             f"got {d_true} > {d_used}"
         )
     return d_used - 2 * d_true - 2
-
-
-def sampling_set(kind: str, M: int, d: int, K: int):
-    """The (d+2)K-element consecutive (S1) or decimated (S2) index set."""
-    token = kind.replace("_", "").upper()
-    if token not in ("S1", "S2"):
-        raise ModelError(f"sampling-set kind must be S1 or S2, got {kind!r}")
-    count = (d + 2) * K
-    if M < count:
-        raise ModelError(
-            f"M={M} cannot host {count} = (d+2)K sample indices"
-        )
-    if token == "S1":
-        return tuple(range(M - count + 1, M + 1))
-    nu = M // count
-    return tuple(nu * j for j in range(1, count + 1))
 
 
 def fit_loglog_slope(M_values, errors, floor: Optional[float] = ERROR_FLOOR):

@@ -236,6 +236,15 @@ def test_c06_method_ordering_in_benchmark_sweep(tmp_path):
     assert time.monotonic() - t0 < 90.0
 
 
+def test_c06_benchmark_err_sup_follows_the_pointwise_rate(tmp_path):
+    # the sweep's truth carries the k^-(d+2) noise it adds to the data, so
+    # err_sup measures the reconstruction: full-decimated's pointwise error
+    # falls at least like M^-(d+1), with 0.5 of slack in the fitted slope
+    d = SWEEP_SPEC["model"]["d"]
+    slope = footer_slope(bench_csv(tmp_path), "full-decimated", "err_sup")
+    assert slope <= -(d + 1) + 0.5
+
+
 def test_c07_indistinguishable_pair_round_trip(tmp_path):
     # a 2 pi (R/A) M^-(d+2) shift hides below the coefficient budget:
     # the emitted pair shares every retained coefficient and the recover

@@ -65,7 +65,7 @@ def test_only_library_errors_escape(spec, d, plan_kind, data):
 
     def reconstruct():
         cfg = ReconstructionConfig(
-            d=d, K=K, bounds=BND, plan_kind=plan_kind,
+            d=d, K=K, bounds=BND,
             priors=None if priors is None else tuple(priors),
         )
         full_reconstruct(spec, cfg)

@@ -413,6 +413,29 @@ def test_bench_spec_validation(tmp_path):
     attempt(methods=["half-order", "half-order"])
     attempt(methods=["simpson"])
     attempt(methods=[])
+    attempt(methods=5)
+    attempt(M_values=["a", 2, 3])
+    attempt(noise={"amp": "x"})
+    attempt(noise={"amp": 0.5, "decay": float("nan")})
+    attempt(noise={"amp": -0.5}, bounds=BOUNDS)
+    attempt(noise={"amp": float("inf")}, bounds=BOUNDS)
+    attempt(seed=None)
+    attempt(seed="abc")
+    attempt(precision=5)
+
+
+@pytest.mark.parametrize("where", ["spec", "flag"])
+def test_bench_refuses_extended_precision(runner, tmp_path, where):
+    spec_precision = "extended:60" if where == "spec" else "double"
+    flag = ["--precision", "extended:60"] if where == "flag" else []
+    sweep = dict(SMALL_SWEEP, precision=spec_precision)
+    sp = write_json(tmp_path / "sweep.json", sweep)
+    outp = tmp_path / "b.csv"
+    res = runner.invoke(main, flag + ["--out", str(outp), "bench", sp])
+    assert res.exit_code == 2, errtext(res)
+    assert "model error" in errtext(res)
+    assert "double precision only" in errtext(res)
+    assert not outp.exists()
 
 
 def test_bench_spec_falls_back_to_derived_bounds(tmp_path):

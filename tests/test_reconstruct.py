@@ -39,8 +39,6 @@ def test_config_validation():
     with pytest.raises(ModelError):
         ReconstructionConfig(d=1, K=0, bounds=BND)
     with pytest.raises(ModelError):
-        ReconstructionConfig(d=1, K=1, bounds=BND, plan_kind="striped")
-    with pytest.raises(ModelError):
         ReconstructionConfig(d=1, K=1, bounds=BND, refine_sweeps=-1)
 
 
@@ -210,7 +208,6 @@ def test_provenance_records_the_run_configuration():
     )
     assert ap.provenance["d"] == 1
     assert ap.provenance["K"] == 2
-    assert ap.provenance["plan_kind"] == "decimated"
     assert ap.source_M == 256
 
 

@@ -20,7 +20,6 @@ from jumprec.stability import (
     node_perturbation_bound,
     run_cap_trials,
     run_misspec_sweep,
-    sampling_set,
 )
 
 
@@ -151,19 +150,6 @@ def test_misspec_exponent_table():
         misspec_exponent(1, 2)
     with pytest.raises(ModelError):
         misspec_exponent(1, -1)
-
-
-# ---------------------------------------------------------------- index sets
-
-
-def test_sampling_sets():
-    assert sampling_set("S1", 32, 1, 2) == (27, 28, 29, 30, 31, 32)
-    assert sampling_set("S2", 32, 1, 2) == (5, 10, 15, 20, 25, 30)
-    assert sampling_set("s_2", 32, 1, 2) == sampling_set("S2", 32, 1, 2)
-    with pytest.raises(ModelError):
-        sampling_set("S3", 32, 1, 2)
-    with pytest.raises(ModelError):
-        sampling_set("S1", 5, 1, 2)
 
 
 # ---------------------------------------------------------------- slope fits
