@@ -26,6 +26,9 @@ _MODULUS_BAND = 0.5
 
 _RANK_TOL = 1e-8
 
+# fewest modes a window is synthesized from
+_BUMP_MIN_M = 32
+
 
 def prony_order0(spec: FourierSpectrum, K: int) -> list:
     """Approximate all K jump locations from the top-index coefficients.
@@ -115,8 +118,8 @@ def make_bump(
     """
     if not 0.0 < J <= np.pi / 2.0:
         raise ModelError(f"bump half-width must be in (0, pi/2], got {J}")
-    if M < 32:
-        raise ModelError(f"bump synthesis needs M >= 32, got {M}")
+    if M < _BUMP_MIN_M:
+        raise ModelError(f"bump synthesis needs M >= {_BUMP_MIN_M}, got {M}")
     if plateau_tol <= 0:
         raise ModelError(f"plateau tolerance must be positive, got {plateau_tol}")
 

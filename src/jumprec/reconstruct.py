@@ -18,13 +18,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DetectionError, ModelError
-from .localize import localize_jump, make_bump, prony_order0
+from .localize import _BUMP_MIN_M, localize_jump, make_bump, prony_order0
 from .model import AprioriBounds, JumpModel, phi_coeff_array, phi_eval
 from .solver import half_order_recover, recover_single_jump
 from .spectrum import (
     FourierSpectrum,
     circular_distance,
     eval_partial_sum,
+    uniform_grid,
     wrap_angle,
 )
 
@@ -211,8 +212,15 @@ def full_reconstruct(
     a sweep moves no estimate by more than _REFINE_TOL, when the change
     grows on two sweeps in a row, or when refine_sweeps run out, and it
     keeps the sweep with the smallest change, not the last one.
+    Spectra with M < 32, too short for the window, raise ModelError.
     """
     M = spec.M
+    if M < _BUMP_MIN_M:
+        raise ModelError(
+            f"full reconstruction needs M >= {_BUMP_MIN_M}, got M={M}: the "
+            f"window that isolates each jump is built from at least "
+            f"{_BUMP_MIN_M} modes"
+        )
     if config.priors is not None:
         priors = list(config.priors)
     else:
@@ -304,16 +312,19 @@ def jump_free_error(
     grid: int = 2048,
     true_jumps: Optional[tuple] = None,
 ) -> float:
-    """Sup error against truth on a uniform grid away from the jumps.
+    """Sup error against truth on uniform_grid(grid) away from the jumps.
 
     Excludes radius-neighborhoods (circular) of the recovered jumps and
-    of any supplied true jump locations.
+    of any supplied true jump locations.  The smooth part is summed once on
+    the whole grid, which eval_partial_sum does by one FFT; the singular
+    part and truth are evaluated on the kept points only, so no grid point
+    at a recovered jump reaches phi_eval.
     """
     if radius <= 0:
         raise ModelError(f"exclusion radius must be positive, got {radius}")
     if grid < 1:
         raise ModelError(f"grid must have at least one point, got {grid}")
-    xs = -np.pi + 2.0 * np.pi * np.arange(grid) / grid
+    xs = uniform_grid(grid)
     keep = np.ones(grid, dtype=bool)
     excl = list(appr.estimate.locations)
     if true_jumps is not None:
@@ -326,6 +337,7 @@ def jump_free_error(
             f"no grid points remain after excluding radius {radius} "
             f"around {len(excl)} jumps"
         )
-    approx = eval_approximant(appr, xs[keep])
+    smooth = eval_partial_sum(appr.corrected_spectrum, xs)[keep]
+    approx = smooth + phi_eval(appr.estimate, xs[keep])
     exact = np.asarray(truth(xs[keep]))
     return float(np.max(np.abs(approx - exact)))

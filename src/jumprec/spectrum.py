@@ -24,6 +24,7 @@ __all__ = [
     "circular_distance",
     "FourierSpectrum",
     "MomentSequence",
+    "uniform_grid",
     "eval_partial_sum",
     "weight_moments",
     "product_spectrum",
@@ -178,25 +179,52 @@ class MomentSequence:
         return complex(self.values[pos])
 
 
+def uniform_grid(G: int) -> np.ndarray:
+    """The G points x_j = -pi + 2pi j/G, j = 0..G-1, of [-pi, pi)."""
+    return -np.pi + 2.0 * np.pi * np.arange(G) / G
+
+
 def eval_partial_sum(spectrum: FourierSpectrum, x) -> np.ndarray:
     """Evaluate sum_{|k|<=M} c_k exp(i k x) at the points x.
 
     Returns real values when the spectrum is declared real_valued, complex
-    otherwise.  Accepts scalars or arrays.  The phase matrix is built in
-    row blocks of at most 2^19 entries, so memory stays bounded
-    for any number of points.
+    otherwise.  Accepts scalars or arrays.  A 1-D array equal to
+    uniform_grid(G) takes one inverse FFT of length G, O(M + G log G):
+    there exp(i k x_j) = (-1)^k exp(2pi i (k mod G) j/G), so the signed
+    coefficients fold into G bins by k mod G, which is exact for any G,
+    below 2M+1 as well.  Other points sum the 2M+1 modes directly, with the
+    phase matrix built in row blocks of at most 2^19 entries, so memory
+    stays bounded for any number of points.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.ndim(x) == 1 and xs.size and np.array_equal(xs, uniform_grid(xs.size)):
+        out = _grid_sum(spectrum, xs.size)
+    else:
+        out = _direct_sum(spectrum, xs)
+    if spectrum.real_valued:
+        out = out.real
+    if np.isscalar(x) or np.asarray(x).ndim == 0:
+        return out[0]
+    return out
+
+
+def _grid_sum(spectrum: FourierSpectrum, G: int) -> np.ndarray:
+    # sign (-1)^k, fold by k mod G, one inverse FFT
+    ks = np.arange(-spectrum.M, spectrum.M + 1)
+    signed = np.where(ks % 2 == 0, spectrum.coeffs, -spectrum.coeffs)
+    bins = ks % G
+    folded = np.bincount(bins, signed.real, G) + 1j * np.bincount(bins, signed.imag, G)
+    return G * np.fft.ifft(folded)
+
+
+def _direct_sum(spectrum: FourierSpectrum, xs: np.ndarray) -> np.ndarray:
+    # all 2M+1 modes at each point, phase matrix in row blocks
     ks = np.arange(-spectrum.M, spectrum.M + 1)
     rows = max(1, _PHASE_BLOCK // ks.size)
     out = np.empty(xs.size, dtype=np.complex128)
     for i in range(0, xs.size, rows):
         phases = np.exp(1j * np.outer(xs[i : i + rows], ks))
         out[i : i + rows] = phases @ spectrum.coeffs
-    if spectrum.real_valued:
-        out = out.real
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return out[0]
     return out
 
 

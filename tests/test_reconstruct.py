@@ -22,7 +22,7 @@ from jumprec.reconstruct import (
     full_reconstruct,
     jump_free_error,
 )
-from jumprec.spectrum import FourierSpectrum, eval_partial_sum
+from jumprec.spectrum import FourierSpectrum, eval_partial_sum, uniform_grid
 from jumprec.stability import fit_loglog_slope
 
 BND = AprioriBounds(J=np.pi / 2, A=4.0, B=0.05, R=10.0)
@@ -121,6 +121,14 @@ def test_underdetected_jump_count_is_a_contract_error():
     spec = synth_spectrum(JumpModel(0, ((0.7, (1.0,)),)), None, 128)
     with pytest.raises(ModelError, match="certified only"):
         full_reconstruct(spec, ReconstructionConfig(d=0, K=2, bounds=BND))
+
+
+@pytest.mark.parametrize("M", [16, 31])
+def test_too_few_modes_for_the_window_is_a_contract_error(M):
+    # detection and the solves accept M down to (d+2)K; the window does not
+    spec = synth_spectrum(JumpModel(0, ((0.7, (1.0,)),)), None, M)
+    with pytest.raises(ModelError, match=f"needs M >= 32, got M={M}"):
+        full_reconstruct(spec, ReconstructionConfig(d=0, K=1, bounds=BND))
 
 
 def test_phantom_double_detection_is_caught_by_separation():
@@ -282,3 +290,31 @@ def test_jump_free_error_validation():
         jump_free_error(ap, lambda xs: phi_eval(est, xs), 0.0)
     with pytest.raises(ModelError):
         jump_free_error(ap, lambda xs: phi_eval(est, xs), 3.2)  # nothing left
+
+
+def test_jump_free_error_sums_the_smooth_part_once_on_the_whole_grid(monkeypatch):
+    calls = []
+
+    def recorder(spectrum, x):
+        calls.append(np.array(x, copy=True))
+        return eval_partial_sum(spectrum, x)
+
+    est = JumpModel(0, ((0.7, (1.0,)),))
+    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True), 4)
+    monkeypatch.setattr(reconstruct, "eval_partial_sum", recorder)
+    jump_free_error(ap, lambda xs: phi_eval(est, xs), 0.3, grid=512)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], uniform_grid(512))
+
+
+def test_jump_free_error_at_a_jump_on_a_grid_point_is_finite():
+    # an even grid holds x = 0.0 exactly; phi_eval there needs a side flag,
+    # so only the kept points may reach it
+    assert 0.0 in uniform_grid(2048)
+    est = JumpModel(0, ((0.0, (1.0,)),))
+    cs = np.zeros(9, complex)
+    cs[4] = 0.25
+    ap = Approximant(est, FourierSpectrum(4, cs, True), 4)
+    err = jump_free_error(ap, lambda xs: phi_eval(est, xs) + 0.25, 0.3)
+    assert math.isfinite(err)
+    assert err <= 1e-12

@@ -18,6 +18,7 @@ from jumprec.spectrum import (
     load_spectrum,
     product_spectrum,
     save_spectrum,
+    uniform_grid,
     weight_moments,
 )
 
@@ -178,6 +179,83 @@ def test_blocked_partial_sum_matches_the_dense_product(npts):
     assert np.ndim(scalar) == 0
     np.testing.assert_allclose(scalar, dense[0], rtol=1e-14)
     assert np.ndim(eval_partial_sum(sp, np.array(xs[0]))) == 0
+
+
+def _random_spectrum(M, real, seed):
+    rng = np.random.default_rng(seed)
+    half = rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1)
+    if real:
+        neg = half[:0:-1].conj()
+        half[0] = half[0].real
+    else:
+        neg = rng.normal(size=M) + 1j * rng.normal(size=M)
+    return FourierSpectrum(M, np.concatenate((neg, half)), real_valued=real)
+
+
+@given(
+    M=st.integers(0, 600),
+    G=st.integers(1, 3000),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# G below 2M+1 folds several modes into one bin; at and above it none do
+@example(M=600, G=1200, real=True, seed=0)
+@example(M=600, G=1201, real=False, seed=1)
+@example(M=600, G=3000, real=False, seed=2)
+@example(M=599, G=2999, real=True, seed=3)
+@example(M=600, G=1, real=True, seed=4)
+@example(M=0, G=1, real=False, seed=5)
+def test_grid_partial_sum_matches_the_direct_sum(M, G, real, seed):
+    sp = _random_spectrum(M, real, seed)
+    xs = uniform_grid(G)
+    direct = spectrum_module._direct_sum(sp, xs)
+    fast = eval_partial_sum(sp, xs)
+    if real:
+        direct = direct.real
+    assert fast.shape == (G,)
+    assert fast.dtype == direct.dtype
+    assert np.max(np.abs(fast - direct)) <= 1e-13 * np.sum(np.abs(sp.coeffs))
+
+
+@pytest.mark.parametrize("k", [-600, -599, 1, 600])
+@pytest.mark.parametrize("G", [7, 1200, 2048])
+def test_grid_partial_sum_of_a_lone_mode_is_exact(k, G):
+    # the direct sum's phase k*x_j carries about |k| pi 2^-52 of rounding
+    # (8e-13 at |k| = 600), so a lone top mode is checked against phases
+    # reduced in integers: exp(ik x_j) = (-1)^k exp(2 pi i (kj mod G)/G)
+    M = 600
+    cs = np.zeros(2 * M + 1, dtype=complex)
+    cs[k + M] = 1.0
+    j = np.arange(G)
+    exact = (-1) ** (k % 2) * np.exp(2j * np.pi * ((k * j) % G) / G)
+    got = eval_partial_sum(FourierSpectrum(M, cs), uniform_grid(G))
+    assert np.max(np.abs(got - exact)) <= 1e-13
+
+
+def test_only_the_uniform_grid_takes_the_fft_path(monkeypatch):
+    calls = []
+    ifft = np.fft.ifft
+
+    def recorder(a, *args, **kwargs):
+        calls.append(len(a))
+        return ifft(a, *args, **kwargs)
+
+    sp = _random_spectrum(40, True, 0)
+    grid = uniform_grid(64)
+    want = spectrum_module._direct_sum(sp, grid).real
+    monkeypatch.setattr(spectrum_module.np.fft, "ifft", recorder)
+    np.testing.assert_allclose(eval_partial_sum(sp, grid), want, atol=1e-12)
+    assert calls == [64]
+    calls.clear()
+    shifted = np.nextafter(grid, np.inf)
+    np.testing.assert_allclose(eval_partial_sum(sp, shifted), want, atol=1e-12)
+    np.testing.assert_allclose(
+        eval_partial_sum(sp, grid[::-1]), want[::-1], atol=1e-12
+    )
+    # a scalar -pi and a 0-d array are not uniform_grid(1)
+    for point in (-np.pi, np.array(-np.pi)):
+        assert np.ndim(eval_partial_sum(sp, point)) == 0
+    assert calls == []
 
 
 # ---------------------------------------------------------------- moments
