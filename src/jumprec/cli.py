@@ -44,7 +44,7 @@ from .reconstruct import (
     jump_free_error,
     pipeline_geometry,
 )
-from .solver import half_order_recover
+from .solver import SamplePlan, half_order_recover
 from .spectrum import (
     FourierSpectrum,
     circular_distance,
@@ -221,7 +221,10 @@ def recover(ctx, spectrum_path, order, jumps, bounds_path, priors):
     bounds = _load_bounds(bounds_path)
     pri = None
     if priors is not None:
-        parsed = json.loads(priors)
+        try:
+            parsed = json.loads(priors)
+        except json.JSONDecodeError as exc:
+            raise ModelError(f"--priors must be a JSON list of locations: {exc}") from exc
         if not isinstance(parsed, list):
             raise ModelError("--priors must be a JSON list of locations")
         pri = tuple(parsed)
@@ -383,12 +386,13 @@ def _variant_approximant(bs: BenchmarkSpec, method: str, spec: FourierSpectrum):
     # at half order or (Eckhoff's original) at full order
     order = d // 2 if method == "half-order" else d
     M_eff, width, degree, gate = pipeline_geometry(spec.M, d, bs.bounds.J)
+    plan = SamplePlan("consecutive", order, M_eff).indices
     estimates = []
     for prior in prony_order0(spec, K):
         data = spec
         if K > 1:
             bump = make_bump(prior, width, spec.M, plateau_tol=gate, degree=degree)
-            data = localize_jump(spec, bump)
+            data = localize_jump(spec, bump, plan)
         estimates.append(half_order_recover(data, order, M_eff))
     return _approximant(spec, order, estimates, {"method": method})
 

@@ -169,13 +169,18 @@ def make_bump(
     return BumpSpec(float(center), float(J), spectrum, profile)
 
 
-def localize_jump(spec: FourierSpectrum, bump: BumpSpec) -> FourierSpectrum:
-    """Coefficients of the windowed function, full index range -M..M.
+def localize_jump(spec: FourierSpectrum, bump: BumpSpec, ks) -> FourierSpectrum:
+    """Coefficients of the windowed function at the indices ks, zero elsewhere.
 
-    Exact convolution of the two truncated sequences; the top index band
-    inherits truncation error from the input's unseen tail, which is why
-    downstream sampling plans stay away from it.  The window has 2D+1
-    nonzero coefficients (D its degree), so the product costs about
-    (2M+1)(2D+1) multiply-adds, not (2M+1)^2.
+    ks are the indices a solver reads (a sample plan's), each at most spec.M
+    in modulus.  Each is the exact convolution of the two truncated
+    sequences at that index; indices within the window degree D of spec.M
+    inherit truncation error from the input's unseen tail, which is why
+    sampling plans stay away from them.  The window has 2D+1 nonzero
+    coefficients, so the cost is about len(ks)(2D+1) multiply-adds.  The
+    result is not declared real_valued: its zeros break conjugate symmetry.
     """
-    return product_spectrum(spec, bump.spectrum, spec.M)
+    values = product_spectrum(spec, bump.spectrum, ks)
+    out = np.zeros(2 * spec.M + 1, dtype=np.complex128)
+    out[np.asarray(ks, dtype=np.int64) + spec.M] = values
+    return FourierSpectrum(spec.M, out)

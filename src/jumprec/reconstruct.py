@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DetectionError, ModelError
 from .localize import _BUMP_MIN_M, localize_jump, make_bump, prony_order0
 from .model import AprioriBounds, JumpModel, phi_coeff_array, phi_eval
-from .solver import half_order_recover, recover_single_jump
+from .solver import SamplePlan, half_order_recover, recover_single_jump
 from .spectrum import (
     FourierSpectrum,
     circular_distance,
@@ -65,12 +65,19 @@ def pipeline_geometry(M: int, d: int, J: float) -> tuple:
     return M_eff, min(0.9 * J, np.pi / 2.0), degree, _PIPELINE_BUMP_GATE
 
 
+def _prior_value(p) -> float:
+    # float() would take True as 1.0 and "0.7" as 0.7
+    if isinstance(p, (bool, np.bool_, str, bytes)):
+        raise TypeError(f"got prior {p!r}")
+    return float(p)
+
+
 @dataclass(frozen=True)
 class ReconstructionConfig:
     """Orders, counts and a-priori constants steering full_reconstruct.
 
-    priors, when given, are K approximate jump locations that replace
-    detection; the half-order refinement still runs on them.
+    priors, when given, are K approximate jump locations in [-pi, pi) that
+    replace detection; the half-order refinement still runs on them.
     """
 
     d: int
@@ -92,7 +99,7 @@ class ReconstructionConfig:
             )
         if self.priors is not None:
             try:
-                pri = tuple(float(p) for p in self.priors)
+                pri = tuple(_prior_value(p) for p in self.priors)
             except (TypeError, ValueError) as exc:
                 raise ModelError(f"priors must be numbers: {exc}") from exc
             if len(pri) != self.K:
@@ -101,6 +108,9 @@ class ReconstructionConfig:
                 )
             if not all(math.isfinite(p) for p in pri):
                 raise ModelError(f"priors must be finite, got {list(pri)}")
+            for p in pri:
+                if not -math.pi <= p < math.pi:
+                    raise ModelError(f"prior {p!r} outside [-pi, pi)")
             object.__setattr__(self, "priors", pri)
         if self.refine_sweeps < 0:
             raise ModelError(
@@ -212,6 +222,11 @@ def full_reconstruct(
     a sweep moves no estimate by more than _REFINE_TOL, when the change
     grows on two sweeps in a row, or when refine_sweeps run out, and it
     keeps the sweep with the smallest change, not the last one.
+    Windowed coefficients are formed only where the solves read them, at
+    the SamplePlan indices: the decimated plan of order d plus the
+    consecutive plan of order d//2 on the first pass, the decimated plan
+    on polish sweeps.  Each is a (2D+1)-term dot product for a degree-D
+    window, so what grows with M is the O(KM) peel and singular part.
     Spectra with M < 32, too short for the window, raise ModelError.
     """
     M = spec.M
@@ -250,11 +265,13 @@ def full_reconstruct(
             data, config.d, prior, M=M_eff, weak_floor=config.bounds.B
         )
 
+    decimated = SamplePlan("decimated", config.d, M_eff).indices
+    first_pass = decimated + SamplePlan("consecutive", config.d // 2, M_eff).indices
     bumps = []
     estimates = []
     for prior in priors:
         bump = make_bump(prior, width, M, plateau_tol=gate, degree=degree)
-        f_j = localize_jump(spec, bump)
+        f_j = localize_jump(spec, bump, first_pass)
         bumps.append(bump)
         estimates.append(solve(f_j, half_order_recover(f_j, config.d // 2, M_eff).xi))
 
@@ -267,7 +284,7 @@ def full_reconstruct(
         change = 0.0
         for j, bump in enumerate(bumps):
             peeled = spec.coeffs - np.sum(own, axis=0)
-            windowed = localize_jump(FourierSpectrum(M, peeled), bump)
+            windowed = localize_jump(FourierSpectrum(M, peeled), bump, decimated)
             data = FourierSpectrum(
                 M, windowed.coeffs + own[j], real_valued=False
             )

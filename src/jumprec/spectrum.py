@@ -247,33 +247,37 @@ def weight_moments(
     return MomentSequence(order, idx, vals)
 
 
-def product_spectrum(
-    a: FourierSpectrum, b: FourierSpectrum, out_M: int
-) -> FourierSpectrum:
-    """Coefficients of the pointwise product, truncated to |k| <= out_M.
+def product_spectrum(a: FourierSpectrum, b: FourierSpectrum, ks) -> np.ndarray:
+    """Coefficients of the pointwise product at the integer indices ks.
 
-    The discrete convolution c_k = sum_j a_j b_{k-j} is exact for the
-    truncated sequences; out_M must not exceed a.M so every output index
-    has its full set of contributing terms from the shorter factor.  Only
-    the nonzero band of b enters the sum, so the cost is (2 out_M + 1)
-    times the width of that band: pass the narrow factor (a window) as b.
+    Each c_k = sum_m a_{k-m} b_m is one dot product over the nonzero
+    coefficients of b, exact for the truncated sequences; indices of a past
+    a.M count as zero.  Every |k| must be at most a.M, so an output index
+    has its full set of contributing terms from the shorter factor.  The
+    cost is len(ks) times the number of nonzero coefficients of b, plus one
+    copy of the slice of a the outputs read: pass the narrow factor (a
+    window) as b.  ks may be unsorted and repeat; the result is a complex
+    array in the order of ks.
     """
-    if out_M > a.M:
-        raise ModelError(f"requested out_M={out_M} exceeds first factor M={a.M}")
-    if out_M < 0:
-        raise ModelError(f"out_M must be >= 0, got {out_M}")
+    ks = np.asarray(ks)
+    if ks.ndim != 1 or (ks.size and not np.issubdtype(ks.dtype, np.integer)):
+        raise ModelError(f"product indices must be a 1-D integer list, got {ks!r}")
+    ks = ks.astype(np.int64)
+    past = ks[np.abs(ks) > a.M]
+    if past.size:
+        raise ModelError(f"product index {past[0]} exceeds first factor M={a.M}")
     nz = np.flatnonzero(b.coeffs)
-    first, last = (nz[0], nz[-1]) if nz.size else (b.M, b.M)
-    band = b.coeffs[first : last + 1]
-    # indices j of a that the outputs read; those past a.M count as zero
-    lo = -out_M - (last - b.M)
-    hi = out_M - (first - b.M)
+    if not (ks.size and nz.size):
+        return np.zeros(ks.size, dtype=np.complex128)
+    m = nz - b.M
+    # the slice of a the outputs read, zero-padded past a.M, gathered once
+    lo = int(ks.min() - m[-1])
+    hi = int(ks.max() - m[0])
     need = np.zeros(hi - lo + 1, dtype=np.complex128)
     start, stop = max(lo, -a.M), min(hi, a.M)
     if start <= stop:
         need[start - lo : stop - lo + 1] = a.coeffs[start + a.M : stop + a.M + 1]
-    part = np.convolve(need, band, mode="valid")
-    return FourierSpectrum(out_M, part, a.real_valued and b.real_valued)
+    return need[ks[:, None] - m - lo] @ b.coeffs[nz]
 
 
 def coeffs_of_function(

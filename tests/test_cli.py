@@ -10,7 +10,10 @@ from jumprec import cli, reconstruct
 from jumprec.cli import load_bench_spec, main, run_bench
 from jumprec.errors import ModelError
 from jumprec.model import JumpModel, smooth_catalog, synth_spectrum
+from jumprec.solver import SamplePlan
 from jumprec.spectrum import load_spectrum
+
+from conftest import full_window
 
 BOUNDS = {"J": np.pi / 2, "A": 4.0, "B": 0.05, "R": 10.0}
 MODEL_D1 = {"d": 1, "jumps": [{"xi": 0.7, "a": [1.0, -0.4]}]}
@@ -168,6 +171,30 @@ def test_bad_prior_is_named_in_the_model_error(runner, tmp_path):
     )
     assert res.exit_code == 2, errtext(res)
     assert "prior" in errtext(res)
+
+
+@pytest.mark.parametrize(
+    "priors, named",
+    [("[true]", "prior True"), ('["0.7"]', "prior '0.7'"),
+     ("[1e308]", "prior 1e+308 outside"), ("[3.5]", "prior 3.5 outside"),
+     ("[0.7", "--priors must be a JSON list")],
+)
+def test_malformed_priors_exit_2_naming_the_prior(runner, tmp_path, priors, named):
+    # JSON true and "0.7" once ran as priors 1.0 and 0.7; 1e308 reached
+    # the window and overflowed there; text that is not JSON exited 4 as
+    # an I/O error
+    sp = synthesize(runner, tmp_path)
+    bp = write_json(tmp_path / "b.json", BOUNDS)
+    outp = tmp_path / "a.json"
+    res = runner.invoke(
+        main,
+        ["--out", str(outp), "recover", sp,
+         "-d", "1", "-K", "1", "--bounds", bp, "--priors", priors],
+    )
+    assert res.exit_code == 2, errtext(res)
+    assert named in errtext(res)
+    assert "Traceback" not in errtext(res)
+    assert not outp.exists()
 
 
 @pytest.mark.parametrize("precision", ["double", "extended:60"])
@@ -393,6 +420,44 @@ def test_bench_csv_shape_and_footer(runner, tmp_path):
     slopes = [l for l in lines if l.startswith("# slope method=half-order")]
     assert any("column=err_xi" in l for l in slopes)
     assert any("column=err_sup" in l for l in slopes)
+
+
+TWO_JUMP_SWEEP = {
+    "model": {"d": 2, "jumps": [{"xi": -1.3, "a": [1.0, 0.3, -0.2]},
+                                {"xi": 0.7, "a": [0.8, -0.4, 0.25]}]},
+    "smooth": {"name": "poly-blend", "args": {"order": 3, "center": -2.0, "amp": 0.7}},
+    "noise": None,
+    "methods": ["half-order", "eckhoff-original"],
+    "M_values": [64, 256, 1024],
+    "seed": 5,
+    "bounds": BOUNDS,
+}
+
+
+@pytest.mark.parametrize("method", ["half-order", "eckhoff-original"])
+def test_bench_baselines_window_at_their_own_plan(tmp_path, monkeypatch, method):
+    # K > 1 baselines window only the indices of their consecutive plan;
+    # there the solve must read what windowing every index gives.  The
+    # solve's inputs are compared, not its estimates: a consecutive plan
+    # turns rounding in them into a_1 changes of 1e-7
+    bs = load_bench_spec(write_json(tmp_path / "sweep.json", TWO_JUMP_SWEEP), 0)
+    spec = synth_spectrum(bs.model, bs.smooth, 1024)
+    seen = []
+    solve = cli.half_order_recover
+
+    def recorder(data, d1, M):
+        seen.append((data.coeffs, np.array(SamplePlan("consecutive", d1, M).indices)))
+        return solve(data, d1, M)
+
+    monkeypatch.setattr(cli, "half_order_recover", recorder)
+    cli._variant_approximant(bs, method, spec)
+    monkeypatch.setattr(cli, "localize_jump", full_window)
+    cli._variant_approximant(bs, method, spec)
+    K = bs.model.K
+    assert len(seen) == 2 * K
+    for (got, ks), (want, _) in zip(seen[:K], seen[K:]):
+        want = want[ks + spec.M]
+        assert np.max(np.abs(got[ks + spec.M] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_bench_is_deterministic(runner, tmp_path):

@@ -1,11 +1,12 @@
 """Multi-jump pipeline: detection, isolation, polish, smooth remainder."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from jumprec import reconstruct
+from jumprec import localize, reconstruct
 from jumprec.errors import ModelError
 from jumprec.model import (
     AprioriBounds,
@@ -24,6 +25,8 @@ from jumprec.reconstruct import (
 )
 from jumprec.spectrum import FourierSpectrum, eval_partial_sum, uniform_grid
 from jumprec.stability import fit_loglog_slope
+
+from conftest import full_window
 
 BND = AprioriBounds(J=np.pi / 2, A=4.0, B=0.05, R=10.0)
 TWO_JUMPS = JumpModel(1, ((-1.3, (1.0, 0.3)), (0.7, (0.8, -0.4))))
@@ -80,6 +83,22 @@ def test_config_prior_plumbing():
     assert cfg.priors == (-1.3, 0.7)
 
 
+@pytest.mark.parametrize(
+    "bad", [True, np.True_, "0.7", b"0.7"], ids=["bool", "numpy-bool", "str", "bytes"]
+)
+def test_config_rejects_priors_that_are_not_numbers(bad):
+    # float() would have taken True as 1.0 and "0.7" as 0.7
+    with pytest.raises(ModelError, match="priors must be numbers: got prior"):
+        ReconstructionConfig(d=1, K=1, bounds=BND, priors=(bad,))
+
+
+@pytest.mark.parametrize("bad", [1e308, -1e308, math.pi, -math.pi - 1e-12, 4.0])
+def test_config_rejects_priors_off_the_circle(bad):
+    with pytest.raises(ModelError, match=re.escape(f"prior {bad!r} outside [-pi, pi)")):
+        ReconstructionConfig(d=1, K=1, bounds=BND, priors=(bad,))
+    ReconstructionConfig(d=1, K=1, bounds=BND, priors=(-math.pi,))
+
+
 # ---------------------------------------------------------------- pipeline
 
 
@@ -129,6 +148,55 @@ def test_too_few_modes_for_the_window_is_a_contract_error(M):
     spec = synth_spectrum(JumpModel(0, ((0.7, (1.0,)),)), None, M)
     with pytest.raises(ModelError, match=f"needs M >= 32, got M={M}"):
         full_reconstruct(spec, ReconstructionConfig(d=0, K=1, bounds=BND))
+
+
+def _d2_two_jump_case(M):
+    # a k^-4 background in the first jump's window, off its plateau, so the
+    # windowed value at every sampled index of every pass moves the estimates
+    model = JumpModel(2, ((-1.3, (1.0, 0.3, -0.2)), (0.7, (0.8, -0.4, 0.25))))
+    smooth = smooth_catalog("poly-blend", order=3, center=-2.0, amp=0.7)
+    return (
+        synth_spectrum(model, smooth, M),
+        ReconstructionConfig(d=2, K=2, bounds=BND),
+    )
+
+
+def test_full_reconstruct_windows_only_the_sampled_indices(monkeypatch):
+    # guards against windowing the whole index range: every product asks
+    # for the indices the solves read, at most (d+2) + (d//2+2), and no
+    # convolution of whole sequences runs
+    spec, cfg = _d2_two_jump_case(1024)
+    asked = []
+    product = localize.product_spectrum
+
+    def recorder(a, b, ks):
+        asked.append(len(ks))
+        return product(a, b, ks)
+
+    def no_convolve(*args, **kwargs):
+        raise AssertionError("np.convolve ran during reconstruction")
+
+    monkeypatch.setattr(localize, "product_spectrum", recorder)
+    monkeypatch.setattr(np, "convolve", no_convolve)
+    full_reconstruct(spec, cfg)
+    assert asked
+    assert max(asked) <= (cfg.d + 2) + (cfg.d // 2 + 2)
+
+
+def test_sampled_windowing_matches_the_full_convolution(monkeypatch):
+    # reference: the windowed spectrum on every index, which the solves
+    # then sample
+    spec, cfg = _d2_two_jump_case(1024)
+    sampled = full_reconstruct(spec, cfg).estimate
+    monkeypatch.setattr(reconstruct, "localize_jump", full_window)
+    full = full_reconstruct(spec, cfg).estimate
+    # a_l is read off coefficients scaled by k^(l+1), so a rounding-level
+    # change in them moves a_l by about eps M^l: a_2 differs by 2^-34
+    # between any two summation orders here
+    for (x_s, a_s), (x_f, a_f) in zip(sampled.jumps, full.jumps):
+        assert abs(x_s - x_f) <= 1e-12
+        for l, (u, v) in enumerate(zip(a_s, a_f)):
+            assert abs(u - v) <= 1e-12 * (spec.M / 32) ** l
 
 
 def test_phantom_double_detection_is_caught_by_separation():

@@ -294,23 +294,42 @@ def test_moment_index_validation():
 # ---------------------------------------------------------------- products
 
 
+def full_product(a, b, out_M):
+    # the product's coefficients on every index |k| <= out_M
+    ks = np.arange(-out_M, out_M + 1)
+    return FourierSpectrum(out_M, product_spectrum(a, b, ks))
+
+
+@st.composite
+def index_sets(draw):
+    # a's truncation index and the product indices asked of it: drawn
+    # near +-a.M on purpose, unsorted, and with repeats
+    aM = draw(st.integers(0, 24))
+    edge = st.integers(0, min(2, aM)).flatmap(
+        lambda off: st.sampled_from([aM - off, off - aM])
+    )
+    ks = draw(st.lists(edge | st.integers(-aM, aM), min_size=1, max_size=12))
+    return aM, ks + ks[: draw(st.integers(0, len(ks)))]
+
+
 @given(
-    aM=st.integers(0, 24),
+    case=index_sets(),
     bM=st.integers(0, 40),
-    # out_M = 0 and out_M = a.M are drawn on purpose
-    out_frac=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
     band=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     density=st.sampled_from([0.0, 0.5, 1.0]),
     real=st.tuples(st.booleans(), st.booleans()),
     seed=st.integers(0, 2**32 - 1),
 )
 # b's band sits wholly past the indices of a that the outputs read
-@example(aM=2, bM=4, out_frac=0.0, band=(1.0, 1.0), density=1.0,
+@example(case=(2, [0]), bM=4, band=(1.0, 1.0), density=1.0,
          real=(False, False), seed=0)
-def test_banded_product_matches_the_dense_convolution(
-    aM, bM, out_frac, band, density, real, seed
+@example(case=(24, [24, -24, 23, 24, 0, -23, -24]), bM=40, band=(0.0, 1.0),
+         density=1.0, real=(True, True), seed=1)
+def test_sampled_product_matches_the_dense_convolution(
+    case, bM, band, density, real, seed
 ):
-    # reference: the full convolution of both sequences, sliced at the centre
+    # reference: the full convolution of both sequences, read at centre + k
+    aM, ks = case
     rng = np.random.default_rng(seed)
 
     def draw(M, lo, hi, keep, symmetric):
@@ -324,27 +343,29 @@ def test_banded_product_matches_the_dense_convolution(
     a = FourierSpectrum(aM, draw(aM, 0, 2 * aM, 1.0, real[0]), real[0])
     lo, hi = sorted(int(u * 2 * bM) for u in band)
     b = FourierSpectrum(bM, draw(bM, lo, hi, density, real[1]), real[1])
-    out_M = int(out_frac * aM)
-    got = product_spectrum(a, b, out_M)
+    got = product_spectrum(a, b, ks)
     centre = aM + bM
-    want = np.convolve(a.coeffs, b.coeffs)[centre - out_M : centre + out_M + 1]
+    want = np.convolve(a.coeffs, b.coeffs)[centre + np.array(ks)]
     tol = 1e-14 * np.sum(np.abs(a.coeffs)) * np.sum(np.abs(b.coeffs))
-    assert got.M == out_M
-    assert got.real_valued == (real[0] and real[1])
-    assert np.max(np.abs(got.coeffs - want)) <= tol
+    assert got.shape == (len(ks),)
+    # the product of two real functions is real: its coefficients at -k
+    # are the conjugates of those at k
+    if real[0] and real[1]:
+        mirrored = product_spectrum(a, b, [-k for k in ks])
+        assert np.max(np.abs(mirrored - got.conj())) <= tol
+    assert np.max(np.abs(got - want)) <= tol
 
 
 def test_product_with_delta_spectrum_is_identity():
     sp = jump_spectrum(JumpModel(1, ((0.3, (1.0, 0.5)),)), 16)
     delta = FourierSpectrum(0, np.array([1.0 + 0j]), True)
-    out = product_spectrum(sp, delta, 8)
+    out = full_product(sp, delta, 8)
     assert np.allclose(out.coeffs, sp.truncated(8).coeffs, atol=1e-15)
 
 
 def test_single_mode_product_shifts_frequency():
     one = FourierSpectrum(1, np.array([0, 0, 1.0], dtype=complex), False)
-    sp = FourierSpectrum(2, np.zeros(5, dtype=complex), False)
-    out = product_spectrum(FourierSpectrum(2, np.pad(one.coeffs, 1), False), one, 2)
+    out = full_product(FourierSpectrum(2, np.pad(one.coeffs, 1), False), one, 2)
     assert out.coeff(2) == 1.0
     assert sum(abs(out.coeff(k)) for k in range(-2, 2)) == 0.0
 
@@ -352,8 +373,8 @@ def test_single_mode_product_shifts_frequency():
 def test_product_is_commutative():
     a = jump_spectrum(JumpModel(0, ((0.3, (1.0,)),)), 24)
     b = jump_spectrum(JumpModel(0, ((-1.1, (0.7,)),)), 24)
-    ab = product_spectrum(a, b, 12)
-    ba = product_spectrum(b, a, 12)
+    ab = full_product(a, b, 12)
+    ba = full_product(b, a, 12)
     assert np.allclose(ab.coeffs, ba.coeffs, atol=1e-15)
 
 
@@ -371,24 +392,29 @@ def test_product_is_associative_for_bandlimited_factors():
         return FourierSpectrum(24, cs, False)
 
     a, b, c = banded(3), banded(2), banded(4)
-    left = product_spectrum(product_spectrum(a, b, 24), c, 9)
-    right = product_spectrum(a, product_spectrum(b, c, 24), 9)
+    left = full_product(full_product(a, b, 24), c, 9)
+    right = full_product(a, full_product(b, c, 24), 9)
     assert np.allclose(left.coeffs, right.coeffs, atol=1e-13)
 
 
 def test_product_of_real_spectra_is_real():
+    # the constructor certifies the conjugate symmetry of a real function
     a = jump_spectrum(JumpModel(0, ((0.3, (1.0,)),)), 16)
     b = jump_spectrum(JumpModel(0, ((-0.8, (2.0,)),)), 16)
-    assert product_spectrum(a, b, 8).real_valued
+    ks = np.arange(-8, 9)
+    assert FourierSpectrum(8, product_spectrum(a, b, ks), real_valued=True).real_valued
 
 
 def test_product_output_range_validation():
     a = jump_spectrum(JumpModel(0, ((0.3, (1.0,)),)), 8)
     b = jump_spectrum(JumpModel(0, ((0.5, (1.0,)),)), 16)
     with pytest.raises(ModelError):
-        product_spectrum(a, b, 9)
+        product_spectrum(a, b, [0, 9])
     with pytest.raises(ModelError):
-        product_spectrum(a, b, -1)
+        product_spectrum(a, b, [-9, 3])
+    with pytest.raises(ModelError):
+        product_spectrum(a, b, [1.5])
+    assert product_spectrum(a, b, []).shape == (0,)
 
 
 def test_jump_times_window_product_matches_quadrature():
@@ -397,8 +423,9 @@ def test_jump_times_window_product_matches_quadrature():
     jump = JumpModel(0, ((0.5, (1.0,)),))
     sp = jump_spectrum(jump, 256)
     bump = make_bump(0.5, np.pi / 2, 64, plateau_tol=1e-3)
-    prod = product_spectrum(sp, bump.spectrum, 128)
-    for k in (0, 3, 17):
+    ks = (0, 3, 17)
+    prod = product_spectrum(sp, bump.spectrum, ks)
+    for k, got in zip(ks, prod):
         re, _ = quad(
             lambda x: phi_eval(jump, np.array([x]))[0]
             * bump.profile(x) * np.cos(-k * x),
@@ -410,7 +437,7 @@ def test_jump_times_window_product_matches_quadrature():
             -np.pi, np.pi, points=[0.5], limit=400, epsabs=1e-12,
         )
         oracle = (re + 1j * im) / (2.0 * np.pi)
-        assert abs(prod.coeff(k) - oracle) <= 1e-8
+        assert abs(got - oracle) <= 1e-8
 
 
 def test_product_truncation_defect_shrinks_with_output_width():
@@ -420,7 +447,7 @@ def test_product_truncation_defect_shrinks_with_output_width():
     target = eval_partial_sum(a, xs) * eval_partial_sum(b, xs)
     defects = []
     for out_M in (32, 64, 128):
-        pm = product_spectrum(a, b, out_M)
+        pm = full_product(a, b, out_M)
         defects.append(float(np.max(np.abs(eval_partial_sum(pm, xs) - target))))
     assert defects[0] > defects[1] > defects[2]
 
