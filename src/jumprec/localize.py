@@ -9,6 +9,7 @@ truncated sequences) so each jump can be treated as a one-jump problem.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -84,14 +85,70 @@ class BumpSpec:
     (circular), with a fixed 1/3 plateau fraction.  The window is a
     trigonometric polynomial, so profile and the truncated series are the
     same function; the plateau/support conditions hold up to the design
-    sidelobe level reported by the constructor's gate.
+    sidelobe level reported by the constructor's gate.  spectrum holds the
+    coefficients on -M..M; band holds the same nonzero coefficients
+    c_{-D}..c_D as a spectrum of truncation D, the window degree, and is
+    what localize_jump convolves with.
     """
 
     center: float
     half_width: float
     spectrum: FourierSpectrum
     profile: Callable[[np.ndarray], np.ndarray]
+    band: FourierSpectrum
     plateau_fraction: float = 1.0 / 3.0
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _finite_real(value) -> Optional[float]:
+    # value as a float, or None unless it is a finite real number
+    try:
+        return float(value) if math.isfinite(value) else None
+    except TypeError:
+        return None
+
+
+@functools.lru_cache(maxsize=128)
+def _window_taper(J: float, M: int, D: int, plateau_tol: float) -> np.ndarray:
+    """Read-only cosine coefficients mag_1..mag_D of an admissible window.
+
+    The window centred at 0 is half_ind/pi + 2 sum_k mag_k cos(k x); it
+    depends on (J, M, D) and not on the centre, and so does its gate.  The
+    series is checked on the 4M points 2 pi j/(4M) of the grid centred on
+    the window, one real inverse FFT; NumericError when the plateau or
+    support defect exceeds plateau_tol.
+    """
+    inner = J / 3.0
+    half_ind = 2.0 * J / 3.0
+    # Kaiser shape parameter: put the kernel's first spatial null at the
+    # transition half-width J/3; cap beta before I0 overflows (sidelobes
+    # are far below machine precision by then)
+    beta_sq = (inner * (D + 1)) ** 2 - np.pi**2
+    beta = min(math.sqrt(beta_sq) if beta_sq > 0.0 else 0.0, 700.0)
+    ks = np.arange(1, D + 1)
+    taper = np.i0(beta * np.sqrt(1.0 - (ks / (D + 1)) ** 2)) / np.i0(beta)
+    mag = np.sin(ks * half_ind) / (np.pi * ks) * taper
+
+    P = 4 * M
+    cosine = np.zeros(P // 2 + 1)
+    cosine[0] = half_ind / np.pi
+    cosine[1 : D + 1] = mag
+    series = np.fft.irfft(cosine, P) * P
+    u = np.abs(wrap_angle(2.0 * np.pi * np.arange(P) / P))
+    plateau = u <= inner
+    outside = u >= J
+    defect_in = float(np.max(np.abs(series[plateau] - 1.0))) if plateau.any() else 0.0
+    defect_out = float(np.max(np.abs(series[outside]))) if outside.any() else 0.0
+    if max(defect_in, defect_out) > plateau_tol:
+        raise NumericError(
+            f"window too narrow for M={M}: truncated series misses the "
+            f"plateau/support conditions by {max(defect_in, defect_out):.3e}"
+        )
+    mag.flags.writeable = False
+    return mag
 
 
 def make_bump(
@@ -115,58 +172,52 @@ def make_bump(
     absorb the defect into their own error budget.  Callers that sample
     low spectral indices keep the degree below the lowest sample so the
     window cannot fold the large low-index coefficients onto it.
-    """
-    if not 0.0 < J <= np.pi / 2.0:
-        raise ModelError(f"bump half-width must be in (0, pi/2], got {J}")
-    if M < _BUMP_MIN_M:
-        raise ModelError(f"bump synthesis needs M >= {_BUMP_MIN_M}, got {M}")
-    if plateau_tol <= 0:
-        raise ModelError(f"plateau tolerance must be positive, got {plateau_tol}")
 
-    inner = J / 3.0
+    The taper and its check depend only on (J, M, degree, plateau_tol):
+    they run once per shape, on the grid centred on the window, and are
+    cached, so whether a shape is admissible does not depend on the
+    centre.  Each call then applies the centre's D phases.
+    """
+    if _finite_real(center) is None:
+        raise ModelError(f"bump center must be a finite real number, got {center!r}")
+    center = float(center)
+    width = _finite_real(J)
+    if width is None or not 0.0 < width <= np.pi / 2.0:
+        raise ModelError(f"bump half-width must be in (0, pi/2], got {J!r}")
+    if not _is_int(M) or M < _BUMP_MIN_M:
+        raise ModelError(
+            f"bump synthesis needs an integer M >= {_BUMP_MIN_M}, got M={M!r}"
+        )
+    tol = _finite_real(plateau_tol)
+    if tol is None or tol <= 0.0:
+        raise ModelError(
+            f"plateau tolerance must be finite and positive, got {plateau_tol!r}"
+        )
+    if degree is not None and not _is_int(degree):
+        raise ModelError(f"window degree must be an integer, got degree={degree!r}")
+    M = int(M)
     D = M // 4 if degree is None else int(degree)
     if not 1 <= D <= M:
         raise ModelError(f"window degree {D} must sit in [1, M={M}]")
-    half_ind = 2.0 * J / 3.0
-    # Kaiser shape parameter: put the kernel's first spatial null at the
-    # transition half-width J/3; cap beta before I0 overflows (sidelobes
-    # are far below machine precision by then)
-    beta_sq = (inner * (D + 1)) ** 2 - np.pi**2
-    beta = min(math.sqrt(beta_sq) if beta_sq > 0.0 else 0.0, 700.0)
-    ks = np.arange(1, D + 1)
-    taper = np.i0(beta * np.sqrt(1.0 - (ks / (D + 1)) ** 2)) / np.i0(beta)
-    mag = np.sin(ks * half_ind) / (np.pi * ks) * taper
+    mag = _window_taper(width, M, D, tol)
 
+    ks = np.arange(1, D + 1)
+    c0 = 2.0 * width / 3.0 / np.pi
     coeffs = np.zeros(2 * M + 1, dtype=np.complex128)
-    coeffs[M] = half_ind / np.pi
+    coeffs[M] = c0
     phases = np.exp(-1j * ks * center)
     coeffs[M + 1 : M + D + 1] = mag * phases
     coeffs[M - D : M] = (mag * np.conj(phases))[::-1]
     spectrum = FourierSpectrum(M, coeffs, real_valued=True)
+    band = FourierSpectrum(D, coeffs[M - D : M + D + 1], real_valued=True)
 
-    def profile(xs, c=center, m=mag, kk=ks, c0=half_ind / np.pi):
+    def profile(xs, c=center, m=mag, kk=ks):
         x = np.asarray(xs, dtype=float)
         scalar = x.ndim == 0
         vals = c0 + 2.0 * (np.cos(np.outer(np.atleast_1d(x) - c, kk)) @ m)
         return float(vals[0]) if scalar else vals
 
-    P = 4 * M
-    padded = np.zeros(P, dtype=np.complex128)
-    ks = np.arange(-M, M + 1)
-    padded[ks % P] = coeffs
-    series = np.fft.ifft(padded) * P
-    xs = 2.0 * np.pi * np.arange(P) / P
-    u = np.abs(wrap_angle(xs - center))
-    plateau = u <= inner
-    outside = u >= J
-    defect_in = float(np.max(np.abs(series[plateau] - 1.0))) if plateau.any() else 0.0
-    defect_out = float(np.max(np.abs(series[outside]))) if outside.any() else 0.0
-    if max(defect_in, defect_out) > plateau_tol:
-        raise NumericError(
-            f"window too narrow for M={M}: truncated series misses the "
-            f"plateau/support conditions by {max(defect_in, defect_out):.3e}"
-        )
-    return BumpSpec(float(center), float(J), spectrum, profile)
+    return BumpSpec(center, width, spectrum, profile, band)
 
 
 def localize_jump(spec: FourierSpectrum, bump: BumpSpec, ks) -> FourierSpectrum:
@@ -180,7 +231,7 @@ def localize_jump(spec: FourierSpectrum, bump: BumpSpec, ks) -> FourierSpectrum:
     coefficients, so the cost is about len(ks)(2D+1) multiply-adds.  The
     result is not declared real_valued: its zeros break conjugate symmetry.
     """
-    values = product_spectrum(spec, bump.spectrum, ks)
+    values = product_spectrum(spec, bump.band, ks)
     out = np.zeros(2 * spec.M + 1, dtype=np.complex128)
     out[np.asarray(ks, dtype=np.int64) + spec.M] = values
     return FourierSpectrum(spec.M, out)

@@ -304,19 +304,41 @@ def phi_fourier_coeff(model: JumpModel, k: int) -> complex:
 
 
 def phi_coeff_array(model: JumpModel, M: int) -> np.ndarray:
-    ks = np.arange(-M, M + 1)
+    """Coefficients c_{-M}..c_M of the piecewise polynomial, ascending k.
+
+    The array form of phi_fourier_coeff, c_0 = 0.  Phases e^{-ik xi} and
+    powers (ik)^{-(l+1)} are computed for k = 1..M only, the powers once
+    for all jumps.  The half k < 0 reuses them: e^{ik xi} is the conjugate
+    of e^{-ik xi} and (-ik)^{-(l+1)} = (-1)^{l+1} (ik)^{-(l+1)}.  Only
+    signs flip, so the result is bit-identical to evaluating every index,
+    complex magnitudes included.  Cost: d+1 complex divisions of length M,
+    then per jump one complex exp and about 2(d+3) multiply-adds of
+    length M.
+    """
+    if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 0:
+        raise ModelError(f"M must be a non-negative integer, got M={M!r}")
+    M = int(M)
     out = np.zeros(2 * M + 1, dtype=np.complex128)
-    nz = ks != 0
-    kz = ks[nz].astype(float)
-    ik = 1j * kz
-    inner = np.zeros(kz.shape, dtype=np.complex128)
+    ik = 1j * np.arange(1, M + 1, dtype=float)
+    powers = [1.0 / ik]
+    for _ in range(model.order):
+        powers.append(powers[-1] / ik)
+    minus_ik = -ik
+    pos, neg = out[M + 1 :], out[:M][::-1]
     for xi, mags in model.jumps:
-        inner[:] = 0.0
-        w = 1.0 / ik
-        for a in mags:
-            inner += a * w
-            w = w / ik
-        out[nz] += np.exp(-ik * xi) * inner
+        inner_pos = np.zeros(M, dtype=np.complex128)
+        inner_neg = np.zeros(M, dtype=np.complex128)
+        for ell, (a, w) in enumerate(zip(mags, powers)):
+            term = a * w
+            inner_pos += term
+            # (-1)^{l+1}: the odd orders keep their sign at -k
+            if ell % 2:
+                inner_neg += term
+            else:
+                inner_neg -= term
+        phase = np.exp(minus_ik * xi)
+        pos += phase * inner_pos
+        neg += phase.conj() * inner_neg
     out /= 2.0 * np.pi
     return out
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 from scipy.special import iv
 
@@ -255,6 +255,63 @@ def test_coeff_array_matches_scalar_form():
     arr = phi_coeff_array(m, 12)
     for k in range(-12, 13):
         assert abs(arr[12 + k] - phi_fourier_coeff(m, k)) <= 1e-16
+
+
+def full_index_coeff_array(model, M):
+    # reference: every index -M..M evaluated on its own, no symmetry used
+    ks = np.arange(-M, M + 1)
+    out = np.zeros(2 * M + 1, dtype=np.complex128)
+    nz = ks != 0
+    ik = 1j * ks[nz].astype(float)
+    inner = np.zeros(ik.shape, dtype=np.complex128)
+    for xi, mags in model.jumps:
+        inner[:] = 0.0
+        w = 1.0 / ik
+        for a in mags:
+            inner += a * w
+            w = w / ik
+        out[nz] += np.exp(-ik * xi) * inner
+    out /= 2.0 * np.pi
+    return out
+
+
+@st.composite
+def jump_models(draw):
+    # K well-separated jumps of order d; complex magnitudes are what tell
+    # the sign (-1)^{l+1} at -k apart from plain conjugate symmetry
+    d = draw(st.integers(0, 5))
+    K = draw(st.integers(0, 3))
+    complex_mags = draw(st.booleans())
+    start = draw(st.floats(-np.pi, -np.pi + 1.0))
+    gaps = draw(st.lists(st.floats(0.1, 1.5), min_size=K, max_size=K))
+    part = st.floats(-3.0, 3.0, allow_nan=False).filter(lambda v: abs(v) > 1e-3)
+    jumps = []
+    for i in range(K):
+        mags = [
+            complex(draw(part), draw(part) if complex_mags else 0.0)
+            for _ in range(d + 1)
+        ]
+        jumps.append((start + sum(gaps[:i]), tuple(mags)))
+    return JumpModel(d, tuple(jumps))
+
+
+@given(model=jump_models(), M=st.integers(0, 600))
+@example(model=JumpModel(1, ((0.3, (1.0 + 0.5j, -0.25j)),)), M=5)
+def test_coeff_array_is_the_full_index_form_bit_for_bit(model, M):
+    arr = phi_coeff_array(model, M)
+    assert arr.tobytes() == full_index_coeff_array(model, M).tobytes()
+    tol = 1e-15 * max(1.0, model.magnitude_sum())
+    scalar = np.array([phi_fourier_coeff(model, k) for k in range(-M, M + 1)])
+    assert np.max(np.abs(arr - scalar)) <= tol
+
+
+def test_coeff_array_rejects_a_bad_truncation_index():
+    m = JumpModel(1, ((0.3, (1.0, 0.5)),))
+    for M in (-1, 2.5, "8", True):
+        with pytest.raises(ModelError, match="M="):
+            phi_coeff_array(m, M)
+    assert phi_coeff_array(m, 0).tobytes() == np.zeros(1, dtype=complex).tobytes()
+    assert phi_coeff_array(m, np.int64(3)).shape == (7,)
 
 
 @given(st.floats(-3.0, 3.0, allow_nan=False))
