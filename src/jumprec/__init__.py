@@ -14,7 +14,7 @@ from .errors import (
     RootFindError,
     WeakJumpWarning,
 )
-from .localize import BumpSpec, localize_jump, make_bump, prony_order0
+from .localize import localize_jump, make_bump, prony_order0
 from .precision import parse_precision, recover_single_jump_mp
 from .model import (
     AprioriBounds,

@@ -303,7 +303,7 @@ def load_bench_spec(path, fallback_seed: int = 0) -> BenchmarkSpec:
         try:
             noise_amp = float(nz["amp"])
             noise_decay = float(nz.get("decay", model.order + 2))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"'noise' needs numeric amp (and decay): {exc}") from exc
         if not (0.0 <= noise_amp < math.inf and math.isfinite(noise_decay)):
             raise ModelError(f"'noise' needs a finite amp >= 0 and decay, got {nz}")
@@ -385,14 +385,14 @@ def _variant_approximant(bs: BenchmarkSpec, method: str, spec: FourierSpectrum):
     # baselines: detection, a window when K > 1 and one consecutive solve,
     # at half order or (Eckhoff's original) at full order
     order = d // 2 if method == "half-order" else d
-    M_eff, width, degree, gate = pipeline_geometry(spec.M, d, bs.bounds.J)
+    M_eff, width, degree = pipeline_geometry(spec.M, d, bs.bounds.J)
     plan = SamplePlan("consecutive", order, M_eff).indices
     estimates = []
     for prior in prony_order0(spec, K):
         data = spec
         if K > 1:
-            bump = make_bump(prior, width, spec.M, plateau_tol=gate, degree=degree)
-            data = localize_jump(spec, bump, plan)
+            window = make_bump(prior, width, spec.M, degree)
+            data = localize_jump(spec, window, plan)
         estimates.append(half_order_recover(data, order, M_eff))
     return _approximant(spec, order, estimates, {"method": method})
 

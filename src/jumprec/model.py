@@ -199,25 +199,23 @@ class JumpModel:
                     else:
                         mags.append(complex(float(a)))
                 jumps.append((xi, tuple(mags)))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ModelError(f"malformed model record: {exc}") from exc
         return cls(d, tuple(jumps))
 
 
 @dataclass(frozen=True)
 class SmoothPart:
-    """Smooth remainder: an evaluator plus its declared coefficient decay.
+    """Smooth remainder: an evaluator, optionally with exact coefficients.
 
-    coeff_bound R promises |c_k| <= R * k^{-d-2} for the intended order d;
-    None means "not declared" (measure with fitted_decay_constant instead).
     coeff_fn, when set, returns the exact coefficients c_{-M}..c_M and
-    bypasses the quadrature fallback in synth_spectrum.
+    bypasses the quadrature fallback in synth_spectrum; measure the decay
+    with fitted_decay_constant.
     """
 
     name: str
     evaluator: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
-    coeff_bound: Optional[float] = None
     coeff_fn: Optional[Callable[[int], np.ndarray]] = None
 
     def to_json_dict(self) -> dict:
@@ -249,7 +247,7 @@ class AprioriBounds:
     def from_json_dict(cls, data: dict) -> "AprioriBounds":
         try:
             return cls(*(float(data[k]) for k in ("J", "A", "B", "R")))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"bounds need numeric J, A, B, R: {exc}") from exc
 
 
@@ -376,11 +374,6 @@ def synth_spectrum(
     return FourierSpectrum(M, coeffs, real_valued=model.is_real)
 
 
-def _v_coeff_abs(order: int) -> float:
-    # |c_k(V_order)| = (1/2pi) |k|^{-order-1}
-    return 1.0 / (2.0 * np.pi)
-
-
 def smooth_catalog(name: str, **params) -> SmoothPart:
     """Built-in smooth remainders selected by name.
 
@@ -392,7 +385,7 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
         whose coefficients decay like |k|^{-n-1} exactly.
     """
     if name == "zero":
-        return SmoothPart("zero", lambda xs: np.zeros_like(np.asarray(xs, float)), {}, 0.0)
+        return SmoothPart("zero", lambda xs: np.zeros_like(np.asarray(xs, float)))
     if name == "sin":
         amp = float(params.pop("amp", 1.0))
         freq = int(params.pop("freq", 1))
@@ -412,7 +405,6 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
             "sin",
             lambda xs, A=amp, w=freq, p=phase: A * np.sin(w * np.asarray(xs, float) + p),
             {"amp": amp, "freq": freq, "phase": phase},
-            abs(amp) / 2.0 if freq == 1 else None,
             sin_coeffs,
         )
     if name == "expsin":
@@ -424,7 +416,6 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
             "expsin",
             lambda xs, A=amp, m=mean: np.exp(A * np.sin(np.asarray(xs, float))) - m,
             {"amp": amp},
-            None,
         )
     if name == "poly-blend":
         order = params.pop("order", None)
@@ -449,7 +440,6 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
             "poly-blend",
             lambda xs, n=order, c=center, A=amp: A * vn_eval(n, np.asarray(xs, float), c),
             {"order": order, "center": center, "amp": amp},
-            abs(amp) * _v_coeff_abs(order),
             blend_coeffs,
         )
     raise ModelError(f"unknown smooth-part name {name!r}")

@@ -45,7 +45,6 @@ def recover_single_jump_mp(
     spec: FourierSpectrum,
     d: int,
     xi_prior: Optional[float],
-    plan_kind: str = "decimated",
     *,
     M: Optional[int] = None,
     digits: int = _MIN_DIGITS,
@@ -61,7 +60,7 @@ def recover_single_jump_mp(
     """
     if digits < _MIN_DIGITS:
         raise ModelError(f"extended precision needs >= {_MIN_DIGITS} digits")
-    plan = _usable_plan(spec, plan_kind, d, M)
+    plan = _usable_plan(spec, "decimated", d, M)
     with mp.workdps(digits):
         values = []
         for k in plan.indices:

@@ -17,8 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DetectionError, ModelError
-from .localize import _BUMP_MIN_M, localize_jump, make_bump, prony_order0
+from .errors import DetectionError, ModelError, NumericError
+from .localize import _BUMP_MIN_M, _is_int, localize_jump, make_bump, prony_order0
 from .model import AprioriBounds, JumpModel, phi_coeff_array, phi_eval
 from .solver import SamplePlan, half_order_recover, recover_single_jump
 from .spectrum import (
@@ -46,14 +46,9 @@ _USABLE_FRACTION = 0.75
 # polish stops once a sweep moves no estimate by more than this
 _REFINE_TOL = 5e-14
 
-# window plateau gate used inside the pipeline; looser than the make_bump
-# default because small-M runs cannot resolve any admissible window to
-# 1e-10 and the leakage is part of the pipeline's own error budget
-_PIPELINE_BUMP_GATE = 5e-2
-
 
 def pipeline_geometry(M: int, d: int, J: float) -> tuple:
-    """(M_eff, window half-width, window degree, window gate) of the pipeline.
+    """(M_eff, window half-width, window degree) of the pipeline.
 
     Single-jump solves sample indices up to M_eff only.  The window degree
     stays below the lowest decimated sample, so the window cannot fold
@@ -62,7 +57,7 @@ def pipeline_geometry(M: int, d: int, J: float) -> tuple:
     """
     M_eff = max(int(_USABLE_FRACTION * M), d + 2)
     degree = max(1, min(M - M_eff, M_eff // (d + 2) - 2))
-    return M_eff, min(0.9 * J, np.pi / 2.0), degree, _PIPELINE_BUMP_GATE
+    return M_eff, min(0.9 * J, np.pi / 2.0), degree
 
 
 def _prior_value(p) -> float:
@@ -87,6 +82,11 @@ class ReconstructionConfig:
     refine_sweeps: int = 10
 
     def __post_init__(self):
+        for name in ("d", "K", "refine_sweeps"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ModelError(f"{name} must be an integer, got {name}={value!r}")
+            object.__setattr__(self, name, int(value))
         if self.d < 0:
             raise ModelError(f"order must be >= 0, got {self.d}")
         if self.K < 1:
@@ -100,7 +100,7 @@ class ReconstructionConfig:
         if self.priors is not None:
             try:
                 pri = tuple(_prior_value(p) for p in self.priors)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ModelError(f"priors must be numbers: {exc}") from exc
             if len(pri) != self.K:
                 raise ModelError(
@@ -151,7 +151,7 @@ class Approximant:
             spec = FourierSpectrum.from_json_dict(data["smooth_spectrum"])
             prov = data.get("provenance", {})
             M = int(prov.get("M", spec.M))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"malformed approximant record: {exc}") from exc
         return cls(model, spec, M, dict(prov.get("config", {})))
 
@@ -227,7 +227,8 @@ def full_reconstruct(
     consecutive plan of order d//2 on the first pass, the decimated plan
     on polish sweeps.  Each is a (2D+1)-term dot product for a degree-D
     window, so what grows with M is the O(KM) peel and singular part.
-    Spectra with M < 32, too short for the window, raise ModelError.
+    Spectra with M < 32, too short for the window, raise ModelError, and so
+    do spectra with too few modes for the window shape of order d.
     """
     M = spec.M
     if M < _BUMP_MIN_M:
@@ -258,7 +259,15 @@ def full_reconstruct(
                     f"declared separation J={config.bounds.J:.3g}; {_cause(config)}"
                 )
 
-    M_eff, width, degree, gate = pipeline_geometry(M, config.d, config.bounds.J)
+    M_eff, width, degree = pipeline_geometry(M, config.d, config.bounds.J)
+    try:
+        windows = [make_bump(prior, width, M, degree) for prior in priors]
+    except NumericError as exc:
+        # the shape, and so its gate, depends only on (J, M, d)
+        raise ModelError(
+            f"M={M} is too few modes for order d={config.d} at separation "
+            f"J={config.bounds.J:.3g}: {exc}"
+        ) from exc
 
     def solve(data, prior):
         return recover_single_jump(
@@ -267,12 +276,9 @@ def full_reconstruct(
 
     decimated = SamplePlan("decimated", config.d, M_eff).indices
     first_pass = decimated + SamplePlan("consecutive", config.d // 2, M_eff).indices
-    bumps = []
     estimates = []
-    for prior in priors:
-        bump = make_bump(prior, width, M, plateau_tol=gate, degree=degree)
-        f_j = localize_jump(spec, bump, first_pass)
-        bumps.append(bump)
+    for window in windows:
+        f_j = localize_jump(spec, window, first_pass)
         estimates.append(solve(f_j, half_order_recover(f_j, config.d // 2, M_eff).xi))
 
     best = list(estimates)
@@ -282,9 +288,9 @@ def full_reconstruct(
     own = [_single_jump_coeffs(config.d, e.xi, e.magnitudes, M) for e in estimates]
     for _ in range(config.refine_sweeps):
         change = 0.0
-        for j, bump in enumerate(bumps):
+        for j, window in enumerate(windows):
             peeled = spec.coeffs - np.sum(own, axis=0)
-            windowed = localize_jump(FourierSpectrum(M, peeled), bump, decimated)
+            windowed = localize_jump(FourierSpectrum(M, peeled), window, decimated)
             data = FourierSpectrum(
                 M, windowed.coeffs + own[j], real_valued=False
             )

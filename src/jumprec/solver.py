@@ -124,9 +124,6 @@ class AnnihilatorPoly:
             acc = acc * u + c
         return acc
 
-    def coefficient_scale(self) -> float:
-        return float(np.max(np.abs(self.coefficients)))
-
 
 @dataclass(frozen=True)
 class JumpEstimate:
@@ -134,10 +131,8 @@ class JumpEstimate:
 
     xi: float
     magnitudes: tuple
-    alpha: tuple
     root_residual: float
     condition_note: float
-    root: complex = 0.0 + 0.0j
 
     @property
     def order(self) -> int:
@@ -396,18 +391,18 @@ def recover_single_jump(
     spec: FourierSpectrum,
     d: int,
     xi_prior: Optional[float],
-    plan_kind: str = "decimated",
     *,
     M: Optional[int] = None,
     weak_floor: Optional[float] = None,
 ) -> JumpEstimate:
-    """Full single-jump recovery from a spectrum obeying the one-jump model.
+    """Full single-jump recovery on the decimated plan.
 
-    M restricts the usable top index (defaults to the spectrum's own M);
-    xi_prior is required for the decimated plan, where the annihilator
-    root determines xi only up to the N-th roots of unity.
+    M restricts the usable top index (defaults to the spectrum's own M).
+    xi_prior is required whenever the stride exceeds 1: the annihilator
+    root then determines xi only up to the N-th roots of unity.  The
+    consecutive plan's entry point is half_order_recover.
     """
-    plan = _usable_plan(spec, plan_kind, d, M)
+    plan = _usable_plan(spec, "decimated", d, M)
     moments = weight_moments(spec, d, plan.indices)
     return _recover_from_moments(moments, plan, xi_prior, weak_floor=weak_floor)
 
@@ -430,7 +425,7 @@ def _recover_from_moments(
     else:
         xi = wrap_angle(-ar.phase(z), ar.pi)
     omega = ar.exp(-1j * xi)
-    alpha, a = solve_magnitudes(moments, omega, plan)
+    _, a = solve_magnitudes(moments, omega, plan)
     if weak_floor is not None and abs(a[0]) < weak_floor / 2.0:
         warnings.warn(
             f"leading magnitude {abs(a[0]):.3e} below half the declared "
@@ -440,12 +435,10 @@ def _recover_from_moments(
     return JumpEstimate(
         xi=float(xi),
         magnitudes=a,
-        alpha=alpha,
         root_residual=float(abs(poly.eval(z))),
         condition_note=float(min(
             (abs(r1 - r2) for r1, r2 in itertools.combinations(roots, 2)), default=math.inf
         )),
-        root=complex(z),
     )
 
 

@@ -114,17 +114,6 @@ class FourierSpectrum:
             raise IndexError(f"coefficient index {k} outside [-{self.M}, {self.M}]")
         return complex(self.coeffs[k + self.M])
 
-    def __getitem__(self, k: int) -> complex:
-        return self.coeff(k)
-
-    def truncated(self, M_new: int) -> "FourierSpectrum":
-        """Restrict to |k| <= M_new (M_new <= M)."""
-        if M_new > self.M:
-            raise ModelError(f"cannot extend spectrum from M={self.M} to {M_new}")
-        lo = self.M - M_new
-        hi = self.M + M_new + 1
-        return FourierSpectrum(M_new, self.coeffs[lo:hi].copy(), self.real_valued)
-
     def to_json_dict(self) -> dict:
         return {
             "M": self.M,
@@ -139,7 +128,7 @@ class FourierSpectrum:
             real_valued = bool(data["real_valued"])
             pairs = data["coeffs"]
             arr = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"malformed spectrum record: {exc}") from exc
         return cls(M, arr, real_valued)
 
@@ -170,13 +159,6 @@ class MomentSequence:
             raise ModelError(f"moment indices must be strictly increasing, got {idx}")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", vals)
-
-    def value_at(self, k: int) -> complex:
-        try:
-            pos = self.indices.index(k)
-        except ValueError:
-            raise ModelError(f"moment index {k} not in sequence {self.indices}")
-        return complex(self.values[pos])
 
 
 def uniform_grid(G: int) -> np.ndarray:

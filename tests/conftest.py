@@ -15,12 +15,12 @@ def circ(a: float, b: float) -> float:
     return min(d, 2.0 * np.pi - d)
 
 
-def full_window(spec, bump, ks):
+def full_window(spec, window, ks):
     """The windowed spectrum on every index -M..M, whatever ks asks for.
 
     One convolution of the whole sequences: the reference that windowing
     at the sampled indices must agree with.
     """
-    b = bump.spectrum
-    prod = np.convolve(spec.coeffs, b.coeffs)[b.M : b.M + 2 * spec.M + 1]
+    D = window.M
+    prod = np.convolve(spec.coeffs, window.coeffs)[D : D + 2 * spec.M + 1]
     return FourierSpectrum(spec.M, prod)

@@ -8,7 +8,7 @@ from jumprec.errors import JumprecError
 from jumprec.model import AprioriBounds
 from jumprec.reconstruct import ReconstructionConfig, full_reconstruct
 from jumprec.rootfind import find_roots
-from jumprec.solver import recover_single_jump
+from jumprec.solver import half_order_recover, recover_single_jump
 from jumprec.spectrum import FourierSpectrum
 
 BND = AprioriBounds(J=np.pi / 2, A=4.0, B=0.05, R=10.0)
@@ -62,17 +62,26 @@ def test_only_library_errors_escape(spec, d, plan_kind, data):
     priors = data.draw(
         st.none() | st.lists(st.floats(-np.pi, np.pi), min_size=K, max_size=K)
     )
+    # counts that are not integers once raised TypeError or LinAlgError
+    config_d = data.draw(st.just(d) | st.sampled_from([2.5, "2", True]))
+    config_K = data.draw(st.just(K) | st.sampled_from([1.0, True]))
+    sweeps = data.draw(st.just(10) | st.sampled_from([2.5, None]))
 
     def reconstruct():
         cfg = ReconstructionConfig(
-            d=d, K=K, bounds=BND,
+            d=config_d, K=config_K, bounds=BND,
             priors=None if priors is None else tuple(priors),
+            refine_sweeps=sweeps,
         )
         full_reconstruct(spec, cfg)
 
+    def solve():
+        if plan_kind == "consecutive":
+            half_order_recover(spec, d)
+        else:
+            recover_single_jump(spec, d, prior, weak_floor=BND.B)
+
     prior = None if priors is None else priors[0]
     _returns_or_raises_library_error(reconstruct)
-    _returns_or_raises_library_error(
-        lambda: recover_single_jump(spec, d, prior, plan_kind, weak_floor=BND.B)
-    )
+    _returns_or_raises_library_error(solve)
     _returns_or_raises_library_error(lambda: find_roots(spec.coeffs[: d + 2]))

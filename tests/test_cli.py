@@ -1,10 +1,13 @@
 """Command-line interface: artifacts, exit codes, benchmark CSV."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from jumprec import cli, reconstruct
 from jumprec.cli import load_bench_spec, main, run_bench
@@ -280,12 +283,96 @@ def test_corrupt_spectrum_file_is_an_io_error(runner, tmp_path):
     assert res.exit_code == 4
 
 
+def test_too_few_modes_for_the_order_exit_2(runner, tmp_path):
+    # at M=40 the order-2 window misses its plateau gate: the request has
+    # too few modes, which once exited 3 as a numeric failure
+    model = {"d": 2, "jumps": [{"xi": 0.7, "a": [1.0, 0.3, 0.3]}]}
+    sp = synthesize(runner, tmp_path, model=model, M=40)
+    bp = write_json(tmp_path / "b.json", BOUNDS)
+    res = runner.invoke(
+        main,
+        ["--out", str(tmp_path / "a.json"), "recover", sp, "-d", "2", "-K", "1",
+         "--bounds", bp],
+    )
+    assert res.exit_code == 2, errtext(res)
+    assert "M=40 is too few modes for order d=2" in errtext(res)
+
+
 def test_recover_requires_every_contract_option(runner, tmp_path):
     sp = synthesize(runner, tmp_path, M=32)
     res = runner.invoke(
         main, ["--out", str(tmp_path / "a.json"), "recover", sp, "-d", "1"]
     )
     assert res.exit_code == 2  # click usage error for the missing options
+
+
+# any JSON value; numbers past the double range and non-finite floats are
+# drawn often, since float() and int() raise OverflowError on them
+_HUGE = 10**400
+_EXTREME = st.sampled_from([_HUGE, -_HUGE, float("inf"), float("nan"), 1e308])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+_VALUE = _EXTREME | st.tuples(_EXTREME, st.floats()).map(list) | _JSON
+_SPECTRUM = synth_spectrum(JumpModel.from_json_dict(MODEL_D1), None, 64).to_json_dict()
+
+
+@st.composite
+def malformed_record(draw, base, fields):
+    """A valid record with one field or entry replaced, or other text."""
+    kind = draw(st.sampled_from(["valid", "field", "entry", "json", "text"]))
+    record = json.loads(json.dumps(base))
+    if kind == "field":
+        record[draw(st.sampled_from(fields))] = draw(_VALUE)
+    elif kind == "entry" and "coeffs" in record:
+        record["coeffs"][draw(st.integers(0, len(record["coeffs"]) - 1))] = draw(_VALUE)
+    elif kind == "json":
+        record = draw(_JSON)
+    elif kind == "text":
+        return draw(st.text(max_size=12))
+    return json.dumps(record)
+
+
+_GOOD = (json.dumps(_SPECTRUM), json.dumps(BOUNDS))
+
+
+# extreme values overflow the solves and weak jumps warn; only the exit
+# code and what escapes matter here
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["double", "extended:60"]),
+    malformed_record(_SPECTRUM, ["M", "real_valued", "coeffs"]),
+    malformed_record(BOUNDS, ["J", "A", "B", "R"]),
+    st.none() | st.text(max_size=12) | st.lists(_VALUE, max_size=3).map(json.dumps),
+    st.integers(0, 3),
+    st.integers(1, 2),
+)
+# each of these once let an OverflowError escape (exit 1, a traceback)
+@example("double", json.dumps(dict(_SPECTRUM, M=float("inf"))), _GOOD[1], None, 1, 1)
+@example("double", _GOOD[0].replace("[0.0, 0.0]", f"[{_HUGE}, 0.0]"), _GOOD[1], None, 1, 1)
+@example("double", _GOOD[0], json.dumps(dict(BOUNDS, J=_HUGE)), None, 1, 1)
+@example("extended:60", *_GOOD, f"[{_HUGE}]", 1, 1)
+def test_recover_exits_by_category_on_malformed_files(
+    precision, spectrum, bounds, priors, d, K
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        sp, bp = os.path.join(tmp, "s.json"), os.path.join(tmp, "b.json")
+        for path, text in ((sp, spectrum), (bp, bounds)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        args = ["--precision", precision, "--out", os.path.join(tmp, "a.json"),
+                "recover", sp, "-d", str(d), "-K", str(K), "--bounds", bp]
+        if priors is not None:
+            args += ["--priors", priors]
+        res = CliRunner().invoke(main, args)
+    assert res.exit_code in (0, 2, 3, 4), errtext(res)
+    assert res.exception is None or isinstance(res.exception, SystemExit), (
+        repr(res.exception)
+    )
 
 
 # ---------------------------------------------------------------- ceiling

@@ -57,12 +57,6 @@ def test_extended_path_validation():
         recover_single_jump_mp(sp, 0, 0.7, M=64)
 
 
-def test_extended_path_consecutive_plan():
-    m = JumpModel(1, ((-0.9, (1.0, 0.4)),))
-    est = recover_single_jump_mp(jump_spectrum(m, 64), 1, None, "consecutive")
-    assert abs(est.xi - (-0.9)) <= 1e-8
-
-
 def test_non_finite_coefficients_are_a_model_error_in_both_precisions():
     # NaN on the sampled indices {21, 42, 63} of the M=64, d=1 decimated plan
     m = JumpModel(1, ((0.7, (1.0, 0.4)),))

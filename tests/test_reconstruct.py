@@ -1,5 +1,6 @@
 """Multi-jump pipeline: detection, isolation, polish, smooth remainder."""
 
+import json
 import math
 import re
 
@@ -43,6 +44,22 @@ def test_config_validation():
         ReconstructionConfig(d=1, K=0, bounds=BND)
     with pytest.raises(ModelError):
         ReconstructionConfig(d=1, K=1, bounds=BND, refine_sweeps=-1)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("d", 2.5), ("d", "2"), ("d", True), ("K", 1.0), ("K", True),
+    ("refine_sweeps", 2.5), ("refine_sweeps", None),
+])
+def test_config_rejects_counts_that_are_not_integers(field, value):
+    args = {"d": 1, "K": 1, "bounds": BND, field: value}
+    with pytest.raises(ModelError, match=f"^{field} must be an integer"):
+        ReconstructionConfig(**args)
+
+
+def test_config_takes_numpy_integer_counts_as_int():
+    cfg = ReconstructionConfig(d=np.int64(1), K=np.int32(1), bounds=BND)
+    assert type(cfg.d) is int and type(cfg.K) is int
+    json.dumps(cfg.to_json_dict())
 
 
 def test_config_rejects_overcrowded_circle():
@@ -148,6 +165,26 @@ def test_too_few_modes_for_the_window_is_a_contract_error(M):
     spec = synth_spectrum(JumpModel(0, ((0.7, (1.0,)),)), None, M)
     with pytest.raises(ModelError, match=f"needs M >= 32, got M={M}"):
         full_reconstruct(spec, ReconstructionConfig(d=0, K=1, bounds=BND))
+
+
+# largest M at which one jump's order-d window misses its plateau gate
+# (J = pi/2, window half-width 0.9 J); d = 0 passes from M = 32 on
+_LAST_NARROW_M = {1: 35, 2: 47, 3: 59, 4: 71}
+
+
+@pytest.mark.parametrize("d", sorted(_LAST_NARROW_M))
+def test_too_few_modes_for_the_order_is_a_contract_error(d):
+    # the window shape depends only on (J, M, d); these M once raised
+    # NumericError out of the window synthesis
+    model = JumpModel(d, ((0.7, (1.0,) + (0.3,) * d),))
+    cfg = ReconstructionConfig(d=d, K=1, bounds=BND)
+    last = _LAST_NARROW_M[d]
+    for M in range(32, last + 1):
+        with pytest.raises(ModelError, match=f"M={M} is too few modes for order d={d}"):
+            full_reconstruct(synth_spectrum(model, None, M), cfg)
+    # one mode past the floor the window admits, with leakage up to its gate
+    est = full_reconstruct(synth_spectrum(model, None, last + 1), cfg).estimate
+    assert abs(est.locations[0] - 0.7) <= 1e-4
 
 
 def _d2_two_jump_case(M):

@@ -403,8 +403,10 @@ def test_recovery_validation():
 
 
 def test_recovery_consecutive_needs_no_prior():
+    # at M = d+2 the decimated plan has stride 1, its indices 1..d+2 are
+    # consecutive, and the root gives xi directly
     m = JumpModel(1, ((0.7, (1.0, 0.4)),))
-    est = recover_single_jump(jump_spectrum(m, 64), 1, None, "consecutive")
+    est = recover_single_jump(jump_spectrum(m, 3), 1, None)
     assert abs(est.xi - 0.7) <= 1e-8
 
 
