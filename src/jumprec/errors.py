@@ -4,10 +4,14 @@ Three top-level families map onto the CLI exit codes: model-contract
 violations (bad orders, incompatible shapes, impossible requests), numeric
 failures (rank loss, non-convergent root finding, unresolvable phases), and
 plain I/O problems which are left to the standard OSError/ValueError types
-and translated at the CLI boundary.
+and translated at the CLI boundary.  read_int and read_real are the one
+reading of a record's numbers: a value of the wrong type is a ModelError
+that names its field.
 """
 
 from __future__ import annotations
+
+import numbers
 
 __all__ = [
     "JumprecError",
@@ -59,3 +63,20 @@ class RootFindError(NumericError):
 
 class WeakJumpWarning(UserWarning):
     """Recovered leading magnitude sits below half the declared floor."""
+
+
+def read_int(value, name: str) -> int:
+    """value as an int; bools, floats and strings are a ModelError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ModelError(f"{name} must be an integer, got {name}={value!r}")
+    return int(value)
+
+
+def read_real(value, name: str) -> float:
+    """value as a float; bools, strings and non-numbers are a ModelError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ModelError(f"{name} must be a real number, got {name}={value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ModelError(f"{name} is past the double range") from exc

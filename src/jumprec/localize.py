@@ -11,12 +11,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Optional
 
 import numpy as np
 
 from . import rootfind
-from .errors import DetectionError, ModelError, NumericError
+from .errors import DetectionError, ModelError, NumericError, read_int, read_real
 from .spectrum import FourierSpectrum, product_spectrum, wrap_angle
 
 __all__ = ["prony_order0", "make_bump", "localize_jump"]
@@ -81,18 +80,6 @@ def prony_order0(spec: FourierSpectrum, K: int) -> list:
     return locs
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _finite_real(value) -> Optional[float]:
-    # value as a float, or None unless it is a finite real number
-    try:
-        return float(value) if math.isfinite(value) else None
-    except TypeError:
-        return None
-
-
 @functools.lru_cache(maxsize=128)
 def _window_taper(J: float, M: int, D: int) -> np.ndarray:
     """Read-only cosine coefficients mag_1..mag_D of an admissible window.
@@ -154,19 +141,15 @@ def make_bump(center: float, J: float, M: int, degree: int) -> FourierSpectrum:
     whether a shape is admissible does not depend on the centre.  Each
     call then applies the centre's D phases.
     """
-    if _finite_real(center) is None:
+    center = read_real(center, "center")
+    if not math.isfinite(center):
         raise ModelError(f"bump center must be a finite real number, got {center!r}")
-    center = float(center)
-    width = _finite_real(J)
-    if width is None or not 0.0 < width <= np.pi / 2.0:
+    width = read_real(J, "J")
+    if not 0.0 < width <= np.pi / 2.0:
         raise ModelError(f"bump half-width must be in (0, pi/2], got {J!r}")
-    if not _is_int(M) or M < _BUMP_MIN_M:
-        raise ModelError(
-            f"bump synthesis needs an integer M >= {_BUMP_MIN_M}, got M={M!r}"
-        )
-    if not _is_int(degree):
-        raise ModelError(f"window degree must be an integer, got degree={degree!r}")
-    M, D = int(M), int(degree)
+    M, D = read_int(M, "M"), read_int(degree, "degree")
+    if M < _BUMP_MIN_M:
+        raise ModelError(f"bump synthesis needs M >= {_BUMP_MIN_M}, got M={M}")
     if not 1 <= D <= M:
         raise ModelError(f"window degree {D} must sit in [1, M={M}]")
     mag = _window_taper(width, M, D)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ModelError, NumericError
+from .errors import ModelError, NumericError, read_int, read_real
 from .spectrum import (
     FourierSpectrum,
     circular_distance,
@@ -188,18 +188,18 @@ class JumpModel:
     @classmethod
     def from_json_dict(cls, data: dict) -> "JumpModel":
         try:
-            d = int(data["d"])
+            d = read_int(data["d"], "d")
             jumps = []
             for rec in data["jumps"]:
-                xi = float(rec["xi"])
+                xi = read_real(rec["xi"], "xi")
                 mags = []
                 for a in rec["a"]:
                     if isinstance(a, (list, tuple)):
-                        mags.append(complex(a[0], a[1]))
+                        mags.append(complex(read_real(a[0], "a"), read_real(a[1], "a")))
                     else:
-                        mags.append(complex(float(a)))
+                        mags.append(complex(read_real(a, "a")))
                 jumps.append((xi, tuple(mags)))
-        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        except (KeyError, TypeError, IndexError) as exc:
             raise ModelError(f"malformed model record: {exc}") from exc
         return cls(d, tuple(jumps))
 
@@ -246,9 +246,10 @@ class AprioriBounds:
     @classmethod
     def from_json_dict(cls, data: dict) -> "AprioriBounds":
         try:
-            return cls(*(float(data[k]) for k in ("J", "A", "B", "R")))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            values = [read_real(data[k], k) for k in ("J", "A", "B", "R")]
+        except (KeyError, TypeError, ModelError) as exc:
             raise ModelError(f"bounds need numeric J, A, B, R: {exc}") from exc
+        return cls(*values)
 
 
 def phi_eval(model: JumpModel, x, side: Optional[str] = None):
@@ -313,9 +314,9 @@ def phi_coeff_array(model: JumpModel, M: int) -> np.ndarray:
     then per jump one complex exp and about 2(d+3) multiply-adds of
     length M.
     """
-    if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 0:
+    M = read_int(M, "M")
+    if M < 0:
         raise ModelError(f"M must be a non-negative integer, got M={M!r}")
-    M = int(M)
     out = np.zeros(2 * M + 1, dtype=np.complex128)
     ik = 1j * np.arange(1, M + 1, dtype=float)
     powers = [1.0 / ik]
@@ -387,9 +388,9 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
     if name == "zero":
         return SmoothPart("zero", lambda xs: np.zeros_like(np.asarray(xs, float)))
     if name == "sin":
-        amp = float(params.pop("amp", 1.0))
-        freq = int(params.pop("freq", 1))
-        phase = float(params.pop("phase", 0.0))
+        amp = read_real(params.pop("amp", 1.0), "amp")
+        freq = read_int(params.pop("freq", 1), "freq")
+        phase = read_real(params.pop("phase", 0.0), "phase")
         if params:
             raise ModelError(f"unknown sin parameters: {sorted(params)}")
         if freq < 1:
@@ -408,7 +409,7 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
             sin_coeffs,
         )
     if name == "expsin":
-        amp = float(params.pop("amp", 1.0))
+        amp = read_real(params.pop("amp", 1.0), "amp")
         if params:
             raise ModelError(f"unknown expsin parameters: {sorted(params)}")
         mean = float(np.i0(amp))
@@ -421,9 +422,9 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
         order = params.pop("order", None)
         if order is None:
             raise ModelError("poly-blend requires an 'order' parameter")
-        order = int(order)
-        center = float(params.pop("center", 0.0))
-        amp = float(params.pop("amp", 1.0))
+        order = read_int(order, "order")
+        center = read_real(params.pop("center", 0.0), "center")
+        amp = read_real(params.pop("amp", 1.0), "amp")
         if params:
             raise ModelError(f"unknown poly-blend parameters: {sorted(params)}")
         if not 1 <= order <= _TABLE_MAX - 1:

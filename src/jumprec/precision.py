@@ -1,10 +1,17 @@
 """Extended-precision entry point of the single-jump solve.
 
-Double precision saturates the decimated solve's cancellation structure
-around order 3-5 at large stride.  recover_single_jump_mp forms the
-weighted moments in mpmath at a caller-chosen digit count and runs the
-solver's own steps on them, so every intermediate keeps that precision;
-the recovered parameters are rounded back to doubles at the very end.
+recover_single_jump_mp forms the weighted moments in mpmath at a
+caller-chosen digit count and runs the solver's own steps on them, so
+every intermediate keeps that precision; the recovered parameters are
+rounded back to doubles at the very end.
+
+On coefficients that arrive as doubles this buys no digit.  Measured
+against the double solve at 60 digits on the worst |a_l| error of one jump
+at 0.7 (decimated plan, d = 2..5 at M = 256, 1024 and 4096 on zero and
+expsin backgrounds; consecutive plan, d = 1..4 at M = 64..1024; windowed
+data), the two agree within a factor of 2 at every point and neither wins
+consistently: the rounding of the input, amplified by the problem's
+conditioning, sets the floor.
 """
 
 from __future__ import annotations

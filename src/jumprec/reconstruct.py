@@ -17,8 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DetectionError, ModelError, NumericError
-from .localize import _BUMP_MIN_M, _is_int, localize_jump, make_bump, prony_order0
+from .errors import DetectionError, ModelError, NumericError, read_int, read_real
+from .localize import _BUMP_MIN_M, localize_jump, make_bump, prony_order0
 from .model import AprioriBounds, JumpModel, phi_coeff_array, phi_eval
 from .solver import SamplePlan, half_order_recover, recover_single_jump
 from .spectrum import (
@@ -60,13 +60,6 @@ def pipeline_geometry(M: int, d: int, J: float) -> tuple:
     return M_eff, min(0.9 * J, np.pi / 2.0), degree
 
 
-def _prior_value(p) -> float:
-    # float() would take True as 1.0 and "0.7" as 0.7
-    if isinstance(p, (bool, np.bool_, str, bytes)):
-        raise TypeError(f"got prior {p!r}")
-    return float(p)
-
-
 @dataclass(frozen=True)
 class ReconstructionConfig:
     """Orders, counts and a-priori constants steering full_reconstruct.
@@ -83,10 +76,7 @@ class ReconstructionConfig:
 
     def __post_init__(self):
         for name in ("d", "K", "refine_sweeps"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ModelError(f"{name} must be an integer, got {name}={value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, read_int(getattr(self, name), name))
         if self.d < 0:
             raise ModelError(f"order must be >= 0, got {self.d}")
         if self.K < 1:
@@ -98,10 +88,14 @@ class ReconstructionConfig:
                 f"jumps on the circle (needs J <= 2pi/K = {2.0 * np.pi / self.K:.6g})"
             )
         if self.priors is not None:
+            pri = []
             try:
-                pri = tuple(_prior_value(p) for p in self.priors)
-            except (TypeError, ValueError, OverflowError) as exc:
+                for p in self.priors:
+                    pri.append(read_real(p, "prior"))
+            except TypeError as exc:
                 raise ModelError(f"priors must be numbers: {exc}") from exc
+            except ModelError:
+                raise ModelError(f"priors must be numbers: got prior {p!r}") from None
             if len(pri) != self.K:
                 raise ModelError(
                     f"got {len(pri)} priors for K={self.K} jumps"
@@ -111,7 +105,7 @@ class ReconstructionConfig:
             for p in pri:
                 if not -math.pi <= p < math.pi:
                     raise ModelError(f"prior {p!r} outside [-pi, pi)")
-            object.__setattr__(self, "priors", pri)
+            object.__setattr__(self, "priors", tuple(pri))
         if self.refine_sweeps < 0:
             raise ModelError(
                 f"refine sweep count must be >= 0, got {self.refine_sweeps}"
@@ -150,7 +144,7 @@ class Approximant:
             model = JumpModel.from_json_dict(data["model"])
             spec = FourierSpectrum.from_json_dict(data["smooth_spectrum"])
             prov = data.get("provenance", {})
-            M = int(prov.get("M", spec.M))
+            M = read_int(prov.get("M", spec.M), "provenance M")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"malformed approximant record: {exc}") from exc
         return cls(model, spec, M, dict(prov.get("config", {})))

@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 import mpmath as mp
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, read_int
 
 __all__ = [
     "wrap_angle",
@@ -124,8 +124,12 @@ class FourierSpectrum:
     @classmethod
     def from_json_dict(cls, data: dict) -> "FourierSpectrum":
         try:
-            M = int(data["M"])
-            real_valued = bool(data["real_valued"])
+            M = read_int(data["M"], "M")
+            real_valued = data["real_valued"]
+            if not isinstance(real_valued, bool):
+                raise ModelError(
+                    f"real_valued must be true or false, got real_valued={real_valued!r}"
+                )
             pairs = data["coeffs"]
             arr = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

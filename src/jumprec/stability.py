@@ -162,8 +162,8 @@ def fit_loglog_slope(M_values, errors, floor: Optional[float] = ERROR_FLOOR):
     """OLS slope of log err vs log M, excluding below-floor rows.
 
     Returns (slope, used_mask).  Rows at or below the floor (default
-    100x machine epsilon) are excluded from the fit; fewer than two
-    usable rows make the slope undefined (NaN).
+    100x machine epsilon; one value, or one per row) are excluded from
+    the fit; fewer than two usable rows make the slope undefined (NaN).
     """
     Ms = np.asarray(M_values, dtype=float)
     es = np.asarray(errors, dtype=float)

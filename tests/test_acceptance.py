@@ -221,6 +221,35 @@ def test_c05_convergence_orders_with_smooth_background():
     assert time.monotonic() - t0 < 60.0
 
 
+def test_c05_rates_on_the_worst_case_background(tmp_path):
+    # a poly-blend of order d+1 has |c_k| ~ k^-(d+2), the slowest decay
+    # the paper admits; centred at 0.95 it sits inside the plateau of the
+    # window for the jump at 0.7, so windowing keeps it.  The bench footer
+    # fits err_xi at least like M^-(d+2) and err_a_l like M^(l-d-1), up to
+    # half an order.  err_sup is not read: the blend lies inside the J/4
+    # zone that err_sup excludes around the jump
+    t0 = time.monotonic()
+    for d, mags in ((1, [1.0, -0.4]), (2, [1.0, -0.4, 0.25])):
+        spec = dict(
+            SWEEP_SPEC,
+            model={"d": d, "jumps": [{"xi": 0.7, "a": mags}]},
+            smooth={"name": "poly-blend",
+                    "args": {"order": d + 1, "amp": 0.5, "center": 0.95}},
+            noise=None,
+            methods=["full-decimated"],
+            M_values=[64, 128, 256, 512, 1024, 2048, 4096, 8192],
+        )
+        path = tmp_path / f"blend_d{d}.json"
+        path.write_text(json.dumps(spec) + "\n", encoding="utf-8")
+        csv = run_bench(load_bench_spec(str(path), 0))
+        assert "# failed" not in csv
+        assert footer_slope(csv, "full-decimated", "err_xi") <= -(d + 2) + 0.5
+        for l in range(d + 1):
+            slope = footer_slope(csv, "full-decimated", f"err_a_{l}")
+            assert slope <= l - (d + 1) + 0.5
+    assert time.monotonic() - t0 < 30.0
+
+
 def test_c06_method_ordering_in_benchmark_sweep(tmp_path):
     # on the standard noisy sweep the full pipeline beats the half-order
     # variant by 0.25 in slope and the classical consecutive variant by

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, benchmark CSV."""
 
 import json
+import math
 import os
 import tempfile
 
@@ -15,6 +16,7 @@ from jumprec.errors import ModelError
 from jumprec.model import JumpModel, smooth_catalog, synth_spectrum
 from jumprec.solver import SamplePlan
 from jumprec.spectrum import load_spectrum
+from jumprec.stability import ERROR_FLOOR
 
 from conftest import full_window
 
@@ -198,6 +200,51 @@ def test_malformed_priors_exit_2_naming_the_prior(runner, tmp_path, priors, name
     assert named in errtext(res)
     assert "Traceback" not in errtext(res)
     assert not outp.exists()
+
+
+@pytest.mark.parametrize(
+    "record, field, value, named",
+    [("spectrum", "real_valued", "false", "real_valued='false'"),
+     ("spectrum", "M", 64.5, "M=64.5"),
+     ("spectrum", "M", True, "M=True"),
+     ("bounds", "J", True, "J=True"),
+     ("model", "d", 1.9, "d=1.9"),
+     ("jump", "xi", "0.7", "xi='0.7'"),
+     ("jump", "a", ["1.0", True], "a='1.0'"),
+     ("jump", "a", [1.0, True], "a=True"),
+     ("smooth-args", "order", 2.5, "order=2.5"),
+     ("sweep", "M_values", [16, 64.5, 160], "M=64.5"),
+     ("sweep", "seed", 5.5, "seed=5.5"),
+     ("sweep", "seed", True, "seed=True"),
+     ("query", "d", 1.5, "d=1.5")],
+)
+def test_mistyped_record_fields_exit_2_naming_the_field(
+    runner, tmp_path, record, field, value, named
+):
+    # each value once loaded as another type: "false" as True, 64.5 as
+    # 64, true as 1 and "0.7" as 0.7
+    model = json.loads(json.dumps(MODEL_D1))
+    spectrum = synth_spectrum(JumpModel.from_json_dict(MODEL_D1), None, 64).to_json_dict()
+    bounds, sweep = dict(BOUNDS), dict(SMALL_SWEEP)
+    query, smooth_args = {"op": "c9", "d": 1}, {"order": 2}
+    records = {"model": model, "jump": model["jumps"][0], "spectrum": spectrum,
+               "bounds": bounds, "sweep": sweep, "query": query,
+               "smooth-args": smooth_args}
+    records[record][field] = value
+    if record in ("model", "jump", "smooth-args"):
+        args = ["synth", write_json(tmp_path / "m.json", model), "-M", "64",
+                "--smooth", "poly-blend", "--smooth-args", json.dumps(smooth_args)]
+    elif record == "sweep":
+        args = ["bench", write_json(tmp_path / "sweep.json", sweep)]
+    elif record == "query":
+        args = ["bounds", write_json(tmp_path / "q.json", query)]
+    else:
+        args = ["recover", write_json(tmp_path / "s.json", spectrum),
+                "-d", "1", "-K", "1", "--bounds", write_json(tmp_path / "b.json", bounds)]
+    res = runner.invoke(main, ["--out", str(tmp_path / "out")] + args)
+    assert res.exit_code == 2, errtext(res)
+    assert "model error" in errtext(res)
+    assert named in errtext(res)
 
 
 @pytest.mark.parametrize("precision", ["double", "extended:60"])
@@ -507,6 +554,42 @@ def test_bench_csv_shape_and_footer(runner, tmp_path):
     slopes = [l for l in lines if l.startswith("# slope method=half-order")]
     assert any("column=err_xi" in l for l in slopes)
     assert any("column=err_sup" in l for l in slopes)
+
+
+def test_bench_footer_fits_every_error_column(tmp_path):
+    # one slope line per error column, in column order.  err_a_l rows are
+    # flagged against ERROR_FLOOR M^l, since rounding in a_l grows like
+    # eps M^l; a column the method does not estimate (NaN) is fitted on
+    # no row and flagged on none
+    sweep = dict(
+        SMALL_SWEEP,
+        model={"d": 2, "jumps": [{"xi": 0.7, "a": [1.0, -0.4, 0.25]}]},
+        smooth={"name": "expsin", "args": {"amp": 1.0}},
+        methods=["full-decimated", "half-order"],
+        M_values=[256, 512, 1024, 2048, 4096],
+    )
+    text = run_bench(load_bench_spec(write_json(tmp_path / "sweep.json", sweep), 0))
+    lines = text.splitlines()
+    cols = lines[0].split(",")[2:-1]
+    assert cols == ["err_xi", "err_a_0", "err_a_1", "err_a_2", "err_sup"]
+    noise_above_fixed_floor = 0
+    for method in sweep["methods"]:
+        slopes = [l.split() for l in lines if l.startswith(f"# slope method={method} ")]
+        assert [s[3] for s in slopes] == [f"column={c}" for c in cols]
+        flagged = {
+            (int(s[3][2:]), s[4][7:]) for s in map(str.split, lines)
+            if s[:3] == ["#", "floor-excluded", f"method={method}"]
+        }
+        for row in (l.split(",") for l in lines if l.startswith(method + ",")):
+            M = int(row[1])
+            for l in range(3):
+                err = float(row[3 + l])
+                below = not math.isnan(err) and err <= ERROR_FLOOR * M**l
+                assert ((M, f"err_a_{l}") in flagged) == below
+                noise_above_fixed_floor += below and err > ERROR_FLOOR
+    assert "# slope method=half-order column=err_a_2 value=nan rows_used=0" in lines
+    # a fixed floor would have fitted these rounding-level a_l errors
+    assert noise_above_fixed_floor >= 3
 
 
 TWO_JUMP_SWEEP = {
