@@ -35,6 +35,8 @@ __all__ = [
     "AprioriBounds",
     "phi_eval",
     "phi_fourier_coeff",
+    "phi_factors",
+    "phi_coeffs_at",
     "phi_coeff_array",
     "synth_spectrum",
     "smooth_catalog",
@@ -302,14 +304,74 @@ def phi_fourier_coeff(model: JumpModel, k: int) -> complex:
     return complex(acc / (2.0 * np.pi))
 
 
+def phi_factors(ks, order: int) -> tuple:
+    """The index factors of the closed form at the positive indices ks.
+
+    Returns (ik, powers) with ik = 1j*k and powers[l] = (ik)^{-(l+1)} for
+    l = 0..order, each power one complex division from the one before.
+    They depend on the indices and the order only, so a caller that builds
+    many models' coefficients on one index set builds them once.
+    """
+    ks = np.asarray(ks, dtype=float)
+    if ks.size and ks.min() < 1:
+        raise ModelError(f"phi_factors takes indices k >= 1, got k={ks.min():g}")
+    ik = 1j * ks
+    powers = [1.0 / ik]
+    for _ in range(order):
+        powers.append(powers[-1] / ik)
+    return ik, powers
+
+
+def _phi_halves(jumps, factors, negative: bool):
+    # the one closed-form kernel: c_k at the indices of factors, and when
+    # negative also c_{-k}, which reuses the phases and powers (only signs
+    # flip), so both halves are bit-identical to evaluating each index alone
+    ik, powers = factors
+    minus_ik = -ik
+    pos = np.zeros(ik.size, dtype=np.complex128)
+    neg = np.zeros(ik.size, dtype=np.complex128) if negative else None
+    for xi, mags in jumps:
+        inner_pos = np.zeros(ik.size, dtype=np.complex128)
+        inner_neg = np.zeros(ik.size, dtype=np.complex128) if negative else None
+        for ell, (a, w) in enumerate(zip(mags, powers)):
+            term = a * w
+            inner_pos += term
+            if negative:
+                # (-1)^{l+1}: the odd orders keep their sign at -k
+                if ell % 2:
+                    inner_neg += term
+                else:
+                    inner_neg -= term
+        phase = np.exp(minus_ik * xi)
+        pos += phase * inner_pos
+        if negative:
+            neg += phase.conj() * inner_neg
+    pos /= 2.0 * np.pi
+    if negative:
+        neg /= 2.0 * np.pi
+    return pos, neg
+
+
+def phi_coeffs_at(model: JumpModel, factors) -> np.ndarray:
+    """Coefficients c_k of the piecewise polynomial at positive indices.
+
+    factors are phi_factors(ks, d) for an order d >= model.order; the
+    result holds c_k at those ks, in their order, bit-identical to the
+    same entries of phi_coeff_array.  Cost per jump: one complex exp and
+    d+3 multiply-adds of len(ks).
+    """
+    return _phi_halves(model.jumps, factors, negative=False)[0]
+
+
 def phi_coeff_array(model: JumpModel, M: int) -> np.ndarray:
     """Coefficients c_{-M}..c_M of the piecewise polynomial, ascending k.
 
-    The array form of phi_fourier_coeff, c_0 = 0.  Phases e^{-ik xi} and
-    powers (ik)^{-(l+1)} are computed for k = 1..M only, the powers once
-    for all jumps.  The half k < 0 reuses them: e^{ik xi} is the conjugate
-    of e^{-ik xi} and (-ik)^{-(l+1)} = (-1)^{l+1} (ik)^{-(l+1)}.  Only
-    signs flip, so the result is bit-identical to evaluating every index,
+    The array form of phi_fourier_coeff, c_0 = 0.  It shares its kernel
+    with phi_coeffs_at: phases e^{-ik xi} and powers (ik)^{-(l+1)}
+    (phi_factors) are computed for k = 1..M only, the powers once for all
+    jumps.  The half k < 0 reuses them: e^{ik xi} is the conjugate of
+    e^{-ik xi} and (-ik)^{-(l+1)} = (-1)^{l+1} (ik)^{-(l+1)}.  Only signs
+    flip, so the result is bit-identical to evaluating every index,
     complex magnitudes included.  Cost: d+1 complex divisions of length M,
     then per jump one complex exp and about 2(d+3) multiply-adds of
     length M.
@@ -317,28 +379,11 @@ def phi_coeff_array(model: JumpModel, M: int) -> np.ndarray:
     M = read_int(M, "M")
     if M < 0:
         raise ModelError(f"M must be a non-negative integer, got M={M!r}")
+    factors = phi_factors(np.arange(1, M + 1), model.order)
+    pos, neg = _phi_halves(model.jumps, factors, negative=True)
     out = np.zeros(2 * M + 1, dtype=np.complex128)
-    ik = 1j * np.arange(1, M + 1, dtype=float)
-    powers = [1.0 / ik]
-    for _ in range(model.order):
-        powers.append(powers[-1] / ik)
-    minus_ik = -ik
-    pos, neg = out[M + 1 :], out[:M][::-1]
-    for xi, mags in model.jumps:
-        inner_pos = np.zeros(M, dtype=np.complex128)
-        inner_neg = np.zeros(M, dtype=np.complex128)
-        for ell, (a, w) in enumerate(zip(mags, powers)):
-            term = a * w
-            inner_pos += term
-            # (-1)^{l+1}: the odd orders keep their sign at -k
-            if ell % 2:
-                inner_neg += term
-            else:
-                inner_neg -= term
-        phase = np.exp(minus_ik * xi)
-        pos += phase * inner_pos
-        neg += phase.conj() * inner_neg
-    out /= 2.0 * np.pi
+    out[M + 1 :] = pos
+    out[:M] = neg[::-1]
     return out
 
 

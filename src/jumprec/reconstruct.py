@@ -19,7 +19,14 @@ import numpy as np
 
 from .errors import DetectionError, ModelError, NumericError, read_int, read_real
 from .localize import _BUMP_MIN_M, localize_jump, make_bump, prony_order0
-from .model import AprioriBounds, JumpModel, phi_coeff_array, phi_eval
+from .model import (
+    AprioriBounds,
+    JumpModel,
+    phi_coeff_array,
+    phi_coeffs_at,
+    phi_eval,
+    phi_factors,
+)
 from .solver import SamplePlan, half_order_recover, recover_single_jump
 from .spectrum import (
     FourierSpectrum,
@@ -43,7 +50,8 @@ __all__ = [
 # carries convolution truncation error and is never sampled
 _USABLE_FRACTION = 0.75
 
-# polish stops once a sweep moves no estimate by more than this
+# polish stops once a sweep moves no estimate by more than this, each
+# change measured as |dxi| + sum_l |da_l| / M^l (_moved)
 _REFINE_TOL = 5e-14
 
 
@@ -150,13 +158,61 @@ class Approximant:
         return cls(model, spec, M, dict(prov.get("config", {})))
 
 
-def _single_jump_coeffs(d: int, xi: float, mags: tuple, M: int) -> np.ndarray:
-    """Coefficient array of one jump's singular part.
+class _BandPeel:
+    """Polish data built on the band the decimated windowing reads.
 
-    Bypasses the multi-jump separation checks; polish iterates may pass
-    through configurations a full JumpModel would reject.
+    Windowing at the indices ks with a degree-D window reads the data on
+    min(ks) - D .. max(ks) + D only, so each jump's own singular part is
+    kept on that band, and the powers (ik)^{-(l+1)} are built once for it.
+    The band holds k >= 1 only: pipeline_geometry keeps the window degree
+    below the lowest decimated index.
     """
-    return phi_coeff_array(JumpModel(d, ((float(xi), tuple(mags)),)), M)
+
+    def __init__(self, spec: FourierSpectrum, d: int, ks, degree: int):
+        self.spec, self.d = spec, d
+        self.ks = np.asarray(ks, dtype=np.int64)
+        self.lo = int(self.ks.min()) - degree
+        band = np.arange(self.lo, int(self.ks.max()) + degree + 1)
+        self.factors = phi_factors(band, d)
+
+    def own(self, est) -> np.ndarray:
+        """One estimate's singular part on the band.
+
+        Each jump is its own model: polish iterates may pass through
+        configurations a JumpModel of all jumps would reject.
+        """
+        model = JumpModel(self.d, ((float(est.xi), tuple(est.magnitudes)),))
+        return phi_coeffs_at(model, self.factors)
+
+    def data(self, own: list, j: int, window: FourierSpectrum) -> FourierSpectrum:
+        """Jump j's solve data: the data less every jump, windowed, plus jump j.
+
+        Only the indices ks hold values; the solve reads nothing else.
+        """
+        M = self.spec.M
+        band = slice(M + self.lo, M + self.lo + own[j].size)
+        peeled = np.zeros(2 * M + 1, dtype=np.complex128)
+        peeled[band] = self.spec.coeffs[band] - np.sum(own, axis=0)
+        windowed = localize_jump(FourierSpectrum(M, peeled), window, self.ks)
+        out = np.zeros(2 * M + 1, dtype=np.complex128)
+        at = self.ks + M
+        out[at] = windowed.coeffs[at] + own[j][self.ks - self.lo]
+        return FourierSpectrum(M, out)
+
+
+def _moved(est, prev, M: int) -> float:
+    """How far one polish sweep moved an estimate, on the stop rule's scale.
+
+    |dxi| on the circle plus sum_l |da_l| / M^l.  a_l weighs (ik)^{-(l+1)},
+    so reading it off data at k near M amplifies rounding by about M^l,
+    and an unscaled |da_l| never falls below _REFINE_TOL at large M.
+    """
+    return circular_distance(est.xi, prev.xi) + float(
+        sum(
+            abs(a - b) / float(M) ** ell
+            for ell, (a, b) in enumerate(zip(est.magnitudes, prev.magnitudes))
+        )
+    )
 
 
 def _approximant(spec: FourierSpectrum, d: int, estimates, provenance: dict):
@@ -212,15 +268,22 @@ def full_reconstruct(
     jump's own coefficients and re-solve.  Window leakage then scales
     with the remaining estimation error rather than with the other jumps'
     full amplitude.  The sweeps need not contract: on noisy data the
-    change often grows or stalls at rounding level.  The loop stops when
-    a sweep moves no estimate by more than _REFINE_TOL, when the change
-    grows on two sweeps in a row, or when refine_sweeps run out, and it
-    keeps the sweep with the smallest change, not the last one.
+    change often grows or stalls at rounding level.  A sweep's change is
+    the largest over the jumps of |dxi| on the circle plus
+    sum_l |da_l| / M^l, so rounding in a_l, which grows like eps M^l, does
+    not hold it above the tolerance at large M.  The loop stops when a
+    sweep's change falls below _REFINE_TOL, when it grows on two sweeps in
+    a row, or when refine_sweeps run out, and it keeps the sweep with the
+    smallest change, not the last one.
     Windowed coefficients are formed only where the solves read them, at
     the SamplePlan indices: the decimated plan of order d plus the
     consecutive plan of order d//2 on the first pass, the decimated plan
     on polish sweeps.  Each is a (2D+1)-term dot product for a degree-D
-    window, so what grows with M is the O(KM) peel and singular part.
+    window.  The polish peels each jump's singular part only on the band
+    those products read, from the decimated plan's lowest index less D to
+    its highest plus D, with the powers (ik)^{-(l+1)} built once per call.
+    What grows with M is that band peel and the one full singular part the
+    corrected spectrum subtracts.
     Spectra with M < 32, too short for the window, raise ModelError, and so
     do spectra with too few modes for the window shape of order d.
     """
@@ -279,23 +342,15 @@ def full_reconstruct(
     best_change = math.inf
     prev_change = math.inf
     grew = 0
-    own = [_single_jump_coeffs(config.d, e.xi, e.magnitudes, M) for e in estimates]
+    peel = _BandPeel(spec, config.d, decimated, degree)
+    own = [peel.own(e) for e in estimates]
     for _ in range(config.refine_sweeps):
         change = 0.0
         for j, window in enumerate(windows):
-            peeled = spec.coeffs - np.sum(own, axis=0)
-            windowed = localize_jump(FourierSpectrum(M, peeled), window, decimated)
-            data = FourierSpectrum(
-                M, windowed.coeffs + own[j], real_valued=False
-            )
-            est = solve(data, estimates[j].xi)
-            prev = estimates[j]
-            moved = abs(est.xi - prev.xi) + float(
-                sum(abs(a - b) for a, b in zip(est.magnitudes, prev.magnitudes))
-            )
-            change = max(change, moved)
+            est = solve(peel.data(own, j, window), estimates[j].xi)
+            change = max(change, _moved(est, estimates[j], M))
             estimates[j] = est
-            own[j] = _single_jump_coeffs(config.d, est.xi, est.magnitudes, M)
+            own[j] = peel.own(est)
         if change < best_change:
             best_change = change
             best = list(estimates)

@@ -278,10 +278,7 @@ def coeffs_of_function(
     xs = 2.0 * np.pi * np.arange(P) / P
     samples = np.asarray(func(xs), dtype=np.complex128)
     hat = np.fft.fft(samples) / P
-    out = np.empty(2 * M + 1, dtype=np.complex128)
-    for k in range(-M, M + 1):
-        out[k + M] = hat[k % P]
-    return out
+    return hat[np.arange(-M, M + 1) % P]
 
 
 def load_spectrum(path) -> FourierSpectrum:

@@ -19,7 +19,9 @@ from jumprec.model import (
     fitted_decay_constant,
     load_model,
     phi_coeff_array,
+    phi_coeffs_at,
     phi_eval,
+    phi_factors,
     phi_fourier_coeff,
     save_model,
     shift_jumps,
@@ -303,6 +305,26 @@ def test_coeff_array_is_the_full_index_form_bit_for_bit(model, M):
     tol = 1e-15 * max(1.0, model.magnitude_sum())
     scalar = np.array([phi_fourier_coeff(model, k) for k in range(-M, M + 1)])
     assert np.max(np.abs(arr - scalar)) <= tol
+
+
+@given(model=jump_models(), M=st.integers(1, 600), data=st.data())
+def test_coeffs_at_positive_indices_are_the_array_entries_bit_for_bit(model, M, data):
+    # the band path and phi_coeff_array share one kernel; factors of a
+    # higher order than the model's are allowed and go unused
+    lo = data.draw(st.integers(1, M))
+    ks = np.arange(lo, data.draw(st.integers(lo, M)) + 1)
+    extra = data.draw(st.integers(0, 2))
+    got = phi_coeffs_at(model, phi_factors(ks, model.order + extra))
+    assert got.tobytes() == phi_coeff_array(model, M)[ks + M].tobytes()
+
+
+def test_phi_factors_take_positive_indices_only():
+    ik, powers = phi_factors([1, 2, 4], 2)
+    assert len(powers) == 3
+    # (ik)^-3 = i/k^3, exact for powers of two
+    assert np.array_equal(powers[2], np.array([1.0, 1 / 8, 1 / 64]) * 1j)
+    with pytest.raises(ModelError, match="k >= 1"):
+        phi_factors([0, 1, 2], 1)
 
 
 def test_coeff_array_rejects_a_bad_truncation_index():

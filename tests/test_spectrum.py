@@ -449,3 +449,15 @@ def test_function_coefficients_recover_a_pure_mode():
     mask = np.ones(17, dtype=bool)
     mask[[8 - 3, 8 + 3]] = False
     assert np.max(np.abs(cs[mask])) <= 1e-14
+
+
+@pytest.mark.parametrize("M, oversample", [(0, 8), (1, 8), (5, 16), (512, 8), (4096, 16)])
+def test_function_coefficients_gather_is_the_index_loop_bit_for_bit(M, oversample):
+    # reference: each c_k read from the FFT bin k mod P on its own
+    func = lambda xs: np.exp(np.sin(xs)) + 0.3j * np.cos(2 * xs)
+    P = max(oversample * max(M, 1), 2 * M + 2)
+    hat = np.fft.fft(func(2.0 * np.pi * np.arange(P) / P).astype(np.complex128)) / P
+    loop = np.empty(2 * M + 1, dtype=np.complex128)
+    for k in range(-M, M + 1):
+        loop[k + M] = hat[k % P]
+    assert coeffs_of_function(func, M, oversample).tobytes() == loop.tobytes()
