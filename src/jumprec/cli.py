@@ -20,7 +20,14 @@ from typing import Optional
 import click
 import numpy as np
 
-from .errors import ModelError, NumericError, read_int, read_real
+from .errors import (
+    ModelError,
+    NumericError,
+    read_int,
+    read_json,
+    read_real,
+    write_json,
+)
 from .localize import localize_jump, make_bump, prony_order0
 from .model import (
     AprioriBounds,
@@ -64,6 +71,9 @@ from .stability import (
 
 _METHODS = ("full-decimated", "half-order", "eckhoff-original")
 
+# the adversarial and bounds reports are written for people to read
+_REPORT_FORMAT = {"indent": 2, "sort_keys": True}
+
 _DOUBLE_ONLY = (
     "benchmark sweeps run in double precision only; the coefficients arrive "
     "as doubles, and a solve in more digits recovers no digit they lack"
@@ -98,8 +108,7 @@ def _require_out(ctx) -> str:
 
 
 def _load_bounds(path) -> AprioriBounds:
-    with open(path, "r", encoding="utf-8") as fh:
-        return AprioriBounds.from_json_dict(json.load(fh))
+    return AprioriBounds.from_json_dict(read_json(path))
 
 
 def _smooth_part(name, args) -> SmoothPart:
@@ -217,7 +226,13 @@ def _recover_extended(spec, cfg, digits) -> Approximant:
 @click.pass_context
 @_guard
 def recover(ctx, spectrum_path, order, jumps, bounds_path, priors):
-    """Estimate jumps and the corrected smooth spectrum from coefficients."""
+    """Estimate jumps and the corrected smooth spectrum from coefficients.
+
+    Writes one JSON record to --out: the recovered model, the corrected
+    smooth spectrum and provenance (source M, full config).  The record is
+    encoded whole, then written in one call, and only after the recovery
+    succeeds; its doubles read back bit for bit.
+    """
     out = _require_out(ctx)
     mode, digits = ctx.obj["precision"]
     spec = load_spectrum(spectrum_path)
@@ -236,9 +251,7 @@ def recover(ctx, spectrum_path, order, jumps, bounds_path, priors):
         appr = _recover_extended(spec, cfg, digits)
     else:
         appr = full_reconstruct(spec, cfg)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(appr.to_json_dict(), fh)
-        fh.write("\n")
+    write_json(out, appr.to_json_dict())
     locs = ", ".join(f"{x:.12g}" for x in appr.estimate.locations)
     click.echo(f"recovered {jumps} jump(s) at [{locs}] -> {out}")
 
@@ -285,8 +298,7 @@ def load_bench_spec(path, fallback_seed: int = 0) -> BenchmarkSpec:
     smooth, noise, precision, seed and bounds are optional; bounds default
     to values derived from the model.  Sweeps run in double precision only.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict) or "model" not in data:
         raise ModelError("benchmark spec must be a JSON object with a 'model'")
     model = JumpModel.from_json_dict(data["model"])
@@ -540,9 +552,7 @@ def adversarial(ctx, model_path, modes, bounds_path):
         "correction_budget_R": bounds.R,
         "within_budget": bool(max_scaled < bounds.R),
     }
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "report.json"), report, **_REPORT_FORMAT)
     click.echo(
         f"delta = {delta:.6e}; wrote g.json, h.json, report.json to {out_dir}"
     )
@@ -608,20 +618,17 @@ def bounds(ctx, query_path):
     The file holds one query object {"op": ..., ...parameters} or a list
     of them; each answer is {"bound": value, "inputs": {...}}.
     """
-    with open(query_path, "r", encoding="utf-8") as fh:
-        q = json.load(fh)
+    q = read_json(query_path)
     if isinstance(q, list):
         result = [_eval_bound(item) for item in q]
     else:
         result = _eval_bound(q)
-    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     out = ctx.obj.get("out")
     if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_json(out, result, **_REPORT_FORMAT)
         click.echo(f"wrote bound report to {out}")
     else:
-        click.echo(text, nl=False)
+        click.echo(json.dumps(result, **_REPORT_FORMAT))
 
 
 if __name__ == "__main__":

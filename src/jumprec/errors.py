@@ -4,13 +4,15 @@ Three top-level families map onto the CLI exit codes: model-contract
 violations (bad orders, incompatible shapes, impossible requests), numeric
 failures (rank loss, non-convergent root finding, unresolvable phases), and
 plain I/O problems which are left to the standard OSError/ValueError types
-and translated at the CLI boundary.  read_int and read_real are the one
-reading of a record's numbers: a value of the wrong type is a ModelError
-that names its field.
+and translated at the CLI boundary.  read_json and write_json are the one
+reading and the one writing of every JSON record file, and read_int and
+read_real the one reading of a record's numbers: a value of the wrong type
+is a ModelError that names its field.
 """
 
 from __future__ import annotations
 
+import json
 import numbers
 
 __all__ = [
@@ -80,3 +82,27 @@ def read_real(value, name: str) -> float:
         return float(value)
     except OverflowError as exc:
         raise ModelError(f"{name} is past the double range") from exc
+
+
+def read_json(path):
+    """The JSON value in the file at path.
+
+    OSError and json.JSONDecodeError (a ValueError) pass through; the CLI
+    maps both to exit 4.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def write_json(path, record, **fmt) -> None:
+    """Write record to path as JSON text and a newline, in one call.
+
+    fmt goes to json.dumps (the reports pass indent=2, sort_keys=True).
+    Without indent, json.dumps runs CPython's C encoder, which json.dump
+    never does; the bytes are the ones json.dump wrote with the same fmt.
+    The text is encoded before the file is opened, so a record that fails
+    to encode leaves no partial file.
+    """
+    text = json.dumps(record, **fmt) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)

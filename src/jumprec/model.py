@@ -18,7 +18,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ModelError, NumericError, read_int, read_real
+from .errors import (
+    ModelError,
+    NumericError,
+    read_int,
+    read_json,
+    read_real,
+    write_json,
+)
 from .spectrum import (
     FourierSpectrum,
     circular_distance,
@@ -535,16 +542,8 @@ def adversarial_pair(model: JumpModel, M: int, bounds: AprioriBounds):
 
 
 def load_model(path) -> JumpModel:
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return JumpModel.from_json_dict(data)
+    return JumpModel.from_json_dict(read_json(path))
 
 
 def save_model(path, model: JumpModel) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json_dict(), fh)
-        fh.write("\n")
+    write_json(path, model.to_json_dict())

@@ -9,7 +9,6 @@ circular_distance are the package's one circle geometry.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -17,7 +16,7 @@ from typing import Callable, Iterable
 import mpmath as mp
 import numpy as np
 
-from .errors import ModelError, read_int
+from .errors import ModelError, read_int, read_json, write_json
 
 __all__ = [
     "wrap_angle",
@@ -118,7 +117,7 @@ class FourierSpectrum:
         return {
             "M": self.M,
             "real_valued": self.real_valued,
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
+            "coeffs": np.column_stack((self.coeffs.real, self.coeffs.imag)).tolist(),
         }
 
     @classmethod
@@ -131,10 +130,21 @@ class FourierSpectrum:
                     f"real_valued must be true or false, got real_valued={real_valued!r}"
                 )
             pairs = data["coeffs"]
-            arr = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ModelError(f"malformed spectrum record: {exc}") from exc
-        return cls(M, arr, real_valued)
+        values = []
+        try:
+            for re, im in pairs:
+                # complex() takes a bool as 1 or 0; a record's reals may not
+                if type(re) is bool or type(im) is bool:
+                    raise TypeError(f"got [{re!r}, {im!r}]")
+                values.append(complex(re, im))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ModelError(
+                "coeffs must be a list of [re, im] pairs of JSON numbers; "
+                f"coeffs[{len(values)}]: {exc}"
+            ) from exc
+        return cls(M, np.array(values, dtype=np.complex128), real_valued)
 
 
 @dataclass(frozen=True)
@@ -282,12 +292,20 @@ def coeffs_of_function(
 
 
 def load_spectrum(path) -> FourierSpectrum:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return FourierSpectrum.from_json_dict(data)
+    """The spectrum record in the JSON file at path.
+
+    The record is {"M": int, "real_valued": bool, "coeffs": [[re, im], ...]}
+    with 2M+1 pairs in ascending k.  A malformed record, a bool or a string
+    among the coefficients included, is a ModelError; an unreadable file or
+    text that is not JSON raises OSError or ValueError.
+    """
+    return FourierSpectrum.from_json_dict(read_json(path))
 
 
 def save_spectrum(path, spectrum: FourierSpectrum) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spectrum.to_json_dict(), fh)
-        fh.write("\n")
+    """Write spectrum as a one-line JSON record, the text in one call.
+
+    Every coefficient is written as the shortest repr of its double, so
+    load_spectrum gives back the same bits, -0.0 and subnormals included.
+    """
+    write_json(path, spectrum.to_json_dict())

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 from hypothesis import settings
 
@@ -9,6 +11,34 @@ from jumprec.spectrum import FourierSpectrum
 # deadline, the suite-level timeout is the real guard
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+
+# doubles at the edges of the range: signed zeros, subnormals, +-max
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308,
+               -1.7976931348623157e308)
+# every pair of edge doubles as (re, im), and one more for 2M+1 = 37
+EDGE_COEFFS = np.array(
+    [complex(re, im) for re in EDGE_FLOATS for im in EDGE_FLOATS] + [1.5 - 2j]
+)
+
+
+def dump_text(record, **fmt) -> str:
+    """The text json.dump(record, fh, **fmt) and a newline wrote to fh.
+
+    json.dump always runs the pure-Python encoder, so this is the file
+    format every record writer must keep byte for byte.
+    """
+    return "".join(json.JSONEncoder(**fmt).iterencode(record)) + "\n"
+
+
+def no_python_encoder(*args, **kwargs):
+    """Stand-in for json.encoder._make_iterencode: writers take the C encoder."""
+    raise AssertionError("a record went through the pure-Python JSON encoder")
+
+
+def bits(values) -> np.ndarray:
+    """The raw bit patterns of a complex128 array, so -0.0 != 0.0."""
+    return np.asarray(values, dtype=np.complex128).view(np.uint64)
 
 
 def circ(a: float, b: float) -> float:

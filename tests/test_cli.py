@@ -15,10 +15,10 @@ from jumprec.cli import load_bench_spec, main, run_bench
 from jumprec.errors import ModelError
 from jumprec.model import JumpModel, smooth_catalog, synth_spectrum
 from jumprec.solver import SamplePlan
-from jumprec.spectrum import load_spectrum
+from jumprec.spectrum import FourierSpectrum, load_spectrum
 from jumprec.stability import ERROR_FLOOR
 
-from conftest import full_window
+from conftest import EDGE_COEFFS, bits, dump_text, full_window, no_python_encoder
 
 BOUNDS = {"J": np.pi / 2, "A": 4.0, "B": 0.05, "R": 10.0}
 MODEL_D1 = {"d": 1, "jumps": [{"xi": 0.7, "a": [1.0, -0.4]}]}
@@ -114,6 +114,80 @@ def test_recover_round_trip(runner, tmp_path):
     rec = json.loads(outp.read_text())
     xi = rec["model"]["jumps"][0]["xi"]
     assert abs(xi - 0.7) <= 1e-10
+
+
+def recover_args(runner, tmp_path, M=256):
+    sp = synthesize(runner, tmp_path, M=M)
+    bp = write_json(tmp_path / "b.json", BOUNDS)
+    return ["--out", str(tmp_path / "a.json"), "recover", sp, "-d", "1", "-K", "1",
+            "--bounds", bp]
+
+
+def test_recover_file_is_the_text_json_dump_wrote(runner, tmp_path, monkeypatch):
+    # an approximant with edge doubles in its model and spectrum, and the
+    # run's own config (integers, reals, a priors list) as provenance
+    estimate = JumpModel(1, ((-0.0, (5e-324, complex(-2.5e-310, -0.0))),))
+    made = []
+
+    def edge_reconstruct(spec, cfg):
+        made.append(reconstruct.Approximant(
+            estimate, FourierSpectrum(18, EDGE_COEFFS), 18, cfg.to_json_dict()
+        ))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "full_reconstruct", edge_reconstruct)
+    args = recover_args(runner, tmp_path, M=64) + ["--priors", "[0.69]"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, errtext(res)
+    text = (tmp_path / "a.json").read_text(encoding="utf-8")
+    assert text == dump_text(made[0].to_json_dict())
+
+
+def test_recover_takes_the_c_encoder(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(json.encoder, "_make_iterencode", no_python_encoder)
+    res = runner.invoke(main, recover_args(runner, tmp_path))
+    assert res.exit_code == 0, errtext(res)
+    assert (tmp_path / "a.json").exists()
+
+
+def test_recover_file_gives_back_the_corrected_spectrum_bit_for_bit(
+    runner, tmp_path, monkeypatch
+):
+    made = []
+
+    def kept(spec, cfg):
+        made.append(reconstruct.full_reconstruct(spec, cfg))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "full_reconstruct", kept)
+    res = runner.invoke(main, recover_args(runner, tmp_path))
+    assert res.exit_code == 0, errtext(res)
+    back = reconstruct.Approximant.from_json_dict(
+        json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))
+    )
+    assert np.array_equal(bits(back.corrected_spectrum.coeffs),
+                          bits(made[0].corrected_spectrum.coeffs))
+    assert back.estimate == made[0].estimate
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+@pytest.mark.parametrize("value", [True, False, None, "0.5"])
+def test_non_number_coefficients_exit_2_naming_coeffs(runner, tmp_path, value, slot):
+    # true and false once loaded as 1 and 0
+    spectrum = json.loads(json.dumps(_SPECTRUM))
+    spectrum["coeffs"][0][slot] = value
+    bp = write_json(tmp_path / "b.json", BOUNDS)
+    outp = tmp_path / "a.json"
+    res = runner.invoke(
+        main,
+        ["--out", str(outp), "recover", write_json(tmp_path / "s.json", spectrum),
+         "-d", "1", "-K", "1", "--bounds", bp],
+    )
+    assert res.exit_code == 2, errtext(res)
+    assert "model error" in errtext(res)
+    assert "coeffs[0]" in errtext(res)
+    assert "Traceback" not in errtext(res)
+    assert not outp.exists()
 
 
 def test_recover_with_trusted_priors(runner, tmp_path):
@@ -438,7 +512,9 @@ def test_adversarial_artifacts(runner, tmp_path):
     g = load_spectrum(outd / "g.json")
     h = load_spectrum(outd / "h.json")
     assert np.array_equal(g.coeffs, h.coeffs)
-    report = json.loads((outd / "report.json").read_text())
+    text = (outd / "report.json").read_text(encoding="utf-8")
+    report = json.loads(text)
+    assert text == dump_text(report, indent=2, sort_keys=True)
     assert report["delta"] == pytest.approx(
         2.0 * np.pi * 0.5 * 50.0**-3, rel=1e-12
     )
@@ -470,7 +546,10 @@ def test_bounds_query_list_and_file_output(runner, tmp_path):
     outp = tmp_path / "r.json"
     res = runner.invoke(main, ["--out", str(outp), "bounds", qp])
     assert res.exit_code == 0, errtext(res)
-    rows = json.loads(outp.read_text())
+    text = outp.read_text(encoding="utf-8")
+    rows = json.loads(text)
+    assert text == dump_text(rows, indent=2, sort_keys=True)
+    assert runner.invoke(main, ["bounds", qp]).output == text
     assert rows[0]["bound"] == 0.375
     assert rows[1]["bound"] == pytest.approx(12.0 / 32**3, rel=1e-15)
     assert rows[2]["bound"] == -2.0

@@ -1,5 +1,6 @@
 """Piecewise-polynomial model, basis functions, synthesis, catalog."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 from scipy.special import iv
 
+from conftest import dump_text, no_python_encoder
 from jumprec.errors import ModelError
 from jumprec.model import (
     AprioriBounds,
@@ -140,6 +142,29 @@ def test_model_json_round_trip(tmp_path):
     assert load_model(p) == m
     with pytest.raises(ModelError):
         JumpModel.from_json_dict({"jumps": []})
+
+
+# edge doubles in each field: -0.0 as a location, subnormal and largest
+# magnitudes, real and complex; d is the integer field
+_EDGE_MODEL = JumpModel(
+    3,
+    ((-0.0, (5e-324, -2.5e-310, 1.7976931348623157e308, -0.0)),
+     (1.5, (-1.7976931348623157e308, complex(-0.0, 5e-324), 0.0, 2.0))),
+)
+
+
+def test_model_file_is_the_text_json_dump_wrote(tmp_path):
+    p = tmp_path / "m.json"
+    save_model(p, _EDGE_MODEL)
+    assert p.read_text(encoding="utf-8") == dump_text(_EDGE_MODEL.to_json_dict())
+    assert load_model(p) == _EDGE_MODEL
+
+
+def test_save_model_takes_the_c_encoder(tmp_path, monkeypatch):
+    monkeypatch.setattr(json.encoder, "_make_iterencode", no_python_encoder)
+    p = tmp_path / "m.json"
+    save_model(p, _EDGE_MODEL)
+    assert load_model(p) == _EDGE_MODEL
 
 
 def test_bounds_validation():

@@ -1,11 +1,14 @@
 """Coefficient containers, partial sums, weighted moments, convolution."""
 
+import json
+
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
+from conftest import EDGE_COEFFS, EDGE_FLOATS, bits, dump_text, no_python_encoder
 from jumprec import spectrum as spectrum_module
 from jumprec.errors import ModelError
 from jumprec.localize import make_bump
@@ -45,6 +48,14 @@ def test_spectrum_rejects_non_finite_coefficients(bad):
     record = FourierSpectrum(4, np.ones(9, dtype=complex)).to_json_dict()
     record["coeffs"][6] = [float(np.real(bad)), float(np.imag(bad))]
     with pytest.raises(ModelError):
+        FourierSpectrum.from_json_dict(record)
+
+
+def test_spectrum_record_rejects_bool_coefficients():
+    # complex(1.5, True) is 1.5+1j: a record that is not real_valued, so
+    # has no symmetry check to trip, once loaded a bool as a number
+    record = {"M": 1, "real_valued": False, "coeffs": [[0, 0], [0, 0], [1.5, True]]}
+    with pytest.raises(ModelError, match=r"coeffs\[2\]: got \[1.5, True\]"):
         FourierSpectrum.from_json_dict(record)
 
 
@@ -113,6 +124,49 @@ def test_spectrum_file_round_trip(tmp_path):
     back = load_spectrum(path)
     assert back.real_valued
     assert np.array_equal(back.coeffs, sp.coeffs)
+
+
+def test_spectrum_file_is_the_text_json_dump_wrote(tmp_path):
+    # the record as the per-coefficient loop built it, -0.0 kept by repr
+    sp = FourierSpectrum(18, EDGE_COEFFS)
+    loop_record = {
+        "M": 18,
+        "real_valued": False,
+        "coeffs": [[float(c.real), float(c.imag)] for c in sp.coeffs],
+    }
+    path = tmp_path / "s.json"
+    save_spectrum(path, sp)
+    assert path.read_text(encoding="utf-8") == dump_text(loop_record)
+
+
+def test_save_spectrum_takes_the_c_encoder(tmp_path, monkeypatch):
+    monkeypatch.setattr(json.encoder, "_make_iterencode", no_python_encoder)
+    sp = FourierSpectrum(18, EDGE_COEFFS)
+    save_spectrum(tmp_path / "s.json", sp)
+    assert np.array_equal(bits(load_spectrum(tmp_path / "s.json").coeffs), bits(sp.coeffs))
+
+
+def test_spectrum_file_round_trip_is_bit_exact_at_the_range_edges(tmp_path):
+    back = load_spectrum(_saved(tmp_path, FourierSpectrum(18, EDGE_COEFFS)))
+    assert np.array_equal(bits(back.coeffs), bits(EDGE_COEFFS))
+    want_sign = [np.signbit(x) for x in EDGE_FLOATS]
+    assert [np.signbit(c.real) for c in back.coeffs[:36:6]] == want_sign
+    assert [np.signbit(c.imag) for c in back.coeffs[:6]] == want_sign
+    # a large record with magnitudes spread over the whole double range
+    rng = np.random.default_rng(4096)
+    parts = rng.standard_normal((2, 2 * 4096 + 1)) * 10.0 ** rng.uniform(
+        -320, 300, size=(2, 2 * 4096 + 1)
+    )
+    coeffs = np.empty(2 * 4096 + 1, dtype=np.complex128)
+    coeffs.real, coeffs.imag = parts
+    big = FourierSpectrum(4096, coeffs)
+    assert np.array_equal(bits(load_spectrum(_saved(tmp_path, big)).coeffs), bits(coeffs))
+
+
+def _saved(tmp_path, sp):
+    path = tmp_path / f"s{sp.M}.json"
+    save_spectrum(path, sp)
+    return path
 
 
 # ---------------------------------------------------------------- partial sums
