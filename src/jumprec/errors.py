@@ -69,6 +69,8 @@ class WeakJumpWarning(UserWarning):
 
 def read_int(value, name: str) -> int:
     """value as an int; bools, floats and strings are a ModelError."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ModelError(f"{name} must be an integer, got {name}={value!r}")
     return int(value)

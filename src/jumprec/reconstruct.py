@@ -22,8 +22,8 @@ from .localize import _BUMP_MIN_M, localize_jump, make_bump, prony_order0
 from .model import (
     AprioriBounds,
     JumpModel,
+    _phi_halves,
     phi_coeff_array,
-    phi_coeffs_at,
     phi_eval,
     phi_factors,
 )
@@ -32,6 +32,7 @@ from .spectrum import (
     FourierSpectrum,
     circular_distance,
     eval_partial_sum,
+    product_spectrum,
     uniform_grid,
     wrap_angle,
 )
@@ -165,24 +166,29 @@ class _BandPeel:
     min(ks) - D .. max(ks) + D only, so each jump's own singular part is
     kept on that band, and the powers (ik)^{-(l+1)} are built once for it.
     The band holds k >= 1 only: pipeline_geometry keeps the window degree
-    below the lowest decimated index.
+    below the lowest decimated index.  The peeled data live in one buffer
+    spectrum that is zero off the band and rewritten on it for each solve.
     """
 
     def __init__(self, spec: FourierSpectrum, d: int, ks, degree: int):
-        self.spec, self.d = spec, d
+        self.spec = spec
         self.ks = np.asarray(ks, dtype=np.int64)
         self.lo = int(self.ks.min()) - degree
         band = np.arange(self.lo, int(self.ks.max()) + degree + 1)
         self.factors = phi_factors(band, d)
+        M = spec.M
+        self.band = slice(M + self.lo, M + self.lo + band.size)
+        self.peeled = FourierSpectrum(M, np.zeros(2 * M + 1, dtype=np.complex128))
 
     def own(self, est) -> np.ndarray:
         """One estimate's singular part on the band.
 
-        Each jump is its own model: polish iterates may pass through
-        configurations a JumpModel of all jumps would reject.
+        Each jump is its own model, and no JumpModel is built for it: polish
+        iterates may pass through configurations a JumpModel of all jumps
+        would reject, and the solve already hands back a location in
+        [-pi, pi) and magnitudes that passed its finite residual gate.
         """
-        model = JumpModel(self.d, ((float(est.xi), tuple(est.magnitudes)),))
-        return phi_coeffs_at(model, self.factors)
+        return _phi_halves(((est.xi, est.magnitudes),), self.factors, negative=False)[0]
 
     def data(self, own: list, j: int, window: FourierSpectrum) -> FourierSpectrum:
         """Jump j's solve data: the data less every jump, windowed, plus jump j.
@@ -190,13 +196,11 @@ class _BandPeel:
         Only the indices ks hold values; the solve reads nothing else.
         """
         M = self.spec.M
-        band = slice(M + self.lo, M + self.lo + own[j].size)
-        peeled = np.zeros(2 * M + 1, dtype=np.complex128)
-        peeled[band] = self.spec.coeffs[band] - np.sum(own, axis=0)
-        windowed = localize_jump(FourierSpectrum(M, peeled), window, self.ks)
+        self.peeled.coeffs[self.band] = self.spec.coeffs[self.band] - np.sum(own, axis=0)
         out = np.zeros(2 * M + 1, dtype=np.complex128)
-        at = self.ks + M
-        out[at] = windowed.coeffs[at] + own[j][self.ks - self.lo]
+        out[self.ks + M] = (
+            product_spectrum(self.peeled, window, self.ks) + own[j][self.ks - self.lo]
+        )
         return FourierSpectrum(M, out)
 
 
@@ -282,6 +286,9 @@ def full_reconstruct(
     window.  The polish peels each jump's singular part only on the band
     those products read, from the decimated plan's lowest index less D to
     its highest plus D, with the powers (ik)^{-(l+1)} built once per call.
+    Each polish solve writes the peeled band into one buffer, forms its
+    windowed values with one product_spectrum call, and builds one
+    2M+1 array, the one spectrum it validates and hands to the solve.
     What grows with M is that band peel and the one full singular part the
     corrected spectrum subtracts.
     Spectra with M < 32, too short for the window, raise ModelError, and so

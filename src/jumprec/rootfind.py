@@ -1,9 +1,13 @@
 """Polynomial root finding behind one residual acceptance gate.
 
-Double precision uses numpy.roots, extended precision mpmath.polyroots.
-Both normalize the polynomial by its leading coefficient first and accept
-the roots only if each one's residual is small against the scale of its
-own evaluation.  Coefficients are given in descending powers, matching
+Double precision takes the eigenvalues of the companion matrix with
+numpy.linalg.eigvals, the matrix numpy.roots builds, and extended precision
+uses mpmath.polyroots.  Both normalize the polynomial by its leading
+coefficient first and accept the roots only if each one's residual is
+small against the scale of its own evaluation.  The checks run on Python
+numbers (one .tolist() per array): the polynomials here have a handful of
+coefficients, where numpy's per-call overhead costs more than the
+arithmetic.  Coefficients are given in descending powers, matching
 numpy.roots.
 """
 
@@ -27,11 +31,16 @@ _DOUBLE_DIGITS = 16
 _MP_MAX_STEPS = 200
 
 
-def _normalized(c: np.ndarray, lead_tol) -> np.ndarray:
-    """c divided by its leading coefficient, after rejecting degenerate input."""
+def _normalized(c: np.ndarray, lead_tol):
+    """c divided by its leading coefficient, as an array and as a list.
+
+    Degenerate input is rejected first.  The division stays in numpy: its
+    complex division is the one numpy.roots applies to the normalized
+    coefficients, and it does not give exactly 1 at the top.
+    """
     if c.ndim != 1 or c.size < 2:
         raise RootFindError(f"need a polynomial of degree >= 1, got {c.size} coefficients")
-    moduli = [abs(x) for x in c]
+    moduli = [abs(x) for x in c.tolist()]
     if not all(m < math.inf for m in moduli):
         raise RootFindError("polynomial has non-finite coefficients")
     cmax = max(moduli)
@@ -45,12 +54,13 @@ def _normalized(c: np.ndarray, lead_tol) -> np.ndarray:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         out = c / c[0]
-    if not all(abs(x) < math.inf for x in out):
+    values = out.tolist()
+    if not all(abs(x) < math.inf for x in values):
         raise RootFindError("polynomial has non-finite coefficients after normalization")
-    return out
+    return out, values
 
 
-def _check_residuals(c: np.ndarray, roots, gate) -> None:
+def _check_residuals(c: list, roots: list, gate) -> None:
     """Reject roots whose residual exceeds gate x the evaluation's own scale."""
     for z in roots:
         # Horner value and the same recurrence on the moduli
@@ -67,22 +77,38 @@ def _check_residuals(c: np.ndarray, roots, gate) -> None:
             )
 
 
+def _round10(x: float) -> float:
+    # numpy's round(10): scale, round half to even, unscale
+    return round(x * 1e10) / 1e10
+
+
 def find_roots(coeffs) -> np.ndarray:
     """All complex roots of the polynomial with the given coefficients.
 
-    numpy.roots (eigenvalues of the companion matrix) on the normalized
-    polynomial; roots return in lexicographic (real, imag) order.
-    Raises RootFindError for degenerate input (degree < 1 or vanishing
-    leading coefficient) and when a root fails the residual gate.
+    The roots numpy.roots gives for the normalized polynomial, bit for bit:
+    a zero root for each trailing zero coefficient, and the eigenvalues of
+    the companion matrix (first row -c[1:] / c[0], ones below the
+    diagonal) of the rest, by numpy.linalg.eigvals.  Roots return as a
+    complex array in lexicographic order of (real, imag) rounded to 10
+    decimals.  Raises RootFindError for degenerate input (degree < 1 or
+    vanishing leading coefficient) and when a root fails the residual gate.
     """
-    c = _normalized(np.asarray(coeffs, dtype=np.complex128), 1e-14)
-    try:
-        z = np.roots(c)
-    except np.linalg.LinAlgError as exc:
-        raise RootFindError(f"root finding did not converge: {exc}") from exc
-    _check_residuals(c, z, _RESIDUAL_FACTOR)
-    order = np.lexsort((z.imag.round(10), z.real.round(10)))
-    return z[order]
+    c, values = _normalized(np.asarray(coeffs, dtype=np.complex128), 1e-14)
+    n = len(values) - 1
+    while values[n] == 0:
+        n -= 1
+    roots = [0j] * (len(values) - 1 - n)
+    if n:
+        companion = np.zeros((n, n), dtype=np.complex128)
+        companion[0] = -c[1 : n + 1] / c[0]
+        companion.flat[n :: n + 1] = 1.0
+        try:
+            roots = np.linalg.eigvals(companion).tolist() + roots
+        except np.linalg.LinAlgError as exc:
+            raise RootFindError(f"root finding did not converge: {exc}") from exc
+    _check_residuals(values, roots, _RESIDUAL_FACTOR)
+    roots.sort(key=lambda z: (_round10(z.real), _round10(z.imag)))
+    return np.array(roots, dtype=np.complex128)
 
 
 def find_roots_mp(coeffs, prec_dps: int):
@@ -95,9 +121,9 @@ def find_roots_mp(coeffs, prec_dps: int):
     """
     with mp.workdps(prec_dps):
         c = np.array([mp.mpc(x) for x in coeffs], dtype=object)
-        c = _normalized(c, mp.mpf(10) ** (2 - prec_dps))
+        _, c = _normalized(c, mp.mpf(10) ** (2 - prec_dps))
         try:
-            roots = mp.polyroots(list(c), maxsteps=_MP_MAX_STEPS, extraprec=mp.mp.prec)
+            roots = mp.polyroots(c, maxsteps=_MP_MAX_STEPS, extraprec=mp.mp.prec)
         except mp.mp.NoConvergence as exc:
             raise RootFindError(f"extended root finding did not converge: {exc}") from exc
         _check_residuals(c, roots, _RESIDUAL_FACTOR * mp.mpf(10) ** (_DOUBLE_DIGITS - prec_dps))

@@ -8,7 +8,14 @@ used in the analysis of the decimated construction lives here too.
 
 Every step runs in the arithmetic of the values it is handed: double for
 complex/numpy input, mpmath at the current working precision for mpmath
-numbers (see precision.recover_single_jump_mp).
+numbers (see precision.recover_single_jump_mp).  A solve handles d+2
+values, so each array is turned into Python numbers once (.tolist()) and
+the annihilator, the root choice, the right-hand side and residual gate
+of the magnitude solve and the weighting are scalar code: Python complex
+in double, the same code on mpmath numbers in extended precision.  numpy
+carries what must match its own arithmetic: the normalization and
+companion eigenvalues in rootfind, the Vandermonde product vinv @ rhs and
+the powers np.power(N, l).
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -26,7 +33,7 @@ import mpmath as mp
 import numpy as np
 
 from . import rootfind
-from .errors import AmbiguityError, ModelError, NumericError, WeakJumpWarning
+from .errors import AmbiguityError, ModelError, NumericError, WeakJumpWarning, read_int
 from .spectrum import (
     FourierSpectrum,
     MomentSequence,
@@ -61,16 +68,20 @@ class SamplePlan:
     """Which moment indices feed the annihilator.
 
     decimated: {N, 2N, ..., (d+2)N} with N = floor(M/(d+2));
-    consecutive: {M-d-1, ..., M}.  Both contain exactly d+2 indices.
+    consecutive: {M-d-1, ..., M}.  Both contain exactly d+2 indices,
+    computed once per plan.
     """
 
     kind: str
     d: int
     M: int
+    indices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("decimated", "consecutive"):
             raise ModelError(f"unknown plan kind {self.kind!r}")
+        object.__setattr__(self, "d", read_int(self.d, "d"))
+        object.__setattr__(self, "M", read_int(self.M, "M"))
         if self.d < 0:
             raise ModelError(f"plan order must be >= 0, got {self.d}")
         if self.M < self.d + 2:
@@ -79,6 +90,8 @@ class SamplePlan:
             )
         if self.kind == "consecutive" and self.M - self.d - 1 < 1:
             raise ModelError(f"consecutive plan needs M >= d+2, got M={self.M}")
+        s, b = self.stride, self.base_index
+        object.__setattr__(self, "indices", tuple(b + j * s for j in range(self.d + 2)))
 
     @property
     def stride(self) -> int:
@@ -89,11 +102,6 @@ class SamplePlan:
         if self.kind == "decimated":
             return self.M // (self.d + 2)
         return self.M - self.d - 1
-
-    @property
-    def indices(self) -> tuple:
-        s, b = self.stride, self.base_index
-        return tuple(b + j * s for j in range(self.d + 2))
 
 
 @dataclass(frozen=True)
@@ -120,7 +128,7 @@ class AnnihilatorPoly:
 
     def eval(self, u: complex) -> complex:
         acc = 0.0 + 0.0j
-        for c in self.coefficients:
+        for c in self.coefficients.tolist():
             acc = acc * u + c
         return acc
 
@@ -163,15 +171,13 @@ def build_annihilator(moments: MomentSequence, plan: SamplePlan) -> AnnihilatorP
             f"{plan.indices}"
         )
     d = plan.d
-    # complex128 for double moments, an object array for mpmath ones
-    coeffs = np.array(
-        [(-1) ** j * math.comb(d + 1, j) * moments.values[j] for j in range(d + 2)]
-    )
+    values = moments.values.tolist()
+    coeffs = [(-1) ** j * math.comb(d + 1, j) * values[j] for j in range(d + 2)]
     return AnnihilatorPoly(d + 1, coeffs, plan.stride, plan.base_index)
 
 
-def find_roots(poly: AnnihilatorPoly) -> np.ndarray:
-    """All roots of the annihilator (deterministic order)."""
+def find_roots(poly: AnnihilatorPoly) -> list:
+    """All roots of the annihilator (deterministic order), as a list."""
     return _arith_of(poly.coefficients).find_roots(poly.coefficients)
 
 
@@ -275,7 +281,7 @@ class _Arith(NamedTuple):
 
 _DOUBLE = _Arith(
     real=float, exp=cmath.exp, phase=cmath.phase, pi=math.pi, residual_tol=1e-8,
-    find_roots=lambda coeffs: rootfind.find_roots(coeffs),
+    find_roots=lambda coeffs: rootfind.find_roots(coeffs).tolist(),
     vandermonde_inverse=_vandermonde_inverse_float,
 )
 
@@ -329,7 +335,9 @@ def solve_magnitudes(moments: MomentSequence, omega_est: complex, plan: SamplePl
     solves the small integer-node Vandermonde system through its exact
     cached inverse: decimated nodes factor as (jN)^l = j^l N^l, while
     consecutive nodes are shifted to 0..d and mapped back through the
-    binomial triangle.  Returns (alpha, a).
+    binomial triangle.  Returns (alpha, a).  NumericError when alpha does
+    not reproduce the demodulated moments to residual_tol relative to
+    their scale; a NaN or infinite alpha fails that gate too.
     """
     if abs(abs(omega_est) - 1.0) > 1e-10:
         raise ModelError(
@@ -345,46 +353,55 @@ def solve_magnitudes(moments: MomentSequence, omega_est: complex, plan: SamplePl
         raise ModelError(
             f"moments {moments.indices} do not cover the magnitude indices {use}"
         )
-    ar = _arith_of(moments.values)
-    rhs = np.array(
-        [moments.values[j] * omega_est ** (-use[j]) for j in range(d + 1)]
-    )
+    values = moments.values.tolist()
+    ar = _arith_of(values)
+    rhs = [values[j] * omega_est ** (-use[j]) for j in range(d + 1)]
     if plan.kind == "decimated":
         N = plan.stride
         vinv = ar.vandermonde_inverse(tuple(range(1, d + 2)))
-        scaled = vinv @ rhs
-        alpha = scaled / np.power(ar.real(N), np.arange(d + 1))
+        scaled = vinv @ np.array(rhs)
+        alpha = (scaled / np.power(ar.real(N), np.arange(d + 1))).tolist()
     else:
         base = use[0]
         vinv = ar.vandermonde_inverse(tuple(range(0, d + 1)))
-        beta = vinv @ rhs
-        alpha = np.zeros_like(beta)
+        beta = (vinv @ np.array(rhs)).tolist()
+        alpha = [0] * (d + 1)
         for l in range(d, -1, -1):
             acc = beta[l]
             for m in range(l + 1, d + 1):
                 acc -= math.comb(m, l) * ar.real(base) ** (m - l) * alpha[m]
             alpha[l] = acc
     # residual check in the original system: sum_l alpha_l k^l vs rhs
-    recon = np.array(
-        [sum(alpha[l] * ar.real(k) ** l for l in range(d + 1)) for k in use]
-    )
-    scale = np.max(np.abs(rhs)) or 1.0
-    resid = np.max(np.abs(recon - rhs))
-    if resid > ar.residual_tol * scale:
+    recon = [sum(alpha[l] * ar.real(k) ** l for l in range(d + 1)) for k in use]
+    scale = max(abs(x) for x in rhs) or 1.0
+    limit = ar.residual_tol * scale
+    # written so that a NaN residual fails the gate too
+    bad = [e for e in (abs(r - x) for r, x in zip(recon, rhs)) if not e <= limit]
+    if bad:
         raise NumericError(
-            f"magnitude system ill-conditioned: residual {float(resid):.3e} "
+            f"magnitude system ill-conditioned: residual {float(max(bad)):.3e} "
             f"vs data scale {float(scale):.3e}"
         )
     a = alpha_to_magnitudes(alpha)
     return tuple(complex(x) for x in alpha), a
 
 
+# typed: 1, 1.0 and True hash alike, and only the int is a valid order
+@functools.lru_cache(maxsize=256, typed=True)
+def _plan(kind: str, d: int, M: int) -> SamplePlan:
+    return SamplePlan(kind, d, M)
+
+
 def _usable_plan(spec: FourierSpectrum, plan_kind: str, d: int, M: Optional[int]):
-    """The sample plan over the top usable index M (default: the spectrum's)."""
-    M_used = spec.M if M is None else int(M)
+    """The sample plan over the top usable index M (default: the spectrum's).
+
+    Plans are immutable and a reconstruction asks for the same few on every
+    solve, so each is built once.
+    """
+    M_used = spec.M if M is None else read_int(M, "M")
     if M_used > spec.M:
         raise ModelError(f"usable M={M_used} exceeds spectrum M={spec.M}")
-    return SamplePlan(plan_kind, d, M_used)
+    return _plan(plan_kind, d, M_used)
 
 
 def recover_single_jump(

@@ -65,7 +65,7 @@ def _complex_values(values) -> np.ndarray:
 def _all_finite(arr: np.ndarray) -> bool:
     if arr.dtype == object:
         return all(mp.isfinite(x) for x in arr)
-    return bool(np.all(np.isfinite(arr)))
+    return bool(np.isfinite(arr).all())
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,10 @@ class MomentSequence:
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "order", read_int(self.order, "order"))
         if self.order < 0:
             raise ModelError(f"moment order must be >= 0, got {self.order}")
-        idx = tuple(int(k) for k in self.indices)
+        idx = _read_indices(self.indices)
         vals = _complex_values(self.values)
         if vals.ndim != 1 or vals.size != len(idx):
             raise ModelError("moment indices and values disagree in length")
@@ -224,11 +225,20 @@ def _direct_sum(spectrum: FourierSpectrum, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _read_indices(indices) -> tuple:
+    return tuple(read_int(k, f"indices[{i}]") for i, k in enumerate(indices))
+
+
 def weight_moments(
     spectrum: FourierSpectrum, order: int, indices: Iterable[int]
 ) -> MomentSequence:
-    """Form m_k = 2pi (ik)^{order+1} c_k at the given positive indices."""
-    idx = tuple(int(k) for k in indices)
+    """Form m_k = 2pi (ik)^{order+1} c_k at the given positive indices.
+
+    The c_k are gathered with one index array, and each moment is formed
+    on Python numbers, in the order 2pi, then (ik)^{order+1}, then c_k.
+    """
+    order = read_int(order, "order")
+    idx = _read_indices(indices)
     if order < 0:
         raise ModelError(f"moment order must be >= 0, got {order}")
     for k in idx:
@@ -236,8 +246,9 @@ def weight_moments(
             raise ModelError(f"moment index {k} must be positive")
         if k > spectrum.M:
             raise ModelError(f"moment index {k} exceeds truncation M={spectrum.M}")
+    cs = spectrum.coeffs[np.array(idx, dtype=np.int64) + spectrum.M].tolist()
     vals = np.array(
-        [2.0 * np.pi * (1j * k) ** (order + 1) * spectrum.coeff(k) for k in idx],
+        [2.0 * np.pi * (1j * k) ** (order + 1) * c for k, c in zip(idx, cs)],
         dtype=np.complex128,
     )
     return MomentSequence(order, idx, vals)

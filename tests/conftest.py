@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 from hypothesis import settings
 
 from jumprec.localize import localize_jump
 from jumprec.model import JumpModel, phi_coeff_array
+from jumprec.solver import _vandermonde_inverse_float
 from jumprec.spectrum import FourierSpectrum
 
 # property runs share the CI budget with the slope sweeps; no per-example
@@ -72,3 +74,48 @@ def full_peel(spec, d, estimates, j, window, ks):
     peeled = spec.coeffs - np.sum(own, axis=0)
     windowed = localize_jump(FourierSpectrum(M, peeled), window, ks)
     return (windowed.coeffs + own[j])[np.asarray(ks) + M]
+
+
+def roots_reference(coeffs) -> np.ndarray:
+    """numpy.roots of the normalized polynomial, in lexsort order; no gate.
+
+    The reference rootfind.find_roots must equal bit for bit wherever its
+    residual gate passes.
+    """
+    c = np.asarray(coeffs, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = c / c[0]
+    z = np.roots(c)
+    return z[np.lexsort((z.imag.round(10), z.real.round(10)))]
+
+
+def moments_reference(spectrum, order, indices) -> np.ndarray:
+    """m_k = 2 pi (ik)^{order+1} c_k formed one spectrum.coeff(k) at a time."""
+    return np.array(
+        [2.0 * np.pi * (1j * k) ** (order + 1) * spectrum.coeff(k) for k in indices],
+        dtype=np.complex128,
+    )
+
+
+def magnitudes_reference(moments, omega, plan):
+    """(alpha, a) of the magnitude solve in array form, on numpy scalars; no gate.
+
+    The reference solver.solve_magnitudes must equal bit for bit.
+    """
+    d = plan.d
+    use = plan.indices[: d + 1]
+    rhs = np.array([moments.values[j] * omega ** (-use[j]) for j in range(d + 1)])
+    if plan.kind == "decimated":
+        vinv = _vandermonde_inverse_float(tuple(range(1, d + 2)))
+        alpha = (vinv @ rhs) / np.power(float(plan.stride), np.arange(d + 1))
+    else:
+        base = float(use[0])
+        beta = _vandermonde_inverse_float(tuple(range(0, d + 1))) @ rhs
+        alpha = np.zeros_like(beta)
+        for l in range(d, -1, -1):
+            acc = beta[l]
+            for m in range(l + 1, d + 1):
+                acc -= math.comb(m, l) * base ** (m - l) * alpha[m]
+            alpha[l] = acc
+    a = tuple(complex(alpha[d - m]) * (-1j) ** (d - m) for m in range(d + 1))
+    return alpha, a

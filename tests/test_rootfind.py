@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from conftest import bits, roots_reference
 from jumprec import rootfind
 from jumprec.errors import RootFindError
 from jumprec.rootfind import find_roots, find_roots_mp
@@ -81,6 +82,28 @@ def test_roots_reproduce_monic_factorization(vals):
     roots = find_roots(coeffs)
     for r in vals:
         assert min(abs(z - r) for z in roots) <= 1e-6
+
+
+_PART = st.floats(-4.0, 4.0, allow_nan=False)
+_NONZERO = st.tuples(_PART, _PART).map(lambda p: complex(*p)).filter(lambda c: abs(c) > 0.1)
+
+
+@given(
+    degree=st.integers(1, 8),
+    zeros=st.integers(0, 2),
+    lead=_NONZERO.filter(lambda c: c != 1),
+    last=_NONZERO,
+    data=st.data(),
+)
+def test_roots_are_numpy_roots_bit_for_bit(degree, zeros, lead, last, data):
+    # a non-monic polynomial of degree 1-8 times u^zeros: the roots numpy.roots
+    # gives for the normalized coefficients, zero roots included, in the
+    # lexsort order of (real, imag) rounded to 10 decimals
+    inner = [complex(data.draw(_PART), data.draw(_PART)) for _ in range(degree - 1)]
+    coeffs = [lead] + inner + [last] + [0j] * zeros
+    got = find_roots(coeffs)
+    assert got.dtype == np.complex128
+    assert bits(got).tobytes() == bits(roots_reference(coeffs)).tobytes()
 
 
 def test_residual_gate_can_fire(monkeypatch):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from jumprec.errors import AmbiguityError, ModelError, WeakJumpWarning
+from conftest import bits, magnitudes_reference
+from jumprec.errors import AmbiguityError, ModelError, NumericError, WeakJumpWarning
 from jumprec.model import JumpModel, phi_coeff_array
 from jumprec.solver import (
     AnnihilatorPoly,
@@ -34,6 +36,37 @@ def jump_spectrum(model, M):
 
 
 # ---------------------------------------------------------------- plans
+
+
+SPEC8 = FourierSpectrum(8, np.ones(17, dtype=complex))
+
+
+_NOT_INTEGERS = {
+    "M=30.0": lambda: SamplePlan("decimated", 1, 30.0),
+    "d=1.5": lambda: SamplePlan("decimated", 1.5, 30),
+    "d=True": lambda: SamplePlan("consecutive", True, 30),
+    "order=1.0": lambda: MomentSequence(1.0, (1, 2, 3), np.ones(3)),
+    "indices[0]=1.7": lambda: MomentSequence(1, (1.7, 2.2, 3), np.ones(3)),
+    "indices[0]=2.5": lambda: weight_moments(SPEC8, 1, [2.5]),
+    "indices[1]='3'": lambda: weight_moments(SPEC8, 1, [2, "3"]),
+    "order=0.0": lambda: weight_moments(SPEC8, 0.0, [2]),
+}
+
+
+@pytest.mark.parametrize("field", _NOT_INTEGERS)
+def test_plan_and_moment_integers_are_read_not_truncated(field):
+    # a float, bool or string where an integer belongs is a ModelError that
+    # names the field, never a truncated index or a leaked TypeError
+    with pytest.raises(ModelError, match=re.escape(field)):
+        _NOT_INTEGERS[field]()
+
+
+def test_numpy_integers_are_plan_and_moment_integers():
+    plan = SamplePlan("decimated", np.int64(1), np.int64(30))
+    assert plan.indices == (10, 20, 30)
+    assert all(type(k) is int for k in plan.indices)
+    mom = weight_moments(SPEC8, np.int64(0), np.array([2, 5]))
+    assert mom.order == 0 and mom.indices == (2, 5)
 
 
 def test_decimated_plan_geometry():
@@ -365,6 +398,41 @@ def test_magnitude_solve_consecutive_plan():
     mom = synth_moments(xi, alpha, plan.indices)
     got_alpha, _ = solve_magnitudes(mom, cmath.exp(-1j * xi), plan)
     assert max(abs(x - y) for x, y in zip(got_alpha, alpha)) <= 1e-11
+
+
+@pytest.mark.parametrize("kind", ["decimated", "consecutive"])
+@given(
+    d=st.integers(0, 5),
+    N=st.integers(1, 64),
+    xi=st.floats(-np.pi, np.pi, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_magnitude_solve_is_the_array_form_bit_for_bit(kind, d, N, xi, seed):
+    # noisy moments and an omega a little off the jump: Python complex
+    # arithmetic gives the bits the numpy-scalar array form gave
+    rng = np.random.default_rng(seed)
+    plan = SamplePlan(kind, d, (d + 2) * N)
+    alpha = tuple(complex(*rng.uniform(-2.0, 2.0, 2)) for _ in range(d + 1))
+    exact = synth_moments(xi, alpha, plan.indices).values
+    noise = 1e-3 * (rng.normal(size=d + 2) + 1j * rng.normal(size=d + 2))
+    mom = MomentSequence(d, plan.indices, exact * (1.0 + noise))
+    omega = cmath.exp(-1j * (xi + 1e-3 * rng.normal() / plan.M))
+    try:
+        got_alpha, got_a = solve_magnitudes(mom, omega, plan)
+    except NumericError:
+        return  # the residual gate refused the system; the reference has no gate
+    ref_alpha, ref_a = magnitudes_reference(mom, omega, plan)
+    assert bits(got_alpha).tobytes() == bits(ref_alpha).tobytes()
+    assert bits(got_a).tobytes() == bits(ref_a).tobytes()
+
+
+def test_magnitude_solve_refuses_an_overflowed_system():
+    # finite moments near the double range overflow vinv @ rhs; the NaN
+    # weights fail the residual gate instead of coming back as magnitudes
+    plan = SamplePlan("decimated", 2, 8)
+    mom = MomentSequence(2, plan.indices, np.array([1e308, -1e308, 1e308, 1.0]))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="ill-conditioned"):
+        solve_magnitudes(mom, 1.0 + 0j, plan)
 
 
 def test_magnitude_solve_validation():

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
-from conftest import EDGE_COEFFS, EDGE_FLOATS, bits, dump_text, no_python_encoder
+from conftest import (
+    EDGE_COEFFS,
+    EDGE_FLOATS,
+    bits,
+    dump_text,
+    moments_reference,
+    no_python_encoder,
+)
 from jumprec import spectrum as spectrum_module
 from jumprec.errors import ModelError
 from jumprec.localize import make_bump
@@ -330,6 +337,22 @@ def test_moment_index_validation():
         weight_moments(sp, 0, [4, 9])
     with pytest.raises(ModelError):
         weight_moments(sp, -1, [1])
+
+
+@given(
+    M=st.integers(1, 96),
+    order=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_moments_are_the_per_index_loop_bit_for_bit(M, order, seed, data):
+    # one gather of the c_k, then the per-index arithmetic of spectrum.coeff(k)
+    rng = np.random.default_rng(seed)
+    sp = FourierSpectrum(M, rng.normal(size=2 * M + 1) + 1j * rng.normal(size=2 * M + 1))
+    idx = sorted(data.draw(st.sets(st.integers(1, M), min_size=1, max_size=8)))
+    got = weight_moments(sp, order, idx)
+    assert got.indices == tuple(idx)
+    assert bits(got.values).tobytes() == bits(moments_reference(sp, order, idx)).tobytes()
 
 
 # ---------------------------------------------------------------- products
