@@ -12,7 +12,6 @@ from .errors import (
     ModelError,
     NumericError,
     RootFindError,
-    WeakJumpWarning,
 )
 from .localize import localize_jump, make_bump, prony_order0
 from .precision import parse_precision, recover_single_jump_mp
@@ -38,7 +37,6 @@ from .reconstruct import (
 from .solver import (
     AnnihilatorPoly,
     JumpEstimate,
-    SamplePlan,
     build_annihilator,
     disambiguate_nth_root,
     half_order_recover,
@@ -50,6 +48,7 @@ from .solver import (
 from .spectrum import (
     FourierSpectrum,
     MomentSequence,
+    SamplePlan,
     eval_partial_sum,
     load_spectrum,
     product_spectrum,

@@ -51,11 +51,13 @@ from .reconstruct import (
     jump_free_error,
     pipeline_geometry,
 )
-from .solver import SamplePlan, half_order_recover
+from .solver import half_order_recover
 from .spectrum import (
     FourierSpectrum,
+    SamplePlan,
     circular_distance,
     load_spectrum,
+    modulus,
     save_spectrum,
 )
 from .stability import (
@@ -204,9 +206,7 @@ def _recover_extended(spec, cfg, digits) -> Approximant:
     # the half-order location, as in full_reconstruct, is what makes the
     # decimated root disambiguation safe; a coarse prior is not
     prior = half_order_recover(spec, cfg.d // 2, M_eff).xi
-    est = recover_single_jump_mp(
-        spec, cfg.d, prior, M=M_eff, digits=digits, weak_floor=cfg.bounds.B
-    )
+    est = recover_single_jump_mp(spec, cfg.d, prior, M=M_eff, digits=digits)
     check_leading_floor([est], cfg)
     return _approximant(
         spec, cfg.d, [est], {**cfg.to_json_dict(), "precision_digits": digits}
@@ -280,7 +280,7 @@ def _default_bounds(model: JumpModel, noise_amp: float) -> AprioriBounds:
         J = min(min(gaps), np.pi / 2)
     else:
         J = np.pi / 2
-    lead = min(abs(j[1][0]) for j in model.jumps)
+    lead = min(modulus(j[1][0]) for j in model.jumps)
     return AprioriBounds(
         J=float(J),
         A=2.0 * model.magnitude_sum(),

@@ -22,7 +22,6 @@ __all__ = [
     "DetectionError",
     "AmbiguityError",
     "RootFindError",
-    "WeakJumpWarning",
 ]
 
 
@@ -61,10 +60,6 @@ class AmbiguityError(NumericError):
 
 class RootFindError(NumericError):
     """Polynomial root finding failed to converge or was handed junk."""
-
-
-class WeakJumpWarning(UserWarning):
-    """Recovered leading magnitude sits below half the declared floor."""
 
 
 def read_int(value, name: str) -> int:

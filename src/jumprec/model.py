@@ -30,6 +30,7 @@ from .spectrum import (
     FourierSpectrum,
     circular_distance,
     coeffs_of_function,
+    modulus,
     wrap_angle,
 )
 
@@ -43,7 +44,6 @@ __all__ = [
     "phi_eval",
     "phi_fourier_coeff",
     "phi_factors",
-    "phi_coeffs_at",
     "phi_coeff_array",
     "synth_spectrum",
     "smooth_catalog",
@@ -182,7 +182,7 @@ class JumpModel:
         return all(all(a.imag == 0.0 for a in mags) for _, mags in self.jumps)
 
     def magnitude_sum(self) -> float:
-        return float(sum(abs(a) for _, mags in self.jumps for a in mags))
+        return float(sum(modulus(a) for _, mags in self.jumps for a in mags))
 
     def to_json_dict(self) -> dict:
         out = []
@@ -359,22 +359,11 @@ def _phi_halves(jumps, factors, negative: bool):
     return pos, neg
 
 
-def phi_coeffs_at(model: JumpModel, factors) -> np.ndarray:
-    """Coefficients c_k of the piecewise polynomial at positive indices.
-
-    factors are phi_factors(ks, d) for an order d >= model.order; the
-    result holds c_k at those ks, in their order, bit-identical to the
-    same entries of phi_coeff_array.  Cost per jump: one complex exp and
-    d+3 multiply-adds of len(ks).
-    """
-    return _phi_halves(model.jumps, factors, negative=False)[0]
-
-
 def phi_coeff_array(model: JumpModel, M: int) -> np.ndarray:
     """Coefficients c_{-M}..c_M of the piecewise polynomial, ascending k.
 
     The array form of phi_fourier_coeff, c_0 = 0.  It shares its kernel
-    with phi_coeffs_at: phases e^{-ik xi} and powers (ik)^{-(l+1)}
+    with the polish's band peel: phases e^{-ik xi} and powers (ik)^{-(l+1)}
     (phi_factors) are computed for k = 1..M only, the powers once for all
     jumps.  The half k < 0 reuses them: e^{ik xi} is the conjugate of
     e^{-ik xi} and (-ik)^{-(l+1)} = (-1)^{l+1} (ik)^{-(l+1)}.  Only signs

@@ -55,15 +55,14 @@ def recover_single_jump_mp(
     *,
     M: Optional[int] = None,
     digits: int = _MIN_DIGITS,
-    weak_floor: Optional[float] = None,
 ) -> JumpEstimate:
     """Single-jump recovery with all arithmetic at `digits` decimal digits.
 
-    Same plan geometry, annihilator, root choice, disambiguation, magnitude
-    solve and weak-jump warning as solver.recover_single_jump, run on
-    moments 2 pi (ik)^{d+1} c_k formed in mpmath.  Results come back as
-    ordinary floats; the gain is that intermediate cancellation no longer
-    caps accuracy.
+    Same plan geometry, annihilator, root choice, disambiguation and
+    magnitude solve as solver.recover_single_jump, run on moments
+    2 pi (ik)^{d+1} c_k formed in mpmath.  Results come back as ordinary
+    floats; the gain is that intermediate cancellation no longer caps
+    accuracy.
     """
     if digits < _MIN_DIGITS:
         raise ModelError(f"extended precision needs >= {_MIN_DIGITS} digits")
@@ -73,5 +72,5 @@ def recover_single_jump_mp(
         for k in plan.indices:
             c = spec.coeff(k)
             values.append(2 * mp.pi * mp.mpc(0, k) ** (d + 1) * mp.mpc(c.real, c.imag))
-        moments = MomentSequence(d, plan.indices, np.array(values, dtype=object))
-        return _recover_from_moments(moments, plan, xi_prior, weak_floor=weak_floor)
+        moments = MomentSequence(plan, np.array(values, dtype=object))
+        return _recover_from_moments(moments, xi_prior)

@@ -27,11 +27,13 @@ from .model import (
     phi_eval,
     phi_factors,
 )
-from .solver import SamplePlan, half_order_recover, recover_single_jump
+from .solver import half_order_recover, recover_single_jump
 from .spectrum import (
     FourierSpectrum,
+    SamplePlan,
     circular_distance,
     eval_partial_sum,
+    modulus,
     product_spectrum,
     uniform_grid,
     wrap_angle,
@@ -213,7 +215,7 @@ def _moved(est, prev, M: int) -> float:
     """
     return circular_distance(est.xi, prev.xi) + float(
         sum(
-            abs(a - b) / float(M) ** ell
+            modulus(a - b) / float(M) ** ell
             for ell, (a, b) in enumerate(zip(est.magnitudes, prev.magnitudes))
         )
     )
@@ -251,9 +253,10 @@ def check_leading_floor(estimates, config: ReconstructionConfig) -> None:
     Both precisions of recovery end with this check.
     """
     for est in estimates:
-        if abs(est.magnitudes[0]) < config.bounds.B / 2.0:
+        lead = modulus(est.magnitudes[0])
+        if lead < config.bounds.B / 2.0:
             raise ModelError(
-                f"recovered leading magnitude {abs(est.magnitudes[0]):.3e} at "
+                f"recovered leading magnitude {lead:.3e} at "
                 f"{est.xi:.6g} falls below half the declared floor "
                 f"B={config.bounds.B:.3g}; {_cause(config)}"
             )
@@ -334,9 +337,7 @@ def full_reconstruct(
         ) from exc
 
     def solve(data, prior):
-        return recover_single_jump(
-            data, config.d, prior, M=M_eff, weak_floor=config.bounds.B
-        )
+        return recover_single_jump(data, config.d, prior, M=M_eff)
 
     decimated = SamplePlan("decimated", config.d, M_eff).indices
     first_pass = decimated + SamplePlan("consecutive", config.d // 2, M_eff).indices

@@ -19,6 +19,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import RootFindError
+from .spectrum import modulus
 
 __all__ = ["find_roots", "find_roots_mp"]
 
@@ -40,7 +41,7 @@ def _normalized(c: np.ndarray, lead_tol):
     """
     if c.ndim != 1 or c.size < 2:
         raise RootFindError(f"need a polynomial of degree >= 1, got {c.size} coefficients")
-    moduli = [abs(x) for x in c.tolist()]
+    moduli = [modulus(x) for x in c.tolist()]
     if not all(m < math.inf for m in moduli):
         raise RootFindError("polynomial has non-finite coefficients")
     cmax = max(moduli)
@@ -55,23 +56,25 @@ def _normalized(c: np.ndarray, lead_tol):
     with np.errstate(over="ignore", invalid="ignore"):
         out = c / c[0]
     values = out.tolist()
-    if not all(abs(x) < math.inf for x in values):
+    if not all(modulus(x) < math.inf for x in values):
         raise RootFindError("polynomial has non-finite coefficients after normalization")
     return out, values
 
 
 def _check_residuals(c: list, roots: list, gate) -> None:
     """Reject roots whose residual exceeds gate x the evaluation's own scale."""
+    moduli = [modulus(x) for x in c]
     for z in roots:
         # Horner value and the same recurrence on the moduli
-        val, scale, az = c[0], abs(c[0]), abs(z)
-        for coeff in c[1:]:
+        val, scale, az = c[0], moduli[0], modulus(z)
+        for coeff, m in zip(c[1:], moduli[1:]):
             val = val * z + coeff
-            scale = scale * az + abs(coeff)
+            scale = scale * az + m
         # written so that a NaN residual fails the gate too
-        if not abs(val) <= gate * max(scale, 1e-300):
+        residual = modulus(val)
+        if not residual <= gate * max(scale, 1e-300):
             raise RootFindError(
-                f"root finding did not converge: residual {float(abs(val)):.3e} "
+                f"root finding did not converge: residual {float(residual):.3e} "
                 f"at z={complex(z):.6g} exceeds gate {float(gate):.1e} x scale "
                 f"{float(scale):.3e}"
             )

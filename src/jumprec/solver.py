@@ -1,9 +1,10 @@
 """Algebraic recovery of a single jump from weighted moments.
 
-Pipeline: pick a sampling plan (decimated or consecutive), build the
-finite-difference annihilating polynomial, find its roots, pick the one
-near the unit circle, undo the N-th power with a prior, then solve the
-small Vandermonde system for the weighted magnitudes.  The s_i^d family
+Pipeline: weight the moments on a sampling plan (decimated or
+consecutive; the moments carry their plan), build the finite-difference
+annihilating polynomial, find its roots, pick the one near the unit
+circle, undo the N-th power with a prior, then solve the small
+Vandermonde system for the weighted magnitudes.  The s_i^d family
 used in the analysis of the decimated construction lives here too.
 
 Every step runs in the arithmetic of the values it is handed: double for
@@ -24,8 +25,7 @@ import cmath
 import functools
 import itertools
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -33,18 +33,19 @@ import mpmath as mp
 import numpy as np
 
 from . import rootfind
-from .errors import AmbiguityError, ModelError, NumericError, WeakJumpWarning, read_int
+from .errors import AmbiguityError, ModelError, NumericError, read_int
 from .spectrum import (
     FourierSpectrum,
     MomentSequence,
+    SamplePlan,
     _complex_values,
     circular_distance,
+    modulus,
     weight_moments,
     wrap_angle,
 )
 
 __all__ = [
-    "SamplePlan",
     "AnnihilatorPoly",
     "JumpEstimate",
     "s_poly",
@@ -64,47 +65,6 @@ _S_POLY_DMAX = 16
 
 
 @dataclass(frozen=True)
-class SamplePlan:
-    """Which moment indices feed the annihilator.
-
-    decimated: {N, 2N, ..., (d+2)N} with N = floor(M/(d+2));
-    consecutive: {M-d-1, ..., M}.  Both contain exactly d+2 indices,
-    computed once per plan.
-    """
-
-    kind: str
-    d: int
-    M: int
-    indices: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in ("decimated", "consecutive"):
-            raise ModelError(f"unknown plan kind {self.kind!r}")
-        object.__setattr__(self, "d", read_int(self.d, "d"))
-        object.__setattr__(self, "M", read_int(self.M, "M"))
-        if self.d < 0:
-            raise ModelError(f"plan order must be >= 0, got {self.d}")
-        if self.M < self.d + 2:
-            raise ModelError(
-                f"M={self.M} cannot host d+2 = {self.d + 2} sample indices"
-            )
-        if self.kind == "consecutive" and self.M - self.d - 1 < 1:
-            raise ModelError(f"consecutive plan needs M >= d+2, got M={self.M}")
-        s, b = self.stride, self.base_index
-        object.__setattr__(self, "indices", tuple(b + j * s for j in range(self.d + 2)))
-
-    @property
-    def stride(self) -> int:
-        return self.M // (self.d + 2) if self.kind == "decimated" else 1
-
-    @property
-    def base_index(self) -> int:
-        if self.kind == "decimated":
-            return self.M // (self.d + 2)
-        return self.M - self.d - 1
-
-
-@dataclass(frozen=True)
 class AnnihilatorPoly:
     """Finite-difference polynomial in u; descending coefficients.
 
@@ -112,19 +72,14 @@ class AnnihilatorPoly:
     Coefficients are complex128, or mpmath numbers in an extended solve.
     """
 
-    degree: int
     coefficients: np.ndarray
-    stride: int
-    base_index: int
 
     def __post_init__(self):
-        arr = _complex_values(self.coefficients)
-        if arr.ndim != 1 or arr.size != self.degree + 1:
-            raise ModelError(
-                f"degree {self.degree} needs {self.degree + 1} coefficients, "
-                f"got {arr.size}"
-            )
-        object.__setattr__(self, "coefficients", arr)
+        object.__setattr__(self, "coefficients", _complex_values(self.coefficients))
+
+    @property
+    def degree(self) -> int:
+        return self.coefficients.size - 1
 
     def eval(self, u: complex) -> complex:
         acc = 0.0 + 0.0j
@@ -159,21 +114,13 @@ def s_poly(i: int, d: int):
     return [(-1) ** j * math.comb(d + 1, j) * (j + 1) ** i for j in range(d + 2)]
 
 
-def build_annihilator(moments: MomentSequence, plan: SamplePlan) -> AnnihilatorPoly:
+def build_annihilator(moments: MomentSequence) -> AnnihilatorPoly:
     """Alternating-binomial combination of the planned moments."""
-    if moments.order != plan.d:
-        raise ModelError(
-            f"moment order {moments.order} does not match plan order {plan.d}"
-        )
-    if moments.indices != plan.indices:
-        raise ModelError(
-            f"moment indices {moments.indices} do not match plan indices "
-            f"{plan.indices}"
-        )
-    d = plan.d
+    d = moments.order
     values = moments.values.tolist()
-    coeffs = [(-1) ** j * math.comb(d + 1, j) * values[j] for j in range(d + 2)]
-    return AnnihilatorPoly(d + 1, coeffs, plan.stride, plan.base_index)
+    return AnnihilatorPoly(
+        [(-1) ** j * math.comb(d + 1, j) * values[j] for j in range(d + 2)]
+    )
 
 
 def find_roots(poly: AnnihilatorPoly) -> list:
@@ -194,7 +141,7 @@ def select_root(roots) -> complex:
     best = None
     best_key = None
     for r in rs:
-        dist = abs(abs(r) - 1.0)
+        dist = abs(modulus(r) - 1.0)
         key = (dist, abs(ar.phase(r)))
         if best is None or dist < best_key[0] - 1e-14:
             best, best_key = r, key
@@ -318,18 +265,18 @@ def magnitudes_to_alpha(a) -> tuple:
     return tuple((1j) ** l * complex(a[d - l]) for l in range(d + 1))
 
 
-def synth_moments(xi: float, alpha, indices) -> MomentSequence:
-    """Exact moments m_k = e^{-i k xi} sum_l alpha_l k^l of one jump."""
+def synth_moments(xi: float, alpha, plan: SamplePlan) -> MomentSequence:
+    """Exact moments m_k = e^{-i k xi} sum_l alpha_l k^l of one jump on a plan."""
     alpha = [complex(x) for x in alpha]
     vals = []
-    for k in indices:
+    for k in plan.indices:
         poly = sum(a * float(k) ** l for l, a in enumerate(alpha))
         vals.append(cmath.exp(-1j * k * xi) * poly)
-    return MomentSequence(len(alpha) - 1, tuple(int(k) for k in indices), np.array(vals))
+    return MomentSequence(plan, np.array(vals))
 
 
-def solve_magnitudes(moments: MomentSequence, omega_est: complex, plan: SamplePlan):
-    """Weighted magnitudes from the first d+1 planned moments.
+def solve_magnitudes(moments: MomentSequence, omega_est: complex):
+    """Weighted magnitudes from the first d+1 moments of the moments' plan.
 
     Demodulates with omega_est (must be unit-modulus to 1e-10), then
     solves the small integer-node Vandermonde system through its exact
@@ -339,20 +286,14 @@ def solve_magnitudes(moments: MomentSequence, omega_est: complex, plan: SamplePl
     not reproduce the demodulated moments to residual_tol relative to
     their scale; a NaN or infinite alpha fails that gate too.
     """
-    if abs(abs(omega_est) - 1.0) > 1e-10:
+    radius = modulus(omega_est)
+    if abs(radius - 1.0) > 1e-10:
         raise ModelError(
-            f"omega estimate must sit on the unit circle, |omega|={abs(omega_est):.12g}"
+            f"omega estimate must sit on the unit circle, |omega|={radius:.12g}"
         )
-    if moments.order != plan.d:
-        raise ModelError(
-            f"moment order {moments.order} does not match plan order {plan.d}"
-        )
+    plan = moments.plan
     d = plan.d
     use = plan.indices[: d + 1]
-    if tuple(moments.indices[: d + 1]) != use:
-        raise ModelError(
-            f"moments {moments.indices} do not cover the magnitude indices {use}"
-        )
     values = moments.values.tolist()
     ar = _arith_of(values)
     rhs = [values[j] * omega_est ** (-use[j]) for j in range(d + 1)]
@@ -373,10 +314,10 @@ def solve_magnitudes(moments: MomentSequence, omega_est: complex, plan: SamplePl
             alpha[l] = acc
     # residual check in the original system: sum_l alpha_l k^l vs rhs
     recon = [sum(alpha[l] * ar.real(k) ** l for l in range(d + 1)) for k in use]
-    scale = max(abs(x) for x in rhs) or 1.0
+    scale = max(modulus(x) for x in rhs) or 1.0
     limit = ar.residual_tol * scale
     # written so that a NaN residual fails the gate too
-    bad = [e for e in (abs(r - x) for r, x in zip(recon, rhs)) if not e <= limit]
+    bad = [e for e in (modulus(r - x) for r, x in zip(recon, rhs)) if not e <= limit]
     if bad:
         raise NumericError(
             f"magnitude system ill-conditioned: residual {float(max(bad)):.3e} "
@@ -410,7 +351,6 @@ def recover_single_jump(
     xi_prior: Optional[float],
     *,
     M: Optional[int] = None,
-    weak_floor: Optional[float] = None,
 ) -> JumpEstimate:
     """Full single-jump recovery on the decimated plan.
 
@@ -420,19 +360,15 @@ def recover_single_jump(
     consecutive plan's entry point is half_order_recover.
     """
     plan = _usable_plan(spec, "decimated", d, M)
-    moments = weight_moments(spec, d, plan.indices)
-    return _recover_from_moments(moments, plan, xi_prior, weak_floor=weak_floor)
+    return _recover_from_moments(weight_moments(spec, plan), xi_prior)
 
 
 def _recover_from_moments(
-    moments: MomentSequence,
-    plan: SamplePlan,
-    xi_prior: Optional[float],
-    *,
-    weak_floor: Optional[float] = None,
+    moments: MomentSequence, xi_prior: Optional[float]
 ) -> JumpEstimate:
+    plan = moments.plan
     ar = _arith_of(moments.values)
-    poly = build_annihilator(moments, plan)
+    poly = build_annihilator(moments)
     roots = find_roots(poly)
     z = select_root(roots)
     if plan.kind == "decimated" and plan.stride > 1:
@@ -442,19 +378,14 @@ def _recover_from_moments(
     else:
         xi = wrap_angle(-ar.phase(z), ar.pi)
     omega = ar.exp(-1j * xi)
-    _, a = solve_magnitudes(moments, omega, plan)
-    if weak_floor is not None and abs(a[0]) < weak_floor / 2.0:
-        warnings.warn(
-            f"leading magnitude {abs(a[0]):.3e} below half the declared "
-            f"floor {weak_floor:.3e}",
-            WeakJumpWarning,
-        )
+    _, a = solve_magnitudes(moments, omega)
     return JumpEstimate(
         xi=float(xi),
         magnitudes=a,
-        root_residual=float(abs(poly.eval(z))),
+        root_residual=float(modulus(poly.eval(z))),
         condition_note=float(min(
-            (abs(r1 - r2) for r1, r2 in itertools.combinations(roots, 2)), default=math.inf
+            (modulus(r1 - r2) for r1, r2 in itertools.combinations(roots, 2)),
+            default=math.inf,
         )),
     )
 
@@ -469,5 +400,4 @@ def half_order_recover(
     classical full-order consecutive variant used as a benchmark.
     """
     plan = _usable_plan(spec, "consecutive", d1, M)
-    moments = weight_moments(spec, d1, plan.indices)
-    return _recover_from_moments(moments, plan, None)
+    return _recover_from_moments(weight_moments(spec, plan), None)

@@ -1,4 +1,4 @@
-"""Truncated Fourier data: containers, partial sums, weighted moments.
+"""Truncated Fourier data: containers, partial sums, sample plans, moments.
 
 Conventions used throughout the package: coefficients c_k of a 2pi-periodic
 function are indexed k = -M..M and stored in ascending order, so position
@@ -10,8 +10,8 @@ circular_distance are the package's one circle geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -21,7 +21,9 @@ from .errors import ModelError, read_int, read_json, write_json
 __all__ = [
     "wrap_angle",
     "circular_distance",
+    "modulus",
     "FourierSpectrum",
+    "SamplePlan",
     "MomentSequence",
     "uniform_grid",
     "eval_partial_sum",
@@ -53,6 +55,19 @@ def circular_distance(a, b, pi=math.pi):
     """Distance between two angles on the circle, in [0, pi]."""
     d = abs(a - b) % (2 * pi)
     return min(d, 2 * pi - d)
+
+
+def modulus(z):
+    """abs(z), or inf where the modulus is past the double range.
+
+    abs() of a Python complex whose parts are finite raises OverflowError
+    when the modulus is not representable; numpy.abs gives inf, and so does
+    this.  mpmath numbers go to abs() unchanged.
+    """
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def _complex_values(values) -> np.ndarray:
@@ -148,32 +163,69 @@ class FourierSpectrum:
 
 
 @dataclass(frozen=True)
+class SamplePlan:
+    """Which moment indices feed the annihilator.
+
+    decimated: {N, 2N, ..., (d+2)N} with N = floor(M/(d+2));
+    consecutive: {M-d-1, ..., M}.  Both hold exactly d+2 strictly
+    increasing indices in 1..M, computed once per plan.
+    """
+
+    kind: str
+    d: int
+    M: int
+    indices: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind not in ("decimated", "consecutive"):
+            raise ModelError(f"unknown plan kind {self.kind!r}")
+        object.__setattr__(self, "d", read_int(self.d, "d"))
+        object.__setattr__(self, "M", read_int(self.M, "M"))
+        if self.d < 0:
+            raise ModelError(f"plan order must be >= 0, got {self.d}")
+        if self.M < self.d + 2:
+            raise ModelError(
+                f"M={self.M} cannot host d+2 = {self.d + 2} sample indices"
+            )
+        s, b = self.stride, self.base_index
+        object.__setattr__(self, "indices", tuple(b + j * s for j in range(self.d + 2)))
+
+    @property
+    def stride(self) -> int:
+        return self.M // (self.d + 2) if self.kind == "decimated" else 1
+
+    @property
+    def base_index(self) -> int:
+        if self.kind == "decimated":
+            return self.M // (self.d + 2)
+        return self.M - self.d - 1
+
+
+@dataclass(frozen=True)
 class MomentSequence:
-    """Weighted moments m_k at a strictly increasing set of positive indices.
+    """Weighted moments m_k of order plan.d at the indices of a sample plan.
 
     values are complex128, or mpmath numbers for an extended-precision solve.
     """
 
-    order: int
-    indices: tuple
+    plan: SamplePlan
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "order", read_int(self.order, "order"))
-        if self.order < 0:
-            raise ModelError(f"moment order must be >= 0, got {self.order}")
-        idx = _read_indices(self.indices)
         vals = _complex_values(self.values)
-        if vals.ndim != 1 or vals.size != len(idx):
+        if vals.ndim != 1 or vals.size != len(self.plan.indices):
             raise ModelError("moment indices and values disagree in length")
         if not _all_finite(vals):
             raise ModelError("moments hold non-finite values (NaN or inf)")
-        if any(k <= 0 for k in idx):
-            raise ModelError(f"moment indices must be positive, got {idx}")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ModelError(f"moment indices must be strictly increasing, got {idx}")
-        object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", vals)
+
+    @property
+    def order(self) -> int:
+        return self.plan.d
+
+    @property
+    def indices(self) -> tuple:
+        return self.plan.indices
 
 
 def uniform_grid(G: int) -> np.ndarray:
@@ -225,33 +277,21 @@ def _direct_sum(spectrum: FourierSpectrum, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _read_indices(indices) -> tuple:
-    return tuple(read_int(k, f"indices[{i}]") for i, k in enumerate(indices))
-
-
-def weight_moments(
-    spectrum: FourierSpectrum, order: int, indices: Iterable[int]
-) -> MomentSequence:
-    """Form m_k = 2pi (ik)^{order+1} c_k at the given positive indices.
+def weight_moments(spectrum: FourierSpectrum, plan: SamplePlan) -> MomentSequence:
+    """Form m_k = 2pi (ik)^{d+1} c_k at the plan's indices, d = plan.d.
 
     The c_k are gathered with one index array, and each moment is formed
-    on Python numbers, in the order 2pi, then (ik)^{order+1}, then c_k.
+    on Python numbers, in the order 2pi, then (ik)^{d+1}, then c_k.
     """
-    order = read_int(order, "order")
-    idx = _read_indices(indices)
-    if order < 0:
-        raise ModelError(f"moment order must be >= 0, got {order}")
-    for k in idx:
-        if k <= 0:
-            raise ModelError(f"moment index {k} must be positive")
-        if k > spectrum.M:
-            raise ModelError(f"moment index {k} exceeds truncation M={spectrum.M}")
+    if plan.M > spectrum.M:
+        raise ModelError(f"plan over M={plan.M} exceeds truncation M={spectrum.M}")
+    idx, power = plan.indices, plan.d + 1
     cs = spectrum.coeffs[np.array(idx, dtype=np.int64) + spectrum.M].tolist()
     vals = np.array(
-        [2.0 * np.pi * (1j * k) ** (order + 1) * c for k, c in zip(idx, cs)],
+        [2.0 * np.pi * (1j * k) ** power * c for k, c in zip(idx, cs)],
         dtype=np.complex128,
     )
-    return MomentSequence(order, idx, vals)
+    return MomentSequence(plan, vals)
 
 
 def product_spectrum(a: FourierSpectrum, b: FourierSpectrum, ks) -> np.ndarray:

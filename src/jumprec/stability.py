@@ -17,13 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ModelError
-from .solver import (
-    SamplePlan,
-    _recover_from_moments,
-    magnitudes_to_alpha,
-    synth_moments,
-)
-from .spectrum import MomentSequence, circular_distance
+from .solver import _recover_from_moments, magnitudes_to_alpha, synth_moments
+from .spectrum import MomentSequence, SamplePlan, circular_distance
 
 __all__ = [
     "PronyConfig",
@@ -210,7 +205,7 @@ def run_cap_trials(
         for l in range(1, d + 1):
             a[l] = float(rng.uniform(-A_star, A_star))
         alpha = magnitudes_to_alpha(a)
-        clean = synth_moments(xi, alpha, plan.indices)
+        clean = synth_moments(xi, alpha, plan)
         noise = np.array(
             [
                 float(rng.uniform(0.0, 1.0))
@@ -219,8 +214,7 @@ def run_cap_trials(
                 for k in plan.indices
             ]
         )
-        noisy = MomentSequence(d, plan.indices, clean.values + noise)
-        est = _recover_from_moments(noisy, plan, xi)
+        est = _recover_from_moments(MomentSequence(plan, clean.values + noise), xi)
         observed = abs(np.exp(-1j * est.xi) - np.exp(-1j * xi))
         ratio = observed / bound
         worst = max(worst, ratio)
@@ -274,8 +268,8 @@ def run_misspec_sweep(
                     * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
                 )
                 vals.append(np.exp(-1j * k * xi) * poly + delta)
-            moments = MomentSequence(d_used, plan.indices, np.array(vals))
-            est = _recover_from_moments(moments, plan, xi)
+            moments = MomentSequence(plan, np.array(vals))
+            est = _recover_from_moments(moments, xi)
             errs.append(circular_distance(est.xi, xi))
         medians.append(float(np.median(errs)))
     slope, used = fit_loglog_slope(np.asarray(N_values, float), medians)

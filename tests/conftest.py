@@ -89,19 +89,20 @@ def roots_reference(coeffs) -> np.ndarray:
     return z[np.lexsort((z.imag.round(10), z.real.round(10)))]
 
 
-def moments_reference(spectrum, order, indices) -> np.ndarray:
-    """m_k = 2 pi (ik)^{order+1} c_k formed one spectrum.coeff(k) at a time."""
+def moments_reference(spectrum, plan) -> np.ndarray:
+    """m_k = 2 pi (ik)^{d+1} c_k at the plan's indices, one spectrum.coeff(k) at a time."""
     return np.array(
-        [2.0 * np.pi * (1j * k) ** (order + 1) * spectrum.coeff(k) for k in indices],
+        [2.0 * np.pi * (1j * k) ** (plan.d + 1) * spectrum.coeff(k) for k in plan.indices],
         dtype=np.complex128,
     )
 
 
-def magnitudes_reference(moments, omega, plan):
+def magnitudes_reference(moments, omega):
     """(alpha, a) of the magnitude solve in array form, on numpy scalars; no gate.
 
     The reference solver.solve_magnitudes must equal bit for bit.
     """
+    plan = moments.plan
     d = plan.d
     use = plan.indices[: d + 1]
     rhs = np.array([moments.values[j] * omega ** (-use[j]) for j in range(d + 1)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jumprec.errors import JumprecError
+from jumprec.errors import JumprecError, NumericError
 from jumprec.model import AprioriBounds
 from jumprec.reconstruct import ReconstructionConfig, full_reconstruct
 from jumprec.rootfind import find_roots
@@ -47,8 +47,7 @@ def _returns_or_raises_library_error(call):
         pass
 
 
-# extreme scales overflow intermediate sums and weak jumps warn; only
-# what is raised matters here
+# extreme scales overflow intermediate sums; only what is raised matters here
 @pytest.mark.filterwarnings("ignore")
 @settings(max_examples=100, deadline=None)
 @given(
@@ -79,9 +78,24 @@ def test_only_library_errors_escape(spec, d, plan_kind, data):
         if plan_kind == "consecutive":
             half_order_recover(spec, d)
         else:
-            recover_single_jump(spec, d, prior, weak_floor=BND.B)
+            recover_single_jump(spec, d, prior)
 
     prior = None if priors is None else priors[0]
     _returns_or_raises_library_error(reconstruct)
     _returns_or_raises_library_error(solve)
     _returns_or_raises_library_error(lambda: find_roots(spec.coeffs[: d + 2]))
+
+
+def test_overflowing_moduli_are_numeric_errors():
+    # 1e305 |k|^-4 e^{-0.7ik}: finite moments whose annihilator coefficients
+    # have finite parts and a modulus past the double range, where abs() of
+    # a Python complex raises OverflowError
+    M = 256
+    ks = np.arange(-M, M + 1)
+    coeffs = 1e305 * np.maximum(np.abs(ks), 1.0) ** -4.0 * np.exp(-0.7j * ks)
+    spec = FourierSpectrum(M, coeffs)
+    config = ReconstructionConfig(d=4, K=1, bounds=BND, priors=(0.7,))
+    with pytest.raises(NumericError, match="non-finite coefficients"):
+        full_reconstruct(spec, config)
+    with pytest.raises(NumericError, match="non-finite coefficients"):
+        recover_single_jump(spec, 4, 0.7)

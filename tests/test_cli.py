@@ -460,8 +460,8 @@ def malformed_record(draw, base, fields):
 _GOOD = (json.dumps(_SPECTRUM), json.dumps(BOUNDS))
 
 
-# extreme values overflow the solves and weak jumps warn; only the exit
-# code and what escapes matter here
+# extreme values overflow the solves; only the exit code and what escapes
+# matter here
 @pytest.mark.filterwarnings("ignore")
 @settings(max_examples=100, deadline=None)
 @given(
@@ -497,6 +497,22 @@ def test_recover_exits_by_category_on_malformed_files(
 
 
 # ---------------------------------------------------------------- ceiling
+
+
+@pytest.mark.parametrize("command", ["bench", "adversarial"])
+def test_magnitudes_past_the_double_range_exit_2(runner, tmp_path, command):
+    # |a_0| of 1.5e308 + 1.5e308i is not a double; abs() of that Python
+    # complex raises OverflowError, which once left as a traceback (exit 1)
+    model = {"d": 0, "jumps": [{"xi": 0.7, "a": [[1.5e308, 1.5e308]]}]}
+    if command == "bench":
+        args = [write_json(tmp_path / "s.json",
+                           {"model": model, "M_values": [64, 128, 640], "seed": 5})]
+    else:
+        args = [write_json(tmp_path / "m.json", model), "-M", "100",
+                "--bounds", write_json(tmp_path / "b.json", BOUNDS)]
+    res = runner.invoke(main, ["--out", str(tmp_path / "out"), command, *args])
+    assert res.exit_code == 2, errtext(res)
+    assert "inf" in errtext(res)
 
 
 def test_adversarial_artifacts(runner, tmp_path):

@@ -21,7 +21,6 @@ from jumprec.model import (
     fitted_decay_constant,
     load_model,
     phi_coeff_array,
-    phi_coeffs_at,
     phi_eval,
     phi_factors,
     phi_fourier_coeff,
@@ -31,6 +30,8 @@ from jumprec.model import (
     synth_spectrum,
     vn_eval,
 )
+from jumprec.reconstruct import _BandPeel
+from jumprec.solver import JumpEstimate
 from jumprec.spectrum import FourierSpectrum, coeffs_of_function
 
 
@@ -334,13 +335,19 @@ def test_coeff_array_is_the_full_index_form_bit_for_bit(model, M):
 
 @given(model=jump_models(), M=st.integers(1, 600), data=st.data())
 def test_coeffs_at_positive_indices_are_the_array_entries_bit_for_bit(model, M, data):
-    # the band path and phi_coeff_array share one kernel; factors of a
-    # higher order than the model's are allowed and go unused
+    # the polish's band peel and phi_coeff_array share one kernel; a peel
+    # of a higher order than the model's builds powers that go unused
     lo = data.draw(st.integers(1, M))
-    ks = np.arange(lo, data.draw(st.integers(lo, M)) + 1)
+    hi = data.draw(st.integers(lo, M))
+    degree = data.draw(st.integers(0, min(lo - 1, M - hi)))
     extra = data.draw(st.integers(0, 2))
-    got = phi_coeffs_at(model, phi_factors(ks, model.order + extra))
-    assert got.tobytes() == phi_coeff_array(model, M)[ks + M].tobytes()
+    spec = FourierSpectrum(M, np.zeros(2 * M + 1, dtype=complex))
+    peel = _BandPeel(spec, model.order + extra, [hi, lo], degree)
+    band = np.arange(lo - degree, hi + degree + 1)
+    for xi, mags in model.jumps:
+        got = peel.own(JumpEstimate(xi, mags, 0.0, 0.0))
+        want = phi_coeff_array(JumpModel(model.order, ((xi, mags),)), M)[band + M]
+        assert got.tobytes() == want.tobytes()
 
 
 def test_phi_factors_take_positive_indices_only():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jumprec.errors import ModelError, WeakJumpWarning
+from jumprec.errors import ModelError
 from jumprec.model import JumpModel, phi_coeff_array
 from jumprec.precision import parse_precision, recover_single_jump_mp
 from jumprec.solver import recover_single_jump
@@ -41,11 +41,6 @@ def test_extended_path_agrees_with_double_on_easy_data():
             assert abs(a_mp - a_d) <= tol(l)
         assert isinstance(est_mp.xi, float)
         assert all(isinstance(a, complex) for a in est_mp.magnitudes)
-        # a floor above |a_0| = 1 flags the jump as weak in both precisions
-        with pytest.warns(WeakJumpWarning):
-            recover_single_jump(sp, 2, prior, weak_floor=4.0)
-        with pytest.warns(WeakJumpWarning):
-            recover_single_jump_mp(sp, 2, prior, digits=60, weak_floor=4.0)
 
 
 def test_extended_path_validation():

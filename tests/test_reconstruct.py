@@ -350,9 +350,8 @@ def test_pure_smooth_data_certifies_zero_jumps():
 def test_sub_floor_jump_fails_the_magnitude_contract():
     # the jump exists but sits far under the declared floor B
     spec = synth_spectrum(JumpModel(1, ((0.7, (0.01, 0.0)),)), None, 256)
-    with pytest.warns(Warning):
-        with pytest.raises(ModelError, match="below half the declared floor"):
-            full_reconstruct(spec, ReconstructionConfig(d=1, K=1, bounds=BND))
+    with pytest.raises(ModelError, match="below half the declared floor"):
+        full_reconstruct(spec, ReconstructionConfig(d=1, K=1, bounds=BND))
 
 
 def test_misspecified_low_order_still_improves_with_matched_order():

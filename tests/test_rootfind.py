@@ -124,6 +124,18 @@ def test_underflowing_leading_coefficient_is_rejected():
         find_roots([-1e-310 + 1e-315j, -1e-315 - 1e-308j])
 
 
+# finite parts whose modulus passes the double range: abs() of such a
+# Python complex raises OverflowError, where numpy.abs gives inf
+@pytest.mark.parametrize(
+    "coeffs",
+    [[1.5e308 + 1.5e308j, 1.0], [1.0, 2.0, 1.5e308 + 1.5e308j]],
+    ids=["leading", "trailing"],
+)
+def test_overflowing_modulus_is_a_root_find_error(coeffs):
+    with pytest.raises(RootFindError, match="non-finite coefficients"):
+        find_roots(coeffs)
+
+
 def test_extended_precision_matches_double_and_refines():
     coeffs = [1.0, -6.0, 11.0, -6.0]
     got = find_roots_mp(coeffs, 50)

@@ -23,6 +23,7 @@ from jumprec.model import JumpModel, phi_coeff_array, phi_eval
 from jumprec.spectrum import (
     FourierSpectrum,
     MomentSequence,
+    SamplePlan,
     coeffs_of_function,
     eval_partial_sum,
     load_spectrum,
@@ -88,21 +89,20 @@ def test_coefficient_lookup_and_bounds():
 
 
 def test_moment_sequence_validation():
+    plan = SamplePlan("decimated", 0, 8)  # indices (4, 8)
     with pytest.raises(ModelError):
-        MomentSequence(1, (8, 8, 16), np.ones(3, dtype=complex))
+        MomentSequence(plan, np.ones(3, dtype=complex))
     with pytest.raises(ModelError):
-        MomentSequence(1, (8, 16), np.ones(3, dtype=complex))
+        MomentSequence(plan, np.ones((2, 1), dtype=complex))
     with pytest.raises(ModelError):
-        MomentSequence(1, (0, 8), np.ones(2, dtype=complex))
+        MomentSequence(plan, np.array([1j, np.nan]))
     with pytest.raises(ModelError):
-        MomentSequence(-1, (8,), np.ones(1, dtype=complex))
-    with pytest.raises(ModelError):
-        MomentSequence(0, (4, 8), np.array([1j, np.nan]))
-    with pytest.raises(ModelError):
-        MomentSequence(0, (4, 8), np.array([mp.mpc(1), mp.mpc("inf")], dtype=object))
+        MomentSequence(plan, np.array([mp.mpc(1), mp.mpc("inf")], dtype=object))
     # extended-precision moments keep their mpmath values
-    ext = MomentSequence(0, (4, 8), np.array([mp.mpc(1), mp.mpc(2)], dtype=object))
+    ext = MomentSequence(plan, np.array([mp.mpc(1), mp.mpc(2)], dtype=object))
     assert isinstance(ext.values[1], mp.mpc)
+    # order and indices are the plan's
+    assert (ext.order, ext.indices) == (0, (4, 8))
 
 
 @given(
@@ -312,47 +312,54 @@ def test_only_the_uniform_grid_takes_the_fft_path(monkeypatch):
 def test_unit_step_moments_are_constant_one():
     # weights 2 pi (ik)^{order+1} exactly cancel the step coefficients
     sp = jump_spectrum(JumpModel(0, ((0.0, (1.0,)),)), 32)
-    mom = weight_moments(sp, 0, [1, 5, 17, 32])
-    assert np.max(np.abs(mom.values - 1.0)) <= 1e-12
+    for plan in (SamplePlan("decimated", 0, 3), SamplePlan("decimated", 0, 11),
+                 SamplePlan("consecutive", 0, 18), SamplePlan("decimated", 0, 32)):
+        mom = weight_moments(sp, plan)
+        assert np.max(np.abs(mom.values - 1.0)) <= 1e-12
 
 
 def test_zero_spectrum_gives_zero_moments():
     sp = FourierSpectrum(8, np.zeros(17, dtype=complex), True)
-    mom = weight_moments(sp, 2, [2, 4, 8])
+    mom = weight_moments(sp, SamplePlan("decimated", 2, 8))
     assert np.max(np.abs(mom.values)) == 0.0
 
 
 def test_single_jump_moment_modulus_is_index_free():
     sp = jump_spectrum(JumpModel(0, ((1.1, (0.7,)),)), 64)
-    mom = weight_moments(sp, 0, list(range(1, 65)))
-    mags = np.abs(mom.values)
+    # the order-0 decimated plans over M = 2..64 read every index 1..64
+    mags = np.abs(np.concatenate(
+        [weight_moments(sp, SamplePlan("decimated", 0, M)).values for M in range(2, 65)]
+    ))
     assert np.max(mags) - np.min(mags) <= 1e-12
 
 
 def test_moment_index_validation():
+    # a plan over more modes than the spectrum holds is refused, also where
+    # its indices would fit: (2, 4, 6, 8) over M=11
     sp = FourierSpectrum(8, np.zeros(17, dtype=complex), True)
-    with pytest.raises(ModelError):
-        weight_moments(sp, 0, [0, 1])
-    with pytest.raises(ModelError):
-        weight_moments(sp, 0, [4, 9])
-    with pytest.raises(ModelError):
-        weight_moments(sp, -1, [1])
+    with pytest.raises(ModelError, match="exceeds truncation"):
+        weight_moments(sp, SamplePlan("decimated", 0, 9))
+    with pytest.raises(ModelError, match="exceeds truncation"):
+        weight_moments(sp, SamplePlan("decimated", 2, 11))
+    with pytest.raises(ModelError, match="exceeds truncation"):
+        weight_moments(sp, SamplePlan("consecutive", 2, 12))
 
 
 @given(
-    M=st.integers(1, 96),
-    order=st.integers(0, 6),
+    M=st.integers(2, 96),
+    kind=st.sampled_from(["decimated", "consecutive"]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_moments_are_the_per_index_loop_bit_for_bit(M, order, seed, data):
+def test_moments_are_the_per_index_loop_bit_for_bit(M, kind, seed, data):
     # one gather of the c_k, then the per-index arithmetic of spectrum.coeff(k)
     rng = np.random.default_rng(seed)
     sp = FourierSpectrum(M, rng.normal(size=2 * M + 1) + 1j * rng.normal(size=2 * M + 1))
-    idx = sorted(data.draw(st.sets(st.integers(1, M), min_size=1, max_size=8)))
-    got = weight_moments(sp, order, idx)
-    assert got.indices == tuple(idx)
-    assert bits(got.values).tobytes() == bits(moments_reference(sp, order, idx)).tobytes()
+    d = data.draw(st.integers(0, min(6, M - 2)))
+    plan = SamplePlan(kind, d, data.draw(st.integers(d + 2, M)))
+    got = weight_moments(sp, plan)
+    assert got.plan is plan
+    assert bits(got.values).tobytes() == bits(moments_reference(sp, plan)).tobytes()
 
 
 # ---------------------------------------------------------------- products
