@@ -27,14 +27,15 @@ from .model import (
     phi_eval,
     phi_factors,
 )
-from .solver import half_order_recover, recover_single_jump
+from .solver import _recover_from_moments, half_order_recover, recover_single_jump
 from .spectrum import (
     FourierSpectrum,
+    MomentSequence,
     SamplePlan,
+    _plan_moments,
     circular_distance,
     eval_partial_sum,
     modulus,
-    product_spectrum,
     uniform_grid,
     wrap_angle,
 )
@@ -58,17 +59,31 @@ _USABLE_FRACTION = 0.75
 _REFINE_TOL = 5e-14
 
 
+# Kaiser shape parameter at which the window stops gaining digits: its
+# sidelobes fall like e^{-beta}, and e^{-38} = 3e-17 sits below double
+# rounding, so a degree past the one that reaches it only widens the
+# band the windowing reads
+_SEPARATION_BETA = 38.0
+
+
 def pipeline_geometry(M: int, d: int, J: float) -> tuple:
     """(M_eff, window half-width, window degree) of the pipeline.
 
     Single-jump solves sample indices up to M_eff only.  The window degree
     stays below the lowest decimated sample, so the window cannot fold
     low-index content onto it, and below M - M_eff, so the windowed
-    coefficients are exact on every sampled index.
+    coefficients are exact on every sampled index.  It is also capped at
+    the separation degree, the least D whose taper (localize's Kaiser
+    taper, beta = sqrt((width/3 (D+1))^2 - pi^2)) reaches beta = 38: 80 at
+    J = pi/2, 211 at J = 0.6.  The cap depends on J alone and never raises
+    the degree; from the M where it binds on, the degree stops growing.
     """
     M_eff = max(int(_USABLE_FRACTION * M), d + 2)
-    degree = max(1, min(M - M_eff, M_eff // (d + 2) - 2))
-    return M_eff, min(0.9 * J, np.pi / 2.0), degree
+    width = min(0.9 * J, np.pi / 2.0)
+    beta_reach = math.sqrt(_SEPARATION_BETA**2 + math.pi**2)
+    separation = math.ceil(beta_reach / (width / 3.0)) - 1
+    degree = max(1, min(M - M_eff, M_eff // (d + 2) - 2, separation))
+    return M_eff, width, degree
 
 
 @dataclass(frozen=True)
@@ -162,28 +177,35 @@ class Approximant:
 
 
 class _BandPeel:
-    """Polish data built on the band the decimated windowing reads.
+    """Polish moments built on the indices the decimated windowing reads.
 
-    Windowing at the indices ks with a degree-D window reads the data on
-    min(ks) - D .. max(ks) + D only, so each jump's own singular part is
-    kept on that band, and the powers (ik)^{-(l+1)} are built once for it.
-    The band holds k >= 1 only: pipeline_geometry keeps the window degree
-    below the lowest decimated index.  The peeled data live in one buffer
-    spectrum that is zero off the band and rewritten on it for each solve.
+    Windowing at an index k with a degree-D window reads the data on
+    k - D .. k + D only, so each jump's own singular part is kept on the
+    union of those d+2 intervals around the plan's indices (disjoint once
+    the stride N exceeds 2D), and the powers (ik)^{-(l+1)} are built once
+    for it.  The union holds k >= 1 only: pipeline_geometry keeps the
+    window degree below the lowest decimated index.  Each window's terms
+    are gathered from the union in product_spectrum's order, so a solve's
+    windowed values equal product_spectrum's on the fully peeled spectrum
+    bit for bit.
     """
 
-    def __init__(self, spec: FourierSpectrum, d: int, ks, degree: int):
-        self.spec = spec
-        self.ks = np.asarray(ks, dtype=np.int64)
-        self.lo = int(self.ks.min()) - degree
-        band = np.arange(self.lo, int(self.ks.max()) + degree + 1)
-        self.factors = phi_factors(band, d)
-        M = spec.M
-        self.band = slice(M + self.lo, M + self.lo + band.size)
-        self.peeled = FourierSpectrum(M, np.zeros(2 * M + 1, dtype=np.complex128))
+    def __init__(self, spec: FourierSpectrum, plan: SamplePlan, windows):
+        self.plan = plan
+        ks = np.array(plan.indices, dtype=np.int64)
+        D = max(w.M for w in windows)
+        self.band = np.unique(np.add.outer(ks, np.arange(-D, D + 1)))
+        self.factors = phi_factors(self.band, plan.d)
+        self.data = spec.coeffs[self.band + spec.M]
+        self.at_ks = np.searchsorted(self.band, ks)
+        self.taps = []
+        for w in windows:
+            nz = w.coeffs.nonzero()[0]
+            gather = np.searchsorted(self.band, np.add.outer(ks, w.M - nz))
+            self.taps.append((gather, w.coeffs[nz]))
 
     def own(self, est) -> np.ndarray:
-        """One estimate's singular part on the band.
+        """One estimate's singular part on the union band.
 
         Each jump is its own model, and no JumpModel is built for it: polish
         iterates may pass through configurations a JumpModel of all jumps
@@ -192,18 +214,17 @@ class _BandPeel:
         """
         return _phi_halves(((est.xi, est.magnitudes),), self.factors, negative=False)[0]
 
-    def data(self, own: list, j: int, window: FourierSpectrum) -> FourierSpectrum:
-        """Jump j's solve data: the data less every jump, windowed, plus jump j.
+    def samples(self, own: list, j: int) -> np.ndarray:
+        """The data less every jump, windowed by jump j's window, plus jump j.
 
-        Only the indices ks hold values; the solve reads nothing else.
+        Values at the plan's indices, in order: the polish solve's data.
         """
-        M = self.spec.M
-        self.peeled.coeffs[self.band] = self.spec.coeffs[self.band] - np.sum(own, axis=0)
-        out = np.zeros(2 * M + 1, dtype=np.complex128)
-        out[self.ks + M] = (
-            product_spectrum(self.peeled, window, self.ks) + own[j][self.ks - self.lo]
-        )
-        return FourierSpectrum(M, out)
+        gather, taps = self.taps[j]
+        peeled = self.data - np.sum(own, axis=0)
+        return peeled[gather] @ taps + own[j][self.at_ks]
+
+    def moments(self, own: list, j: int) -> MomentSequence:
+        return _plan_moments(self.plan, self.samples(own, j).tolist())
 
 
 def _moved(est, prev, M: int) -> float:
@@ -286,14 +307,15 @@ def full_reconstruct(
     the SamplePlan indices: the decimated plan of order d plus the
     consecutive plan of order d//2 on the first pass, the decimated plan
     on polish sweeps.  Each is a (2D+1)-term dot product for a degree-D
-    window.  The polish peels each jump's singular part only on the band
-    those products read, from the decimated plan's lowest index less D to
-    its highest plus D, with the powers (ik)^{-(l+1)} built once per call.
-    Each polish solve writes the peeled band into one buffer, forms its
-    windowed values with one product_spectrum call, and builds one
-    2M+1 array, the one spectrum it validates and hands to the solve.
-    What grows with M is that band peel and the one full singular part the
-    corrected spectrum subtracts.
+    window, and pipeline_geometry caps D by the separation J, not by M.
+    The polish peels each jump's singular part only on the union of the
+    intervals [k-D, k+D] around the d+2 decimated indices, with the powers
+    (ik)^{-(l+1)} built once per call, and each polish solve forms its
+    moments straight from its d+2 windowed values: no spectrum is built
+    for it.  A sweep therefore costs O(K (d+2) D), the same at every M
+    past the cap.  What grows with M is the first pass's windowed spectrum
+    per jump, each window shape's cached plateau check and the one full
+    singular part the corrected spectrum subtracts.
     Spectra with M < 32, too short for the window, raise ModelError, and so
     do spectra with too few modes for the window shape of order d.
     """
@@ -336,26 +358,24 @@ def full_reconstruct(
             f"J={config.bounds.J:.3g}: {exc}"
         ) from exc
 
-    def solve(data, prior):
-        return recover_single_jump(data, config.d, prior, M=M_eff)
-
-    decimated = SamplePlan("decimated", config.d, M_eff).indices
-    first_pass = decimated + SamplePlan("consecutive", config.d // 2, M_eff).indices
+    plan = SamplePlan("decimated", config.d, M_eff)
+    first_pass = plan.indices + SamplePlan("consecutive", config.d // 2, M_eff).indices
     estimates = []
     for window in windows:
         f_j = localize_jump(spec, window, first_pass)
-        estimates.append(solve(f_j, half_order_recover(f_j, config.d // 2, M_eff).xi))
+        prior = half_order_recover(f_j, config.d // 2, M_eff).xi
+        estimates.append(recover_single_jump(f_j, config.d, prior, M=M_eff))
 
     best = list(estimates)
     best_change = math.inf
     prev_change = math.inf
     grew = 0
-    peel = _BandPeel(spec, config.d, decimated, degree)
+    peel = _BandPeel(spec, plan, windows)
     own = [peel.own(e) for e in estimates]
     for _ in range(config.refine_sweeps):
         change = 0.0
-        for j, window in enumerate(windows):
-            est = solve(peel.data(own, j, window), estimates[j].xi)
+        for j in range(len(windows)):
+            est = _recover_from_moments(peel.moments(own, j), estimates[j].xi)
             change = max(change, _moved(est, estimates[j], M))
             estimates[j] = est
             own[j] = peel.own(est)

@@ -277,6 +277,17 @@ def _direct_sum(spectrum: FourierSpectrum, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _plan_moments(plan: SamplePlan, values) -> MomentSequence:
+    # the one moment formula: m_k = 2pi (ik)^{d+1} c_k from the values c_k
+    # at the plan's indices, on Python numbers, in the order 2pi, then
+    # (ik)^{d+1}, then c_k
+    power = plan.d + 1
+    return MomentSequence(plan, np.array(
+        [2.0 * np.pi * (1j * k) ** power * c for k, c in zip(plan.indices, values)],
+        dtype=np.complex128,
+    ))
+
+
 def weight_moments(spectrum: FourierSpectrum, plan: SamplePlan) -> MomentSequence:
     """Form m_k = 2pi (ik)^{d+1} c_k at the plan's indices, d = plan.d.
 
@@ -285,13 +296,8 @@ def weight_moments(spectrum: FourierSpectrum, plan: SamplePlan) -> MomentSequenc
     """
     if plan.M > spectrum.M:
         raise ModelError(f"plan over M={plan.M} exceeds truncation M={spectrum.M}")
-    idx, power = plan.indices, plan.d + 1
-    cs = spectrum.coeffs[np.array(idx, dtype=np.int64) + spectrum.M].tolist()
-    vals = np.array(
-        [2.0 * np.pi * (1j * k) ** power * c for k, c in zip(idx, cs)],
-        dtype=np.complex128,
-    )
-    return MomentSequence(plan, vals)
+    idx = np.array(plan.indices, dtype=np.int64) + spectrum.M
+    return _plan_moments(plan, spectrum.coeffs[idx].tolist())
 
 
 def product_spectrum(a: FourierSpectrum, b: FourierSpectrum, ks) -> np.ndarray:
@@ -301,30 +307,35 @@ def product_spectrum(a: FourierSpectrum, b: FourierSpectrum, ks) -> np.ndarray:
     coefficients of b, exact for the truncated sequences; indices of a past
     a.M count as zero.  Every |k| must be at most a.M, so an output index
     has its full set of contributing terms from the shorter factor.  The
-    cost is len(ks) times the number of nonzero coefficients of b, plus one
-    copy of the slice of a the outputs read: pass the narrow factor (a
-    window) as b.  ks may be unsorted and repeat; the result is a complex
+    cost is len(ks) times the number of nonzero coefficients of b: pass the
+    narrow factor (a window) as b.  The terms are gathered from a in place,
+    or from a zero-padded copy of the slice they read when that slice
+    passes a.M.  ks may be unsorted and repeat; the result is a complex
     array in the order of ks.
     """
     ks = np.asarray(ks)
-    if ks.ndim != 1 or (ks.size and not np.issubdtype(ks.dtype, np.integer)):
+    if ks.ndim != 1 or (ks.size and ks.dtype.kind not in "iu"):
         raise ModelError(f"product indices must be a 1-D integer list, got {ks!r}")
-    ks = ks.astype(np.int64)
-    past = ks[np.abs(ks) > a.M]
-    if past.size:
+    kl = ks.tolist()
+    past = [k for k in kl if abs(k) > a.M]
+    if past:
         raise ModelError(f"product index {past[0]} exceeds first factor M={a.M}")
-    nz = np.flatnonzero(b.coeffs)
-    if not (ks.size and nz.size):
-        return np.zeros(ks.size, dtype=np.complex128)
-    m = nz - b.M
-    # the slice of a the outputs read, zero-padded past a.M, gathered once
-    lo = int(ks.min() - m[-1])
-    hi = int(ks.max() - m[0])
-    need = np.zeros(hi - lo + 1, dtype=np.complex128)
-    start, stop = max(lo, -a.M), min(hi, a.M)
-    if start <= stop:
-        need[start - lo : stop - lo + 1] = a.coeffs[start + a.M : stop + a.M + 1]
-    return need[ks[:, None] - m - lo] @ b.coeffs[nz]
+    nz = b.coeffs.nonzero()[0]
+    if not (kl and nz.size):
+        return np.zeros(len(kl), dtype=np.complex128)
+    # the outputs read a_{k-m} for the nonzero b_m, k - m in lo..hi; a
+    # range inside a is read in place, one past a.M from a zero-padded copy
+    lo = min(kl) - (int(nz[-1]) - b.M)
+    hi = max(kl) - (int(nz[0]) - b.M)
+    if -a.M <= lo and hi <= a.M:
+        need, base = a.coeffs, a.M
+    else:
+        need, base = np.zeros(hi - lo + 1, dtype=np.complex128), -lo
+        start, stop = max(lo, -a.M), min(hi, a.M)
+        if start <= stop:
+            need[start - lo : stop - lo + 1] = a.coeffs[start + a.M : stop + a.M + 1]
+    gather = np.add.outer(ks.astype(np.int64, copy=False), base + b.M - nz)
+    return need[gather] @ b.coeffs[nz]
 
 
 def coeffs_of_function(

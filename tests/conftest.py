@@ -76,6 +76,26 @@ def full_peel(spec, d, estimates, j, window, ks):
     return (windowed.coeffs + own[j])[np.asarray(ks) + M]
 
 
+def product_reference(a, b, ks) -> np.ndarray:
+    """product_spectrum's values from a zero-padded copy of the slice of a
+    the outputs read, gathered at ks - m for the nonzero b_m; no checks.
+
+    The reference spectrum.product_spectrum must equal bit for bit.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    nz = np.flatnonzero(b.coeffs)
+    if not (ks.size and nz.size):
+        return np.zeros(ks.size, dtype=np.complex128)
+    m = nz - b.M
+    lo = int(ks.min() - m[-1])
+    hi = int(ks.max() - m[0])
+    need = np.zeros(hi - lo + 1, dtype=np.complex128)
+    start, stop = max(lo, -a.M), min(hi, a.M)
+    if start <= stop:
+        need[start - lo : stop - lo + 1] = a.coeffs[start + a.M : stop + a.M + 1]
+    return need[ks[:, None] - m - lo] @ b.coeffs[nz]
+
+
 def roots_reference(coeffs) -> np.ndarray:
     """numpy.roots of the normalized polynomial, in lexsort order; no gate.
 

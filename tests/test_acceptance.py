@@ -38,9 +38,8 @@ from jumprec.stability import (
     decimated_cap_constant,
     fit_loglog_slope,
     method_gap_exact,
-    run_cap_trials,
-    run_misspec_sweep,
 )
+from stability_trials import run_cap_trials, run_misspec_sweep
 
 SEED = 20260823
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy.integrate import quad
 from scipy.special import iv
 
@@ -32,7 +32,7 @@ from jumprec.model import (
 )
 from jumprec.reconstruct import _BandPeel
 from jumprec.solver import JumpEstimate
-from jumprec.spectrum import FourierSpectrum, coeffs_of_function
+from jumprec.spectrum import FourierSpectrum, SamplePlan, coeffs_of_function
 
 
 # ---------------------------------------------------------------- bernoulli
@@ -335,18 +335,22 @@ def test_coeff_array_is_the_full_index_form_bit_for_bit(model, M):
 
 @given(model=jump_models(), M=st.integers(1, 600), data=st.data())
 def test_coeffs_at_positive_indices_are_the_array_entries_bit_for_bit(model, M, data):
-    # the polish's band peel and phi_coeff_array share one kernel; a peel
-    # of a higher order than the model's builds powers that go unused
-    lo = data.draw(st.integers(1, M))
-    hi = data.draw(st.integers(lo, M))
-    degree = data.draw(st.integers(0, min(lo - 1, M - hi)))
-    extra = data.draw(st.integers(0, 2))
+    # the polish's union-band peel and phi_coeff_array share one kernel; a
+    # peel of a higher order than the model's builds powers that go unused
+    d = model.order + data.draw(st.integers(0, 2))
+    assume(M >= d + 2)
+    plan = SamplePlan("decimated", d, data.draw(st.integers(d + 2, M)))
+    N = plan.stride
+    degree = data.draw(st.integers(0, min(N - 1, M - (d + 2) * N)))
+    window = FourierSpectrum(degree, np.ones(2 * degree + 1, dtype=complex))
     spec = FourierSpectrum(M, np.zeros(2 * M + 1, dtype=complex))
-    peel = _BandPeel(spec, model.order + extra, [hi, lo], degree)
-    band = np.arange(lo - degree, hi + degree + 1)
+    peel = _BandPeel(spec, plan, [window])
+    # the union of the intervals [k - D, k + D] around the plan's indices
+    union = sorted({k + m for k in plan.indices for m in range(-degree, degree + 1)})
+    assert peel.band.tolist() == union
     for xi, mags in model.jumps:
         got = peel.own(JumpEstimate(xi, mags, 0.0, 0.0))
-        want = phi_coeff_array(JumpModel(model.order, ((xi, mags),)), M)[band + M]
+        want = phi_coeff_array(JumpModel(model.order, ((xi, mags),)), M)[peel.band + M]
         assert got.tobytes() == want.tobytes()
 
 

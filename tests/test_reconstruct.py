@@ -29,7 +29,13 @@ from jumprec.reconstruct import (
     pipeline_geometry,
 )
 from jumprec.solver import JumpEstimate, SamplePlan
-from jumprec.spectrum import FourierSpectrum, eval_partial_sum, uniform_grid, wrap_angle
+from jumprec.spectrum import (
+    FourierSpectrum,
+    eval_partial_sum,
+    uniform_grid,
+    weight_moments,
+    wrap_angle,
+)
 from jumprec.stability import fit_loglog_slope
 
 from conftest import circ, full_peel, full_window
@@ -192,6 +198,65 @@ def test_too_few_modes_for_the_order_is_a_contract_error(d):
     assert abs(est.locations[0] - 0.7) <= 1e-4
 
 
+def _uncapped_degree(M, d):
+    # the window degree before the separation cap: below the lowest
+    # decimated index and below M - M_eff
+    M_eff = max(int(0.75 * M), d + 2)
+    return max(1, min(M - M_eff, M_eff // (d + 2) - 2))
+
+
+@pytest.mark.parametrize("J", [0.3, 0.6, 1.0, np.pi / 2])
+def test_window_degree_is_capped_by_the_separation(J):
+    width = min(0.9 * J, np.pi / 2)
+
+    def beta(D):
+        # localize's Kaiser shape parameter at degree D
+        return math.sqrt(max((width / 3.0 * (D + 1)) ** 2 - np.pi**2, 0.0))
+
+    capped = 0
+    for d in range(5):
+        for M in (32, 48, 64, 100, 256, 1000, 1024, 4096, 16384, 65536):
+            _, got_width, degree = pipeline_geometry(M, d, J)
+            assert got_width == width
+            assert degree <= _uncapped_degree(M, d)
+            if degree < _uncapped_degree(M, d):
+                capped += 1
+                # the least degree whose taper reaches beta = 38, and its
+                # window passes the plateau gate
+                assert beta(degree) >= 38.0 > beta(degree - 1)
+                make_bump(0.7, width, M, degree)
+    assert capped
+
+
+def test_window_degree_cap_values():
+    assert pipeline_geometry(4096, 2, np.pi / 2)[2] == 80
+    assert pipeline_geometry(65536, 2, np.pi / 2)[2] == 80
+    assert pipeline_geometry(65536, 2, 0.6)[2] == 211
+    # the cap binds at 4096 for J = 0.6, not yet at 1024
+    assert pipeline_geometry(1024, 2, 0.6)[2] == _uncapped_degree(1024, 2) == 190
+    assert _uncapped_degree(4096, 2) == 766
+
+
+@pytest.mark.parametrize("d", sorted(_LAST_NARROW_M))
+def test_separation_cap_leaves_the_narrow_windows_alone(d):
+    # every M up to one past the last too-narrow one keeps its degree, so
+    # which M are too few modes for order d does not move
+    for M in range(32, _LAST_NARROW_M[d] + 2):
+        assert pipeline_geometry(M, d, BND.J)[2] == _uncapped_degree(M, d)
+
+
+def test_band_peel_holds_disjoint_intervals_at_large_M():
+    # at M=4096, d=2 the capped window (D=80) reads d+2 disjoint intervals
+    # of 2D+1 indices, not the band from N-D to (d+2)N+D
+    spec, cfg = _d2_two_jump_case(4096)
+    M_eff, width, degree = pipeline_geometry(spec.M, cfg.d, BND.J)
+    plan = SamplePlan("decimated", cfg.d, M_eff)
+    windows = [make_bump(x, width, spec.M, degree) for x in (-1.3, 0.7)]
+    peel = reconstruct._BandPeel(spec, plan, windows)
+    assert peel.band.size == (cfg.d + 2) * (2 * degree + 1) == 644
+    assert np.count_nonzero(np.diff(peel.band) > 1) == cfg.d + 1
+
+
 def _d2_two_jump_case(M):
     # a k^-4 background in the first jump's window, off its plateau, so the
     # windowed value at every sampled index of every pass moves the estimates
@@ -272,12 +337,18 @@ def test_band_peel_is_the_full_peel_bit_for_bit(d, data):
         windows = [make_bump(e.xi, width, spec.M, degree) for e in estimates]
     except NumericError:
         return  # too few modes for this order's window; full_reconstruct refuses it
-    ks = SamplePlan("decimated", d, M_eff).indices
-    peel = reconstruct._BandPeel(spec, d, ks, degree)
+    plan = SamplePlan("decimated", d, M_eff)
+    peel = reconstruct._BandPeel(spec, plan, windows)
     own = [peel.own(e) for e in estimates]
+    ks = np.asarray(plan.indices)
     for j, window in enumerate(windows):
-        band = peel.data(own, j, window).coeffs[np.asarray(ks) + spec.M]
-        assert band.tobytes() == full_peel(spec, d, estimates, j, window, ks).tobytes()
+        want = full_peel(spec, d, estimates, j, window, plan.indices)
+        assert peel.samples(own, j).tobytes() == want.tobytes()
+        # and the moments are weight_moments' of the fully peeled data
+        full = np.zeros(2 * spec.M + 1, dtype=complex)
+        full[ks + spec.M] = want
+        moments = weight_moments(FourierSpectrum(spec.M, full), plan)
+        assert peel.moments(own, j).values.tobytes() == moments.values.tobytes()
 
 
 def test_polish_measures_a_move_across_pi_on_the_circle(monkeypatch):
@@ -287,11 +358,17 @@ def test_polish_measures_a_move_across_pi_on_the_circle(monkeypatch):
     sides = itertools.cycle((-np.pi + eps, np.pi - eps))
     calls = []
 
-    def alternating(data, d, prior, **kwargs):
+    def alternating(prior):
         calls.append(prior)
         return JumpEstimate(next(sides), (1.0, 0.3), 0.0, math.inf)
 
-    monkeypatch.setattr(reconstruct, "recover_single_jump", alternating)
+    # the first pass solves a windowed spectrum, the polish its moments
+    monkeypatch.setattr(
+        reconstruct, "recover_single_jump", lambda data, d, prior, **kw: alternating(prior)
+    )
+    monkeypatch.setattr(
+        reconstruct, "_recover_from_moments", lambda moments, prior: alternating(prior)
+    )
     spec = synth_spectrum(JumpModel(1, ((-np.pi, (1.0, 0.3)),)), None, 128)
     full_reconstruct(spec, ReconstructionConfig(d=1, K=1, bounds=BND))
     # the first pass, then one sweep that stops on the tolerance

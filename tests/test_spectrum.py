@@ -15,11 +15,13 @@ from conftest import (
     dump_text,
     moments_reference,
     no_python_encoder,
+    product_reference,
 )
 from jumprec import spectrum as spectrum_module
 from jumprec.errors import ModelError
 from jumprec.localize import make_bump
 from jumprec.model import JumpModel, phi_coeff_array, phi_eval
+from jumprec.reconstruct import pipeline_geometry
 from jumprec.spectrum import (
     FourierSpectrum,
     MomentSequence,
@@ -425,6 +427,37 @@ def test_sampled_product_matches_the_dense_convolution(
         mirrored = product_spectrum(a, b, [-k for k in ks])
         assert np.max(np.abs(mirrored - got.conj())) <= tol
     assert np.max(np.abs(got - want)) <= tol
+
+
+@given(
+    case=index_sets(),
+    bM=st.integers(0, 40),
+    keep=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# every output reads a in place, and one whose terms pass a.M
+@example(case=(24, [5, 7, 12]), bM=3, keep=1.0, seed=2)
+@example(case=(24, [24, -3]), bM=3, keep=1.0, seed=3)
+def test_product_is_the_padded_gather_bit_for_bit(case, bM, keep, seed):
+    aM, ks = case
+    rng = np.random.default_rng(seed)
+    a = FourierSpectrum(aM, rng.normal(size=2 * aM + 1) + 1j * rng.normal(size=2 * aM + 1))
+    cs = rng.normal(size=2 * bM + 1) + 1j * rng.normal(size=2 * bM + 1)
+    b = FourierSpectrum(bM, cs * (rng.random(2 * bM + 1) < keep))
+    for idx in (ks, np.array(ks, dtype=np.int32), tuple(ks)):
+        got = product_spectrum(a, b, idx)
+        assert bits(got).tobytes() == bits(product_reference(a, b, ks)).tobytes()
+
+
+@pytest.mark.parametrize("M, d", [(64, 0), (256, 2), (512, 1), (4096, 2)])
+def test_windowing_is_the_padded_gather_bit_for_bit(M, d):
+    # the pipeline's own products: a window on the first pass's indices
+    M_eff, width, degree = pipeline_geometry(M, d, np.pi / 2)
+    window = make_bump(0.7, width, M, degree)
+    sp = jump_spectrum(JumpModel(d, ((0.7, (1.0,) + (0.3,) * d),)), M)
+    ks = SamplePlan("decimated", d, M_eff).indices + SamplePlan("consecutive", d // 2, M_eff).indices
+    got = product_spectrum(sp, window, ks)
+    assert bits(got).tobytes() == bits(product_reference(sp, window, ks)).tobytes()
 
 
 def test_product_with_delta_spectrum_is_identity():

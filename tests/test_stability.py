@@ -18,9 +18,8 @@ from jumprec.stability import (
     method_gap_factor,
     misspec_exponent,
     node_perturbation_bound,
-    run_cap_trials,
-    run_misspec_sweep,
 )
+from stability_trials import run_cap_trials, run_misspec_sweep
 
 
 # ---------------------------------------------------------------- configs
