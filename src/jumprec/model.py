@@ -28,6 +28,7 @@ from .errors import (
 )
 from .spectrum import (
     FourierSpectrum,
+    _finite_points,
     circular_distance,
     coeffs_of_function,
     modulus,
@@ -84,6 +85,24 @@ _BERNOULLI_POLYS_FLOAT = tuple(
 )
 
 
+# V_l = scale_l B_{l+1}(t), scale_l = -(2pi)^l/(l+1)!, as ascending
+# coefficients in t, l = 0.._TABLE_MAX-1
+_VN_POLYS = tuple(
+    tuple(-((2.0 * np.pi) ** n) / math.factorial(n + 1) * c
+          for c in _BERNOULLI_POLYS_FLOAT[n + 1])
+    for n in range(_TABLE_MAX)
+)
+
+
+def _horner(coeffs, t: np.ndarray, out: np.ndarray) -> None:
+    # out += sum_k coeffs[k] t^k on real arrays, one in-place pass
+    acc = np.full_like(t, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= t
+        acc += c
+    out += acc
+
+
 def bernoulli_coefficients(n: int):
     """Exact rational coefficients of B_n, ascending powers."""
     if not 0 <= n <= _TABLE_MAX:
@@ -95,20 +114,12 @@ def bernoulli_poly(n: int, x):
     """Evaluate the Bernoulli polynomial B_n at x (scalar or array)."""
     if not 0 <= n <= _TABLE_MAX:
         raise ModelError(f"Bernoulli table covers 0..{_TABLE_MAX}, got n={n}")
-    coeffs = _BERNOULLI_POLYS_FLOAT[n]
     xs = np.asarray(x, dtype=float)
-    acc = np.full_like(xs, coeffs[-1], dtype=float)
-    for c in coeffs[-2::-1]:
-        acc = acc * xs + c
+    acc = np.zeros(xs.shape)
+    _horner(_BERNOULLI_POLYS_FLOAT[n], xs, acc)
     if np.ndim(x) == 0:
         return float(acc)
     return acc
-
-
-def _vn_from_t(n: int, t):
-    """V_n as a function of the wrapped phase t = ((x - xi)/2pi) mod 1."""
-    scale = -((2.0 * np.pi) ** n) / math.factorial(n + 1)
-    return scale * bernoulli_poly(n + 1, t)
 
 
 def vn_eval(n: int, x, xi: float):
@@ -122,7 +133,8 @@ def vn_eval(n: int, x, xi: float):
     if n + 1 > _TABLE_MAX:
         raise ModelError(f"basis order {n} beyond coefficient table")
     t = np.mod((np.asarray(x, dtype=float) - xi) / (2.0 * np.pi), 1.0)
-    val = _vn_from_t(n, t)
+    val = np.zeros(np.shape(t))
+    _horner(_VN_POLYS[n], t, val)
     if np.ndim(x) == 0:
         return float(val)
     return val
@@ -265,27 +277,40 @@ def phi_eval(model: JumpModel, x, side: Optional[str] = None):
     """Evaluate the piecewise polynomial at x (scalar or array).
 
     Points sitting exactly on a jump are ambiguous; pass side="left" or
-    side="right" to pick the one-sided limit there.
+    side="right" to pick the one-sided limit there.  NaN or inf among the
+    points is a ModelError.  Each jump's d+1 orders are one polynomial in
+    the phase t = ((x - xi)/2pi) mod 1: the coefficients of
+    sum_l a_l V_l = sum_l a_l scale_l B_{l+1}(t), scale_l = -(2pi)^l/(l+1)!,
+    are formed on Python numbers and the polynomial is evaluated by one
+    Horner pass on real arrays, two (real and imaginary parts) for complex
+    magnitudes.  A real model gives real values, a complex one complex.
     """
     if side not in (None, "left", "right"):
         raise ModelError(f"side must be left/right/None, got {side!r}")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros(xs.shape, dtype=np.complex128)
+    xs = _finite_points(x)
+    real = model.is_real
+    out = np.zeros(xs.shape, dtype=float if real else np.complex128)
     for xi, mags in model.jumps:
-        t = np.mod((xs - xi) / (2.0 * np.pi), 1.0)
+        t = xs - xi
+        t /= 2.0 * np.pi
+        np.mod(t, 1.0, out=t)
         at_jump = np.minimum(t, 1.0 - t) * 2.0 * np.pi < _JUMP_TOL
         if np.any(at_jump):
             if side is None:
                 raise ModelError(
                     f"evaluation at jump location {xi}: pass side='left' or 'right'"
                 )
-            t = t.copy()
             t[at_jump] = 0.0 if side == "right" else 1.0
-        for ell, a in enumerate(mags):
-            if a != 0:
-                out += a * _vn_from_t(ell, t)
-    if model.is_real:
-        out = out.real
+        coeffs = [0.0] * (len(mags) + 1)
+        for a, poly in zip(mags, _VN_POLYS):
+            a = a.real if real else a
+            for k, c in enumerate(poly):
+                coeffs[k] += a * c
+        if real:
+            _horner(coeffs, t, out)
+        else:
+            _horner([c.real for c in coeffs], t, out.real)
+            _horner([c.imag for c in coeffs], t, out.imag)
     if np.ndim(x) == 0:
         return out[0]
     return out

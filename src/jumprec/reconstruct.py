@@ -415,29 +415,32 @@ def jump_free_error(
     """Sup error against truth on uniform_grid(grid) away from the jumps.
 
     Excludes radius-neighborhoods (circular) of the recovered jumps and
-    of any supplied true jump locations.  The smooth part is summed once on
-    the whole grid, which eval_partial_sum does by one FFT; the singular
-    part and truth are evaluated on the kept points only, so no grid point
-    at a recovered jump reaches phi_eval.
+    of any supplied true jump locations; the mask for all of them is one
+    broadcast, and the kept points are gathered once.  The smooth part is
+    summed once on the whole grid, which eval_partial_sum does by one
+    zero-padded fold and one inverse FFT; the singular part (phi_eval,
+    one Horner pass per jump) and truth are evaluated on the kept points
+    only, so no grid point at a recovered jump reaches phi_eval.  grid
+    must be an integer >= 1 and radius a finite real > 0, else ModelError.
     """
-    if radius <= 0:
-        raise ModelError(f"exclusion radius must be positive, got {radius}")
+    grid = read_int(grid, "grid")
+    radius = read_real(radius, "radius")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ModelError(f"exclusion radius must be finite and > 0, got radius={radius}")
     if grid < 1:
-        raise ModelError(f"grid must have at least one point, got {grid}")
+        raise ModelError(f"grid must have at least one point, got grid={grid}")
     xs = uniform_grid(grid)
-    keep = np.ones(grid, dtype=bool)
     excl = list(appr.estimate.locations)
     if true_jumps is not None:
         excl.extend(float(t) for t in true_jumps)
-    for xi in excl:
-        dist = np.abs(wrap_angle(xs - xi))
-        keep &= dist > radius
-    if not np.any(keep):
+    dist = np.abs(wrap_angle(xs - np.array(excl)[:, None]))
+    keep = (dist > radius).all(axis=0)
+    kept = xs[keep]
+    if not kept.size:
         raise ModelError(
             f"no grid points remain after excluding radius {radius} "
             f"around {len(excl)} jumps"
         )
     smooth = eval_partial_sum(appr.corrected_spectrum, xs)[keep]
-    approx = smooth + phi_eval(appr.estimate, xs[keep])
-    exact = np.asarray(truth(xs[keep]))
-    return float(np.max(np.abs(approx - exact)))
+    approx = smooth + phi_eval(appr.estimate, kept)
+    return float(np.max(np.abs(approx - np.asarray(truth(kept)))))

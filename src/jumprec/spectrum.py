@@ -228,6 +228,19 @@ class MomentSequence:
         return self.plan.indices
 
 
+def _finite_points(x) -> np.ndarray:
+    # the points as a float array of at least one dimension; NaN or inf is
+    # a ModelError naming the first one, by its flat index
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    finite = np.isfinite(xs)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ModelError(
+            f"evaluation points must be finite, got x[{i}]={float(xs.flat[i])!r}"
+        )
+    return xs
+
+
 def uniform_grid(G: int) -> np.ndarray:
     """The G points x_j = -pi + 2pi j/G, j = 0..G-1, of [-pi, pi)."""
     return -np.pi + 2.0 * np.pi * np.arange(G) / G
@@ -237,15 +250,19 @@ def eval_partial_sum(spectrum: FourierSpectrum, x) -> np.ndarray:
     """Evaluate sum_{|k|<=M} c_k exp(i k x) at the points x.
 
     Returns real values when the spectrum is declared real_valued, complex
-    otherwise.  Accepts scalars or arrays.  A 1-D array equal to
-    uniform_grid(G) takes one inverse FFT of length G, O(M + G log G):
-    there exp(i k x_j) = (-1)^k exp(2pi i (k mod G) j/G), so the signed
+    otherwise.  Accepts scalars or arrays; NaN or inf among the points is a
+    ModelError naming the first one.  A 1-D array equal to uniform_grid(G)
+    takes one inverse FFT of length G, O(M + G log G): there
+    exp(i k x_j) = (-1)^k exp(2pi i (k mod G) j/G), so the signed
     coefficients fold into G bins by k mod G, which is exact for any G,
-    below 2M+1 as well.  Other points sum the 2M+1 modes directly, with the
-    phase matrix built in row blocks of at most 2^19 entries, so memory
-    stays bounded for any number of points.
+    below 2M+1 as well.  The fold copies the coefficients once into a
+    zero-padded buffer whose rows of G entries each hold one period of
+    k mod G, negates the odd k with one strided slice and sums the rows.
+    Other points sum the 2M+1 modes directly, with the phase matrix built
+    in row blocks of at most 2^19 entries, so memory stays bounded for any
+    number of points.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = _finite_points(x)
     if np.ndim(x) == 1 and xs.size and np.array_equal(xs, uniform_grid(xs.size)):
         out = _grid_sum(spectrum, xs.size)
     else:
@@ -258,12 +275,18 @@ def eval_partial_sum(spectrum: FourierSpectrum, x) -> np.ndarray:
 
 
 def _grid_sum(spectrum: FourierSpectrum, G: int) -> np.ndarray:
-    # sign (-1)^k, fold by k mod G, one inverse FFT
-    ks = np.arange(-spectrum.M, spectrum.M + 1)
-    signed = np.where(ks % 2 == 0, spectrum.coeffs, -spectrum.coeffs)
-    bins = ks % G
-    folded = np.bincount(bins, signed.real, G) + 1j * np.bincount(bins, signed.imag, G)
-    return G * np.fft.ifft(folded)
+    # the coefficients sit in a zero-padded buffer that starts at the
+    # multiple of G at or below -M, so each row of G entries is one whole
+    # period of k mod G; the odd k are negated in place by one strided
+    # slice, the rows are summed in ascending k, and one inverse FFT follows
+    M, n = spectrum.M, spectrum.coeffs.size
+    pad = (-M) % G
+    rows = -(-(pad + n) // G)
+    buf = np.zeros(rows * G, dtype=np.complex128)
+    buf[pad : pad + n] = spectrum.coeffs
+    odd = buf[pad + (M + 1) % 2 : pad + n : 2]
+    np.negative(odd, out=odd)
+    return G * np.fft.ifft(buf.reshape(rows, G).sum(axis=0))
 
 
 def _direct_sum(spectrum: FourierSpectrum, xs: np.ndarray) -> np.ndarray:

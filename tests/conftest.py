@@ -1,11 +1,13 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 from hypothesis import settings
 
+from jumprec.errors import ModelError
 from jumprec.localize import localize_jump
-from jumprec.model import JumpModel, phi_coeff_array
+from jumprec.model import JumpModel, bernoulli_coefficients, bernoulli_poly, phi_coeff_array
 from jumprec.solver import _vandermonde_inverse_float
 from jumprec.spectrum import FourierSpectrum
 
@@ -140,3 +142,92 @@ def magnitudes_reference(moments, omega):
             alpha[l] = acc
     a = tuple(complex(alpha[d - m]) * (-1j) ** (d - m) for m in range(d + 1))
     return alpha, a
+
+
+def grid_sum_reference(spectrum, G) -> np.ndarray:
+    """The partial sum on uniform_grid(G) by a bincount fold; no checks.
+
+    Sign (-1)^k, two weighted bincounts by k mod G (real and imaginary
+    parts), one inverse FFT.  spectrum._grid_sum must equal it bit for bit
+    for every G >= 2.
+    """
+    ks = np.arange(-spectrum.M, spectrum.M + 1)
+    signed = np.where(ks % 2 == 0, spectrum.coeffs, -spectrum.coeffs)
+    bins = ks % G
+    folded = np.bincount(bins, signed.real, G) + 1j * np.bincount(bins, signed.imag, G)
+    return G * np.fft.ifft(folded)
+
+
+def phase_reference(xs, xi, side) -> np.ndarray:
+    """phi_eval's phase t = ((x - xi)/2pi) mod 1 at each point, with t = 0
+    (side "right") or 1 (side "left") at the jump; ModelError at the jump
+    without a side."""
+    t = np.mod((np.asarray(xs, dtype=float) - xi) / (2.0 * np.pi), 1.0)
+    at_jump = np.minimum(t, 1.0 - t) * 2.0 * np.pi < 1e-12
+    if np.any(at_jump):
+        if side is None:
+            raise ModelError(f"evaluation at jump location {xi}: pass a side")
+        t[at_jump] = 0.0 if side == "right" else 1.0
+    return t
+
+
+def phi_eval_per_order(model, x, side=None):
+    """The piecewise polynomial summed one order at a time; no point checks.
+
+    Each jump adds a_l V_l(t) for l = 0..d into a complex array, every
+    V_l(t) = scale_l B_{l+1}(t) its own Horner pass; a real model keeps the
+    real part.  The per-order form that phi_eval's one fused pass per jump
+    replaced.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros(xs.shape, dtype=np.complex128)
+    for xi, mags in model.jumps:
+        t = phase_reference(xs, xi, side)
+        for ell, a in enumerate(mags):
+            if a != 0:
+                scale = -((2.0 * np.pi) ** ell) / math.factorial(ell + 1)
+                out += a * (scale * bernoulli_poly(ell + 1, t))
+    if model.is_real:
+        out = out.real
+    return out[0] if np.ndim(x) == 0 else out
+
+
+def phi_eval_mp(model, x, side=None, dps=40):
+    """(values, scale) of the piecewise polynomial at the 1-D points x, in
+    mpmath at dps digits.
+
+    Each jump's phase is phase_reference's double t, taken exactly, and
+    sum_l a_l scale_l B_{l+1}(t), scale_l = -(2pi)^l/(l+1)!, is summed from
+    the exact rational coefficients of B_{l+1}.  scale is the Horner
+    condition of that sum, sum_l |a_l scale_l| sum_k |b_{l+1,k}| t^k with
+    b the coefficients of B_{l+1}: a Horner pass in doubles errs by a
+    small multiple of eps times it.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    vals = np.zeros(xs.shape, dtype=np.complex128)
+    scale = np.zeros(xs.shape)
+    with mp.workdps(dps):
+        jumps = []
+        for xi, mags in model.jumps:
+            # the d+1 orders as one polynomial in t, ascending powers, and
+            # the polynomial of absolute terms that gives its scale
+            coeffs = [mp.mpc(0)] * (len(mags) + 1)
+            sizes = [mp.mpf(0)] * (len(mags) + 1)
+            for ell, a in enumerate(mags):
+                w = mp.mpc(a) * -((2 * mp.pi) ** ell) / mp.factorial(ell + 1)
+                for k, c in enumerate(bernoulli_coefficients(ell + 1)):
+                    b = mp.mpf(c.numerator) / c.denominator
+                    coeffs[k] += w * b
+                    sizes[k] += abs(w) * abs(b)
+            t = phase_reference(xs, xi, side).tolist()
+            jumps.append((t, coeffs[::-1], sizes[::-1]))
+        for i in range(xs.size):
+            v, size = mp.mpc(0), mp.mpf(0)
+            for t, coeffs, sizes in jumps:
+                v += mp.polyval(coeffs, mp.mpf(t[i]))
+                size += mp.polyval(sizes, mp.mpf(t[i]))
+            vals[i] = complex(v)
+            scale[i] = float(size)
+    if model.is_real:
+        vals = vals.real
+    return vals, scale

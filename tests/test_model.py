@@ -1,5 +1,6 @@
 """Piecewise-polynomial model, basis functions, synthesis, catalog."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import assume, example, given, strategies as st
 from scipy.integrate import quad
 from scipy.special import iv
 
-from conftest import dump_text, no_python_encoder
+from conftest import dump_text, no_python_encoder, phi_eval_mp, phi_eval_per_order
 from jumprec.errors import ModelError
 from jumprec.model import (
     AprioriBounds,
@@ -225,6 +226,46 @@ def test_eval_zero_mean():
         -np.pi, np.pi, points=[-1.1, 0.3], limit=400, epsabs=1e-13,
     )
     assert abs(val) <= 1e-10
+
+
+def _random_model(rng, d, K, complex_mags):
+    locs = np.sort(rng.uniform(-np.pi, np.pi, K))
+    mags = rng.normal(size=(K, d + 1))
+    if complex_mags:
+        mags = mags + 1j * rng.normal(size=(K, d + 1))
+    return JumpModel(d, tuple((float(xi), tuple(m)) for xi, m in zip(locs, mags)))
+
+
+@pytest.mark.parametrize("d", range(32))
+def test_fused_phi_eval_matches_mpmath(d):
+    # one Horner pass over the d+1 orders combined errs by a small multiple
+    # of eps times the sum of the absolute terms sum_l |a_l scale_l| |B_{l+1}|
+    # (phi_eval_mp's scale), as each order's own pass did; 4(d+2) eps leaves
+    # room for d+2 Horner steps and the d+1 terms of each coefficient, and
+    # the worst seen is under 2 eps
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(d)
+    for K, complex_mags, side in itertools.product(
+        (1, 2, 3), (False, True), ("left", "right")
+    ):
+        model = _random_model(rng, d, K, complex_mags)
+        xs = np.concatenate((rng.uniform(-np.pi, np.pi, 4), model.locations, [-np.pi]))
+        got = phi_eval(model, xs, side=side)
+        assert got.dtype == (np.complex128 if complex_mags else np.float64)
+        want, scale = phi_eval_mp(model, xs, side)
+        bound = 4 * (d + 2) * eps * scale
+        assert np.all(np.abs(got - want) <= bound), (K, complex_mags, side)
+        # the per-order form meets the same bound
+        assert np.all(np.abs(phi_eval_per_order(model, xs, side) - want) <= bound)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_phi_eval_rejects_non_finite_points(bad):
+    m = JumpModel(1, ((0.3, (1.0, 0.5)),))
+    with pytest.raises(ModelError, match=rf"x\[2\]={bad!r}"):
+        phi_eval(m, np.array([0.1, -2.0, bad, np.nan]))
+    with pytest.raises(ModelError, match="finite"):
+        phi_eval(m, bad, side="left")
 
 
 # ---------------------------------------------------------------- coefficients

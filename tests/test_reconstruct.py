@@ -570,6 +570,61 @@ def test_jump_free_error_validation():
         jump_free_error(ap, lambda xs: phi_eval(est, xs), 3.2)  # nothing left
 
 
+@pytest.mark.parametrize("grid", [2048.5, True, np.float64(64), "64", None])
+def test_jump_free_error_reads_grid_as_an_integer(grid):
+    est = JumpModel(0, ((0.7, (1.0,)),))
+    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True), 4)
+    with pytest.raises(ModelError, match="grid must be an integer"):
+        jump_free_error(ap, lambda xs: phi_eval(est, xs), 0.3, grid=grid)
+
+
+def test_jump_free_error_takes_numpy_integers_for_grid():
+    est = JumpModel(0, ((0.7, (1.0,)),))
+    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True), 4)
+    truth = lambda xs: phi_eval(est, xs)  # noqa: E731
+    assert jump_free_error(ap, truth, 0.3, grid=np.int64(64)) == jump_free_error(
+        ap, truth, 0.3, grid=64
+    )
+    with pytest.raises(ModelError, match="grid"):
+        jump_free_error(ap, truth, 0.3, grid=0)
+
+
+@pytest.mark.parametrize("radius", [True, np.nan, np.inf, -np.inf, -0.1, 0.0, "0.3", None])
+def test_jump_free_error_reads_radius_as_a_finite_positive_real(radius):
+    est = JumpModel(0, ((0.7, (1.0,)),))
+    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True), 4)
+    with pytest.raises(ModelError, match="radius"):
+        jump_free_error(ap, lambda xs: phi_eval(est, xs), radius)
+
+
+def test_jump_free_error_masks_every_location_in_one_pass():
+    # the kept points are those farther than radius from every recovered
+    # and every true jump on the circle, here across the -pi/pi seam
+    est = JumpModel(0, ((-3.0, (1.0,)), (0.7, (1.0,))))
+    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True), 4)
+    seen = []
+
+    def truth(xs):
+        seen.append(xs.copy())
+        return phi_eval(est, xs)
+
+    assert jump_free_error(ap, truth, 0.3, grid=512, true_jumps=(3.1, 1.5)) <= 1e-12
+    xs = uniform_grid(512)
+    want = np.ones(512, dtype=bool)
+    for xi in (-3.0, 0.7, 3.1, 1.5):
+        want &= np.abs(wrap_angle(xs - xi)) > 0.3
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], xs[want])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eval_approximant_rejects_non_finite_points(bad):
+    est = JumpModel(0, ((0.7, (1.0,)),))
+    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True), 4)
+    with pytest.raises(ModelError, match=rf"x\[0\]={bad!r}"):
+        eval_approximant(ap, np.array([bad, 0.1]))
+
+
 def test_jump_free_error_sums_the_smooth_part_once_on_the_whole_grid(monkeypatch):
     calls = []
 

@@ -13,6 +13,7 @@ from conftest import (
     EDGE_FLOATS,
     bits,
     dump_text,
+    grid_sum_reference,
     moments_reference,
     no_python_encoder,
     product_reference,
@@ -280,6 +281,50 @@ def test_grid_partial_sum_of_a_lone_mode_is_exact(k, G):
     exact = (-1) ** (k % 2) * np.exp(2j * np.pi * ((k * j) % G) / G)
     got = eval_partial_sum(FourierSpectrum(M, cs), uniform_grid(G))
     assert np.max(np.abs(got - exact)) <= 1e-13
+
+
+# G below, at and above 2M+1, for odd and even M
+_FOLD_CASES = sorted({
+    (M, G)
+    for M in (0, 1, 7, 8, 600, 601)
+    for G in (2, 3, M + 1, 2 * M, 2 * M + 1, 2 * M + 2, 3 * M + 7, 2048)
+    if G >= 2
+})
+
+
+@pytest.mark.parametrize("M,G", _FOLD_CASES)
+@pytest.mark.parametrize("real", [False, True])
+def test_grid_fold_is_the_bincount_fold_bit_for_bit(M, G, real):
+    # the padded buffer's rows are summed in ascending k, as bincount adds
+    # its weights
+    sp = _random_spectrum(M, real, 1000 * M + G)
+    got = spectrum_module._grid_sum(sp, G)
+    assert np.array_equal(bits(got), bits(grid_sum_reference(sp, G)))
+
+
+def test_grid_fold_at_one_point_is_the_signed_total():
+    # G = 1 sums all 2M+1 signed modes in one bin, in numpy's pairwise
+    # order rather than bincount's running one
+    sp = _random_spectrum(600, False, 9)
+    ks = np.arange(-600, 601)
+    total = np.sum(np.where(ks % 2 == 0, sp.coeffs, -sp.coeffs))
+    got = spectrum_module._grid_sum(sp, 1)
+    assert got.shape == (1,)
+    assert abs(got[0] - total) <= 1e-15 * np.sum(np.abs(sp.coeffs))
+    assert abs(got[0] - grid_sum_reference(sp, 1)[0]) <= 1e-13 * np.sum(np.abs(sp.coeffs))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_partial_sum_rejects_non_finite_points(bad):
+    sp = _random_spectrum(16, True, 0)
+    with pytest.raises(ModelError, match=rf"x\[1\]={bad!r}"):
+        eval_partial_sum(sp, np.array([0.5, bad, 0.2]))
+    with pytest.raises(ModelError, match="finite"):
+        eval_partial_sum(sp, bad)
+    grid = uniform_grid(64)
+    grid[-1] = bad
+    with pytest.raises(ModelError, match=rf"x\[63\]={bad!r}"):
+        eval_partial_sum(sp, grid)
 
 
 def test_only_the_uniform_grid_takes_the_fft_path(monkeypatch):
