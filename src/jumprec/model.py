@@ -11,6 +11,7 @@ trapezoid quadrature (spectrally accurate).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -273,6 +274,15 @@ class AprioriBounds:
         return cls(*values)
 
 
+def _unit_fraction(t: np.ndarray) -> None:
+    # t mod 1 in place, the values np.mod(t, 1.0) gives bit for bit in less
+    # than half its time: fmod, then 1.0 added where negative and 0.0
+    # elsewhere, which also turns fmod's -0.0 into np.mod's +0.0 (a Horner
+    # pass whose constant term is 0 would carry the sign)
+    np.fmod(t, 1.0, out=t)
+    t += (t < 0.0)
+
+
 def phi_eval(model: JumpModel, x, side: Optional[str] = None):
     """Evaluate the piecewise polynomial at x (scalar or array).
 
@@ -293,7 +303,7 @@ def phi_eval(model: JumpModel, x, side: Optional[str] = None):
     for xi, mags in model.jumps:
         t = xs - xi
         t /= 2.0 * np.pi
-        np.mod(t, 1.0, out=t)
+        _unit_fraction(t)
         at_jump = np.minimum(t, 1.0 - t) * 2.0 * np.pi < _JUMP_TOL
         if np.any(at_jump):
             if side is None:
@@ -354,12 +364,24 @@ def phi_factors(ks, order: int) -> tuple:
     return ik, powers
 
 
+def _phases(ks: np.ndarray, xi: float) -> np.ndarray:
+    # e^{-ik xi} at the real indices ks: cos and sin of the real product
+    # k (-xi), written into the parts of one complex array.  These are the
+    # values np.exp(-ik * xi), ik = 1j * ks, gives, bit for bit (test_model
+    # pins it), without its exp of the zero real part and the scaling by it
+    arg = ks * -xi
+    out = np.empty(arg.size, dtype=np.complex128)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
 def _phi_halves(jumps, factors, negative: bool):
     # the one closed-form kernel: c_k at the indices of factors, and when
     # negative also c_{-k}, which reuses the phases and powers (only signs
     # flip), so both halves are bit-identical to evaluating each index alone
     ik, powers = factors
-    minus_ik = -ik
+    ks = ik.imag
     pos = np.zeros(ik.size, dtype=np.complex128)
     neg = np.zeros(ik.size, dtype=np.complex128) if negative else None
     for xi, mags in jumps:
@@ -374,7 +396,7 @@ def _phi_halves(jumps, factors, negative: bool):
                     inner_neg += term
                 else:
                     inner_neg -= term
-        phase = np.exp(minus_ik * xi)
+        phase = _phases(ks, xi)
         pos += phase * inner_pos
         if negative:
             neg += phase.conj() * inner_neg
@@ -382,6 +404,17 @@ def _phi_halves(jumps, factors, negative: bool):
     if negative:
         neg /= 2.0 * np.pi
     return pos, neg
+
+
+@functools.lru_cache(maxsize=1)
+def _positive_factors(M: int, order: int) -> tuple:
+    # phi_factors on 1..M, read-only: they depend on (M, order) alone, and
+    # repeated reconstructions of one shape ask for the same ones each call;
+    # only the last shape is kept, since they grow with M
+    ik, powers = phi_factors(np.arange(1, M + 1), order)
+    for arr in (ik, *powers):
+        arr.flags.writeable = False
+    return ik, tuple(powers)
 
 
 def phi_coeff_array(model: JumpModel, M: int) -> np.ndarray:
@@ -393,15 +426,16 @@ def phi_coeff_array(model: JumpModel, M: int) -> np.ndarray:
     jumps.  The half k < 0 reuses them: e^{ik xi} is the conjugate of
     e^{-ik xi} and (-ik)^{-(l+1)} = (-1)^{l+1} (ik)^{-(l+1)}.  Only signs
     flip, so the result is bit-identical to evaluating every index,
-    complex magnitudes included.  Cost: d+1 complex divisions of length M,
-    then per jump one complex exp and about 2(d+3) multiply-adds of
-    length M.
+    complex magnitudes included.  The index 1..M and its d+1 powers, d+1
+    complex divisions of length M, depend on (M, d) only and are built
+    once and kept, read-only, for the last shape.  Each call then
+    costs, per jump, one real cos and one real sin and about 2(d+3)
+    multiply-adds of length M.
     """
     M = read_int(M, "M")
     if M < 0:
         raise ModelError(f"M must be a non-negative integer, got M={M!r}")
-    factors = phi_factors(np.arange(1, M + 1), model.order)
-    pos, neg = _phi_halves(model.jumps, factors, negative=True)
+    pos, neg = _phi_halves(model.jumps, _positive_factors(M, model.order), negative=True)
     out = np.zeros(2 * M + 1, dtype=np.complex128)
     out[M + 1 :] = pos
     out[:M] = neg[::-1]

@@ -10,7 +10,7 @@ smooth remainder's coefficients.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -32,7 +32,9 @@ from .spectrum import (
     FourierSpectrum,
     MomentSequence,
     SamplePlan,
+    _certify_symmetry,
     _plan_moments,
+    _scale,
     circular_distance,
     eval_partial_sum,
     modulus,
@@ -138,7 +140,14 @@ class ReconstructionConfig:
             )
 
     def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        b = self.bounds
+        return {
+            "d": self.d,
+            "K": self.K,
+            "bounds": {"J": b.J, "A": b.A, "B": b.B, "R": b.R},
+            "priors": self.priors,
+            "refine_sweeps": self.refine_sweeps,
+        }
 
 
 @dataclass(frozen=True)
@@ -182,27 +191,25 @@ class _BandPeel:
     Windowing at an index k with a degree-D window reads the data on
     k - D .. k + D only, so each jump's own singular part is kept on the
     union of those d+2 intervals around the plan's indices (disjoint once
-    the stride N exceeds 2D), and the powers (ik)^{-(l+1)} are built once
-    for it.  The union holds k >= 1 only: pipeline_geometry keeps the
-    window degree below the lowest decimated index.  Each window's terms
-    are gathered from the union in product_spectrum's order, so a solve's
+    the stride N exceeds 2D), and the powers (ik)^{-(l+1)} are built for
+    it.  The union holds k >= 1 only: pipeline_geometry keeps the window
+    degree below the lowest decimated index.  Each window's terms are
+    gathered from the union in product_spectrum's order, so a solve's
     windowed values equal product_spectrum's on the fully peeled spectrum
-    bit for bit.
+    bit for bit.  The union, its powers and the gather indices depend on
+    the plan, D and which window taps are nonzero, not on the data or the
+    window's centre: they are built once per shape and kept, read-only.
     """
 
     def __init__(self, spec: FourierSpectrum, plan: SamplePlan, windows):
         self.plan = plan
-        ks = np.array(plan.indices, dtype=np.int64)
         D = max(w.M for w in windows)
-        self.band = np.unique(np.add.outer(ks, np.arange(-D, D + 1)))
-        self.factors = phi_factors(self.band, plan.d)
+        self.band, self.factors, self.at_ks = _band(plan, D)
         self.data = spec.coeffs[self.band + spec.M]
-        self.at_ks = np.searchsorted(self.band, ks)
         self.taps = []
         for w in windows:
             nz = w.coeffs.nonzero()[0]
-            gather = np.searchsorted(self.band, np.add.outer(ks, w.M - nz))
-            self.taps.append((gather, w.coeffs[nz]))
+            self.taps.append((_band_gather(plan, D, w.M, nz.tobytes()), w.coeffs[nz]))
 
     def own(self, est) -> np.ndarray:
         """One estimate's singular part on the union band.
@@ -225,6 +232,33 @@ class _BandPeel:
 
     def moments(self, own: list, j: int) -> MomentSequence:
         return _plan_moments(self.plan, self.samples(own, j).tolist())
+
+
+def _read_only(*arrays) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=32)
+def _band(plan: SamplePlan, D: int) -> tuple:
+    # (union band, phi_factors on it, positions of the plan's indices in it)
+    ks = np.array(plan.indices, dtype=np.int64)
+    band = np.unique(np.add.outer(ks, np.arange(-D, D + 1)))
+    ik, powers = phi_factors(band, plan.d)
+    at_ks = np.searchsorted(band, ks)
+    _read_only(band, ik, *powers, at_ks)
+    return band, (ik, tuple(powers)), at_ks
+
+
+@functools.lru_cache(maxsize=32)
+def _band_gather(plan: SamplePlan, D: int, degree: int, nz: bytes) -> np.ndarray:
+    # positions in _band(plan, D) of the terms a degree-`degree` window with
+    # nonzero taps nz (np.intp bytes) reads at each of the plan's indices
+    band = _band(plan, D)[0]
+    offsets = degree - np.frombuffer(nz, dtype=np.intp)
+    gather = np.searchsorted(band, np.add.outer(np.array(plan.indices), offsets))
+    _read_only(gather)
+    return gather
 
 
 def _moved(est, prev, M: int) -> float:
@@ -252,8 +286,14 @@ def _approximant(spec: FourierSpectrum, d: int, estimates, provenance: dict):
         for e in sorted(estimates, key=lambda e: e.xi)
     )
     estimate = JumpModel(d, jumps)
-    corrected = spec.coeffs - phi_coeff_array(estimate, spec.M)
-    psi = FourierSpectrum(spec.M, corrected, real_valued=spec.real_valued)
+    psi = FourierSpectrum(spec.M, spec.coeffs - phi_coeff_array(estimate, spec.M))
+    if spec.real_valued:
+        # a real model's singular part is conjugate-symmetric bit for bit,
+        # so psi keeps the input's defect: it is judged at the input's scale
+        # (or psi's, if larger), since psi's own, smaller scale can fail
+        # data the input's admitted, and flagged real once it passes
+        _certify_symmetry(psi.coeffs, max(_scale(spec.coeffs), _scale(psi.coeffs)))
+        object.__setattr__(psi, "real_valued", True)
     return Approximant(estimate, psi, spec.M, provenance=provenance)
 
 
@@ -310,7 +350,7 @@ def full_reconstruct(
     window, and pipeline_geometry caps D by the separation J, not by M.
     The polish peels each jump's singular part only on the union of the
     intervals [k-D, k+D] around the d+2 decimated indices, with the powers
-    (ik)^{-(l+1)} built once per call, and each polish solve forms its
+    (ik)^{-(l+1)} built once per shape, and each polish solve forms its
     moments straight from its d+2 windowed values: no spectrum is built
     for it.  A sweep therefore costs O(K (d+2) D), the same at every M
     past the cap.  What grows with M is the first pass's windowed spectrum

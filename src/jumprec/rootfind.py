@@ -13,6 +13,7 @@ numpy.roots.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath as mp
@@ -85,6 +86,15 @@ def _round10(x: float) -> float:
     return round(x * 1e10) / 1e10
 
 
+@functools.lru_cache(maxsize=32)
+def _subdiagonal(n: int) -> np.ndarray:
+    # the n x n companion matrix's template, ones below the diagonal, read-only
+    arr = np.zeros((n, n), dtype=np.complex128)
+    arr.flat[n :: n + 1] = 1.0
+    arr.flags.writeable = False
+    return arr
+
+
 def find_roots(coeffs) -> np.ndarray:
     """All complex roots of the polynomial with the given coefficients.
 
@@ -102,9 +112,8 @@ def find_roots(coeffs) -> np.ndarray:
         n -= 1
     roots = [0j] * (len(values) - 1 - n)
     if n:
-        companion = np.zeros((n, n), dtype=np.complex128)
+        companion = _subdiagonal(n).copy()
         companion[0] = -c[1 : n + 1] / c[0]
-        companion.flat[n :: n + 1] = 1.0
         try:
             roots = np.linalg.eigvals(companion).tolist() + roots
         except np.linalg.LinAlgError as exc:

@@ -114,13 +114,17 @@ def s_poly(i: int, d: int):
     return [(-1) ** j * math.comb(d + 1, j) * (j + 1) ** i for j in range(d + 2)]
 
 
+@functools.lru_cache(maxsize=64)
+def _signed_binomials(d: int) -> tuple:
+    # (-1)^j C(d+1, j), j = 0..d+1, exact integers
+    return tuple((-1) ** j * math.comb(d + 1, j) for j in range(d + 2))
+
+
 def build_annihilator(moments: MomentSequence) -> AnnihilatorPoly:
     """Alternating-binomial combination of the planned moments."""
-    d = moments.order
-    values = moments.values.tolist()
-    return AnnihilatorPoly(
-        [(-1) ** j * math.comb(d + 1, j) * values[j] for j in range(d + 2)]
-    )
+    return AnnihilatorPoly([
+        b * m for b, m in zip(_signed_binomials(moments.order), moments.values.tolist())
+    ])
 
 
 def find_roots(poly: AnnihilatorPoly) -> list:
@@ -185,7 +189,13 @@ def disambiguate_nth_root(z: complex, N: int, xi_prior: float) -> float:
     return cands[best]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
+def _nodes(first: int, d: int) -> tuple:
+    # the d+1 integer Vandermonde nodes first, first+1, ..., first+d
+    return tuple(range(first, first + d + 1))
+
+
+@functools.lru_cache(maxsize=64)
 def _vandermonde_inverse(nodes: tuple):
     """Exact inverse of the Vandermonde matrix V[r][c] = nodes[r]^c.
 
@@ -202,9 +212,17 @@ def _vandermonde_inverse(nodes: tuple):
     return tuple(zip(*cols))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _vandermonde_inverse_float(nodes: tuple) -> np.ndarray:
     arr = np.array([[float(x) for x in row] for row in _vandermonde_inverse(nodes)])
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=64)
+def _stride_powers_float(N: int, d: int) -> np.ndarray:
+    # N^l, l = 0..d, the decimated nodes' scale, read-only
+    arr = np.power(float(N), np.arange(d + 1))
     arr.flags.writeable = False
     return arr
 
@@ -215,6 +233,7 @@ class _Arith(NamedTuple):
     real builds real numbers and residual_tol is the relative gate of the
     magnitude solve.  find_roots looks its root finder up in rootfind on
     every call, so a replaced module attribute reaches every solve.
+    stride_powers(N, d) gives N^l, l = 0..d.
     """
 
     real: Callable
@@ -224,16 +243,18 @@ class _Arith(NamedTuple):
     residual_tol: Any
     find_roots: Callable
     vandermonde_inverse: Callable
+    stride_powers: Callable
 
 
 _DOUBLE = _Arith(
     real=float, exp=cmath.exp, phase=cmath.phase, pi=math.pi, residual_tol=1e-8,
     find_roots=lambda coeffs: rootfind.find_roots(coeffs).tolist(),
     vandermonde_inverse=_vandermonde_inverse_float,
+    stride_powers=_stride_powers_float,
 )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _extended(digits: int) -> _Arith:
     def vandermonde_inverse(nodes):
         exact = _vandermonde_inverse(nodes)
@@ -245,6 +266,7 @@ def _extended(digits: int) -> _Arith:
         residual_tol=mp.mpf(10) ** (12 - digits),
         find_roots=lambda coeffs: rootfind.find_roots_mp(coeffs, digits),
         vandermonde_inverse=vandermonde_inverse,
+        stride_powers=lambda N, d: np.power(mp.mpf(N), np.arange(d + 1)),
     )
 
 
@@ -298,13 +320,12 @@ def solve_magnitudes(moments: MomentSequence, omega_est: complex):
     ar = _arith_of(values)
     rhs = [values[j] * omega_est ** (-use[j]) for j in range(d + 1)]
     if plan.kind == "decimated":
-        N = plan.stride
-        vinv = ar.vandermonde_inverse(tuple(range(1, d + 2)))
+        vinv = ar.vandermonde_inverse(_nodes(1, d))
         scaled = vinv @ np.array(rhs)
-        alpha = (scaled / np.power(ar.real(N), np.arange(d + 1))).tolist()
+        alpha = (scaled / ar.stride_powers(plan.stride, d)).tolist()
     else:
         base = use[0]
-        vinv = ar.vandermonde_inverse(tuple(range(0, d + 1)))
+        vinv = ar.vandermonde_inverse(_nodes(0, d))
         beta = (vinv @ np.array(rhs)).tolist()
         alpha = [0] * (d + 1)
         for l in range(d, -1, -1):

@@ -7,7 +7,14 @@ from hypothesis import settings
 
 from jumprec.errors import ModelError
 from jumprec.localize import localize_jump
-from jumprec.model import JumpModel, bernoulli_coefficients, bernoulli_poly, phi_coeff_array
+from jumprec.model import (
+    JumpModel,
+    bernoulli_coefficients,
+    bernoulli_poly,
+    phi_coeff_array,
+    smooth_catalog,
+    synth_spectrum,
+)
 from jumprec.solver import _vandermonde_inverse_float
 from jumprec.spectrum import FourierSpectrum
 
@@ -43,6 +50,17 @@ def no_python_encoder(*args, **kwargs):
 def bits(values) -> np.ndarray:
     """The raw bit patterns of a complex128 array, so -0.0 != 0.0."""
     return np.asarray(values, dtype=np.complex128).view(np.uint64)
+
+
+def symmetry_edge_spectrum() -> FourierSpectrum:
+    # real data, one d=1 jump at 0.7, whose conjugate-symmetry defect
+    # 2.5e-14 passes at the input's scale 3.38 but not at the scale 0.258
+    # of the spectrum left once the jump is subtracted
+    model = JumpModel(1, ((0.7, (20.0, 1.0)),))
+    spec = synth_spectrum(model, smooth_catalog("expsin", amp=0.5), 256)
+    coeffs = spec.coeffs.copy()
+    coeffs[256 + 200] += 2.5e-14
+    return FourierSpectrum(256, coeffs, real_valued=True)
 
 
 def circ(a: float, b: float) -> float:

@@ -15,10 +15,17 @@ from jumprec.cli import load_bench_spec, main, run_bench
 from jumprec.errors import ModelError
 from jumprec.model import JumpModel, smooth_catalog, synth_spectrum
 from jumprec.solver import SamplePlan
-from jumprec.spectrum import FourierSpectrum, load_spectrum
+from jumprec.spectrum import FourierSpectrum, load_spectrum, save_spectrum
 from jumprec.stability import ERROR_FLOOR
 
-from conftest import EDGE_COEFFS, bits, dump_text, full_window, no_python_encoder
+from conftest import (
+    EDGE_COEFFS,
+    bits,
+    dump_text,
+    full_window,
+    no_python_encoder,
+    symmetry_edge_spectrum,
+)
 
 BOUNDS = {"J": np.pi / 2, "A": 4.0, "B": 0.05, "R": 10.0}
 MODEL_D1 = {"d": 1, "jumps": [{"xi": 0.7, "a": [1.0, -0.4]}]}
@@ -114,6 +121,23 @@ def test_recover_round_trip(runner, tmp_path):
     rec = json.loads(outp.read_text())
     xi = rec["model"]["jumps"][0]["xi"]
     assert abs(xi - 0.7) <= 1e-10
+
+
+@pytest.mark.parametrize("precision", ["double", "extended:60"])
+def test_recover_takes_real_data_the_input_scale_admits(runner, tmp_path, precision):
+    sp = tmp_path / "s.json"
+    save_spectrum(sp, symmetry_edge_spectrum())
+    bp = write_json(tmp_path / "b.json", {"J": 1.5, "A": 40.0, "B": 0.5, "R": 1.0})
+    outp = tmp_path / "a.json"
+    res = runner.invoke(
+        main,
+        ["--precision", precision, "--out", str(outp), "recover", str(sp),
+         "-d", "1", "-K", "1", "--bounds", bp],
+    )
+    assert res.exit_code == 0, errtext(res)
+    rec = json.loads(outp.read_text())
+    assert rec["smooth_spectrum"]["real_valued"] is True
+    assert abs(rec["model"]["jumps"][0]["xi"] - 0.7) <= 1e-10
 
 
 def recover_args(runner, tmp_path, M=256):

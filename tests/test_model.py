@@ -15,6 +15,8 @@ from conftest import dump_text, no_python_encoder, phi_eval_mp, phi_eval_per_ord
 from jumprec.errors import ModelError
 from jumprec.model import (
     AprioriBounds,
+    _phases,
+    _unit_fraction,
     JumpModel,
     adversarial_pair,
     bernoulli_coefficients,
@@ -347,21 +349,74 @@ def full_index_coeff_array(model, M):
 @st.composite
 def jump_models(draw):
     # K well-separated jumps of order d; complex magnitudes are what tell
-    # the sign (-1)^{l+1} at -k apart from plain conjugate symmetry
+    # the sign (-1)^{l+1} at -k apart from plain conjugate symmetry.  Some
+    # models put a jump at -pi or exactly on 0.0 or -0.0, where the phases'
+    # signed zeros decide the bytes, and some carry zero higher-order or
+    # zero real parts
     d = draw(st.integers(0, 5))
     K = draw(st.integers(0, 3))
     complex_mags = draw(st.booleans())
-    start = draw(st.floats(-np.pi, -np.pi + 1.0))
+    start = draw(st.one_of(st.floats(-np.pi, -np.pi + 1.0), st.just(-np.pi)))
     gaps = draw(st.lists(st.floats(0.1, 1.5), min_size=K, max_size=K))
-    part = st.floats(-3.0, 3.0, allow_nan=False).filter(lambda v: abs(v) > 1e-3)
+    locs = [start + sum(gaps[:i]) for i in range(K)]
+    zero = draw(st.sampled_from([None, 0.0, -0.0]))
+    if K and zero is not None:
+        # shift so that one jump sits on zero; the span stays below 3
+        at = draw(st.integers(0, K - 1))
+        locs = [x - locs[at] for x in locs]
+        locs[at] = zero
+    nonzero = st.floats(-3.0, 3.0, allow_nan=False).filter(lambda v: abs(v) > 1e-3)
+    part = st.one_of(nonzero, st.just(0.0))
     jumps = []
-    for i in range(K):
-        mags = [
+    for xi in locs:
+        mags = [complex(draw(nonzero), draw(part) if complex_mags else 0.0)]
+        mags += [
             complex(draw(part), draw(part) if complex_mags else 0.0)
-            for _ in range(d + 1)
+            for _ in range(d)
         ]
-        jumps.append((start + sum(gaps[:i]), tuple(mags)))
+        jumps.append((xi, tuple(mags)))
     return JumpModel(d, tuple(jumps))
+
+
+@given(
+    lo=st.integers(1, 2**17),
+    n=st.integers(1, 2048),
+    xi=st.one_of(
+        st.sampled_from([0.0, -0.0, np.pi, -np.pi]),
+        st.floats(-np.pi, np.pi, allow_nan=False),
+    ),
+)
+@example(lo=1, n=2**17, xi=0.7)
+@example(lo=1, n=2**17, xi=-np.pi)
+@example(lo=1, n=2**17, xi=-0.0)
+def test_phases_are_the_complex_exp_byte_for_byte(lo, n, xi):
+    # the singular part's phases come from real cos and sin; they must be
+    # the bytes np.exp(-ik * xi) gives, signed zeros included, so a numpy
+    # that computes the two differently fails here and not in the digits
+    ks = np.arange(lo, min(lo + n, 2**17 + 1), dtype=float)
+    ik = 1j * ks
+    minus_ik = -ik
+    assert _phases(ks, xi).tobytes() == np.exp(minus_ik * xi).tobytes()
+
+
+_FRACTION_POINTS = np.array([
+    0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, -0.5, np.pi, -np.pi,
+    1e-300, -1e-300, 5e-324, -5e-324, 1.0 - 2.0**-53, -(1.0 - 2.0**-53),
+    2.0**52 + 0.5, -(2.0**52 + 0.5), 2.0**53, -(2.0**53), 1e300, -1e300,
+    np.finfo(float).max, -np.finfo(float).max,
+])
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+@example(list(_FRACTION_POINTS))
+@example(list(_FRACTION_POINTS / (2.0 * np.pi)))
+def test_unit_fraction_is_np_mod_byte_for_byte(values):
+    # phi_eval's phase t mod 1 takes fmod: exact multiples, -0.0 and huge
+    # values must come out as np.mod's, +0.0 included
+    t = np.array(values, dtype=float)
+    want = np.mod(t, 1.0)
+    _unit_fraction(t)
+    assert t.tobytes() == want.tobytes()
 
 
 @given(model=jump_models(), M=st.integers(0, 600))

@@ -1,5 +1,6 @@
 """Multi-jump pipeline: detection, isolation, polish, smooth remainder."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jumprec import localize, reconstruct
+from jumprec import localize, reconstruct, rootfind, solver
+from jumprec import model as model_module
+from jumprec import spectrum as spectrum_module
 from jumprec.errors import ModelError, NumericError
 from jumprec.localize import make_bump
 from jumprec.model import (
@@ -38,7 +41,7 @@ from jumprec.spectrum import (
 )
 from jumprec.stability import fit_loglog_slope
 
-from conftest import circ, full_peel, full_window
+from conftest import circ, full_peel, full_window, symmetry_edge_spectrum
 
 BND = AprioriBounds(J=np.pi / 2, A=4.0, B=0.05, R=10.0)
 TWO_JUMPS = JumpModel(1, ((-1.3, (1.0, 0.3)), (0.7, (0.8, -0.4))))
@@ -71,6 +74,16 @@ def test_config_takes_numpy_integer_counts_as_int():
     cfg = ReconstructionConfig(d=np.int64(1), K=np.int32(1), bounds=BND)
     assert type(cfg.d) is int and type(cfg.K) is int
     json.dumps(cfg.to_json_dict())
+
+
+@pytest.mark.parametrize("priors", [None, (-1.3, 0.7)])
+def test_config_record_is_the_dataclass_dict(priors):
+    # written field by field; it must stay what dataclasses.asdict gives
+    cfg = ReconstructionConfig(d=1, K=2, bounds=BND, priors=priors, refine_sweeps=3)
+    got = cfg.to_json_dict()
+    assert got == dataclasses.asdict(cfg)
+    assert list(got) == list(dataclasses.asdict(cfg))
+    assert json.dumps(got) == json.dumps(dataclasses.asdict(cfg))
 
 
 def test_config_rejects_overcrowded_circle():
@@ -495,6 +508,89 @@ def test_provenance_records_the_run_configuration():
     assert ap.provenance["d"] == 1
     assert ap.provenance["K"] == 2
     assert ap.source_M == 256
+
+
+def test_corrected_real_data_are_judged_at_the_input_scale():
+    spec = symmetry_edge_spectrum()
+    cfg = ReconstructionConfig(d=1, K=1, bounds=AprioriBounds(1.5, 40.0, 0.5, 1.0))
+    ap = full_reconstruct(spec, cfg)
+    psi = ap.corrected_spectrum
+    assert psi.real_valued
+    # the singular part of a real model is conjugate-symmetric bit for bit,
+    # so the correction keeps the input's defect and nothing more
+    defect = np.max(np.abs(psi.coeffs[::-1].conj() - psi.coeffs))
+    assert 2.4e-14 <= defect <= 2.6e-14
+    assert np.max(np.abs(psi.coeffs)) < 1.0
+    assert circ(ap.estimate.locations[0], 0.7) <= 1e-12
+    # a defect the input's scale does not admit still fails
+    bad = spec.coeffs.copy()
+    bad[256 + 200] += 1e-12
+    with pytest.raises(ModelError, match="conjugate symmetry"):
+        FourierSpectrum(256, bad, real_valued=True)
+
+
+def _package_caches():
+    found = {}
+    for mod in (localize, model_module, reconstruct, rootfind, solver, spectrum_module):
+        for name, obj in vars(mod).items():
+            if callable(obj) and hasattr(obj, "cache_info"):
+                found[f"{mod.__name__}.{name}"] = obj
+    return found
+
+
+def test_shape_caches_are_bounded_read_only_and_change_no_byte():
+    caches = _package_caches()
+    for name in (
+        "jumprec.model._positive_factors",
+        "jumprec.reconstruct._band",
+        "jumprec.reconstruct._band_gather",
+        "jumprec.solver._signed_binomials",
+        "jumprec.solver._nodes",
+        "jumprec.solver._stride_powers_float",
+        "jumprec.spectrum._moment_weights",
+        "jumprec.rootfind._subdiagonal",
+    ):
+        assert name in caches
+    for name, fn in caches.items():
+        assert fn.cache_parameters()["maxsize"] is not None, name
+
+    spec = synth_spectrum(TWO_JUMPS, smooth_catalog("expsin", amp=0.5), 512)
+    cfg = ReconstructionConfig(d=1, K=2, bounds=BND)
+    for fn in caches.values():
+        fn.cache_clear()
+    cold = full_reconstruct(spec, cfg)
+    # a double-precision reconstruction fills every cache but the
+    # extended-precision arithmetic's
+    assert all(fn.cache_info().currsize for name, fn in caches.items()
+               if name != "jumprec.solver._extended")
+    warm = full_reconstruct(spec, cfg)
+    assert warm.estimate.jumps == cold.estimate.jumps
+    assert warm.corrected_spectrum.coeffs.tobytes() == cold.corrected_spectrum.coeffs.tobytes()
+    assert json.dumps(warm.to_json_dict()) == json.dumps(cold.to_json_dict())
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            for v in value:
+                yield from arrays(v)
+
+    held = [
+        model_module._positive_factors(512, 1),
+        reconstruct._band(SamplePlan("decimated", 1, 384), 20),
+        reconstruct._band_gather(
+            SamplePlan("decimated", 1, 384), 20, 20, np.arange(41).tobytes()
+        ),
+        solver._stride_powers_float(128, 1),
+        solver._vandermonde_inverse_float((1, 2)),
+        rootfind._subdiagonal(3),
+        localize._window_taper(np.pi / 2, 512, 20),
+    ]
+    found = list(arrays(tuple(held)))
+    assert len(found) == 13
+    for arr in found:
+        with pytest.raises(ValueError):
+            arr[...] = 0
 
 
 # ---------------------------------------------------------------- artifacts

@@ -34,11 +34,43 @@ from jumprec.spectrum import (
     save_spectrum,
     uniform_grid,
     weight_moments,
+    wrap_angle,
 )
 
 
 def jump_spectrum(model, M):
     return FourierSpectrum(M, phi_coeff_array(model, M), real_valued=model.is_real)
+
+
+# ---------------------------------------------------------------- circle
+
+
+_WRAP_POINTS = np.array([
+    0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, -2.0 * np.pi, 3.0 * np.pi,
+    -3.0 * np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0),
+    1e-300, -1e-300, 5e-324, 2.0**53, -(2.0**53), 1e300, -1e300,
+    np.finfo(float).max / 2.0, -np.finfo(float).max / 2.0,
+])
+
+
+@given(st.lists(st.floats(-1e300, 1e300, allow_nan=False), max_size=50))
+@example(list(_WRAP_POINTS))
+@example(list(np.arange(-8, 9) * np.pi))
+def test_array_wrap_is_the_np_mod_form_byte_for_byte(values):
+    # arrays wrap by fmod plus 2pi where negative; exact multiples, +-pi,
+    # -0.0 and huge values must come out as the np.mod form's
+    x = np.array(values, dtype=float)
+    want = np.mod(x + np.pi, 2.0 * np.pi) - np.pi
+    assert wrap_angle(x).tobytes() == want.tobytes()
+    assert wrap_angle(x.reshape(-1, 1)).tobytes() == want.tobytes()
+    for v in values[:5]:
+        assert wrap_angle(v) == float(want[values.index(v)])
+
+
+def test_wrap_keeps_mpmath_precision():
+    with mp.workdps(40):
+        got = wrap_angle(mp.mpf(7), mp.pi)
+        assert abs(got - (7 - 2 * mp.pi)) < mp.mpf(10) ** -38
 
 
 # ---------------------------------------------------------------- containers
