@@ -4,8 +4,9 @@ The singular basis V_n(x; xi) is a scaled, periodized Bernoulli polynomial
 whose n-th derivative jumps by exactly 1 at xi while all lower derivatives
 stay continuous.  A jump model is a finite sum of such terms; its Fourier
 coefficients have the closed form implemented in phi_fourier_coeff.  Smooth
-remainders come from a small named catalog and are synthesized by periodic
-trapezoid quadrature (spectrally accurate).
+remainders come from a small named catalog, each with the closed form of
+its coefficients, so a synthesized spectrum is exact to rounding at every
+index: no smooth part is sampled or integrated numerically.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 
 from .errors import (
     ModelError,
-    NumericError,
     read_int,
     read_json,
     read_real,
@@ -31,7 +31,6 @@ from .spectrum import (
     FourierSpectrum,
     _finite_points,
     circular_distance,
-    coeffs_of_function,
     modulus,
     wrap_angle,
 )
@@ -60,6 +59,15 @@ _TABLE_MAX = 32
 
 # circular proximity below which a point counts as sitting on a jump
 _JUMP_TOL = 1e-12
+
+# the largest |amp| of an expsin part whose e^|amp| is a finite double
+_EXP_MAX = math.log(np.finfo(np.float64).max)
+
+# log 2^-1075: a positive value below it rounds to the double 0
+_LOG_UNDERFLOW = -1075.0 * math.log(2.0)
+
+# (-i)^n by n mod 4
+_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 
 
 def _build_bernoulli_tables(nmax: int):
@@ -228,17 +236,17 @@ class JumpModel:
 
 @dataclass(frozen=True)
 class SmoothPart:
-    """Smooth remainder: an evaluator, optionally with exact coefficients.
+    """Smooth remainder: an evaluator and its exact coefficients.
 
-    coeff_fn, when set, returns the exact coefficients c_{-M}..c_M and
-    bypasses the quadrature fallback in synth_spectrum; measure the decay
-    with fitted_decay_constant.
+    coeff_fn(M) returns the coefficients c_{-M}..c_M of the function the
+    evaluator computes, from their closed form; synth_spectrum adds them
+    to the singular part's.  Measure the decay with fitted_decay_constant.
     """
 
     name: str
     evaluator: Callable[[np.ndarray], np.ndarray]
+    coeff_fn: Callable[[int], np.ndarray]
     params: dict = field(default_factory=dict)
-    coeff_fn: Optional[Callable[[int], np.ndarray]] = None
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "params": dict(self.params)}
@@ -417,6 +425,15 @@ def _positive_factors(M: int, order: int) -> tuple:
     return ik, tuple(powers)
 
 
+def _coeff_array(jumps, M: int, factors) -> np.ndarray:
+    # c_{-M}..c_M of the jumps from the kernel's two halves, c_0 = 0
+    pos, neg = _phi_halves(jumps, factors, negative=True)
+    out = np.zeros(2 * M + 1, dtype=np.complex128)
+    out[M + 1 :] = pos
+    out[:M] = neg[::-1]
+    return out
+
+
 def phi_coeff_array(model: JumpModel, M: int) -> np.ndarray:
     """Coefficients c_{-M}..c_M of the piecewise polynomial, ascending k.
 
@@ -435,11 +452,7 @@ def phi_coeff_array(model: JumpModel, M: int) -> np.ndarray:
     M = read_int(M, "M")
     if M < 0:
         raise ModelError(f"M must be a non-negative integer, got M={M!r}")
-    pos, neg = _phi_halves(model.jumps, _positive_factors(M, model.order), negative=True)
-    out = np.zeros(2 * M + 1, dtype=np.complex128)
-    out[M + 1 :] = pos
-    out[:M] = neg[::-1]
-    return out
+    return _coeff_array(model.jumps, M, _positive_factors(M, model.order))
 
 
 def synth_spectrum(
@@ -447,9 +460,10 @@ def synth_spectrum(
 ) -> FourierSpectrum:
     """First M coefficients of the model plus its smooth remainder.
 
-    Requires M >= (d+2)K so downstream sampling plans are feasible.  Smooth
-    coefficients come from trapezoid quadrature at 8M points with a
-    convergence check against a refined grid.
+    Requires M >= (d+2)K so downstream sampling plans are feasible.  The
+    spectrum is phi_coeff_array(model, M) plus smooth.coeff_fn(M), both
+    closed forms; smooth=None adds nothing.  A real model with a catalog
+    smooth part gives conjugate-symmetric coefficients bit for bit.
     """
     if model.K > 0 and M < (model.order + 2) * model.K:
         raise ModelError(
@@ -459,38 +473,81 @@ def synth_spectrum(
     if M < 1:
         raise ModelError(f"M must be >= 1, got {M}")
     coeffs = phi_coeff_array(model, M)
-    if smooth is not None and smooth.coeff_fn is not None:
+    if smooth is not None:
         coeffs = coeffs + np.asarray(smooth.coeff_fn(M), dtype=np.complex128)
-    elif smooth is not None and smooth.name != "zero":
-        c1 = coeffs_of_function(smooth.evaluator, M, oversample=8)
-        c2 = coeffs_of_function(smooth.evaluator, M, oversample=16)
-        scale = max(1.0, float(np.max(np.abs(c2))))
-        defect = float(np.max(np.abs(c1 - c2)))
-        if defect > 1e-9 * scale:
-            raise NumericError(
-                f"smooth-part quadrature not converged: refinement moved "
-                f"coefficients by {defect:.3e}"
-            )
-        coeffs = coeffs + c2
     return FourierSpectrum(M, coeffs, real_valued=model.is_real)
 
 
+def _finite_param(params: dict, name: str, default: float) -> float:
+    # a catalog parameter as a finite float; NaN or inf is a ModelError
+    value = read_real(params.pop(name, default), name)
+    if not math.isfinite(value):
+        raise ModelError(f"{name} must be finite, got {name}={value!r}")
+    return value
+
+
+def _bessel_i(a: float, n: int) -> np.ndarray:
+    """I_0(a)..I_n(a), the modified Bessel functions of the first kind.
+
+    Miller's backward recurrence on the ratios r_k = I_k/I_{k-1} of
+    x = |a|, r_k = x / (2k + x r_{k+1}), started at 0 past the index top
+    from which every I_k is below 2^-1075 and rounds to 0: I_k(x) <=
+    (x/2)^k/k! e^x, and that bound passes 2^-1075 by k = 3.7x + 746.  At
+    top the ratios are below 1/2, so the 32 extra steps shrink the start's
+    error below 2^-64.  The normalization e^x = I_0 + 2 sum_k I_k gives
+    I_0, and I_k = I_0 r_1 ... r_k.  I_k(-x) = (-1)^k I_k(x).  Needs
+    |a| <= _EXP_MAX; relative errors are about 1e-15 wherever I_k is a
+    normal double.
+    """
+    out = np.zeros(n + 1)
+    x = abs(a)
+    if x == 0.0:
+        out[0] = 1.0
+        return out
+    ks = np.arange(1, int(3.7 * x) + 747)
+    log_bound = ks * (math.log(x) - math.log(2.0)) - np.cumsum(np.log(ks)) + x
+    top = int(ks[np.argmax(log_bound < _LOG_UNDERFLOW)])
+    ratios = []
+    r = 0.0
+    for k in range(top + 32, 0, -1):
+        r = x / (2.0 * k + x * r)
+        ratios.append(r)
+    ratios = np.array(ratios[::-1])
+    out[0] = math.exp(x) / (1.0 + 2.0 * np.cumprod(ratios).sum())
+    m = min(n, top)
+    out[1 : m + 1] = ratios[:m]
+    np.cumprod(out[: m + 1], out=out[: m + 1])
+    if a < 0.0:
+        out[1::2] *= -1.0
+    return out
+
+
 def smooth_catalog(name: str, **params) -> SmoothPart:
-    """Built-in smooth remainders selected by name.
+    """Built-in smooth remainders selected by name, each with the closed
+    form of its coefficients.
 
     zero: identically zero.
-    sin: amp * sin(freq x + phase).
-    expsin: exp(amp sin x) minus its mean (coefficients decay faster than
-        any power).
+    sin: amp * sin(freq x + phase); two nonzero coefficients.
+    expsin: exp(amp sin x) minus its mean I_0(amp); c_n = (-i)^n I_n(amp)
+        for n != 0, decaying faster than any power.  e^|amp| must be a
+        finite double (|amp| <= 709.78).
     poly-blend: amp * V_n(x; center), a one-higher-order polynomial blend
-        whose coefficients decay like |k|^{-n-1} exactly.
+        whose coefficients decay like |k|^{-n-1} exactly: the singular
+        part's closed form for one jump of magnitudes (0, ..., 0, amp).
+    Real parameters must be finite; an unknown parameter is a ModelError.
     """
     if name == "zero":
-        return SmoothPart("zero", lambda xs: np.zeros_like(np.asarray(xs, float)))
+        if params:
+            raise ModelError(f"unknown zero parameters: {sorted(params)}")
+        return SmoothPart(
+            "zero",
+            lambda xs: np.zeros_like(np.asarray(xs, float)),
+            lambda M: np.zeros(2 * M + 1, dtype=np.complex128),
+        )
     if name == "sin":
-        amp = read_real(params.pop("amp", 1.0), "amp")
+        amp = _finite_param(params, "amp", 1.0)
         freq = read_int(params.pop("freq", 1), "freq")
-        phase = read_real(params.pop("phase", 0.0), "phase")
+        phase = _finite_param(params, "phase", 0.0)
         if params:
             raise ModelError(f"unknown sin parameters: {sorted(params)}")
         if freq < 1:
@@ -505,17 +562,31 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
         return SmoothPart(
             "sin",
             lambda xs, A=amp, w=freq, p=phase: A * np.sin(w * np.asarray(xs, float) + p),
-            {"amp": amp, "freq": freq, "phase": phase},
             sin_coeffs,
+            {"amp": amp, "freq": freq, "phase": phase},
         )
     if name == "expsin":
-        amp = read_real(params.pop("amp", 1.0), "amp")
+        amp = _finite_param(params, "amp", 1.0)
         if params:
             raise ModelError(f"unknown expsin parameters: {sorted(params)}")
-        mean = float(np.i0(amp))
+        if abs(amp) > _EXP_MAX:
+            raise ModelError(
+                f"expsin needs e^|amp| in the double range, |amp| <= "
+                f"{_EXP_MAX:.6f}; got amp={amp!r}"
+            )
+        def expsin_coeffs(M, A=amp):
+            # c_{-n} = conj(c_n) exactly, so real data stay symmetric bit for bit
+            pos = _bessel_i(A, M)[1:] * _MINUS_I_POWERS[np.arange(1, M + 1) % 4]
+            out = np.zeros(2 * M + 1, dtype=np.complex128)
+            out[M + 1 :] = pos
+            out[:M] = pos[::-1].conj()
+            return out
+
+        mean = float(_bessel_i(amp, 0)[0])
         return SmoothPart(
             "expsin",
             lambda xs, A=amp, m=mean: np.exp(A * np.sin(np.asarray(xs, float))) - m,
+            expsin_coeffs,
             {"amp": amp},
         )
     if name == "poly-blend":
@@ -523,25 +594,21 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
         if order is None:
             raise ModelError("poly-blend requires an 'order' parameter")
         order = read_int(order, "order")
-        center = read_real(params.pop("center", 0.0), "center")
-        amp = read_real(params.pop("amp", 1.0), "amp")
+        center = _finite_param(params, "center", 0.0)
+        amp = _finite_param(params, "amp", 1.0)
         if params:
             raise ModelError(f"unknown poly-blend parameters: {sorted(params)}")
         if not 1 <= order <= _TABLE_MAX - 1:
             raise ModelError(f"poly-blend order must be in 1..{_TABLE_MAX - 1}")
         def blend_coeffs(M, n=order, c=center, A=amp):
-            ks = np.arange(-M, M + 1)
-            out = np.zeros(2 * M + 1, dtype=np.complex128)
-            nz = ks != 0
-            ik = 1j * ks[nz].astype(float)
-            out[nz] = A / (2.0 * np.pi) * ik ** (-n - 1) * np.exp(-ik * c)
-            return out
+            jump = ((c, (0.0,) * n + (A,)),)
+            return _coeff_array(jump, M, phi_factors(np.arange(1, M + 1), n))
 
         return SmoothPart(
             "poly-blend",
             lambda xs, n=order, c=center, A=amp: A * vn_eval(n, np.asarray(xs, float), c),
-            {"order": order, "center": center, "amp": amp},
             blend_coeffs,
+            {"order": order, "center": center, "amp": amp},
         )
     raise ModelError(f"unknown smooth-part name {name!r}")
 

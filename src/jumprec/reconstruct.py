@@ -32,8 +32,8 @@ from .spectrum import (
     FourierSpectrum,
     MomentSequence,
     SamplePlan,
-    _certify_symmetry,
     _plan_moments,
+    _real_at_scale,
     _scale,
     circular_distance,
     eval_partial_sum,
@@ -152,12 +152,21 @@ class ReconstructionConfig:
 
 @dataclass(frozen=True)
 class Approximant:
-    """Recovered jump model plus the corrected smooth-part spectrum."""
+    """Recovered jump model plus the corrected smooth-part spectrum.
+
+    source_scale is the largest coefficient modulus of the spectrum the
+    model was recovered from.  A real corrected spectrum is certified
+    conjugate-symmetric at that scale (or its own, if larger); the record
+    carries it as provenance "scale", so a record read back is certified
+    at the scale it was written at.  A record without it is certified at
+    the corrected spectrum's own scale.
+    """
 
     estimate: JumpModel
     corrected_spectrum: FourierSpectrum
     source_M: int
     provenance: dict = field(default_factory=dict)
+    source_scale: float = 0.0
 
     def __post_init__(self):
         if self.corrected_spectrum.M != self.source_M:
@@ -170,19 +179,28 @@ class Approximant:
         return {
             "model": self.estimate.to_json_dict(),
             "smooth_spectrum": self.corrected_spectrum.to_json_dict(),
-            "provenance": {"M": self.source_M, "config": dict(self.provenance)},
+            "provenance": {
+                "M": self.source_M,
+                "scale": self.source_scale,
+                "config": dict(self.provenance),
+            },
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Approximant":
         try:
             model = JumpModel.from_json_dict(data["model"])
-            spec = FourierSpectrum.from_json_dict(data["smooth_spectrum"])
             prov = data.get("provenance", {})
+            scale = read_real(prov.get("scale", 0.0), "provenance scale")
+            if not (math.isfinite(scale) and scale >= 0.0):
+                raise ModelError(
+                    f"provenance scale must be finite and >= 0, got scale={scale!r}"
+                )
+            spec = FourierSpectrum.from_json_dict(data["smooth_spectrum"], scale)
             M = read_int(prov.get("M", spec.M), "provenance M")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise ModelError(f"malformed approximant record: {exc}") from exc
-        return cls(model, spec, M, dict(prov.get("config", {})))
+        return cls(model, spec, M, dict(prov.get("config", {})), scale)
 
 
 class _BandPeel:
@@ -286,15 +304,15 @@ def _approximant(spec: FourierSpectrum, d: int, estimates, provenance: dict):
         for e in sorted(estimates, key=lambda e: e.xi)
     )
     estimate = JumpModel(d, jumps)
-    psi = FourierSpectrum(spec.M, spec.coeffs - phi_coeff_array(estimate, spec.M))
+    scale = _scale(spec.coeffs)
+    psi = spec.coeffs - phi_coeff_array(estimate, spec.M)
+    # a real model's singular part is conjugate-symmetric bit for bit, so
+    # psi keeps the input's defect and is judged at the input's scale
     if spec.real_valued:
-        # a real model's singular part is conjugate-symmetric bit for bit,
-        # so psi keeps the input's defect: it is judged at the input's scale
-        # (or psi's, if larger), since psi's own, smaller scale can fail
-        # data the input's admitted, and flagged real once it passes
-        _certify_symmetry(psi.coeffs, max(_scale(spec.coeffs), _scale(psi.coeffs)))
-        object.__setattr__(psi, "real_valued", True)
-    return Approximant(estimate, psi, spec.M, provenance=provenance)
+        psi = _real_at_scale(spec.M, psi, scale)
+    else:
+        psi = FourierSpectrum(spec.M, psi)
+    return Approximant(estimate, psi, spec.M, provenance, scale)
 
 
 def _cause(config: ReconstructionConfig) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "eval_partial_sum",
     "weight_moments",
     "product_spectrum",
-    "coeffs_of_function",
     "load_spectrum",
     "save_spectrum",
 ]
@@ -108,6 +106,46 @@ def _certify_symmetry(arr: np.ndarray, scale: float) -> None:
         )
 
 
+def _real_at_scale(M: int, coeffs, scale: float) -> "FourierSpectrum":
+    # the coefficients as a real_valued spectrum, conjugate symmetry judged
+    # at the larger of scale and their own: a spectrum derived from real
+    # data (the data less a real singular part) keeps the data's defect,
+    # which its own, smaller scale can fail though the data's admitted it
+    spec = FourierSpectrum(M, coeffs)
+    _certify_symmetry(spec.coeffs, max(scale, _scale(spec.coeffs)))
+    object.__setattr__(spec, "real_valued", True)
+    return spec
+
+
+def _complex_pairs(pairs) -> np.ndarray:
+    # [[re, im], ...] as complex128.  When every pair holds two ints or
+    # floats, the two columns are converted in bulk; anything else, a bool
+    # or a string among them, goes through the pair-by-pair loop, which
+    # names the first bad index
+    try:
+        re, im = zip(*pairs, strict=True)
+        if set(map(type, re)).union(map(type, im)) <= {float, int}:
+            out = np.empty(len(re), dtype=np.complex128)
+            out.real = re
+            out.imag = im
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    values = []
+    try:
+        for re, im in pairs:
+            # complex() takes a bool as 1 or 0; a record's reals may not
+            if type(re) is bool or type(im) is bool:
+                raise TypeError(f"got [{re!r}, {im!r}]")
+            values.append(complex(re, im))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelError(
+            "coeffs must be a list of [re, im] pairs of JSON numbers; "
+            f"coeffs[{len(values)}]: {exc}"
+        ) from exc
+    return np.array(values, dtype=np.complex128)
+
+
 @dataclass(frozen=True)
 class FourierSpectrum:
     """Coefficients c_{-M}..c_M of a 2pi-periodic function.
@@ -155,7 +193,13 @@ class FourierSpectrum:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "FourierSpectrum":
+    def from_json_dict(cls, data: dict, scale: float = 0.0) -> "FourierSpectrum":
+        """The spectrum of a record {"M", "real_valued", "coeffs"}.
+
+        A real_valued record is certified conjugate-symmetric at the larger
+        of scale and its own; a malformed record is a ModelError, and a bad
+        coefficient is named by its index, coeffs[i].
+        """
         try:
             M = read_int(data["M"], "M")
             real_valued = data["real_valued"]
@@ -166,19 +210,10 @@ class FourierSpectrum:
             pairs = data["coeffs"]
         except (KeyError, TypeError) as exc:
             raise ModelError(f"malformed spectrum record: {exc}") from exc
-        values = []
-        try:
-            for re, im in pairs:
-                # complex() takes a bool as 1 or 0; a record's reals may not
-                if type(re) is bool or type(im) is bool:
-                    raise TypeError(f"got [{re!r}, {im!r}]")
-                values.append(complex(re, im))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ModelError(
-                "coeffs must be a list of [re, im] pairs of JSON numbers; "
-                f"coeffs[{len(values)}]: {exc}"
-            ) from exc
-        return cls(M, np.array(values, dtype=np.complex128), real_valued)
+        coeffs = _complex_pairs(pairs)
+        if real_valued:
+            return _real_at_scale(M, coeffs, scale)
+        return cls(M, coeffs)
 
 
 @dataclass(frozen=True)
@@ -383,21 +418,6 @@ def product_spectrum(a: FourierSpectrum, b: FourierSpectrum, ks) -> np.ndarray:
             need[start - lo : stop - lo + 1] = a.coeffs[start + a.M : stop + a.M + 1]
     gather = np.add.outer(ks.astype(np.int64, copy=False), base + b.M - nz)
     return need[gather] @ b.coeffs[nz]
-
-
-def coeffs_of_function(
-    func: Callable[[np.ndarray], np.ndarray], M: int, oversample: int = 8
-) -> np.ndarray:
-    """Coefficients c_{-M}..c_M of a smooth 2pi-periodic function via FFT.
-
-    Spectrally accurate for smooth integrands; oversample controls the
-    alias guard (P = oversample * max(M,1) sample points, P > 2M required).
-    """
-    P = max(oversample * max(M, 1), 2 * M + 2)
-    xs = 2.0 * np.pi * np.arange(P) / P
-    samples = np.asarray(func(xs), dtype=np.complex128)
-    hat = np.fft.fft(samples) / P
-    return hat[np.arange(-M, M + 1) % P]
 
 
 def load_spectrum(path) -> FourierSpectrum:

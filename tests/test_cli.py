@@ -93,6 +93,32 @@ def test_synth_rejects_non_object_smooth_args(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "smooth_args, code, named",
+    [('{"amp": -0.7}', 0, None),
+     ('{"amp": 710}', 2, "amp=710.0"),
+     ('{"amp": NaN}', 2, "amp must be finite"),
+     ('{"amp": -Infinity}', 2, "amp must be finite"),
+     ('{"amp": 1.0, "freq": 2}', 2, "unknown expsin parameters: ['freq']")],
+)
+def test_synth_expsin_exit_codes(runner, tmp_path, smooth_args, code, named):
+    # JSON NaN and Infinity parse as floats, so the catalog sees them
+    mp = write_json(tmp_path / "m.json", MODEL_D1)
+    outp = tmp_path / "s.json"
+    res = runner.invoke(
+        main,
+        ["--out", str(outp), "synth", mp, "-M", "4096", "--smooth", "expsin",
+         "--smooth-args", smooth_args],
+    )
+    assert res.exit_code == code, errtext(res)
+    if named is None:
+        assert load_spectrum(outp).real_valued
+    else:
+        assert "model error" in errtext(res)
+        assert named in errtext(res)
+        assert not outp.exists()
+
+
 # ---------------------------------------------------------------- recover
 
 
@@ -138,6 +164,14 @@ def test_recover_takes_real_data_the_input_scale_admits(runner, tmp_path, precis
     rec = json.loads(outp.read_text())
     assert rec["smooth_spectrum"]["real_valued"] is True
     assert abs(rec["model"]["jumps"][0]["xi"] - 0.7) <= 1e-10
+    # the record carries the input's scale 3.38, so it reads back, though
+    # its spectrum alone, at its own scale 0.26, does not
+    assert rec["provenance"]["scale"] == pytest.approx(3.38, abs=0.01)
+    back = reconstruct.Approximant.from_json_dict(rec)
+    assert back.corrected_spectrum.real_valued
+    assert json.loads(json.dumps(back.to_json_dict())) == rec
+    with pytest.raises(ModelError, match="conjugate symmetry"):
+        FourierSpectrum.from_json_dict(rec["smooth_spectrum"])
 
 
 def recover_args(runner, tmp_path, M=256):

@@ -2,8 +2,10 @@
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy
@@ -11,10 +13,17 @@ from hypothesis import assume, example, given, strategies as st
 from scipy.integrate import quad
 from scipy.special import iv
 
-from conftest import dump_text, no_python_encoder, phi_eval_mp, phi_eval_per_order
+from conftest import (
+    coeffs_of_function,
+    dump_text,
+    no_python_encoder,
+    phi_eval_mp,
+    phi_eval_per_order,
+)
 from jumprec.errors import ModelError
 from jumprec.model import (
     AprioriBounds,
+    SmoothPart,
     _phases,
     _unit_fraction,
     JumpModel,
@@ -35,7 +44,7 @@ from jumprec.model import (
 )
 from jumprec.reconstruct import _BandPeel
 from jumprec.solver import JumpEstimate
-from jumprec.spectrum import FourierSpectrum, SamplePlan, coeffs_of_function
+from jumprec.spectrum import FourierSpectrum, SamplePlan
 
 
 # ---------------------------------------------------------------- bernoulli
@@ -512,6 +521,99 @@ def test_exp_sine_coefficients_are_bessel_values():
     assert abs(iv(2, 1.0) - 0.1357476697670383) <= 1e-12
 
 
+@pytest.mark.parametrize("amp", [-0.7, 0.0, 0.5, 1.0, 5.0, 50.0])
+@pytest.mark.parametrize("M", [1, 8, 512])
+def test_expsin_coefficients_match_mpmath_bessel(amp, M):
+    # c_n = (-i)^n I_n(amp) for n != 0, c_0 = 0, c_{-n} = conj(c_n)
+    got = smooth_catalog("expsin", amp=amp).coeff_fn(M)
+    with mp.workdps(30):
+        i_n = [float(mp.besseli(n, amp)) for n in range(1, M + 1)]
+    pos = np.array([(-1j) ** (n % 4) * v for n, v in enumerate(i_n, start=1)])
+    want = np.concatenate((pos[::-1].conj(), [0.0], pos))
+    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * math.exp(abs(amp))
+
+
+@pytest.mark.parametrize("amp", [0.5, -0.7, 3.0, 50.0, 700.0])
+def test_expsin_tail_is_relatively_exact_until_it_underflows(amp):
+    # each |c_n| to a few ulp of I_n(|amp|), not to an absolute eps floor,
+    # and 0 exactly where I_n rounds to 0 in double; sampled every 29th n
+    # and around the last nonzero one
+    M = 4000
+    got = np.abs(smooth_catalog("expsin", amp=amp).coeff_fn(M)[M + 1 :])
+    last = int(np.flatnonzero(got)[-1]) + 1
+    ns = sorted(set(range(1, M + 1, 29)) | set(range(last - 3, last + 4)))
+    with mp.workdps(40):
+        want = [float(mp.besseli(n, abs(amp))) for n in ns]
+    for n, w in zip(ns, want):
+        g = got[n - 1]
+        assert (g == 0) == (w == 0), n
+        if w > np.finfo(float).tiny:
+            assert abs(g - w) <= 1e-14 * w, n
+
+
+def test_expsin_large_spectrum_is_finite_and_conjugate_symmetric_bit_for_bit():
+    M = 65536
+    model = JumpModel(2, ((-1.3, (1.0, 0.3, -0.2)), (0.7, (0.8, -0.4, 0.25))))
+    sp = synth_spectrum(model, smooth_catalog("expsin", amp=-0.7), M)
+    assert np.isfinite(sp.coeffs).all()
+    assert sp.real_valued
+    # c_{-k} is conj(c_k) to the bit for k >= 1; c_0 is 0
+    neg, pos = sp.coeffs[:M][::-1], sp.coeffs[M + 1 :]
+    assert np.array_equal(neg.conj().view(np.uint64), pos.view(np.uint64))
+    assert sp.coeffs[M] == 0
+    tail = smooth_catalog("expsin", amp=-0.7).coeff_fn(M)
+    assert np.count_nonzero(tail) < 400
+
+
+@pytest.mark.parametrize(
+    "name, params, oversample",
+    [("zero", {}, 8),
+     ("sin", {"amp": 0.7, "freq": 3, "phase": 0.4}, 8),
+     ("expsin", {"amp": -0.7}, 8),
+     ("expsin", {"amp": 3.0}, 16),
+     ("poly-blend", {"order": 5, "center": 1.13, "amp": 1.5}, 64)],
+)
+def test_every_catalog_closed_form_matches_the_quadrature_oracle(name, params, oversample):
+    # P = oversample * M quadrature points: too few at M = 1 to resolve
+    # e^{a sin x}, so the sweep starts at 8; a high blend order keeps the
+    # quadrature of the blend's kink spectrally accurate
+    smooth = smooth_catalog(name, **params)
+    for M in (8, 24, 100):
+        oracle = coeffs_of_function(smooth.evaluator, M, oversample)
+        scale = max(1.0, float(np.max(np.abs(oracle))))
+        assert np.max(np.abs(smooth.coeff_fn(M) - oracle)) <= 1e-12 * scale
+
+
+def test_smooth_part_needs_its_coefficients():
+    with pytest.raises(TypeError, match="coeff_fn"):
+        SmoothPart("f", np.sin)
+
+
+def test_expsin_takes_the_largest_amp_whose_exponential_is_finite():
+    # the tail underflows to 0 on purpose; nothing overflows
+    amp = math.log(np.finfo(float).max)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        sp = synth_spectrum(JumpModel(0, ()), smooth_catalog("expsin", amp=amp), 8)
+    assert np.isfinite(sp.coeffs).all()
+
+
+@pytest.mark.parametrize(
+    "name, params, named",
+    [("expsin", {"amp": float("nan")}, "amp must be finite"),
+     ("expsin", {"amp": float("inf")}, "amp must be finite"),
+     ("expsin", {"amp": 710.0}, "amp=710.0"),
+     ("expsin", {"amp": -709.8}, "amp=-709.8"),
+     ("sin", {"amp": float("nan")}, "amp must be finite"),
+     ("sin", {"phase": float("inf")}, "phase must be finite"),
+     ("poly-blend", {"order": 2, "center": float("nan")}, "center must be finite"),
+     ("poly-blend", {"order": 2, "amp": -float("inf")}, "amp must be finite")],
+)
+def test_catalog_rejects_parameters_past_the_double_range_by_name(name, params, named):
+    # expsin's e^|amp| must be a finite double, |amp| <= 709.78
+    with pytest.raises(ModelError, match=named):
+        smooth_catalog(name, **params)
+
+
 def test_poly_blend_closed_form_matches_quadrature():
     # high blend order keeps the quadrature oracle spectrally accurate
     smooth = smooth_catalog("poly-blend", order=5, center=-2.0, amp=1.0)
@@ -547,6 +649,8 @@ def test_catalog_rejects_unknown_entries_and_parameters():
         smooth_catalog("triangle")
     with pytest.raises(ModelError):
         smooth_catalog("sin", bogus=1.0)
+    with pytest.raises(ModelError):
+        smooth_catalog("zero", amp=1.0)
     with pytest.raises(ModelError):
         smooth_catalog("poly-blend", order=0)
     with pytest.raises(ModelError):

@@ -618,6 +618,26 @@ def test_approximant_json_round_trip():
     )
 
 
+def test_approximant_record_carries_the_scale_it_was_certified_at():
+    ap = full_reconstruct(
+        symmetry_edge_spectrum(),
+        ReconstructionConfig(d=1, K=1, bounds=AprioriBounds(1.5, 40.0, 0.5, 1.0)),
+    )
+    rec = json.loads(json.dumps(ap.to_json_dict()))
+    assert rec["provenance"]["scale"] == ap.source_scale > 3.0
+    back = Approximant.from_json_dict(rec)
+    assert back.corrected_spectrum.real_valued
+    assert np.array_equal(back.corrected_spectrum.coeffs, ap.corrected_spectrum.coeffs)
+    # a record without the scale is judged at its own, as before
+    del rec["provenance"]["scale"]
+    with pytest.raises(ModelError, match="at scale 2.579e-01"):
+        Approximant.from_json_dict(rec)
+    for bad in (float("nan"), float("inf"), -1.0, True, "3.4"):
+        rec["provenance"]["scale"] = bad
+        with pytest.raises(ModelError, match="scale"):
+            Approximant.from_json_dict(rec)
+
+
 def test_eval_approximant_is_partial_sum_plus_jumps():
     est = JumpModel(0, ((0.7, (1.0,)),))
     cs = np.zeros(9, complex)

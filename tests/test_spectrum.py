@@ -12,6 +12,7 @@ from conftest import (
     EDGE_COEFFS,
     EDGE_FLOATS,
     bits,
+    coeffs_of_function,
     dump_text,
     grid_sum_reference,
     moments_reference,
@@ -27,7 +28,6 @@ from jumprec.spectrum import (
     FourierSpectrum,
     MomentSequence,
     SamplePlan,
-    coeffs_of_function,
     eval_partial_sum,
     load_spectrum,
     product_spectrum,
@@ -100,6 +100,30 @@ def test_spectrum_record_rejects_bool_coefficients():
     record = {"M": 1, "real_valued": False, "coeffs": [[0, 0], [0, 0], [1.5, True]]}
     with pytest.raises(ModelError, match=r"coeffs\[2\]: got \[1.5, True\]"):
         FourierSpectrum.from_json_dict(record)
+
+
+def test_spectrum_record_bulk_read_is_the_pair_loop_bit_for_bit():
+    # ints (one past 2^53), signed zeros, subnormals and +-max: the bulk
+    # conversion gives complex(re, im) of every pair
+    pairs = [[re, im] for re in EDGE_FLOATS for im in EDGE_FLOATS]
+    pairs += [[2**53 + 1, -7], [3, 0.5], [-(2**62) - 1, 0]]
+    loop = np.array([complex(re, im) for re, im in pairs])
+    got = FourierSpectrum.from_json_dict({"M": 19, "real_valued": False, "coeffs": pairs})
+    assert np.array_equal(bits(got.coeffs), bits(loop))
+
+
+@pytest.mark.parametrize("i", [0, 4, 7])
+@pytest.mark.parametrize(
+    "entry",
+    [[True, 0.0], [0.0, False], ["0.5", 0.0], [0.0, None], [10**400, 0.0],
+     [1.0], [1.0, 2.0, 3.0], "ab", 1.5, [[1.0, 2.0], 0.0]],
+)
+def test_spectrum_record_names_the_first_bad_pair(i, entry):
+    pairs = [[0.5, 0.0]] * 9
+    pairs[i] = entry
+    pairs[8] = [True, True]  # a later bad pair is not the one named
+    with pytest.raises(ModelError, match=rf"coeffs\[{i}\]"):
+        FourierSpectrum.from_json_dict({"M": 4, "real_valued": False, "coeffs": pairs})
 
 
 def test_spectrum_rejects_negative_truncation():
