@@ -208,9 +208,7 @@ def _recover_extended(spec, cfg, digits) -> Approximant:
     prior = half_order_recover(spec, cfg.d // 2, M_eff).xi
     est = recover_single_jump_mp(spec, cfg.d, prior, M=M_eff, digits=digits)
     check_leading_floor([est], cfg)
-    return _approximant(
-        spec, cfg.d, [est], {**cfg.to_json_dict(), "precision_digits": digits}
-    )
+    return _approximant(spec, [est], {**cfg.to_json_dict(), "precision_digits": digits})
 
 
 @main.command()
@@ -229,7 +227,7 @@ def recover(ctx, spectrum_path, order, jumps, bounds_path, priors):
     """Estimate jumps and the corrected smooth spectrum from coefficients.
 
     Writes one JSON record to --out: the recovered model, the corrected
-    smooth spectrum and provenance (source M, full config).  The record is
+    smooth spectrum and provenance (the run's config).  The record is
     encoded whole, then written in one call, and only after the recovery
     succeeds; its doubles read back bit for bit.
     """
@@ -337,6 +335,9 @@ def load_bench_spec(path, fallback_seed: int = 0) -> BenchmarkSpec:
         M_values = tuple(sorted(read_int(m, "M") for m in data["M_values"]))
     except (KeyError, TypeError, ModelError) as exc:
         raise ModelError(f"'M_values' must be a list of integers: {exc}") from exc
+    dups = sorted({M for M in M_values if M_values.count(M) > 1})
+    if dups:
+        raise ModelError(f"duplicate M values {dups} in {list(M_values)}")
     if len(M_values) < 3:
         raise ModelError(f"need >= 3 M values for slope fitting, got {len(M_values)}")
     if M_values[-1] < 10 * M_values[0]:
@@ -406,7 +407,7 @@ def _variant_approximant(bs: BenchmarkSpec, method: str, spec: FourierSpectrum):
             window = make_bump(prior, width, spec.M, degree)
             data = localize_jump(spec, window, plan)
         estimates.append(half_order_recover(data, order, M_eff))
-    return _approximant(spec, order, estimates, {"method": method})
+    return _approximant(spec, estimates, {"method": method})
 
 
 def _bench_point(bs: BenchmarkSpec, method: str, M: int):
@@ -581,7 +582,6 @@ def _eval_bound(query: dict) -> dict:
                 multiplicities=tuple(
                     read_int(m, "multiplicities") for m in params["multiplicities"]
                 ),
-                t=read_int(params.get("t", 0), "t"),
                 sigma=integer("sigma"),
                 node_gap=real("node_gap"),
                 eps=real("eps"),

@@ -33,8 +33,6 @@ from .spectrum import (
     MomentSequence,
     SamplePlan,
     _plan_moments,
-    _real_at_scale,
-    _scale,
     circular_distance,
     eval_partial_sum,
     modulus,
@@ -154,53 +152,38 @@ class ReconstructionConfig:
 class Approximant:
     """Recovered jump model plus the corrected smooth-part spectrum.
 
-    source_scale is the largest coefficient modulus of the spectrum the
-    model was recovered from.  A real corrected spectrum is certified
-    conjugate-symmetric at that scale (or its own, if larger); the record
-    carries it as provenance "scale", so a record read back is certified
-    at the scale it was written at.  A record without it is certified at
-    the corrected spectrum's own scale.
+    provenance is the configuration of the run that recovered it.
     """
 
     estimate: JumpModel
     corrected_spectrum: FourierSpectrum
-    source_M: int
     provenance: dict = field(default_factory=dict)
-    source_scale: float = 0.0
-
-    def __post_init__(self):
-        if self.corrected_spectrum.M != self.source_M:
-            raise ModelError(
-                f"corrected spectrum M={self.corrected_spectrum.M} must equal "
-                f"source M={self.source_M}"
-            )
 
     def to_json_dict(self) -> dict:
         return {
             "model": self.estimate.to_json_dict(),
             "smooth_spectrum": self.corrected_spectrum.to_json_dict(),
-            "provenance": {
-                "M": self.source_M,
-                "scale": self.source_scale,
-                "config": dict(self.provenance),
-            },
+            "provenance": {"config": dict(self.provenance)},
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Approximant":
+        """The approximant of a record {"model", "smooth_spectrum", "provenance"}.
+
+        Provenance keys other than "config" are ignored; a malformed record
+        is a ModelError.
+        """
         try:
             model = JumpModel.from_json_dict(data["model"])
-            prov = data.get("provenance", {})
-            scale = read_real(prov.get("scale", 0.0), "provenance scale")
-            if not (math.isfinite(scale) and scale >= 0.0):
+            spec = FourierSpectrum.from_json_dict(data["smooth_spectrum"])
+            config = data.get("provenance", {}).get("config", {})
+            if not isinstance(config, dict):
                 raise ModelError(
-                    f"provenance scale must be finite and >= 0, got scale={scale!r}"
+                    f"provenance config must be a JSON object, got config={config!r}"
                 )
-            spec = FourierSpectrum.from_json_dict(data["smooth_spectrum"], scale)
-            M = read_int(prov.get("M", spec.M), "provenance M")
         except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise ModelError(f"malformed approximant record: {exc}") from exc
-        return cls(model, spec, M, dict(prov.get("config", {})), scale)
+        return cls(model, spec, dict(config))
 
 
 class _BandPeel:
@@ -211,23 +194,20 @@ class _BandPeel:
     union of those d+2 intervals around the plan's indices (disjoint once
     the stride N exceeds 2D), and the powers (ik)^{-(l+1)} are built for
     it.  The union holds k >= 1 only: pipeline_geometry keeps the window
-    degree below the lowest decimated index.  Each window's terms are
-    gathered from the union in product_spectrum's order, so a solve's
-    windowed values equal product_spectrum's on the fully peeled spectrum
-    bit for bit.  The union, its powers and the gather indices depend on
-    the plan, D and which window taps are nonzero, not on the data or the
-    window's centre: they are built once per shape and kept, read-only.
+    degree below the lowest decimated index.  The windows share one degree
+    D, and every one of a make_bump window's 2D+1 taps is nonzero, so one
+    gather serves them all and reads the terms in product_spectrum's
+    order: a solve's windowed values equal product_spectrum's on the fully
+    peeled spectrum bit for bit.  The union, its powers and the gather
+    depend on the plan and D only, not on the data or the windows'
+    centres: they are built once per shape and kept, read-only.
     """
 
     def __init__(self, spec: FourierSpectrum, plan: SamplePlan, windows):
         self.plan = plan
-        D = max(w.M for w in windows)
-        self.band, self.factors, self.at_ks = _band(plan, D)
+        self.band, self.factors, self.at_ks, self.gather = _band(plan, windows[0].M)
         self.data = spec.coeffs[self.band + spec.M]
-        self.taps = []
-        for w in windows:
-            nz = w.coeffs.nonzero()[0]
-            self.taps.append((_band_gather(plan, D, w.M, nz.tobytes()), w.coeffs[nz]))
+        self.taps = [w.coeffs for w in windows]
 
     def own(self, est) -> np.ndarray:
         """One estimate's singular part on the union band.
@@ -244,9 +224,8 @@ class _BandPeel:
 
         Values at the plan's indices, in order: the polish solve's data.
         """
-        gather, taps = self.taps[j]
         peeled = self.data - np.sum(own, axis=0)
-        return peeled[gather] @ taps + own[j][self.at_ks]
+        return peeled[self.gather] @ self.taps[j] + own[j][self.at_ks]
 
     def moments(self, own: list, j: int) -> MomentSequence:
         return _plan_moments(self.plan, self.samples(own, j).tolist())
@@ -259,24 +238,16 @@ def _read_only(*arrays) -> None:
 
 @functools.lru_cache(maxsize=32)
 def _band(plan: SamplePlan, D: int) -> tuple:
-    # (union band, phi_factors on it, positions of the plan's indices in it)
+    # (union band, phi_factors on it, positions of the plan's indices in it,
+    # positions of the terms k + D .. k - D a degree-D window reads at each
+    # plan index k)
     ks = np.array(plan.indices, dtype=np.int64)
     band = np.unique(np.add.outer(ks, np.arange(-D, D + 1)))
     ik, powers = phi_factors(band, plan.d)
     at_ks = np.searchsorted(band, ks)
-    _read_only(band, ik, *powers, at_ks)
-    return band, (ik, tuple(powers)), at_ks
-
-
-@functools.lru_cache(maxsize=32)
-def _band_gather(plan: SamplePlan, D: int, degree: int, nz: bytes) -> np.ndarray:
-    # positions in _band(plan, D) of the terms a degree-`degree` window with
-    # nonzero taps nz (np.intp bytes) reads at each of the plan's indices
-    band = _band(plan, D)[0]
-    offsets = degree - np.frombuffer(nz, dtype=np.intp)
-    gather = np.searchsorted(band, np.add.outer(np.array(plan.indices), offsets))
-    _read_only(gather)
-    return gather
+    gather = np.searchsorted(band, np.add.outer(ks, D - np.arange(2 * D + 1)))
+    _read_only(band, ik, *powers, at_ks, gather)
+    return band, (ik, tuple(powers)), at_ks, gather
 
 
 def _moved(est, prev, M: int) -> float:
@@ -294,25 +265,30 @@ def _moved(est, prev, M: int) -> float:
     )
 
 
-def _approximant(spec: FourierSpectrum, d: int, estimates, provenance: dict):
+def _approximant(spec: FourierSpectrum, estimates, provenance: dict):
     """The recovered jumps in location order, and spec minus their singular part.
 
-    Real data keep the real part of each recovered magnitude.
+    The order is the estimates'.  Real data keep the real part of each
+    recovered magnitude, and their corrected spectrum is projected onto
+    real functions, (psi_k + conj(psi_{-k})) / 2: exactly
+    conjugate-symmetric, so it is certified at its own scale, and equal in
+    value to psi where psi already was.
     """
     jumps = tuple(
         (e.xi, tuple(m.real for m in e.magnitudes) if spec.real_valued else e.magnitudes)
         for e in sorted(estimates, key=lambda e: e.xi)
     )
-    estimate = JumpModel(d, jumps)
-    scale = _scale(spec.coeffs)
+    estimate = JumpModel(estimates[0].order, jumps)
     psi = spec.coeffs - phi_coeff_array(estimate, spec.M)
-    # a real model's singular part is conjugate-symmetric bit for bit, so
-    # psi keeps the input's defect and is judged at the input's scale
     if spec.real_valued:
-        psi = _real_at_scale(spec.M, psi, scale)
-    else:
-        psi = FourierSpectrum(spec.M, psi)
-    return Approximant(estimate, psi, spec.M, provenance, scale)
+        mirror = psi[::-1].conj()
+        with np.errstate(over="ignore", invalid="ignore"):
+            real = (psi + mirror) / 2
+        # where a sum passes the double range, the halves are summed
+        far = ~np.isfinite(real)
+        real[far] = psi[far] / 2 + mirror[far] / 2
+        psi = real
+    return Approximant(estimate, FourierSpectrum(spec.M, psi, spec.real_valued), provenance)
 
 
 def _cause(config: ReconstructionConfig) -> str:
@@ -450,7 +426,7 @@ def full_reconstruct(
             grew = 0
         prev_change = change
     check_leading_floor(best, config)
-    return _approximant(spec, config.d, best, config.to_json_dict())
+    return _approximant(spec, best, config.to_json_dict())
 
 
 def eval_approximant(appr: Approximant, x, side: Optional[str] = None):

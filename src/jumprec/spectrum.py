@@ -90,33 +90,6 @@ def _all_finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(arr).all())
 
 
-def _scale(arr: np.ndarray) -> float:
-    # the largest coefficient modulus, the scale symmetry is judged at
-    return float(np.max(np.abs(arr)))
-
-
-def _certify_symmetry(arr: np.ndarray, scale: float) -> None:
-    # ModelError unless c_{-k} == conj(c_k) to _SYMMETRY_TOL relative to
-    # scale (at least 1)
-    defect = float(np.max(np.abs(arr[::-1].conj() - arr)))
-    if defect > _SYMMETRY_TOL * max(scale, 1.0):
-        raise ModelError(
-            "real_valued spectrum breaks conjugate symmetry: "
-            f"defect {defect:.3e} at scale {scale:.3e}"
-        )
-
-
-def _real_at_scale(M: int, coeffs, scale: float) -> "FourierSpectrum":
-    # the coefficients as a real_valued spectrum, conjugate symmetry judged
-    # at the larger of scale and their own: a spectrum derived from real
-    # data (the data less a real singular part) keeps the data's defect,
-    # which its own, smaller scale can fail though the data's admitted it
-    spec = FourierSpectrum(M, coeffs)
-    _certify_symmetry(spec.coeffs, max(scale, _scale(spec.coeffs)))
-    object.__setattr__(spec, "real_valued", True)
-    return spec
-
-
 def _complex_pairs(pairs) -> np.ndarray:
     # [[re, im], ...] as complex128.  When every pair holds two ints or
     # floats, the two columns are converted in bulk; anything else, a bool
@@ -158,7 +131,8 @@ class FourierSpectrum:
         Complex array of length 2M+1, ascending k.
     real_valued : bool
         Declares the underlying function real; enforced as conjugate
-        symmetry c_{-k} == conj(c_k) up to 1e-14 relative to the scale.
+        symmetry c_{-k} == conj(c_k) up to 1e-14 relative to the scale,
+        the largest coefficient modulus or 1, whichever is larger.
     """
 
     M: int
@@ -177,7 +151,13 @@ class FourierSpectrum:
             raise ModelError("spectrum holds non-finite coefficients (NaN or inf)")
         object.__setattr__(self, "coeffs", arr)
         if self.real_valued:
-            _certify_symmetry(arr, _scale(arr))
+            defect = float(np.max(np.abs(arr[::-1].conj() - arr)))
+            scale = float(np.max(np.abs(arr)))
+            if defect > _SYMMETRY_TOL * max(scale, 1.0):
+                raise ModelError(
+                    "real_valued spectrum breaks conjugate symmetry: "
+                    f"defect {defect:.3e} at scale {scale:.3e}"
+                )
 
     def coeff(self, k: int) -> complex:
         """Return c_k for -M <= k <= M."""
@@ -193,12 +173,11 @@ class FourierSpectrum:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict, scale: float = 0.0) -> "FourierSpectrum":
+    def from_json_dict(cls, data: dict) -> "FourierSpectrum":
         """The spectrum of a record {"M", "real_valued", "coeffs"}.
 
-        A real_valued record is certified conjugate-symmetric at the larger
-        of scale and its own; a malformed record is a ModelError, and a bad
-        coefficient is named by its index, coeffs[i].
+        A malformed record is a ModelError, and a bad coefficient is named
+        by its index, coeffs[i].
         """
         try:
             M = read_int(data["M"], "M")
@@ -210,10 +189,7 @@ class FourierSpectrum:
             pairs = data["coeffs"]
         except (KeyError, TypeError) as exc:
             raise ModelError(f"malformed spectrum record: {exc}") from exc
-        coeffs = _complex_pairs(pairs)
-        if real_valued:
-            return _real_at_scale(M, coeffs, scale)
-        return cls(M, coeffs)
+        return cls(M, _complex_pairs(pairs), real_valued)
 
 
 @dataclass(frozen=True)

@@ -39,14 +39,14 @@ class PronyConfig:
     """Parameters of the confluent Prony system under perturbation.
 
     K nodes with multiplicities l_j; C = sum l_j unknown weights and K
-    unknown nodes give R = C + K unknowns total; samples on the
-    arithmetic progression t + sigma*s; delta_sigma is the minimal
-    distance between sigma-th node powers; eps the perturbation level.
+    unknown nodes give R = C + K unknowns total; samples on an
+    arithmetic progression of stride sigma, whose start the bound does
+    not depend on; delta_sigma is the minimal distance between sigma-th
+    node powers; eps the perturbation level.
     """
 
     K: int
     multiplicities: tuple
-    t: int
     sigma: int
     node_gap: float
     eps: float

@@ -164,14 +164,15 @@ def test_recover_takes_real_data_the_input_scale_admits(runner, tmp_path, precis
     rec = json.loads(outp.read_text())
     assert rec["smooth_spectrum"]["real_valued"] is True
     assert abs(rec["model"]["jumps"][0]["xi"] - 0.7) <= 1e-10
-    # the record carries the input's scale 3.38, so it reads back, though
-    # its spectrum alone, at its own scale 0.26, does not
-    assert rec["provenance"]["scale"] == pytest.approx(3.38, abs=0.01)
+    # the corrected spectrum is the projection onto real functions: exactly
+    # conjugate-symmetric, so it reads back alone, at its own scale 0.26
+    assert set(rec["provenance"]) == {"config"}
+    psi = FourierSpectrum.from_json_dict(rec["smooth_spectrum"])
+    assert psi.real_valued
+    assert np.array_equal(psi.coeffs[::-1].conj(), psi.coeffs)
     back = reconstruct.Approximant.from_json_dict(rec)
-    assert back.corrected_spectrum.real_valued
+    assert np.array_equal(back.corrected_spectrum.coeffs, psi.coeffs)
     assert json.loads(json.dumps(back.to_json_dict())) == rec
-    with pytest.raises(ModelError, match="conjugate symmetry"):
-        FourierSpectrum.from_json_dict(rec["smooth_spectrum"])
 
 
 def recover_args(runner, tmp_path, M=256):
@@ -189,7 +190,7 @@ def test_recover_file_is_the_text_json_dump_wrote(runner, tmp_path, monkeypatch)
 
     def edge_reconstruct(spec, cfg):
         made.append(reconstruct.Approximant(
-            estimate, FourierSpectrum(18, EDGE_COEFFS), 18, cfg.to_json_dict()
+            estimate, FourierSpectrum(18, EDGE_COEFFS), cfg.to_json_dict()
         ))
         return made[-1]
 
@@ -640,6 +641,21 @@ def test_bounds_node_perturbation_query(runner, tmp_path):
     assert json.loads(res.output)["bound"] == pytest.approx(0.064, rel=1e-12)
 
 
+def test_bounds_node_perturbation_echoes_an_unread_start(runner, tmp_path):
+    # the bound does not depend on where the progression starts, so a
+    # start "t" is not read: it is echoed in inputs like any other key
+    query = {"op": "node-perturbation", "K": 1, "multiplicities": [2],
+             "sigma": 1, "node_gap": 0.5, "eps": 1e-3, "a_lead": 1.0}
+    plain = runner.invoke(main, ["bounds", write_json(tmp_path / "q.json", query)])
+    for t in (0, 7, "x"):
+        qp = write_json(tmp_path / "qt.json", dict(query, t=t))
+        res = runner.invoke(main, ["bounds", qp])
+        assert res.exit_code == 0, errtext(res)
+        got = json.loads(res.output)
+        assert got["inputs"]["t"] == t
+        assert got["bound"] == json.loads(plain.output)["bound"]
+
+
 def test_bounds_bad_queries(runner, tmp_path):
     qp = write_json(tmp_path / "q.json", {"op": "volume", "d": 1})
     assert runner.invoke(main, ["bounds", qp]).exit_code == 2
@@ -810,6 +826,17 @@ def test_bench_spec_validation(tmp_path):
     attempt(seed=None)
     attempt(seed="abc")
     attempt(precision=5)
+
+
+def test_bench_names_duplicate_M_values(runner, tmp_path):
+    sp = write_json(tmp_path / "sweep.json",
+                    dict(SMALL_SWEEP, M_values=[640, 64, 128, 64, 640]))
+    with pytest.raises(ModelError, match=r"duplicate M values \[64, 640\]"):
+        load_bench_spec(sp, 0)
+    outp = tmp_path / "b.csv"
+    res = runner.invoke(main, ["--out", str(outp), "bench", sp])
+    assert res.exit_code == 2, errtext(res)
+    assert not outp.exists()
 
 
 @pytest.mark.parametrize("where", ["spec", "flag"])

@@ -507,26 +507,72 @@ def test_provenance_records_the_run_configuration():
     )
     assert ap.provenance["d"] == 1
     assert ap.provenance["K"] == 2
-    assert ap.source_M == 256
+    assert ap.to_json_dict()["provenance"] == {"config": ap.provenance}
 
 
-def test_corrected_real_data_are_judged_at_the_input_scale():
+def test_corrected_real_data_are_their_projection_onto_real_functions():
     spec = symmetry_edge_spectrum()
     cfg = ReconstructionConfig(d=1, K=1, bounds=AprioriBounds(1.5, 40.0, 0.5, 1.0))
     ap = full_reconstruct(spec, cfg)
+    assert circ(ap.estimate.locations[0], 0.7) <= 1e-12
     psi = ap.corrected_spectrum
     assert psi.real_valued
-    # the singular part of a real model is conjugate-symmetric bit for bit,
-    # so the correction keeps the input's defect and nothing more
-    defect = np.max(np.abs(psi.coeffs[::-1].conj() - psi.coeffs))
-    assert 2.4e-14 <= defect <= 2.6e-14
+    # exactly conjugate-symmetric, so certified at its own scale 0.26,
+    # where the input's defect 2.5e-14 alone would fail
+    assert np.array_equal(psi.coeffs[::-1].conj(), psi.coeffs)
     assert np.max(np.abs(psi.coeffs)) < 1.0
-    assert circ(ap.estimate.locations[0], 0.7) <= 1e-12
+    defect = np.max(np.abs(spec.coeffs[::-1].conj() - spec.coeffs))
+    assert 2.4e-14 <= defect <= 2.6e-14
+    raw = spec.coeffs - phi_coeff_array(ap.estimate, 256)
+    assert np.max(np.abs(psi.coeffs - raw)) <= defect / 2
+    with pytest.raises(ModelError, match="conjugate symmetry"):
+        FourierSpectrum(256, raw, real_valued=True)
+    # the unprojected spectrum, declared real past the constructor's check,
+    # evaluates to within 1e-15 of the projection on the grid and in
+    # jump_free_error: the real part of its partial sum is the projection's
+    unprojected = FourierSpectrum(256, raw)
+    object.__setattr__(unprojected, "real_valued", True)
+    xs = uniform_grid(2048)
+    assert np.max(np.abs(
+        eval_partial_sum(psi, xs) - eval_partial_sum(unprojected, xs)
+    )) <= 1e-15
+    truth_model = JumpModel(1, ((0.7, (20.0, 1.0)),))
+    smooth = smooth_catalog("expsin", amp=0.5)
+
+    def truth(x):
+        return phi_eval(truth_model, x) + smooth.evaluator(x)
+
+    err = jump_free_error(ap, truth, 0.375, true_jumps=(0.7,))
+    unprojected_err = jump_free_error(
+        dataclasses.replace(ap, corrected_spectrum=unprojected), truth, 0.375,
+        true_jumps=(0.7,),
+    )
+    assert abs(err - unprojected_err) <= 1e-15
     # a defect the input's scale does not admit still fails
     bad = spec.coeffs.copy()
     bad[256 + 200] += 1e-12
     with pytest.raises(ModelError, match="conjugate symmetry"):
         FourierSpectrum(256, bad, real_valued=True)
+
+
+def test_projection_keeps_real_data_near_the_double_range():
+    # c_0 and c_{+-1}, which no window reads, past half the largest
+    # double: psi + conj(psi[::-1]) would overflow there, so those entries
+    # are projected by halves
+    spec = synth_spectrum(ONE_JUMP_D2, smooth_catalog("expsin"), 256)
+    coeffs = spec.coeffs.copy()
+    coeffs[256] = 1.5e308
+    coeffs[256 + 1] += 1.2e308 - 1.1e308j
+    coeffs[256 - 1] += 1.2e308 + 1.1e308j
+    big = FourierSpectrum(256, coeffs, real_valued=True)
+    ap = full_reconstruct(big, ReconstructionConfig(d=2, K=1, bounds=BND))
+    want = full_reconstruct(spec, ReconstructionConfig(d=2, K=1, bounds=BND))
+    assert ap.estimate == want.estimate
+    psi = ap.corrected_spectrum.coeffs
+    assert np.array_equal(psi[::-1].conj(), psi)
+    raw = coeffs - phi_coeff_array(ap.estimate, 256)
+    assert psi[256] == raw[256] == 1.5e308
+    assert np.array_equal(psi, raw)
 
 
 def _package_caches():
@@ -543,7 +589,6 @@ def test_shape_caches_are_bounded_read_only_and_change_no_byte():
     for name in (
         "jumprec.model._positive_factors",
         "jumprec.reconstruct._band",
-        "jumprec.reconstruct._band_gather",
         "jumprec.solver._signed_binomials",
         "jumprec.solver._nodes",
         "jumprec.solver._stride_powers_float",
@@ -578,9 +623,6 @@ def test_shape_caches_are_bounded_read_only_and_change_no_byte():
     held = [
         model_module._positive_factors(512, 1),
         reconstruct._band(SamplePlan("decimated", 1, 384), 20),
-        reconstruct._band_gather(
-            SamplePlan("decimated", 1, 384), 20, 20, np.arange(41).tobytes()
-        ),
         solver._stride_powers_float(128, 1),
         solver._vandermonde_inverse_float((1, 2)),
         rootfind._subdiagonal(3),
@@ -596,15 +638,6 @@ def test_shape_caches_are_bounded_read_only_and_change_no_byte():
 # ---------------------------------------------------------------- artifacts
 
 
-def test_approximant_validates_mode_budget():
-    est = JumpModel(0, ((0.7, (1.0,)),))
-    good = FourierSpectrum(8, np.zeros(17, complex), True)
-    bad = FourierSpectrum(4, np.zeros(9, complex), True)
-    Approximant(est, good, 8)
-    with pytest.raises(ModelError):
-        Approximant(est, bad, 8)
-
-
 def test_approximant_json_round_trip():
     ap = full_reconstruct(
         synth_spectrum(TWO_JUMPS, None, 128),
@@ -612,37 +645,52 @@ def test_approximant_json_round_trip():
     )
     back = Approximant.from_json_dict(ap.to_json_dict())
     assert back.estimate == ap.estimate
-    assert back.source_M == ap.source_M
+    assert back.provenance == ap.provenance
     assert np.array_equal(
         back.corrected_spectrum.coeffs, ap.corrected_spectrum.coeffs
     )
 
 
-def test_approximant_record_carries_the_scale_it_was_certified_at():
+def test_approximant_record_reads_back_at_its_own_scale():
     ap = full_reconstruct(
         symmetry_edge_spectrum(),
         ReconstructionConfig(d=1, K=1, bounds=AprioriBounds(1.5, 40.0, 0.5, 1.0)),
     )
     rec = json.loads(json.dumps(ap.to_json_dict()))
-    assert rec["provenance"]["scale"] == ap.source_scale > 3.0
+    assert rec["provenance"] == {"config": ap.provenance}
     back = Approximant.from_json_dict(rec)
     assert back.corrected_spectrum.real_valued
     assert np.array_equal(back.corrected_spectrum.coeffs, ap.corrected_spectrum.coeffs)
-    # a record without the scale is judged at its own, as before
-    del rec["provenance"]["scale"]
-    with pytest.raises(ModelError, match="at scale 2.579e-01"):
+    assert back.provenance == ap.provenance
+    # an older record's provenance "M" and "scale" are ignored, whatever
+    # they hold
+    for old in ({"M": 256, "scale": 3.38}, {"M": "x", "scale": float("nan")}):
+        rec["provenance"].update(old)
+        again = Approximant.from_json_dict(rec)
+        assert np.array_equal(again.corrected_spectrum.coeffs, ap.corrected_spectrum.coeffs)
+        assert again.to_json_dict() == ap.to_json_dict()
+    # an older record whose spectrum keeps a defect its own scale does not
+    # admit fails, whatever scale it carries
+    rec["smooth_spectrum"]["coeffs"][256 + 200][0] += 2.5e-14
+    rec["provenance"]["scale"] = 3.38
+    with pytest.raises(ModelError, match="conjugate symmetry"):
         Approximant.from_json_dict(rec)
-    for bad in (float("nan"), float("inf"), -1.0, True, "3.4"):
-        rec["provenance"]["scale"] = bad
-        with pytest.raises(ModelError, match="scale"):
-            Approximant.from_json_dict(rec)
+
+
+@pytest.mark.parametrize("config", [5, [1, 2], "ab", None])
+def test_approximant_record_config_must_be_an_object(config):
+    est = JumpModel(0, ((0.7, (1.0,)),))
+    rec = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True)).to_json_dict()
+    rec["provenance"]["config"] = config
+    with pytest.raises(ModelError, match="config"):
+        Approximant.from_json_dict(rec)
 
 
 def test_eval_approximant_is_partial_sum_plus_jumps():
     est = JumpModel(0, ((0.7, (1.0,)),))
     cs = np.zeros(9, complex)
     cs[4] = 0.25  # constant smooth part
-    ap = Approximant(est, FourierSpectrum(4, cs, True), 4)
+    ap = Approximant(est, FourierSpectrum(4, cs, True))
     xs = np.array([-2.0, 0.0, 2.0])
     want = eval_partial_sum(ap.corrected_spectrum, xs) + phi_eval(est, xs)
     assert np.allclose(eval_approximant(ap, xs), want, atol=1e-14)
@@ -653,7 +701,7 @@ def test_eval_approximant_is_partial_sum_plus_jumps():
 
 def test_jump_free_error_on_exact_truth_is_zero():
     est = JumpModel(0, ((0.7, (1.0,)),))
-    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True), 4)
+    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True))
 
     def truth(xs):
         return phi_eval(est, xs)
@@ -665,7 +713,7 @@ def test_jump_free_error_on_exact_truth_is_zero():
 
 def test_jump_free_error_excludes_true_jumps_too():
     est = JumpModel(0, ((0.7, (1.0,)),))
-    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True), 4)
+    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True))
 
     def spiked(xs):
         vals = phi_eval(est, xs)
@@ -679,7 +727,7 @@ def test_jump_free_error_excludes_true_jumps_too():
 
 def test_jump_free_error_validation():
     est = JumpModel(0, ((0.7, (1.0,)),))
-    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True), 4)
+    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True))
     with pytest.raises(ModelError):
         jump_free_error(ap, lambda xs: phi_eval(est, xs), 0.0)
     with pytest.raises(ModelError):
@@ -689,14 +737,14 @@ def test_jump_free_error_validation():
 @pytest.mark.parametrize("grid", [2048.5, True, np.float64(64), "64", None])
 def test_jump_free_error_reads_grid_as_an_integer(grid):
     est = JumpModel(0, ((0.7, (1.0,)),))
-    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True), 4)
+    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True))
     with pytest.raises(ModelError, match="grid must be an integer"):
         jump_free_error(ap, lambda xs: phi_eval(est, xs), 0.3, grid=grid)
 
 
 def test_jump_free_error_takes_numpy_integers_for_grid():
     est = JumpModel(0, ((0.7, (1.0,)),))
-    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True), 4)
+    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True))
     truth = lambda xs: phi_eval(est, xs)  # noqa: E731
     assert jump_free_error(ap, truth, 0.3, grid=np.int64(64)) == jump_free_error(
         ap, truth, 0.3, grid=64
@@ -708,7 +756,7 @@ def test_jump_free_error_takes_numpy_integers_for_grid():
 @pytest.mark.parametrize("radius", [True, np.nan, np.inf, -np.inf, -0.1, 0.0, "0.3", None])
 def test_jump_free_error_reads_radius_as_a_finite_positive_real(radius):
     est = JumpModel(0, ((0.7, (1.0,)),))
-    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True), 4)
+    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True))
     with pytest.raises(ModelError, match="radius"):
         jump_free_error(ap, lambda xs: phi_eval(est, xs), radius)
 
@@ -717,7 +765,7 @@ def test_jump_free_error_masks_every_location_in_one_pass():
     # the kept points are those farther than radius from every recovered
     # and every true jump on the circle, here across the -pi/pi seam
     est = JumpModel(0, ((-3.0, (1.0,)), (0.7, (1.0,))))
-    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True), 4)
+    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True))
     seen = []
 
     def truth(xs):
@@ -736,7 +784,7 @@ def test_jump_free_error_masks_every_location_in_one_pass():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_eval_approximant_rejects_non_finite_points(bad):
     est = JumpModel(0, ((0.7, (1.0,)),))
-    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True), 4)
+    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True))
     with pytest.raises(ModelError, match=rf"x\[0\]={bad!r}"):
         eval_approximant(ap, np.array([bad, 0.1]))
 
@@ -749,7 +797,7 @@ def test_jump_free_error_sums_the_smooth_part_once_on_the_whole_grid(monkeypatch
         return eval_partial_sum(spectrum, x)
 
     est = JumpModel(0, ((0.7, (1.0,)),))
-    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True), 4)
+    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True))
     monkeypatch.setattr(reconstruct, "eval_partial_sum", recorder)
     jump_free_error(ap, lambda xs: phi_eval(est, xs), 0.3, grid=512)
     assert len(calls) == 1
@@ -763,7 +811,7 @@ def test_jump_free_error_at_a_jump_on_a_grid_point_is_finite():
     est = JumpModel(0, ((0.0, (1.0,)),))
     cs = np.zeros(9, complex)
     cs[4] = 0.25
-    ap = Approximant(est, FourierSpectrum(4, cs, True), 4)
+    ap = Approximant(est, FourierSpectrum(4, cs, True))
     err = jump_free_error(ap, lambda xs: phi_eval(est, xs) + 0.25, 0.3)
     assert math.isfinite(err)
     assert err <= 1e-12

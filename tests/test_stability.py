@@ -26,14 +26,14 @@ from stability_trials import run_cap_trials, run_misspec_sweep
 
 
 def test_prony_config_counts():
-    cfg = PronyConfig(K=2, multiplicities=(2, 1), t=0, sigma=1,
+    cfg = PronyConfig(K=2, multiplicities=(2, 1), sigma=1,
                       node_gap=0.5, eps=1e-3)
     assert cfg.C == 3
     assert cfg.R_total == 5
 
 
 def test_prony_config_validation():
-    good = dict(t=0, sigma=1, node_gap=0.5, eps=1e-3)
+    good = dict(sigma=1, node_gap=0.5, eps=1e-3)
     with pytest.raises(ModelError):
         PronyConfig(K=0, multiplicities=(), **good)
     with pytest.raises(ModelError):
@@ -41,13 +41,13 @@ def test_prony_config_validation():
     with pytest.raises(ModelError):
         PronyConfig(K=1, multiplicities=(0,), **good)
     with pytest.raises(ModelError):
-        PronyConfig(K=1, multiplicities=(1,), t=0, sigma=0,
+        PronyConfig(K=1, multiplicities=(1,), sigma=0,
                     node_gap=0.5, eps=1e-3)
     with pytest.raises(ModelError):
-        PronyConfig(K=1, multiplicities=(1,), t=0, sigma=1,
+        PronyConfig(K=1, multiplicities=(1,), sigma=1,
                     node_gap=2.5, eps=1e-3)
     with pytest.raises(ModelError):
-        PronyConfig(K=1, multiplicities=(1,), t=0, sigma=1,
+        PronyConfig(K=1, multiplicities=(1,), sigma=1,
                     node_gap=0.5, eps=-1e-3)
 
 
@@ -55,7 +55,7 @@ def test_prony_config_validation():
 
 
 def test_node_bound_closed_form_value():
-    cfg = PronyConfig(K=1, multiplicities=(2,), t=0, sigma=1,
+    cfg = PronyConfig(K=1, multiplicities=(2,), sigma=1,
                       node_gap=0.5, eps=1e-3)
     # (2/2!) * (2/0.5)^3 * 1e-3 / (1 * 1^2) = 64e-3
     assert node_perturbation_bound(cfg, 0, 1.0) == pytest.approx(
@@ -64,11 +64,11 @@ def test_node_bound_closed_form_value():
 
 
 def test_node_bound_scales_with_stride_and_level():
-    base = PronyConfig(K=1, multiplicities=(2,), t=0, sigma=1,
+    base = PronyConfig(K=1, multiplicities=(2,), sigma=1,
                        node_gap=0.5, eps=1e-3)
-    wide = PronyConfig(K=1, multiplicities=(2,), t=0, sigma=2,
+    wide = PronyConfig(K=1, multiplicities=(2,), sigma=2,
                        node_gap=0.5, eps=1e-3)
-    loud = PronyConfig(K=1, multiplicities=(2,), t=0, sigma=1,
+    loud = PronyConfig(K=1, multiplicities=(2,), sigma=1,
                        node_gap=0.5, eps=2e-3)
     b0 = node_perturbation_bound(base, 0, 1.0)
     assert node_perturbation_bound(wide, 0, 1.0) == pytest.approx(
@@ -80,13 +80,13 @@ def test_node_bound_scales_with_stride_and_level():
 
 
 def test_node_bound_validation():
-    cfg = PronyConfig(K=1, multiplicities=(2,), t=0, sigma=1,
+    cfg = PronyConfig(K=1, multiplicities=(2,), sigma=1,
                       node_gap=0.5, eps=1e-3)
     with pytest.raises(ModelError):
         node_perturbation_bound(cfg, 1, 1.0)
     with pytest.raises(ModelError):
         node_perturbation_bound(cfg, 0, 0.0)
-    flat = PronyConfig(K=1, multiplicities=(2,), t=0, sigma=1,
+    flat = PronyConfig(K=1, multiplicities=(2,), sigma=1,
                        node_gap=0.0, eps=1e-3)
     with pytest.raises(ModelError, match="degenerate"):
         node_perturbation_bound(flat, 0, 1.0)
@@ -98,7 +98,7 @@ def test_node_bound_sits_under_the_stride_cap(d):
     # level of the lowest retained index never exceeds the plan cap
     R_star, B_star = 0.5, 0.5
     for N in (8, 64):
-        cfg = PronyConfig(K=1, multiplicities=(d + 1,), t=0, sigma=N,
+        cfg = PronyConfig(K=1, multiplicities=(d + 1,), sigma=N,
                           node_gap=2.0, eps=R_star / N)
         nb = node_perturbation_bound(cfg, 0, B_star)
         assert nb <= decimated_cap(d, R_star, B_star, N)
