@@ -281,13 +281,16 @@ def _approximant(spec: FourierSpectrum, estimates, provenance: dict):
     estimate = JumpModel(estimates[0].order, jumps)
     psi = spec.coeffs - phi_coeff_array(estimate, spec.M)
     if spec.real_valued:
-        mirror = psi[::-1].conj()
-        with np.errstate(over="ignore", invalid="ignore"):
-            real = (psi + mirror) / 2
-        # where a sum passes the double range, the halves are summed
-        far = ~np.isfinite(real)
-        real[far] = psi[far] / 2 + mirror[far] / 2
-        psi = real
+        # on the real and imaginary parts: summed, then halved, which is
+        # exact, or halved first where a sum would pass the double range
+        parts = psi.view(np.float64)
+        mirror = psi[::-1].conj().view(np.float64)
+        try:
+            with np.errstate(over="raise"):
+                parts = (parts + mirror) * 0.5
+        except FloatingPointError:
+            parts = parts * 0.5 + mirror * 0.5
+        psi = parts.view(np.complex128)
     return Approximant(estimate, FourierSpectrum(spec.M, psi, spec.real_valued), provenance)
 
 

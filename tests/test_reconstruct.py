@@ -557,8 +557,8 @@ def test_corrected_real_data_are_their_projection_onto_real_functions():
 
 def test_projection_keeps_real_data_near_the_double_range():
     # c_0 and c_{+-1}, which no window reads, past half the largest
-    # double: psi + conj(psi[::-1]) would overflow there, so those entries
-    # are projected by halves
+    # double: psi + conj(psi[::-1]) would overflow there, so the
+    # projection halves before it sums
     spec = synth_spectrum(ONE_JUMP_D2, smooth_catalog("expsin"), 256)
     coeffs = spec.coeffs.copy()
     coeffs[256] = 1.5e308
