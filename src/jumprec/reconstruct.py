@@ -282,7 +282,7 @@ def _approximant(spec: FourierSpectrum, estimates, provenance: dict):
     psi = spec.coeffs - phi_coeff_array(estimate, spec.M)
     if spec.real_valued:
         # on the real and imaginary parts: summed, then halved, which is
-        # exact, or halved first where a sum would pass the double range
+        # exact, or, when a sum would pass the double range, halved first
         parts = psi.view(np.float64)
         mirror = psi[::-1].conj().view(np.float64)
         try:
