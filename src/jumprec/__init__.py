@@ -51,6 +51,7 @@ from .spectrum import (
     SamplePlan,
     eval_partial_sum,
     load_spectrum,
+    plan_values,
     product_spectrum,
     save_spectrum,
     weight_moments,

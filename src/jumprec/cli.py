@@ -58,7 +58,9 @@ from .spectrum import (
     circular_distance,
     load_spectrum,
     modulus,
+    plan_values,
     save_spectrum,
+    weight_moments,
 )
 from .stability import (
     ERROR_FLOOR,
@@ -205,7 +207,8 @@ def _recover_extended(spec, cfg, digits) -> Approximant:
     M_eff = pipeline_geometry(spec.M, cfg.d, cfg.bounds.J)[0]
     # the half-order location, as in full_reconstruct, is what makes the
     # decimated root disambiguation safe; a coarse prior is not
-    prior = half_order_recover(spec, cfg.d // 2, M_eff).xi
+    half = SamplePlan("consecutive", cfg.d // 2, M_eff)
+    prior = half_order_recover(weight_moments(half, plan_values(spec, half))).xi
     est = recover_single_jump_mp(spec, cfg.d, prior, M=M_eff, digits=digits)
     check_leading_floor([est], cfg)
     return _approximant(spec, [est], {**cfg.to_json_dict(), "precision_digits": digits})
@@ -399,14 +402,15 @@ def _variant_approximant(bs: BenchmarkSpec, method: str, spec: FourierSpectrum):
     # at half order or (Eckhoff's original) at full order
     order = d // 2 if method == "half-order" else d
     M_eff, width, degree = pipeline_geometry(spec.M, d, bs.bounds.J)
-    plan = SamplePlan("consecutive", order, M_eff).indices
+    plan = SamplePlan("consecutive", order, M_eff)
     estimates = []
     for prior in prony_order0(spec, K):
-        data = spec
         if K > 1:
             window = make_bump(prior, width, spec.M, degree)
-            data = localize_jump(spec, window, plan)
-        estimates.append(half_order_recover(data, order, M_eff))
+            values = localize_jump(spec, window, plan.indices)
+        else:
+            values = plan_values(spec, plan)
+        estimates.append(half_order_recover(weight_moments(plan, values)))
     return _approximant(spec, estimates, {"method": method})
 
 

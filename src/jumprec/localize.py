@@ -162,20 +162,16 @@ def make_bump(center: float, J: float, M: int, degree: int) -> FourierSpectrum:
     return FourierSpectrum(D, coeffs, real_valued=True)
 
 
-def localize_jump(
-    spec: FourierSpectrum, window: FourierSpectrum, ks
-) -> FourierSpectrum:
-    """Coefficients of the windowed function at the indices ks, zero elsewhere.
+def localize_jump(spec: FourierSpectrum, window: FourierSpectrum, ks) -> np.ndarray:
+    """Coefficients of the windowed function at the indices ks, as an array.
 
     ks are the indices a solver reads (a sample plan's), each at most spec.M
-    in modulus.  Each is the exact convolution of the two truncated
-    sequences at that index; indices within the window degree D of spec.M
-    inherit truncation error from the input's unseen tail, which is why
-    sampling plans stay away from them.  The window (make_bump's) has 2D+1
-    coefficients, so the cost is about len(ks)(2D+1) multiply-adds.  The
-    result is not declared real_valued: its zeros break conjugate symmetry.
+    in modulus; the values come back in their order, and nothing of the
+    spectrum's length is built.  Each is the exact convolution of the two
+    truncated sequences at that index (product_spectrum's); indices within
+    the window degree D of spec.M inherit truncation error from the input's
+    unseen tail, which is why sampling plans stay away from them.  The
+    window (make_bump's) has 2D+1 coefficients, so the cost is about
+    len(ks)(2D+1) multiply-adds.
     """
-    values = product_spectrum(spec, window, ks)
-    out = np.zeros(2 * spec.M + 1, dtype=np.complex128)
-    out[np.asarray(ks, dtype=np.int64) + spec.M] = values
-    return FourierSpectrum(spec.M, out)
+    return product_spectrum(spec, window, ks)

@@ -22,8 +22,8 @@ import mpmath as mp
 import numpy as np
 
 from .errors import ModelError
-from .solver import JumpEstimate, _recover_from_moments, _usable_plan
-from .spectrum import FourierSpectrum, MomentSequence
+from .solver import JumpEstimate, recover_single_jump
+from .spectrum import FourierSpectrum, MomentSequence, SamplePlan, plan_values
 
 __all__ = ["parse_precision", "recover_single_jump_mp"]
 
@@ -58,19 +58,21 @@ def recover_single_jump_mp(
 ) -> JumpEstimate:
     """Single-jump recovery with all arithmetic at `digits` decimal digits.
 
-    Same plan geometry, annihilator, root choice, disambiguation and
-    magnitude solve as solver.recover_single_jump, run on moments
-    2 pi (ik)^{d+1} c_k formed in mpmath.  Results come back as ordinary
-    floats; the gain is that intermediate cancellation no longer caps
-    accuracy.
+    The decimated plan over M (default: the spectrum's own) reads the
+    spectrum through spectrum.plan_values, a ModelError when M exceeds the
+    spectrum's.  The moments 2 pi (ik)^{d+1} c_k are formed in mpmath and
+    handed to solver.recover_single_jump, so the annihilator, root choice,
+    disambiguation and magnitude solve are the double path's own steps.
+    Results come back as ordinary floats; the gain is that intermediate
+    cancellation no longer caps accuracy.
     """
     if digits < _MIN_DIGITS:
         raise ModelError(f"extended precision needs >= {_MIN_DIGITS} digits")
-    plan = _usable_plan(spec, "decimated", d, M)
+    plan = SamplePlan("decimated", d, spec.M if M is None else M)
+    values = plan_values(spec, plan).tolist()
     with mp.workdps(digits):
-        values = []
-        for k in plan.indices:
-            c = spec.coeff(k)
-            values.append(2 * mp.pi * mp.mpc(0, k) ** (d + 1) * mp.mpc(c.real, c.imag))
-        moments = MomentSequence(plan, np.array(values, dtype=object))
-        return _recover_from_moments(moments, xi_prior)
+        moments = MomentSequence(plan, np.array([
+            2 * mp.pi * mp.mpc(0, k) ** (plan.d + 1) * mp.mpc(c.real, c.imag)
+            for k, c in zip(plan.indices, values)
+        ], dtype=object))
+        return recover_single_jump(moments, xi_prior)

@@ -27,16 +27,15 @@ from .model import (
     phi_eval,
     phi_factors,
 )
-from .solver import _recover_from_moments, half_order_recover, recover_single_jump
+from .solver import half_order_recover, recover_single_jump
 from .spectrum import (
     FourierSpectrum,
-    MomentSequence,
     SamplePlan,
-    _plan_moments,
     circular_distance,
     eval_partial_sum,
     modulus,
     uniform_grid,
+    weight_moments,
     wrap_angle,
 )
 
@@ -187,7 +186,7 @@ class Approximant:
 
 
 class _BandPeel:
-    """Polish moments built on the indices the decimated windowing reads.
+    """Polish samples built on the indices the decimated windowing reads.
 
     Windowing at an index k with a degree-D window reads the data on
     k - D .. k + D only, so each jump's own singular part is kept on the
@@ -204,7 +203,6 @@ class _BandPeel:
     """
 
     def __init__(self, spec: FourierSpectrum, plan: SamplePlan, windows):
-        self.plan = plan
         self.band, self.factors, self.at_ks, self.gather = _band(plan, windows[0].M)
         self.data = spec.coeffs[self.band + spec.M]
         self.taps = [w.coeffs for w in windows]
@@ -226,9 +224,6 @@ class _BandPeel:
         """
         peeled = self.data - np.sum(own, axis=0)
         return peeled[self.gather] @ self.taps[j] + own[j][self.at_ks]
-
-    def moments(self, own: list, j: int) -> MomentSequence:
-        return _plan_moments(self.plan, self.samples(own, j).tolist())
 
 
 def _read_only(*arrays) -> None:
@@ -340,19 +335,20 @@ def full_reconstruct(
     sweep's change falls below _REFINE_TOL, when it grows on two sweeps in
     a row, or when refine_sweeps run out, and it keeps the sweep with the
     smallest change, not the last one.
-    Windowed coefficients are formed only where the solves read them, at
-    the SamplePlan indices: the decimated plan of order d plus the
-    consecutive plan of order d//2 on the first pass, the decimated plan
-    on polish sweeps.  Each is a (2D+1)-term dot product for a degree-D
-    window, and pipeline_geometry caps D by the separation J, not by M.
-    The polish peels each jump's singular part only on the union of the
-    intervals [k-D, k+D] around the d+2 decimated indices, with the powers
-    (ik)^{-(l+1)} built once per shape, and each polish solve forms its
-    moments straight from its d+2 windowed values: no spectrum is built
-    for it.  A sweep therefore costs O(K (d+2) D), the same at every M
-    past the cap.  What grows with M is the first pass's windowed spectrum
-    per jump, each window shape's cached plateau check and the one full
-    singular part the corrected spectrum subtracts.
+    Every single-jump solve reads only its samples: windowed values at a
+    SamplePlan's indices go through spectrum.weight_moments to
+    recover_single_jump (half_order_recover on the consecutive plan).  The
+    first pass windows each jump at the decimated plan of order d plus the
+    consecutive plan of order d//2, polish sweeps at the decimated plan;
+    each value is a (2D+1)-term dot product for a degree-D window, and
+    pipeline_geometry caps D by the separation J, not by M.  The polish
+    peels each jump's singular part only on the union of the intervals
+    [k-D, k+D] around the d+2 decimated indices, with the powers
+    (ik)^{-(l+1)} built once per shape.  No spectrum is built for any
+    solve, so the first pass and each sweep cost O(K (d+2) D), the same at
+    every M past the cap.  What grows with M is each window shape's cached
+    plateau check and the one full singular part the corrected spectrum
+    subtracts.
     Spectra with M < 32, too short for the window, raise ModelError, and so
     do spectra with too few modes for the window shape of order d.
     """
@@ -396,12 +392,13 @@ def full_reconstruct(
         ) from exc
 
     plan = SamplePlan("decimated", config.d, M_eff)
-    first_pass = plan.indices + SamplePlan("consecutive", config.d // 2, M_eff).indices
+    half = SamplePlan("consecutive", config.d // 2, M_eff)
+    n = len(plan.indices)
     estimates = []
     for window in windows:
-        f_j = localize_jump(spec, window, first_pass)
-        prior = half_order_recover(f_j, config.d // 2, M_eff).xi
-        estimates.append(recover_single_jump(f_j, config.d, prior, M=M_eff))
+        values = localize_jump(spec, window, plan.indices + half.indices)
+        prior = half_order_recover(weight_moments(half, values[n:])).xi
+        estimates.append(recover_single_jump(weight_moments(plan, values[:n]), prior))
 
     best = list(estimates)
     best_change = math.inf
@@ -412,7 +409,8 @@ def full_reconstruct(
     for _ in range(config.refine_sweeps):
         change = 0.0
         for j in range(len(windows)):
-            est = _recover_from_moments(peel.moments(own, j), estimates[j].xi)
+            moments = weight_moments(plan, peel.samples(own, j))
+            est = recover_single_jump(moments, estimates[j].xi)
             change = max(change, _moved(est, estimates[j], M))
             estimates[j] = est
             own[j] = peel.own(est)
@@ -458,7 +456,8 @@ def jump_free_error(
     zero-padded fold and one inverse FFT; the singular part (phi_eval,
     one Horner pass per jump) and truth are evaluated on the kept points
     only, so no grid point at a recovered jump reaches phi_eval.  grid
-    must be an integer >= 1 and radius a finite real > 0, else ModelError.
+    must be an integer >= 1, radius a finite real > 0 and true_jumps a
+    list of finite reals, else ModelError.
     """
     grid = read_int(grid, "grid")
     radius = read_real(radius, "radius")
@@ -466,10 +465,16 @@ def jump_free_error(
         raise ModelError(f"exclusion radius must be finite and > 0, got radius={radius}")
     if grid < 1:
         raise ModelError(f"grid must have at least one point, got grid={grid}")
-    xs = uniform_grid(grid)
     excl = list(appr.estimate.locations)
     if true_jumps is not None:
-        excl.extend(float(t) for t in true_jumps)
+        listed = isinstance(true_jumps, (list, tuple, np.ndarray))
+        if not listed or getattr(true_jumps, "ndim", 1) != 1:
+            raise ModelError(f"true_jumps must be a list of reals, got {true_jumps!r}")
+        for i, t in enumerate(true_jumps):
+            excl.append(read_real(t, f"true_jumps[{i}]"))
+            if not math.isfinite(excl[-1]):
+                raise ModelError(f"true_jumps[{i}] must be finite, got {t!r}")
+    xs = uniform_grid(grid)
     dist = np.abs(wrap_angle(xs - np.array(excl)[:, None]))
     keep = (dist > radius).all(axis=0)
     kept = xs[keep]

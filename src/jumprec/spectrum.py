@@ -28,6 +28,7 @@ __all__ = [
     "uniform_grid",
     "eval_partial_sum",
     "weight_moments",
+    "plan_values",
     "product_spectrum",
     "load_spectrum",
     "save_spectrum",
@@ -337,25 +338,32 @@ def _moment_weights(plan: SamplePlan) -> tuple:
     return tuple(2.0 * np.pi * (1j * k) ** power for k in plan.indices)
 
 
-def _plan_moments(plan: SamplePlan, values) -> MomentSequence:
-    # the one moment formula: m_k = 2pi (ik)^{d+1} c_k from the values c_k
-    # at the plan's indices, on Python numbers, the weight first, then c_k
+def weight_moments(plan: SamplePlan, values) -> MomentSequence:
+    """Form m_k = 2pi (ik)^{d+1} c_k from the values c_k at the plan's indices.
+
+    values holds c_k for k in plan.indices, in that order (plan_values'
+    gather of a spectrum, or windowed values).  The one moment formula of
+    every double solve: each moment is formed on Python numbers, in the
+    order 2pi, then (ik)^{d+1}, then c_k.
+    """
+    cs = np.asarray(values, dtype=np.complex128)
+    if cs.shape != (len(plan.indices),):
+        raise ModelError("moment indices and values disagree in length")
     return MomentSequence(plan, np.array(
-        [w * c for w, c in zip(_moment_weights(plan), values)],
+        [w * c for w, c in zip(_moment_weights(plan), cs.tolist())],
         dtype=np.complex128,
     ))
 
 
-def weight_moments(spectrum: FourierSpectrum, plan: SamplePlan) -> MomentSequence:
-    """Form m_k = 2pi (ik)^{d+1} c_k at the plan's indices, d = plan.d.
+def plan_values(spectrum: FourierSpectrum, plan: SamplePlan) -> np.ndarray:
+    """The coefficients c_k at the plan's indices, in order, by one gather.
 
-    The c_k are gathered with one index array, and each moment is formed
-    on Python numbers, in the order 2pi, then (ik)^{d+1}, then c_k.
+    ModelError when the plan reaches past the spectrum's M, also where its
+    indices would fit.
     """
     if plan.M > spectrum.M:
-        raise ModelError(f"plan over M={plan.M} exceeds truncation M={spectrum.M}")
-    idx = np.array(plan.indices, dtype=np.int64) + spectrum.M
-    return _plan_moments(plan, spectrum.coeffs[idx].tolist())
+        raise ModelError(f"usable M={plan.M} exceeds spectrum M={spectrum.M}")
+    return spectrum.coeffs[np.array(plan.indices, dtype=np.int64) + spectrum.M]
 
 
 def product_spectrum(a: FourierSpectrum, b: FourierSpectrum, ks) -> np.ndarray:

@@ -16,7 +16,7 @@ from jumprec.model import (
     synth_spectrum,
 )
 from jumprec.solver import _vandermonde_inverse_float
-from jumprec.spectrum import FourierSpectrum
+from jumprec.spectrum import FourierSpectrum, plan_values, weight_moments
 
 # property runs share the CI budget with the slope sweeps; no per-example
 # deadline, the suite-level timeout is the real guard
@@ -86,14 +86,15 @@ def circ(a: float, b: float) -> float:
 
 
 def full_window(spec, window, ks):
-    """The windowed spectrum on every index -M..M, whatever ks asks for.
+    """The windowed values at ks, read off the windowed spectrum on every
+    index -M..M.
 
     One convolution of the whole sequences: the reference that windowing
     at the sampled indices must agree with.
     """
     D = window.M
     prod = np.convolve(spec.coeffs, window.coeffs)[D : D + 2 * spec.M + 1]
-    return FourierSpectrum(spec.M, prod)
+    return prod[np.asarray(ks) + spec.M]
 
 
 def full_peel(spec, d, estimates, j, window, ks):
@@ -109,7 +110,7 @@ def full_peel(spec, d, estimates, j, window, ks):
     ]
     peeled = spec.coeffs - np.sum(own, axis=0)
     windowed = localize_jump(FourierSpectrum(M, peeled), window, ks)
-    return (windowed.coeffs + own[j])[np.asarray(ks) + M]
+    return windowed + own[j][np.asarray(ks) + M]
 
 
 def product_reference(a, b, ks) -> np.ndarray:
@@ -143,6 +144,11 @@ def roots_reference(coeffs) -> np.ndarray:
         c = c / c[0]
     z = np.roots(c)
     return z[np.lexsort((z.imag.round(10), z.real.round(10)))]
+
+
+def sampled_moments(spectrum, plan):
+    """The moments of a spectrum on a plan: the one gather, then the one formula."""
+    return weight_moments(plan, plan_values(spectrum, plan))
 
 
 def moments_reference(spectrum, plan) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from jumprec.errors import ModelError
-from jumprec.solver import _recover_from_moments, magnitudes_to_alpha, synth_moments
+from jumprec.solver import magnitudes_to_alpha, recover_single_jump, synth_moments
 from jumprec.spectrum import MomentSequence, SamplePlan, circular_distance
 from jumprec.stability import decimated_cap, fit_loglog_slope, misspec_exponent
 
@@ -56,7 +56,7 @@ def run_cap_trials(
                 for k in plan.indices
             ]
         )
-        est = _recover_from_moments(MomentSequence(plan, clean.values + noise), xi)
+        est = recover_single_jump(MomentSequence(plan, clean.values + noise), xi)
         observed = abs(np.exp(-1j * est.xi) - np.exp(-1j * xi))
         ratio = observed / bound
         worst = max(worst, ratio)
@@ -111,7 +111,7 @@ def run_misspec_sweep(
                 )
                 vals.append(np.exp(-1j * k * xi) * poly + delta)
             moments = MomentSequence(plan, np.array(vals))
-            est = _recover_from_moments(moments, xi)
+            est = recover_single_jump(moments, xi)
             errs.append(circular_distance(est.xi, xi))
         medians.append(float(np.median(errs)))
     slope, used = fit_loglog_slope(np.asarray(N_values, float), medians)

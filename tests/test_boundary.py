@@ -9,7 +9,9 @@ from jumprec.model import AprioriBounds
 from jumprec.reconstruct import ReconstructionConfig, full_reconstruct
 from jumprec.rootfind import find_roots
 from jumprec.solver import half_order_recover, recover_single_jump
-from jumprec.spectrum import FourierSpectrum
+from jumprec.spectrum import FourierSpectrum, SamplePlan
+
+from conftest import sampled_moments
 
 BND = AprioriBounds(J=np.pi / 2, A=4.0, B=0.05, R=10.0)
 
@@ -75,10 +77,11 @@ def test_only_library_errors_escape(spec, d, plan_kind, data):
         full_reconstruct(spec, cfg)
 
     def solve():
+        moments = sampled_moments(spec, SamplePlan(plan_kind, d, spec.M))
         if plan_kind == "consecutive":
-            half_order_recover(spec, d)
+            half_order_recover(moments)
         else:
-            recover_single_jump(spec, d, prior)
+            recover_single_jump(moments, prior)
 
     prior = None if priors is None else priors[0]
     _returns_or_raises_library_error(reconstruct)
@@ -98,4 +101,4 @@ def test_overflowing_moduli_are_numeric_errors():
     with pytest.raises(NumericError, match="non-finite coefficients"):
         full_reconstruct(spec, config)
     with pytest.raises(NumericError, match="non-finite coefficients"):
-        recover_single_jump(spec, 4, 0.7)
+        recover_single_jump(sampled_moments(spec, SamplePlan("decimated", 4, M)), 0.7)

@@ -14,7 +14,6 @@ from jumprec import cli, reconstruct
 from jumprec.cli import load_bench_spec, main, run_bench
 from jumprec.errors import ModelError
 from jumprec.model import JumpModel, smooth_catalog, synth_spectrum
-from jumprec.solver import SamplePlan
 from jumprec.spectrum import FourierSpectrum, load_spectrum, save_spectrum
 from jumprec.stability import ERROR_FLOOR
 
@@ -429,6 +428,24 @@ def test_recover_extended_precision_rejects_multiple_jumps(runner, tmp_path):
     assert "single-jump" in errtext(res)
 
 
+def test_recover_extended_precision_refuses_a_spectrum_shorter_than_its_plan(
+    runner, tmp_path
+):
+    # a d=1 file at M=3 recovered at d=2: the usable top index is d+2 = 4,
+    # and the gather at the half-order plan refuses it as a model error,
+    # not an IndexError
+    sp = synthesize(runner, tmp_path, M=3)
+    bp = write_json(tmp_path / "b.json", BOUNDS)
+    res = runner.invoke(
+        main,
+        ["--precision", "extended:60", "--out", str(tmp_path / "a.json"),
+         "recover", sp, "-d", "2", "-K", "1", "--bounds", bp, "--priors", "[0.7]"],
+    )
+    assert res.exit_code == 2, errtext(res)
+    assert "usable M=4 exceeds spectrum M=3" in errtext(res)
+    assert not (tmp_path / "a.json").exists()
+
+
 @pytest.mark.parametrize("precision", ["double", "extended:60"])
 def test_non_finite_spectrum_file_is_a_model_error(runner, tmp_path, precision):
     sp = synthesize(runner, tmp_path, M=64)
@@ -784,9 +801,10 @@ def test_bench_baselines_window_at_their_own_plan(tmp_path, monkeypatch, method)
     seen = []
     solve = cli.half_order_recover
 
-    def recorder(data, d1, M):
-        seen.append((data.coeffs, np.array(SamplePlan("consecutive", d1, M).indices)))
-        return solve(data, d1, M)
+    def recorder(moments):
+        assert moments.plan.kind == "consecutive"
+        seen.append(moments.values)
+        return solve(moments)
 
     monkeypatch.setattr(cli, "half_order_recover", recorder)
     cli._variant_approximant(bs, method, spec)
@@ -794,9 +812,8 @@ def test_bench_baselines_window_at_their_own_plan(tmp_path, monkeypatch, method)
     cli._variant_approximant(bs, method, spec)
     K = bs.model.K
     assert len(seen) == 2 * K
-    for (got, ks), (want, _) in zip(seen[:K], seen[K:]):
-        want = want[ks + spec.M]
-        assert np.max(np.abs(got[ks + spec.M] - want)) <= 1e-14 * np.max(np.abs(want))
+    for got, want in zip(seen[:K], seen[K:]):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_bench_is_deterministic(runner, tmp_path):

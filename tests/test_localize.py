@@ -1,6 +1,7 @@
 """Coarse location detection and single-jump isolation windows."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from jumprec.localize import localize_jump, make_bump, prony_order0
 from jumprec.model import JumpModel, smooth_catalog, synth_spectrum
 from jumprec.reconstruct import pipeline_geometry
 from jumprec.solver import SamplePlan, recover_single_jump
-from jumprec.spectrum import FourierSpectrum, eval_partial_sum, product_spectrum
+from jumprec.spectrum import (
+    FourierSpectrum,
+    eval_partial_sum,
+    product_spectrum,
+    weight_moments,
+)
 
 from conftest import circ
 
@@ -152,7 +158,7 @@ def test_band_product_is_the_full_window_product_bit_for_bit():
     window = make_bump(0.7, width, 512, deg)
     full = FourierSpectrum(512, np.pad(window.coeffs, 512 - deg), real_valued=True)
     ks = SamplePlan("decimated", 2, 384).indices
-    got = localize_jump(spec, window, ks).coeffs[np.array(ks) + 512]
+    got = localize_jump(spec, window, ks)
     want = product_spectrum(spec, full, ks)
     assert got.tobytes() == want.tobytes()
 
@@ -224,8 +230,9 @@ def test_windowed_recovery_ignores_the_other_jump():
     stride = M_eff // 3
     deg = max(1, min(256 - M_eff, stride - 2))
     window = make_bump(0.7, np.pi / 2, 256, deg)
-    loc = localize_jump(spec, window, SamplePlan("decimated", 1, M_eff).indices)
-    est = recover_single_jump(loc, 1, 0.69, M=M_eff)
+    plan = SamplePlan("decimated", 1, M_eff)
+    loc = localize_jump(spec, window, plan.indices)
+    est = recover_single_jump(weight_moments(plan, loc), 0.69)
     assert abs(est.xi - 0.7) <= 1e-12
     assert abs(est.magnitudes[0] - 0.8) <= 1e-10
 
@@ -235,7 +242,26 @@ def test_window_product_keeps_mode_budget():
     window = make_bump(0.7, np.pi / 2, 256, 64)
     ks = SamplePlan("decimated", 0, 192).indices
     loc = localize_jump(spec, window, ks)
-    assert loc.M == 256
-    # the windowed coefficients are formed at the sampled indices only
-    held = np.flatnonzero(loc.coeffs) - 256
-    assert set(held) <= set(ks)
+    # the windowed coefficients are formed at the sampled indices only, one
+    # value per index in their order
+    assert loc.shape == (len(ks),)
+    assert loc.tobytes() == product_spectrum(spec, window, ks).tobytes()
+
+
+def test_windowing_allocates_nothing_of_the_spectrum_length():
+    # at M=65536 a 2M+1 complex array is 2 MiB; the first pass's windowing
+    # reads 7 indices through a degree-80 window
+    M = 65536
+    M_eff, width, degree = pipeline_geometry(M, 2, np.pi / 2)
+    spec = synth_spectrum(JumpModel(2, ((0.7, (1.0, 0.3, 0.3)),)), None, M)
+    window = make_bump(0.7, width, M, degree)
+    ks = SamplePlan("decimated", 2, M_eff).indices
+    ks += SamplePlan("consecutive", 1, M_eff).indices
+    tracemalloc.start()
+    try:
+        localize_jump(spec, window, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # in bytes: a sixteenth of one 2M+1 complex array (32 KiB measured)
+    assert peak < 2 * M + 1

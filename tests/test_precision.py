@@ -7,7 +7,9 @@ from jumprec.errors import ModelError
 from jumprec.model import JumpModel, phi_coeff_array
 from jumprec.precision import parse_precision, recover_single_jump_mp
 from jumprec.solver import recover_single_jump
-from jumprec.spectrum import FourierSpectrum
+from jumprec.spectrum import FourierSpectrum, SamplePlan
+
+from conftest import sampled_moments
 
 
 def jump_spectrum(model, M):
@@ -33,7 +35,8 @@ def test_extended_path_agrees_with_double_on_easy_data():
     cases = ((120, 0.65, lambda l: 1e-7), (2048, 0.7004, lambda l: 1e-11 * 2048.0**l))
     for M, prior, tol in cases:
         sp = jump_spectrum(m, M)
-        est_d = recover_single_jump(sp, 2, prior)
+        moments = sampled_moments(sp, SamplePlan("decimated", 2, M))
+        est_d = recover_single_jump(moments, prior)
         est_mp = recover_single_jump_mp(sp, 2, prior, digits=60)
         assert abs(est_mp.xi - 0.7) <= 1e-12
         assert abs(est_mp.xi - est_d.xi) <= 1e-13
@@ -48,7 +51,7 @@ def test_extended_path_validation():
     sp = jump_spectrum(m, 32)
     with pytest.raises(ModelError):
         recover_single_jump_mp(sp, 0, 0.7, digits=30)
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="usable M=64 exceeds spectrum M=32"):
         recover_single_jump_mp(sp, 0, 0.7, M=64)
 
 
@@ -57,11 +60,12 @@ def test_non_finite_coefficients_are_a_model_error_in_both_precisions():
     m = JumpModel(1, ((0.7, (1.0, 0.4)),))
     coeffs = phi_coeff_array(m, 64)
     coeffs[64 + 21 :: 21] = np.nan
+    plan = SamplePlan("decimated", 1, 64)
     with pytest.raises(ModelError):
-        recover_single_jump(FourierSpectrum(64, coeffs), 1, 0.7)
+        recover_single_jump(sampled_moments(FourierSpectrum(64, coeffs), plan), 0.7)
     with pytest.raises(ModelError):
         recover_single_jump_mp(FourierSpectrum(64, coeffs), 1, 0.7)
     # finite but huge coefficients overflow the double moments to inf
     huge = FourierSpectrum(64, np.full(129, 1e306 + 0j))
     with pytest.raises(ModelError):
-        recover_single_jump(huge, 1, 0.7)
+        recover_single_jump(sampled_moments(huge, plan), 0.7)

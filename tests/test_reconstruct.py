@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -41,7 +42,13 @@ from jumprec.spectrum import (
 )
 from jumprec.stability import fit_loglog_slope
 
-from conftest import circ, full_peel, full_window, symmetry_edge_spectrum
+from conftest import (
+    circ,
+    full_peel,
+    full_window,
+    sampled_moments,
+    symmetry_edge_spectrum,
+)
 
 BND = AprioriBounds(J=np.pi / 2, A=4.0, B=0.05, R=10.0)
 TWO_JUMPS = JumpModel(1, ((-1.3, (1.0, 0.3)), (0.7, (0.8, -0.4))))
@@ -98,9 +105,9 @@ def test_config_half_order_defaults_and_cap(monkeypatch):
     seen = []
     original = reconstruct.half_order_recover
 
-    def half_order(spec, d1, M=None):
-        seen.append(d1)
-        return original(spec, d1, M)
+    def half_order(moments):
+        seen.append(moments.order)
+        return original(moments)
 
     monkeypatch.setattr(reconstruct, "half_order_recover", half_order)
     for d, d1 in ((0, 0), (1, 0), (2, 1), (3, 1)):
@@ -357,11 +364,12 @@ def test_band_peel_is_the_full_peel_bit_for_bit(d, data):
     for j, window in enumerate(windows):
         want = full_peel(spec, d, estimates, j, window, plan.indices)
         assert peel.samples(own, j).tobytes() == want.tobytes()
-        # and the moments are weight_moments' of the fully peeled data
+        # and the polish solve's moments are those of the fully peeled data
         full = np.zeros(2 * spec.M + 1, dtype=complex)
         full[ks + spec.M] = want
-        moments = weight_moments(FourierSpectrum(spec.M, full), plan)
-        assert peel.moments(own, j).values.tobytes() == moments.values.tobytes()
+        moments = sampled_moments(FourierSpectrum(spec.M, full), plan)
+        polish = weight_moments(plan, peel.samples(own, j))
+        assert polish.values.tobytes() == moments.values.tobytes()
 
 
 def test_polish_measures_a_move_across_pi_on_the_circle(monkeypatch):
@@ -375,12 +383,9 @@ def test_polish_measures_a_move_across_pi_on_the_circle(monkeypatch):
         calls.append(prior)
         return JumpEstimate(next(sides), (1.0, 0.3), 0.0, math.inf)
 
-    # the first pass solves a windowed spectrum, the polish its moments
+    # the first pass and the polish go through the one solve
     monkeypatch.setattr(
-        reconstruct, "recover_single_jump", lambda data, d, prior, **kw: alternating(prior)
-    )
-    monkeypatch.setattr(
-        reconstruct, "_recover_from_moments", lambda moments, prior: alternating(prior)
+        reconstruct, "recover_single_jump", lambda moments, prior: alternating(prior)
     )
     spec = synth_spectrum(JumpModel(1, ((-np.pi, (1.0, 0.3)),)), None, 128)
     full_reconstruct(spec, ReconstructionConfig(d=1, K=1, bounds=BND))
@@ -401,9 +406,56 @@ def test_a_jump_at_minus_pi_polishes_as_well_as_any_other():
     assert max(abs(a - t) / M**l for l, (a, t) in enumerate(zip(mags, truth))) <= 2.5e-4
 
 
+def test_every_full_order_solve_goes_through_the_one_entry(monkeypatch):
+    # every binding of the solve entries and the moment formula in the
+    # package is replaced, as the benchmark's span tracer does: a two-jump
+    # reconstruct makes K full-order solves on the first pass and K per
+    # polish sweep (one _moved per jump and sweep), and its K half-order
+    # solves are not counted among them
+    spec, cfg = _d2_two_jump_case(1024)
+    originals = {
+        "recover_single_jump": solver.recover_single_jump,
+        "half_order_recover": solver.half_order_recover,
+        "weight_moments": spectrum_module.weight_moments,
+    }
+    counts = dict.fromkeys(originals, 0)
+    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "jumprec"]
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name, orig in originals.items():
+        wrapper = counting(name, orig)
+        for mod in modules:
+            for key, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, key, wrapper)
+    moves = []
+    moved = reconstruct._moved
+
+    def counted_move(*args):
+        moves.append(1)
+        return moved(*args)
+
+    monkeypatch.setattr(reconstruct, "_moved", counted_move)
+    full_reconstruct(spec, cfg)
+    K = cfg.K
+    assert moves and len(moves) % K == 0
+    assert counts == {
+        "recover_single_jump": K + len(moves),
+        "half_order_recover": K,
+        "weight_moments": 2 * K + len(moves),
+    }
+
+
 def test_scaled_stop_ends_a_large_M_polish_in_few_sweeps(monkeypatch):
     # unscaled, |da_2| carries rounding of order eps M^2 and never fell
-    # below the tolerance: this case ran 5 sweeps for the same digits
+    # below the tolerance: this case ran 5 sweeps for the same digits.
+    # recover_single_jump runs K times on the first pass and K per sweep
     model = JumpModel(2, ((-1.3, (1.0, 0.3, -0.2)), (0.7, (0.8, -0.4, 0.25))))
     spec = synth_spectrum(model, smooth_catalog("expsin", amp=1.0), 4096)
     solve = reconstruct.recover_single_jump
@@ -759,6 +811,25 @@ def test_jump_free_error_reads_radius_as_a_finite_positive_real(radius):
     ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True))
     with pytest.raises(ModelError, match="radius"):
         jump_free_error(ap, lambda xs: phi_eval(est, xs), radius)
+
+
+@pytest.mark.parametrize("true_jumps, name", [
+    (("a",), r"true_jumps\[0\]"),
+    ((0.7, None), r"true_jumps\[1\]"),
+    ((True,), r"true_jumps\[0\]"),
+    ((np.nan,), r"true_jumps\[0\] must be finite"),
+    ((0.7, -np.inf), r"true_jumps\[1\] must be finite"),
+    (0.7, "true_jumps must be a list"),
+    ("0.7", "true_jumps must be a list"),
+    (np.array(0.7), "true_jumps must be a list"),
+])
+def test_jump_free_error_reads_true_jumps_as_finite_reals(true_jumps, name):
+    # once a ValueError, a TypeError, or a RuntimeWarning and then "no grid
+    # points remain"
+    est = JumpModel(0, ((0.7, (1.0,)),))
+    ap = Approximant(est, FourierSpectrum(4, np.zeros(9, complex), True))
+    with pytest.raises(ModelError, match=name):
+        jump_free_error(ap, lambda xs: phi_eval(est, xs), 0.3, true_jumps=true_jumps)
 
 
 def test_jump_free_error_masks_every_location_in_one_pass():

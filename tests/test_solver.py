@@ -10,7 +10,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from conftest import bits, magnitudes_reference
+from conftest import bits, magnitudes_reference, sampled_moments
 from jumprec.errors import AmbiguityError, ModelError, NumericError
 from jumprec.model import JumpModel, phi_coeff_array
 from jumprec.solver import (
@@ -27,7 +27,7 @@ from jumprec.solver import (
     solve_magnitudes,
     synth_moments,
 )
-from jumprec.spectrum import FourierSpectrum, MomentSequence, SamplePlan, weight_moments
+from jumprec.spectrum import FourierSpectrum, MomentSequence, SamplePlan
 
 
 def jump_spectrum(model, M):
@@ -60,7 +60,7 @@ def test_numpy_integers_are_plan_and_moment_integers():
     plan = SamplePlan("decimated", np.int64(1), np.int64(6))
     assert plan.indices == (2, 4, 6)
     assert all(type(k) is int for k in plan.indices)
-    mom = weight_moments(SPEC8, plan)
+    mom = sampled_moments(SPEC8, plan)
     assert type(mom.order) is int and mom.order == 1
     assert mom.indices == (2, 4, 6) and mom.plan is plan
 
@@ -358,7 +358,7 @@ def test_weighted_moments_match_closed_form():
     m = JumpModel(2, ((0.7, (1.0, -0.5, 0.3)),))
     sp = jump_spectrum(m, 64)
     for plan in (SamplePlan("decimated", 2, 64), SamplePlan("consecutive", 2, 50)):
-        lhs = weight_moments(sp, plan)
+        lhs = sampled_moments(sp, plan)
         rhs = synth_moments(0.7, magnitudes_to_alpha((1.0, -0.5, 0.3)), plan)
         assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12
 
@@ -437,7 +437,8 @@ def test_magnitude_solve_validation():
 
 def test_single_jump_recovery_pinned_example():
     m = JumpModel(2, ((0.7, (1.0, -0.5, 0.3)),))
-    est = recover_single_jump(jump_spectrum(m, 120), 2, 0.65)
+    plan = SamplePlan("decimated", 2, 120)
+    est = recover_single_jump(sampled_moments(jump_spectrum(m, 120), plan), 0.65)
     assert abs(est.xi - 0.7) <= 1e-12
     for got, want in zip(est.magnitudes, (1.0, -0.5, 0.3)):
         assert abs(got - want) <= 1e-7
@@ -449,24 +450,36 @@ def test_single_jump_recovery_pinned_example():
 def test_recovery_validation():
     m = JumpModel(0, ((0.7, (1.0,)),))
     sp = jump_spectrum(m, 32)
-    with pytest.raises(ModelError):
-        recover_single_jump(sp, 0, 0.7, M=64)
-    with pytest.raises(ModelError):
-        recover_single_jump(sp, 0, None)  # decimated needs a prior
+    with pytest.raises(ModelError, match="usable M=64 exceeds spectrum M=32"):
+        sampled_moments(sp, SamplePlan("decimated", 0, 64))
+    with pytest.raises(ModelError, match="requires a location prior"):
+        recover_single_jump(sampled_moments(sp, SamplePlan("decimated", 0, 32)), None)
 
 
 def test_recovery_consecutive_needs_no_prior():
     # at M = d+2 the decimated plan has stride 1, its indices 1..d+2 are
     # consecutive, and the root gives xi directly
     m = JumpModel(1, ((0.7, (1.0, 0.4)),))
-    est = recover_single_jump(jump_spectrum(m, 3), 1, None)
+    moments = sampled_moments(jump_spectrum(m, 3), SamplePlan("decimated", 1, 3))
+    est = recover_single_jump(moments, None)
     assert abs(est.xi - 0.7) <= 1e-8
 
 
 def test_half_order_recovery_is_consecutive_at_reduced_order():
     m = JumpModel(1, ((0.7, (1.0, 0.4)),))
-    est = half_order_recover(jump_spectrum(m, 64), 1)
+    sp = jump_spectrum(m, 64)
+    est = half_order_recover(sampled_moments(sp, SamplePlan("consecutive", 1, 64)))
     assert abs(est.xi - 0.7) <= 1e-8
     assert abs(est.magnitudes[0] - 1.0) <= 1e-6
     with pytest.raises(ModelError):
-        half_order_recover(jump_spectrum(m, 64), 1, M=100)
+        sampled_moments(sp, SamplePlan("consecutive", 1, 100))
+
+
+def test_one_solve_takes_either_plan_kind():
+    # half_order_recover is recover_single_jump with no prior, bit for bit,
+    # and a decimated plan of stride > 1 still asks for the prior
+    sp = jump_spectrum(JumpModel(1, ((0.7, (1.0, 0.4)),)), 64)
+    moments = sampled_moments(sp, SamplePlan("consecutive", 1, 64))
+    assert half_order_recover(moments) == recover_single_jump(moments, None)
+    with pytest.raises(ModelError, match="requires a location prior"):
+        half_order_recover(sampled_moments(sp, SamplePlan("decimated", 1, 64)))

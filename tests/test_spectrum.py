@@ -30,6 +30,7 @@ from jumprec.spectrum import (
     SamplePlan,
     eval_partial_sum,
     load_spectrum,
+    plan_values,
     product_spectrum,
     save_spectrum,
     uniform_grid,
@@ -417,35 +418,42 @@ def test_unit_step_moments_are_constant_one():
     sp = jump_spectrum(JumpModel(0, ((0.0, (1.0,)),)), 32)
     for plan in (SamplePlan("decimated", 0, 3), SamplePlan("decimated", 0, 11),
                  SamplePlan("consecutive", 0, 18), SamplePlan("decimated", 0, 32)):
-        mom = weight_moments(sp, plan)
+        mom = weight_moments(plan, plan_values(sp, plan))
         assert np.max(np.abs(mom.values - 1.0)) <= 1e-12
 
 
 def test_zero_spectrum_gives_zero_moments():
     sp = FourierSpectrum(8, np.zeros(17, dtype=complex), True)
-    mom = weight_moments(sp, SamplePlan("decimated", 2, 8))
+    plan = SamplePlan("decimated", 2, 8)
+    mom = weight_moments(plan, plan_values(sp, plan))
     assert np.max(np.abs(mom.values)) == 0.0
 
 
 def test_single_jump_moment_modulus_is_index_free():
     sp = jump_spectrum(JumpModel(0, ((1.1, (0.7,)),)), 64)
     # the order-0 decimated plans over M = 2..64 read every index 1..64
+    plans = [SamplePlan("decimated", 0, M) for M in range(2, 65)]
     mags = np.abs(np.concatenate(
-        [weight_moments(sp, SamplePlan("decimated", 0, M)).values for M in range(2, 65)]
+        [weight_moments(plan, plan_values(sp, plan)).values for plan in plans]
     ))
     assert np.max(mags) - np.min(mags) <= 1e-12
 
 
 def test_moment_index_validation():
-    # a plan over more modes than the spectrum holds is refused, also where
-    # its indices would fit: (2, 4, 6, 8) over M=11
+    # a plan over more modes than the spectrum holds is refused by the one
+    # gather, also where its indices would fit: (2, 4, 6, 8) over M=11
     sp = FourierSpectrum(8, np.zeros(17, dtype=complex), True)
-    with pytest.raises(ModelError, match="exceeds truncation"):
-        weight_moments(sp, SamplePlan("decimated", 0, 9))
-    with pytest.raises(ModelError, match="exceeds truncation"):
-        weight_moments(sp, SamplePlan("decimated", 2, 11))
-    with pytest.raises(ModelError, match="exceeds truncation"):
-        weight_moments(sp, SamplePlan("consecutive", 2, 12))
+    with pytest.raises(ModelError, match="usable M=9 exceeds spectrum M=8"):
+        plan_values(sp, SamplePlan("decimated", 0, 9))
+    with pytest.raises(ModelError, match="exceeds spectrum"):
+        plan_values(sp, SamplePlan("decimated", 2, 11))
+    with pytest.raises(ModelError, match="exceeds spectrum"):
+        plan_values(sp, SamplePlan("consecutive", 2, 12))
+    # the moment formula takes exactly one value per plan index
+    plan = SamplePlan("decimated", 2, 8)
+    for values in (np.ones(3), np.ones(5), np.ones((4, 1)), 1.0):
+        with pytest.raises(ModelError, match="disagree in length"):
+            weight_moments(plan, values)
 
 
 @given(
@@ -460,7 +468,7 @@ def test_moments_are_the_per_index_loop_bit_for_bit(M, kind, seed, data):
     sp = FourierSpectrum(M, rng.normal(size=2 * M + 1) + 1j * rng.normal(size=2 * M + 1))
     d = data.draw(st.integers(0, min(6, M - 2)))
     plan = SamplePlan(kind, d, data.draw(st.integers(d + 2, M)))
-    got = weight_moments(sp, plan)
+    got = weight_moments(plan, plan_values(sp, plan))
     assert got.plan is plan
     assert bits(got.values).tobytes() == bits(moments_reference(sp, plan)).tobytes()
 
