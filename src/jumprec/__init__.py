@@ -35,7 +35,6 @@ from .reconstruct import (
     jump_free_error,
 )
 from .solver import (
-    AnnihilatorPoly,
     JumpEstimate,
     build_annihilator,
     disambiguate_nth_root,

@@ -6,13 +6,14 @@ failures (rank loss, non-convergent root finding, unresolvable phases), and
 plain I/O problems which are left to the standard OSError/ValueError types
 and translated at the CLI boundary.  read_json and write_json are the one
 reading and the one writing of every JSON record file, and read_int and
-read_real the one reading of a record's numbers: a value of the wrong type
-is a ModelError that names its field.
+read_real the one reading of a record's numbers: a value of the wrong type,
+or a real that is not finite, is a ModelError that names its field.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 
 __all__ = [
@@ -72,13 +73,20 @@ def read_int(value, name: str) -> int:
 
 
 def read_real(value, name: str) -> float:
-    """value as a float; bools, strings and non-numbers are a ModelError."""
+    """value as a finite float; anything else is a ModelError.
+
+    Bools, strings and other non-numbers are rejected, and so are NaN and
+    the infinities, which Python's json reads from NaN, Infinity and 1e999.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ModelError(f"{name} must be a real number, got {name}={value!r}")
     try:
-        return float(value)
+        out = float(value)
     except OverflowError as exc:
         raise ModelError(f"{name} is past the double range") from exc
+    if not math.isfinite(out):
+        raise ModelError(f"{name} must be finite, got {name}={out!r}")
+    return out
 
 
 def read_json(path):

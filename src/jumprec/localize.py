@@ -142,8 +142,6 @@ def make_bump(center: float, J: float, M: int, degree: int) -> FourierSpectrum:
     call then applies the centre's D phases.
     """
     center = read_real(center, "center")
-    if not math.isfinite(center):
-        raise ModelError(f"bump center must be a finite real number, got {center!r}")
     width = read_real(J, "J")
     if not 0.0 < width <= np.pi / 2.0:
         raise ModelError(f"bump half-width must be in (0, pi/2], got {J!r}")

@@ -162,6 +162,7 @@ class JumpModel:
     jumps: tuple  # tuple of (xi, magnitudes tuple)
 
     def __post_init__(self):
+        object.__setattr__(self, "order", read_int(self.order, "order"))
         if self.order < 0:
             raise ModelError(f"model order must be >= 0, got {self.order}")
         norm = []
@@ -478,14 +479,6 @@ def synth_spectrum(
     return FourierSpectrum(M, coeffs, real_valued=model.is_real)
 
 
-def _finite_param(params: dict, name: str, default: float) -> float:
-    # a catalog parameter as a finite float; NaN or inf is a ModelError
-    value = read_real(params.pop(name, default), name)
-    if not math.isfinite(value):
-        raise ModelError(f"{name} must be finite, got {name}={value!r}")
-    return value
-
-
 def _bessel_i(a: float, n: int) -> np.ndarray:
     """I_0(a)..I_n(a), the modified Bessel functions of the first kind.
 
@@ -545,9 +538,9 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
             lambda M: np.zeros(2 * M + 1, dtype=np.complex128),
         )
     if name == "sin":
-        amp = _finite_param(params, "amp", 1.0)
+        amp = read_real(params.pop("amp", 1.0), "amp")
         freq = read_int(params.pop("freq", 1), "freq")
-        phase = _finite_param(params, "phase", 0.0)
+        phase = read_real(params.pop("phase", 0.0), "phase")
         if params:
             raise ModelError(f"unknown sin parameters: {sorted(params)}")
         if freq < 1:
@@ -566,7 +559,7 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
             {"amp": amp, "freq": freq, "phase": phase},
         )
     if name == "expsin":
-        amp = _finite_param(params, "amp", 1.0)
+        amp = read_real(params.pop("amp", 1.0), "amp")
         if params:
             raise ModelError(f"unknown expsin parameters: {sorted(params)}")
         if abs(amp) > _EXP_MAX:
@@ -594,8 +587,8 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
         if order is None:
             raise ModelError("poly-blend requires an 'order' parameter")
         order = read_int(order, "order")
-        center = _finite_param(params, "center", 0.0)
-        amp = _finite_param(params, "amp", 1.0)
+        center = read_real(params.pop("center", 0.0), "center")
+        amp = read_real(params.pop("amp", 1.0), "amp")
         if params:
             raise ModelError(f"unknown poly-blend parameters: {sorted(params)}")
         if not 1 <= order <= _TABLE_MAX - 1:

@@ -116,17 +116,17 @@ class ReconstructionConfig:
             pri = []
             try:
                 for p in self.priors:
-                    pri.append(read_real(p, "prior"))
+                    pri.append(read_real(p, "priors"))
             except TypeError as exc:
                 raise ModelError(f"priors must be numbers: {exc}") from exc
             except ModelError:
+                if isinstance(p, float):
+                    raise  # a non-finite prior, named by read_real
                 raise ModelError(f"priors must be numbers: got prior {p!r}") from None
             if len(pri) != self.K:
                 raise ModelError(
                     f"got {len(pri)} priors for K={self.K} jumps"
                 )
-            if not all(math.isfinite(p) for p in pri):
-                raise ModelError(f"priors must be finite, got {list(pri)}")
             for p in pri:
                 if not -math.pi <= p < math.pi:
                     raise ModelError(f"prior {p!r} outside [-pi, pi)")
@@ -461,8 +461,8 @@ def jump_free_error(
     """
     grid = read_int(grid, "grid")
     radius = read_real(radius, "radius")
-    if not (math.isfinite(radius) and radius > 0):
-        raise ModelError(f"exclusion radius must be finite and > 0, got radius={radius}")
+    if not radius > 0:
+        raise ModelError(f"exclusion radius must be > 0, got radius={radius}")
     if grid < 1:
         raise ModelError(f"grid must have at least one point, got grid={grid}")
     excl = list(appr.estimate.locations)
@@ -472,8 +472,6 @@ def jump_free_error(
             raise ModelError(f"true_jumps must be a list of reals, got {true_jumps!r}")
         for i, t in enumerate(true_jumps):
             excl.append(read_real(t, f"true_jumps[{i}]"))
-            if not math.isfinite(excl[-1]):
-                raise ModelError(f"true_jumps[{i}] must be finite, got {t!r}")
     xs = uniform_grid(grid)
     dist = np.abs(wrap_angle(xs - np.array(excl)[:, None]))
     keep = (dist > radius).all(axis=0)

@@ -4,11 +4,12 @@ A solve reads only its d+2 samples: spectrum.weight_moments(plan, values)
 forms the moments from the values c_k at a sampling plan's indices
 (decimated or consecutive; the moments carry their plan), and
 recover_single_jump builds the finite-difference annihilating
-polynomial, finds its roots, picks the one near the unit circle, undoes
-the N-th power with a prior, then solves the small Vandermonde system
-for the weighted magnitudes.  half_order_recover is the same solve with
-no prior.  The s_i^d family used in the analysis of the decimated
-construction lives here too.
+polynomial as its list of d+2 coefficients, finds its roots, picks the
+one near the unit circle, undoes the N-th power with a prior, then
+solves one small integer-node Vandermonde system, the same for both
+plan kinds, for the weighted magnitudes.  half_order_recover is the
+same solve with no prior.  The s_i^d family used in the analysis of the
+decimated construction lives here too.
 
 Every step runs in the arithmetic of the values it is handed: double for
 complex/numpy input, mpmath at the current working precision for mpmath
@@ -40,18 +41,15 @@ from .errors import AmbiguityError, ModelError, NumericError
 from .spectrum import (
     MomentSequence,
     SamplePlan,
-    _complex_values,
     circular_distance,
     modulus,
     wrap_angle,
 )
 
 __all__ = [
-    "AnnihilatorPoly",
     "JumpEstimate",
     "s_poly",
     "build_annihilator",
-    "find_roots",
     "select_root",
     "disambiguate_nth_root",
     "solve_magnitudes",
@@ -63,30 +61,6 @@ __all__ = [
 ]
 
 _S_POLY_DMAX = 16
-
-
-@dataclass(frozen=True)
-class AnnihilatorPoly:
-    """Finite-difference polynomial in u; descending coefficients.
-
-    The leading coefficient is the j = 0 moment (binomial weight +1).
-    Coefficients are complex128, or mpmath numbers in an extended solve.
-    """
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", _complex_values(self.coefficients))
-
-    @property
-    def degree(self) -> int:
-        return self.coefficients.size - 1
-
-    def eval(self, u: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in self.coefficients.tolist():
-            acc = acc * u + c
-        return acc
 
 
 @dataclass(frozen=True)
@@ -121,16 +95,14 @@ def _signed_binomials(d: int) -> tuple:
     return tuple((-1) ** j * math.comb(d + 1, j) for j in range(d + 2))
 
 
-def build_annihilator(moments: MomentSequence) -> AnnihilatorPoly:
-    """Alternating-binomial combination of the planned moments."""
-    return AnnihilatorPoly([
-        b * m for b, m in zip(_signed_binomials(moments.order), moments.values.tolist())
-    ])
+def build_annihilator(moments: MomentSequence) -> list:
+    """Alternating-binomial combination of the planned moments.
 
-
-def find_roots(poly: AnnihilatorPoly) -> list:
-    """All roots of the annihilator (deterministic order), as a list."""
-    return _arith_of(poly.coefficients).find_roots(poly.coefficients)
+    The d+2 coefficients of the finite-difference polynomial in u, in
+    descending powers and in the moments' arithmetic; the leading one is
+    the j = 0 moment (binomial weight +1).
+    """
+    return [b * m for b, m in zip(_signed_binomials(moments.order), moments.values.tolist())]
 
 
 def select_root(roots) -> complex:
@@ -191,12 +163,6 @@ def disambiguate_nth_root(z: complex, N: int, xi_prior: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _nodes(first: int, d: int) -> tuple:
-    # the d+1 integer Vandermonde nodes first, first+1, ..., first+d
-    return tuple(range(first, first + d + 1))
-
-
-@functools.lru_cache(maxsize=64)
 def _vandermonde_inverse(nodes: tuple):
     """Exact inverse of the Vandermonde matrix V[r][c] = nodes[r]^c.
 
@@ -222,7 +188,7 @@ def _vandermonde_inverse_float(nodes: tuple) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _stride_powers_float(N: int, d: int) -> np.ndarray:
-    # N^l, l = 0..d, the decimated nodes' scale, read-only
+    # N^l, l = 0..d, the scale of the nodes k = shift + N t, read-only
     arr = np.power(float(N), np.arange(d + 1))
     arr.flags.writeable = False
     return arr
@@ -302,12 +268,15 @@ def solve_magnitudes(moments: MomentSequence, omega_est: complex):
     """Weighted magnitudes from the first d+1 moments of the moments' plan.
 
     Demodulates with omega_est (must be unit-modulus to 1e-10), then
-    solves the small integer-node Vandermonde system through its exact
-    cached inverse: decimated nodes factor as (jN)^l = j^l N^l, while
-    consecutive nodes are shifted to 0..d and mapped back through the
-    binomial triangle.  Returns (alpha, a).  NumericError when alpha does
-    not reproduce the demodulated moments to residual_tol relative to
-    their scale; a NaN or infinite alpha fails that gate too.
+    solves one small integer-node Vandermonde system for both plan kinds.
+    Each index is written k = shift + N t on the nodes t = first..first+d:
+    a decimated plan has shift 0, N = its stride and t from 1, a
+    consecutive one shift = its first index, N = 1 and t from 0.  The
+    solve is one product with the exact cached inverse and one division
+    by N^l, then a binomial back-substitution when shift is not 0.
+    Returns (alpha, a).  NumericError when alpha does not reproduce the
+    demodulated moments to residual_tol relative to their scale; a NaN
+    or infinite alpha fails that gate too.
     """
     radius = modulus(omega_est)
     if abs(radius - 1.0) > 1e-10:
@@ -320,20 +289,19 @@ def solve_magnitudes(moments: MomentSequence, omega_est: complex):
     values = moments.values.tolist()
     ar = _arith_of(values)
     rhs = [values[j] * omega_est ** (-use[j]) for j in range(d + 1)]
-    if plan.kind == "decimated":
-        vinv = ar.vandermonde_inverse(_nodes(1, d))
-        scaled = vinv @ np.array(rhs)
-        alpha = (scaled / ar.stride_powers(plan.stride, d)).tolist()
-    else:
-        base = use[0]
-        vinv = ar.vandermonde_inverse(_nodes(0, d))
-        beta = (vinv @ np.array(rhs)).tolist()
-        alpha = [0] * (d + 1)
-        for l in range(d, -1, -1):
-            acc = beta[l]
+    # k = shift + N t on the integer nodes t = first..first+d, so that
+    # sum_l alpha_l k^l = sum_m beta_m N^m t^m with
+    # beta_m = sum_{l >= m} C(l, m) shift^(l-m) alpha_l: the product and
+    # the division give beta, and the back-substitution, top down, alpha
+    N = plan.stride
+    first = 1 if plan.kind == "decimated" else 0
+    shift = use[0] - first * N
+    vinv = ar.vandermonde_inverse(tuple(range(first, first + d + 1)))
+    alpha = (vinv @ np.array(rhs) / ar.stride_powers(N, d)).tolist()
+    if shift:
+        for l in reversed(range(d)):
             for m in range(l + 1, d + 1):
-                acc -= math.comb(m, l) * ar.real(base) ** (m - l) * alpha[m]
-            alpha[l] = acc
+                alpha[l] -= math.comb(m, l) * ar.real(shift) ** (m - l) * alpha[m]
     # residual check in the original system: sum_l alpha_l k^l vs rhs
     recon = [sum(alpha[l] * ar.real(k) ** l for l in range(d + 1)) for k in use]
     scale = max(modulus(x) for x in rhs) or 1.0
@@ -362,8 +330,8 @@ def recover_single_jump(
     """
     plan = moments.plan
     ar = _arith_of(moments.values)
-    poly = build_annihilator(moments)
-    roots = find_roots(poly)
+    coeffs = build_annihilator(moments)
+    roots = ar.find_roots(coeffs)
     z = select_root(roots)
     if plan.stride > 1:
         if xi_prior is None:
@@ -373,10 +341,13 @@ def recover_single_jump(
         xi = wrap_angle(-ar.phase(z), ar.pi)
     omega = ar.exp(-1j * xi)
     _, a = solve_magnitudes(moments, omega)
+    residual = 0j
+    for c in coeffs:
+        residual = residual * z + c
     return JumpEstimate(
         xi=float(xi),
         magnitudes=a,
-        root_residual=float(modulus(poly.eval(z))),
+        root_residual=float(modulus(residual)),
         condition_note=float(min(
             (modulus(r1 - r2) for r1, r2 in itertools.combinations(roots, 2)),
             default=math.inf,

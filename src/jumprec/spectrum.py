@@ -141,6 +141,7 @@ class FourierSpectrum:
     real_valued: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "M", read_int(self.M, "M"))
         if self.M < 0:
             raise ModelError(f"truncation index must be >= 0, got {self.M}")
         arr = np.asarray(self.coeffs, dtype=np.complex128)
@@ -181,7 +182,7 @@ class FourierSpectrum:
         by its index, coeffs[i].
         """
         try:
-            M = read_int(data["M"], "M")
+            M = data["M"]
             real_valued = data["real_valued"]
             if not isinstance(real_valued, bool):
                 raise ModelError(
@@ -281,9 +282,10 @@ def eval_partial_sum(spectrum: FourierSpectrum, x) -> np.ndarray:
     """Evaluate sum_{|k|<=M} c_k exp(i k x) at the points x.
 
     Returns real values when the spectrum is declared real_valued, complex
-    otherwise.  Accepts scalars or arrays; NaN or inf among the points is a
-    ModelError naming the first one.  A 1-D array equal to uniform_grid(G)
-    takes one inverse FFT of length G, O(M + G log G): there
+    otherwise, in the shape of the points: a scalar or an array of any
+    shape.  NaN or inf among the points is a ModelError naming the first
+    one.  A 1-D array equal to uniform_grid(G) takes one inverse FFT of
+    length G, O(M + G log G): there
     exp(i k x_j) = (-1)^k exp(2pi i (k mod G) j/G), so the signed
     coefficients fold into G bins by k mod G, which is exact for any G,
     below 2M+1 as well.  The fold copies the coefficients once into a
@@ -321,14 +323,16 @@ def _grid_sum(spectrum: FourierSpectrum, G: int) -> np.ndarray:
 
 
 def _direct_sum(spectrum: FourierSpectrum, xs: np.ndarray) -> np.ndarray:
-    # all 2M+1 modes at each point, phase matrix in row blocks
+    # all 2M+1 modes at each point, phase matrix in row blocks over the
+    # flattened points; the sums come back in the points' shape
     ks = np.arange(-spectrum.M, spectrum.M + 1)
     rows = max(1, _PHASE_BLOCK // ks.size)
-    out = np.empty(xs.size, dtype=np.complex128)
-    for i in range(0, xs.size, rows):
-        phases = np.exp(1j * np.outer(xs[i : i + rows], ks))
+    flat = xs.ravel()
+    out = np.empty(flat.size, dtype=np.complex128)
+    for i in range(0, flat.size, rows):
+        phases = np.exp(1j * np.outer(flat[i : i + rows], ks))
         out[i : i + rows] = phases @ spectrum.coeffs
-    return out
+    return out.reshape(xs.shape)
 
 
 @functools.lru_cache(maxsize=64)

@@ -673,6 +673,25 @@ def test_bounds_node_perturbation_echoes_an_unread_start(runner, tmp_path):
         assert got["bound"] == json.loads(plain.output)["bound"]
 
 
+@pytest.mark.parametrize(
+    "query, named",
+    [('{"op": "decimated-cap", "d": 2, "R": NaN, "B": 0.5, "N": 10}', "R=nan"),
+     ('{"op": "decimated-cap", "d": 2, "R": 1.0, "B": 1e999, "N": 10}', "B=inf"),
+     ('{"op": "node-perturbation", "K": 1, "multiplicities": [2], "sigma": 1, '
+      '"node_gap": 0.5, "eps": Infinity, "a_lead": 1.0}', "eps=inf")],
+    ids=["R-NaN", "B-1e999", "eps-Infinity"],
+)
+def test_bounds_non_finite_reals_exit_2_naming_the_field(runner, tmp_path, query, named):
+    # json reads NaN, Infinity and 1e999 as floats; a bound computed from
+    # them was written as NaN or Infinity, which is not JSON
+    qp = tmp_path / "q.json"
+    qp.write_text(query + "\n", encoding="utf-8")
+    res = runner.invoke(main, ["bounds", str(qp)])
+    assert res.exit_code == 2, errtext(res)
+    assert "must be finite" in errtext(res)
+    assert named in errtext(res)
+
+
 def test_bounds_bad_queries(runner, tmp_path):
     qp = write_json(tmp_path / "q.json", {"op": "volume", "d": 1})
     assert runner.invoke(main, ["bounds", qp]).exit_code == 2

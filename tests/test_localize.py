@@ -205,7 +205,7 @@ def test_windows_of_one_shape_build_the_taper_once(monkeypatch):
     ({"degree": None}, "degree"),
     ({"M": True}, "M="),
     ({"degree": 2.5}, "degree"),
-    ({"J": float("nan")}, "half-width"),
+    ({"J": float("nan")}, "J must be finite"),
     ({"M": 64.5}, "M="),
 ])
 def test_bump_names_the_bad_argument_before_the_cache(kwargs, name):

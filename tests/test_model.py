@@ -128,12 +128,23 @@ def test_model_validation_paths():
         with pytest.raises(ModelError, match="non-finite magnitudes"):
             JumpModel(1, ((0.3, (1.0, bad)),))
     record = {"d": 1, "jumps": [{"xi": 0.3, "a": [float("nan"), 0.3]}]}
-    with pytest.raises(ModelError, match="non-finite magnitudes"):
+    with pytest.raises(ModelError, match="a must be finite"):
         JumpModel.from_json_dict(record)
     with pytest.raises(ModelError):
         JumpModel(
             0, ((-np.pi + 5e-14, (1.0,)), (np.pi - 5e-14, (1.0,)))
         )  # coincide mod 2pi
+
+
+def test_model_reads_its_order_as_an_integer(tmp_path):
+    # a numpy integer order is stored as an int, so the record saves and loads
+    m = JumpModel(np.int64(1), ((0.3, (1.0, -0.7)),))
+    assert type(m.order) is int
+    save_model(tmp_path / "m.json", m)
+    assert load_model(tmp_path / "m.json") == m
+    for bad in (True, 1.0):
+        with pytest.raises(ModelError, match=f"order={bad!r}"):
+            JumpModel(bad, ((0.3, (1.0, -0.7)),))
 
 
 def test_model_properties_and_empty_jump_set():

@@ -642,7 +642,6 @@ def test_shape_caches_are_bounded_read_only_and_change_no_byte():
         "jumprec.model._positive_factors",
         "jumprec.reconstruct._band",
         "jumprec.solver._signed_binomials",
-        "jumprec.solver._nodes",
         "jumprec.solver._stride_powers_float",
         "jumprec.spectrum._moment_weights",
         "jumprec.rootfind._subdiagonal",
@@ -749,6 +748,17 @@ def test_eval_approximant_is_partial_sum_plus_jumps():
     left = eval_approximant(ap, 0.7, side="left")
     right = eval_approximant(ap, 0.7, side="right")
     assert right - left == pytest.approx(1.0, abs=1e-12)
+
+
+def test_eval_approximant_keeps_the_shape_of_the_points(monkeypatch):
+    est = JumpModel(1, ((0.7, (1.0, -0.4)),))
+    ap = Approximant(est, FourierSpectrum(4, np.arange(9) * 0.1 + 0j))
+    xs = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    want = np.array([eval_approximant(ap, x) for x in xs.ravel()]).reshape(3, 4)
+    monkeypatch.setattr(spectrum_module, "_PHASE_BLOCK", 2 * 9)
+    got = eval_approximant(ap, xs)
+    assert got.shape == (3, 4)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_jump_free_error_on_exact_truth_is_zero():

@@ -22,7 +22,7 @@ from conftest import (
 from jumprec import spectrum as spectrum_module
 from jumprec.errors import ModelError
 from jumprec.localize import make_bump
-from jumprec.model import JumpModel, phi_coeff_array, phi_eval
+from jumprec.model import JumpModel, phi_coeff_array, phi_eval, synth_spectrum
 from jumprec.reconstruct import pipeline_geometry
 from jumprec.spectrum import (
     FourierSpectrum,
@@ -191,6 +191,18 @@ def test_spectrum_file_round_trip(tmp_path):
     back = load_spectrum(path)
     assert back.real_valued
     assert np.array_equal(back.coeffs, sp.coeffs)
+
+
+def test_spectrum_reads_its_truncation_index_as_an_integer(tmp_path):
+    # a numpy integer M is stored as an int, so the record saves and loads
+    sp = synth_spectrum(JumpModel(1, ((0.3, (1.0, -0.7)),)), None, np.int64(64))
+    assert type(sp.M) is int
+    back = load_spectrum(_saved(tmp_path, sp))
+    assert back.M == 64
+    assert np.array_equal(back.coeffs, sp.coeffs)
+    for bad in (True, 1.0):
+        with pytest.raises(ModelError, match=f"M={bad!r}"):
+            FourierSpectrum(bad, np.zeros(3, complex))
 
 
 def test_spectrum_file_is_the_text_json_dump_wrote(tmp_path):
@@ -382,6 +394,21 @@ def test_partial_sum_rejects_non_finite_points(bad):
     grid[-1] = bad
     with pytest.raises(ModelError, match=rf"x\[63\]={bad!r}"):
         eval_partial_sum(sp, grid)
+
+
+@pytest.mark.parametrize("block_rows", [None, 2])
+def test_partial_sum_keeps_the_shape_of_the_points(monkeypatch, block_rows):
+    # off the grid the points are summed flat and the sums reshaped; a
+    # phase block of fewer rows than the first axis changes no value
+    sp = _random_spectrum(16, True, 0)
+    xs = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    want = np.array([eval_partial_sum(sp, x) for x in xs.ravel()]).reshape(3, 4)
+    if block_rows is not None:
+        monkeypatch.setattr(spectrum_module, "_PHASE_BLOCK", block_rows * (2 * 16 + 1))
+    got = eval_partial_sum(sp, xs)
+    assert got.shape == (3, 4)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    assert eval_partial_sum(sp, xs[:, :1]).shape == (3, 1)
 
 
 def test_only_the_uniform_grid_takes_the_fft_path(monkeypatch):
