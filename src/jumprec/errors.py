@@ -5,13 +5,15 @@ violations (bad orders, incompatible shapes, impossible requests), numeric
 failures (rank loss, non-convergent root finding, unresolvable phases), and
 plain I/O problems which are left to the standard OSError/ValueError types
 and translated at the CLI boundary.  read_json and write_json are the one
-reading and the one writing of every JSON record file, and read_int and
-read_real the one reading of a record's numbers: a value of the wrong type,
-or a real that is not finite, is a ModelError that names its field.
+reading and the one writing of every JSON record file, and read_int,
+read_real and read_complex the one reading of a record's numbers: a value
+of the wrong type, or a number that is not finite, is a ModelError that
+names its field.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import numbers
@@ -78,13 +80,37 @@ def read_real(value, name: str) -> float:
     Bools, strings and other non-numbers are rejected, and so are NaN and
     the infinities, which Python's json reads from NaN, Infinity and 1e999.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if type(value) is float:
+        out = value
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ModelError(f"{name} must be a real number, got {name}={value!r}")
-    try:
-        out = float(value)
-    except OverflowError as exc:
-        raise ModelError(f"{name} is past the double range") from exc
+    else:
+        try:
+            out = float(value)
+        except OverflowError as exc:
+            raise ModelError(f"{name} is past the double range") from exc
     if not math.isfinite(out):
+        raise ModelError(f"{name} must be finite, got {name}={out!r}")
+    return out
+
+
+def read_complex(value, name: str) -> complex:
+    """value as a complex with finite parts; anything else is a ModelError.
+
+    Any number but a bool is taken, reals as complex numbers with a zero
+    imaginary part; strings and other non-numbers are rejected, and so are
+    NaN and infinite parts.
+    """
+    if type(value) is complex or type(value) is float:
+        out = complex(value)
+    elif isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise ModelError(f"{name} must be a number, got {name}={value!r}")
+    else:
+        try:
+            out = complex(value)
+        except OverflowError as exc:
+            raise ModelError(f"{name} is past the double range") from exc
+    if not cmath.isfinite(out):
         raise ModelError(f"{name} must be finite, got {name}={out!r}")
     return out
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     ModelError,
+    read_complex,
     read_int,
     read_json,
     read_real,
@@ -156,6 +157,10 @@ class JumpModel:
     order d >= 0; each jump carries magnitudes a_0..a_d with a_0 != 0.
     Locations live in [-pi, pi), strictly increasing.  Magnitudes may be
     complex at the library level; the CLI catalog sticks to real models.
+    Locations are read as finite reals (errors.read_real) and magnitudes
+    as numbers with finite parts (errors.read_complex), as the record
+    reader reads them: a bool, a string or a NaN is a ModelError naming
+    its field.
     """
 
     order: int
@@ -168,12 +173,10 @@ class JumpModel:
         norm = []
         for entry in self.jumps:
             xi, mags = entry
-            xi = float(xi)
+            xi = read_real(xi, "xi")
             if not -np.pi <= xi < np.pi:
                 raise ModelError(f"jump location {xi} outside [-pi, pi)")
-            mags = tuple(complex(a) for a in mags)
-            if not all(cmath.isfinite(a) for a in mags):
-                raise ModelError(f"jump at {xi} has non-finite magnitudes {mags}")
+            mags = tuple(read_complex(a, "a") for a in mags)
             if len(mags) != self.order + 1:
                 raise ModelError(
                     f"jump at {xi} carries {len(mags)} magnitudes, "
@@ -222,7 +225,7 @@ class JumpModel:
             d = read_int(data["d"], "d")
             jumps = []
             for rec in data["jumps"]:
-                xi = read_real(rec["xi"], "xi")
+                xi = rec["xi"]
                 mags = []
                 for a in rec["a"]:
                     if isinstance(a, (list, tuple)):

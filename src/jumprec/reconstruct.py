@@ -221,8 +221,10 @@ class _BandPeel:
         """The data less every jump, windowed by jump j's window, plus jump j.
 
         Values at the plan's indices, in order: the polish solve's data.
+        The jumps are added one at a time from 0, the order and the bits
+        of np.sum(own, axis=0), without stacking them into one array.
         """
-        peeled = self.data - np.sum(own, axis=0)
+        peeled = self.data - sum(own)
         return peeled[self.gather] @ self.taps[j] + own[j][self.at_ks]
 
 

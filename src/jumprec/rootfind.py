@@ -7,8 +7,9 @@ coefficient first and accept the roots only if each one's residual is
 small against the scale of its own evaluation.  The checks run on Python
 numbers (one .tolist() per array): the polynomials here have a handful of
 coefficients, where numpy's per-call overhead costs more than the
-arithmetic.  Coefficients are given in descending powers, matching
-numpy.roots.
+arithmetic.  The moduli of each coefficient list are taken in one pass;
+those of the normalized list both check it and scale the gate.
+Coefficients are given in descending powers, matching numpy.roots.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import RootFindError
-from .spectrum import modulus
+from .spectrum import moduli, modulus
 
 __all__ = ["find_roots", "find_roots_mp"]
 
@@ -34,41 +35,52 @@ _MP_MAX_STEPS = 200
 
 
 def _normalized(c: np.ndarray, lead_tol):
-    """c divided by its leading coefficient, as an array and as a list.
+    """c over its leading coefficient: the array, its list and their moduli.
 
     Degenerate input is rejected first.  The division stays in numpy: its
     complex division is the one numpy.roots applies to the normalized
-    coefficients, and it does not give exactly 1 at the top.
+    coefficients, and it does not give exactly 1 at the top.  The moduli
+    of each list are taken once: the returned ones scale the residual gate.
     """
     if c.ndim != 1 or c.size < 2:
         raise RootFindError(f"need a polynomial of degree >= 1, got {c.size} coefficients")
-    moduli = [modulus(x) for x in c.tolist()]
-    if not all(m < math.inf for m in moduli):
+    sizes = moduli(c.tolist())
+    if not all(m < math.inf for m in sizes):
         raise RootFindError("polynomial has non-finite coefficients")
-    cmax = max(moduli)
+    cmax = max(sizes)
     if cmax == 0:
         raise RootFindError("zero polynomial")
     # the zero test matters when lead_tol * cmax underflows to 0
-    if moduli[0] == 0 or moduli[0] < lead_tol * cmax:
+    if sizes[0] == 0 or sizes[0] < lead_tol * cmax:
         raise RootFindError(
-            f"vanishing leading coefficient ({float(moduli[0]):.3e} vs scale "
+            f"vanishing leading coefficient ({float(sizes[0]):.3e} vs scale "
             f"{float(cmax):.3e})"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
+    if 1e-290 < cmax < 1e290:
+        # the check above bounds every quotient by 1 / lead_tol, and with
+        # every modulus in this range no step of numpy's complex division
+        # overflows: there is no warning to silence
         out = c / c[0]
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = c / c[0]
     values = out.tolist()
-    if not all(modulus(x) < math.inf for x in values):
+    sizes = moduli(values)
+    if not all(m < math.inf for m in sizes):
         raise RootFindError("polynomial has non-finite coefficients after normalization")
-    return out, values
+    return out, values, sizes
 
 
-def _check_residuals(c: list, roots: list, gate) -> None:
-    """Reject roots whose residual exceeds gate x the evaluation's own scale."""
-    moduli = [modulus(x) for x in c]
-    for z in roots:
+def _check_residuals(c: list, sizes: list, roots: list, gate) -> None:
+    """Reject roots whose residual exceeds gate x the evaluation's own scale.
+
+    sizes are the moduli of the coefficients c.
+    """
+    terms = list(zip(c[1:], sizes[1:]))
+    for z, az in zip(roots, moduli(roots)):
         # Horner value and the same recurrence on the moduli
-        val, scale, az = c[0], moduli[0], modulus(z)
-        for coeff, m in zip(c[1:], moduli[1:]):
+        val, scale = c[0], sizes[0]
+        for coeff, m in terms:
             val = val * z + coeff
             scale = scale * az + m
         # written so that a NaN residual fails the gate too
@@ -79,11 +91,6 @@ def _check_residuals(c: list, roots: list, gate) -> None:
                 f"at z={complex(z):.6g} exceeds gate {float(gate):.1e} x scale "
                 f"{float(scale):.3e}"
             )
-
-
-def _round10(x: float) -> float:
-    # numpy's round(10): scale, round half to even, unscale
-    return round(x * 1e10) / 1e10
 
 
 @functools.lru_cache(maxsize=32)
@@ -106,7 +113,7 @@ def find_roots(coeffs) -> np.ndarray:
     decimals.  Raises RootFindError for degenerate input (degree < 1 or
     vanishing leading coefficient) and when a root fails the residual gate.
     """
-    c, values = _normalized(np.asarray(coeffs, dtype=np.complex128), 1e-14)
+    c, values, sizes = _normalized(np.asarray(coeffs, dtype=np.complex128), 1e-14)
     n = len(values) - 1
     while values[n] == 0:
         n -= 1
@@ -118,8 +125,9 @@ def find_roots(coeffs) -> np.ndarray:
             roots = np.linalg.eigvals(companion).tolist() + roots
         except np.linalg.LinAlgError as exc:
             raise RootFindError(f"root finding did not converge: {exc}") from exc
-    _check_residuals(values, roots, _RESIDUAL_FACTOR)
-    roots.sort(key=lambda z: (_round10(z.real), _round10(z.imag)))
+    _check_residuals(values, sizes, roots, _RESIDUAL_FACTOR)
+    # numpy's round(10) of each part: scale, round half to even, unscale
+    roots.sort(key=lambda z: (round(z.real * 1e10) / 1e10, round(z.imag * 1e10) / 1e10))
     return np.array(roots, dtype=np.complex128)
 
 
@@ -133,10 +141,11 @@ def find_roots_mp(coeffs, prec_dps: int):
     """
     with mp.workdps(prec_dps):
         c = np.array([mp.mpc(x) for x in coeffs], dtype=object)
-        _, c = _normalized(c, mp.mpf(10) ** (2 - prec_dps))
+        _, c, sizes = _normalized(c, mp.mpf(10) ** (2 - prec_dps))
         try:
             roots = mp.polyroots(c, maxsteps=_MP_MAX_STEPS, extraprec=mp.mp.prec)
         except mp.mp.NoConvergence as exc:
             raise RootFindError(f"extended root finding did not converge: {exc}") from exc
-        _check_residuals(c, roots, _RESIDUAL_FACTOR * mp.mpf(10) ** (_DOUBLE_DIGITS - prec_dps))
+        gate = _RESIDUAL_FACTOR * mp.mpf(10) ** (_DOUBLE_DIGITS - prec_dps)
+        _check_residuals(c, sizes, roots, gate)
         return roots

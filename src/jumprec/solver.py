@@ -20,7 +20,10 @@ of the magnitude solve and the weighting are scalar code: Python complex
 in double, the same code on mpmath numbers in extended precision.  numpy
 carries what must match its own arithmetic: the normalization and
 companion eigenvalues in rootfind, the Vandermonde product vinv @ rhs and
-the powers np.power(N, l).
+the division by the powers np.power(N, l).  Everything a solve needs that
+depends on its plan alone, from the binomials to the residual check's
+powers, is built once per (plan, arithmetic) into one table
+(_plan_table), so a solve pays only for the arithmetic on its numbers.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional
@@ -42,6 +46,7 @@ from .spectrum import (
     MomentSequence,
     SamplePlan,
     circular_distance,
+    moduli,
     modulus,
     wrap_angle,
 )
@@ -89,12 +94,6 @@ def s_poly(i: int, d: int):
     return [(-1) ** j * math.comb(d + 1, j) * (j + 1) ** i for j in range(d + 2)]
 
 
-@functools.lru_cache(maxsize=64)
-def _signed_binomials(d: int) -> tuple:
-    # (-1)^j C(d+1, j), j = 0..d+1, exact integers
-    return tuple((-1) ** j * math.comb(d + 1, j) for j in range(d + 2))
-
-
 def build_annihilator(moments: MomentSequence) -> list:
     """Alternating-binomial combination of the planned moments.
 
@@ -102,7 +101,9 @@ def build_annihilator(moments: MomentSequence) -> list:
     descending powers and in the moments' arithmetic; the leading one is
     the j = 0 moment (binomial weight +1).
     """
-    return [b * m for b, m in zip(_signed_binomials(moments.order), moments.values.tolist())]
+    values = moments.values.tolist()
+    binomials = _plan_table(moments.plan, _arith_of(values).digits).binomials
+    return list(map(operator.mul, binomials, values))
 
 
 def select_root(roots) -> complex:
@@ -114,17 +115,17 @@ def select_root(roots) -> complex:
     rs = list(roots)
     if not rs:
         raise ModelError("empty root list")
-    ar = _arith_of(rs)
-    best = None
-    best_key = None
-    for r in rs:
-        dist = abs(modulus(r) - 1.0)
-        key = (dist, abs(ar.phase(r)))
-        if best is None or dist < best_key[0] - 1e-14:
-            best, best_key = r, key
-        elif abs(dist - best_key[0]) <= 1e-14 and key[1] < best_key[1]:
-            best, best_key = r, key
-    return best
+    dists = [abs(m - 1.0) for m in moduli(rs)]
+    best = 0
+    for i in range(1, len(rs)):
+        if dists[i] < dists[best] - 1e-14:
+            best = i
+        elif abs(dists[i] - dists[best]) <= 1e-14:
+            # the angles are read only where the distances tie
+            phase = _arith_of(rs).phase
+            if abs(phase(rs[i])) < abs(phase(rs[best])):
+                best = i
+    return rs[best]
 
 
 def disambiguate_nth_root(z: complex, N: int, xi_prior: float) -> float:
@@ -142,14 +143,15 @@ def disambiguate_nth_root(z: complex, N: int, xi_prior: float) -> float:
     if z == 0:
         raise ModelError("zero root cannot carry phase information")
     ar = _arith_of(z)
+    pi = ar.pi
     t = -ar.phase(z)
     if not (math.isfinite(float(t)) and math.isfinite(xi_prior)):
         raise ModelError(f"non-finite root {z} or prior {xi_prior}")
     offset = (xi_prior - float(t) / N) % (2.0 * math.pi)
     n_star = round(offset * N / (2.0 * math.pi))
-    branches = sorted({(n_star + k) % N for k in (-1, 0, 1)})
-    cands = [wrap_angle(t / N + 2 * ar.pi * n / N, ar.pi) for n in branches]
-    dists = [circular_distance(xi, xi_prior, ar.pi) for xi in cands]
+    branches = sorted({(n_star - 1) % N, n_star % N, (n_star + 1) % N})
+    cands = [wrap_angle(t / N + 2 * pi * n / N, pi) for n in branches]
+    dists = [circular_distance(xi, xi_prior, pi) for xi in cands]
     order = sorted(range(len(cands)), key=dists.__getitem__)
     best = order[0]
     if len(cands) > 1:
@@ -186,61 +188,107 @@ def _vandermonde_inverse_float(nodes: tuple) -> np.ndarray:
     return arr
 
 
-@functools.lru_cache(maxsize=64)
-def _stride_powers_float(N: int, d: int) -> np.ndarray:
-    # N^l, l = 0..d, the scale of the nodes k = shift + N t, read-only
-    arr = np.power(float(N), np.arange(d + 1))
-    arr.flags.writeable = False
-    return arr
-
-
 class _Arith(NamedTuple):
     """The arithmetic a single-jump solve runs in: double or mpmath.
 
-    real builds real numbers and residual_tol is the relative gate of the
-    magnitude solve.  find_roots looks its root finder up in rootfind on
-    every call, so a replaced module attribute reaches every solve.
-    stride_powers(N, d) gives N^l, l = 0..d.
+    digits is None in double and mpmath's working digits otherwise; with
+    the plan it keys the solve's table (_plan_table).  residual_tol is the
+    relative gate of the magnitude solve.  find_roots looks its root
+    finder up in rootfind on every call, so a replaced module attribute
+    reaches every solve.
     """
 
-    real: Callable
+    digits: Optional[int]
     exp: Callable
     phase: Callable
     pi: Any
     residual_tol: Any
     find_roots: Callable
-    vandermonde_inverse: Callable
-    stride_powers: Callable
 
 
 _DOUBLE = _Arith(
-    real=float, exp=cmath.exp, phase=cmath.phase, pi=math.pi, residual_tol=1e-8,
+    digits=None, exp=cmath.exp, phase=cmath.phase, pi=math.pi, residual_tol=1e-8,
     find_roots=lambda coeffs: rootfind.find_roots(coeffs).tolist(),
-    vandermonde_inverse=_vandermonde_inverse_float,
-    stride_powers=_stride_powers_float,
 )
 
 
 @functools.lru_cache(maxsize=16)
 def _extended(digits: int) -> _Arith:
-    def vandermonde_inverse(nodes):
-        exact = _vandermonde_inverse(nodes)
-        return np.array([[mp.mpf(x.numerator) / x.denominator for x in row]
-                         for row in exact], dtype=object)
-
     return _Arith(
-        real=mp.mpf, exp=mp.exp, phase=mp.arg, pi=mp.pi,
+        digits=digits, exp=mp.exp, phase=mp.arg, pi=mp.pi,
         residual_tol=mp.mpf(10) ** (12 - digits),
         find_roots=lambda coeffs: rootfind.find_roots_mp(coeffs, digits),
-        vandermonde_inverse=vandermonde_inverse,
-        stride_powers=lambda N, d: np.power(mp.mpf(N), np.arange(d + 1)),
     )
+
+
+_MP_TYPES = (mp.mpf, mp.mpc)
 
 
 def _arith_of(values) -> _Arith:
     """mpmath at the working precision for mpmath numbers, else double."""
     first = values[0] if isinstance(values, (list, tuple, np.ndarray)) else values
-    return _extended(mp.mp.dps) if isinstance(first, (mp.mpf, mp.mpc)) else _DOUBLE
+    return _extended(mp.mp.dps) if isinstance(first, _MP_TYPES) else _DOUBLE
+
+
+class _PlanTable(NamedTuple):
+    """What a single-jump solve needs that depends on its plan alone.
+
+    binomials are the annihilator's weights (-1)^j C(d+1, j), j = 0..d+1.
+    The magnitude solve reads the first d+1 indices, use, each written
+    k = shift + N t on the integer nodes t = first..first+d: vinv is the
+    exact inverse of the nodes' Vandermonde matrix, stride_powers holds
+    N^l, l = 0..d, back lists the back-substitution top down as rows
+    (l, ((m, C(m, l) shift^(m-l)), m = l+1..d), none when shift is 0, and
+    k_powers holds k^l, l = 0..d, for each used k, the residual check's
+    powers.  Numbers are in the table's arithmetic, arrays read-only.
+    """
+
+    binomials: tuple
+    use: tuple
+    vinv: np.ndarray
+    stride_powers: np.ndarray
+    back: tuple
+    k_powers: tuple
+
+
+@functools.lru_cache(maxsize=64)
+def _plan_table(plan: SamplePlan, digits: Optional[int]) -> _PlanTable:
+    """The plan's table in double (digits None) or in mpmath at digits.
+
+    In double the arrays are complex128, the type numpy would cast them
+    to for the product with the complex right-hand side, exactly.
+    """
+    if digits is None:
+        return _build_table(plan, float, _vandermonde_inverse_float, np.complex128)
+    with mp.workdps(digits):
+        return _build_table(plan, mp.mpf, _vandermonde_inverse_mp, object)
+
+
+def _vandermonde_inverse_mp(nodes: tuple) -> list:
+    return [[mp.mpf(x.numerator) / x.denominator for x in row]
+            for row in _vandermonde_inverse(nodes)]
+
+
+def _build_table(plan: SamplePlan, real: Callable, vandermonde_inverse, dtype) -> _PlanTable:
+    d, N = plan.d, plan.stride
+    first = 1 if plan.kind == "decimated" else 0
+    use = plan.indices[: d + 1]
+    shift = use[0] - first * N
+    vinv = np.array(vandermonde_inverse(tuple(range(first, first + d + 1))), dtype=dtype)
+    stride_powers = np.power(real(N), np.arange(d + 1)).astype(dtype)
+    vinv.flags.writeable = stride_powers.flags.writeable = False
+    back = tuple(
+        (l, tuple((m, math.comb(m, l) * real(shift) ** (m - l)) for m in range(l + 1, d + 1)))
+        for l in reversed(range(d))
+    ) if shift else ()
+    return _PlanTable(
+        binomials=tuple((-1) ** j * math.comb(d + 1, j) for j in range(d + 2)),
+        use=use,
+        vinv=vinv,
+        stride_powers=stride_powers,
+        back=back,
+        k_powers=tuple(tuple(real(k) ** l for l in range(d + 1)) for k in use),
+    )
 
 
 def alpha_to_magnitudes(alpha) -> tuple:
@@ -283,38 +331,30 @@ def solve_magnitudes(moments: MomentSequence, omega_est: complex):
         raise ModelError(
             f"omega estimate must sit on the unit circle, |omega|={radius:.12g}"
         )
-    plan = moments.plan
-    d = plan.d
-    use = plan.indices[: d + 1]
     values = moments.values.tolist()
     ar = _arith_of(values)
-    rhs = [values[j] * omega_est ** (-use[j]) for j in range(d + 1)]
-    # k = shift + N t on the integer nodes t = first..first+d, so that
+    table = _plan_table(moments.plan, ar.digits)
+    rhs = [v * omega_est ** -k for v, k in zip(values, table.use)]
     # sum_l alpha_l k^l = sum_m beta_m N^m t^m with
     # beta_m = sum_{l >= m} C(l, m) shift^(l-m) alpha_l: the product and
     # the division give beta, and the back-substitution, top down, alpha
-    N = plan.stride
-    first = 1 if plan.kind == "decimated" else 0
-    shift = use[0] - first * N
-    vinv = ar.vandermonde_inverse(tuple(range(first, first + d + 1)))
-    alpha = (vinv @ np.array(rhs) / ar.stride_powers(N, d)).tolist()
-    if shift:
-        for l in reversed(range(d)):
-            for m in range(l + 1, d + 1):
-                alpha[l] -= math.comb(m, l) * ar.real(shift) ** (m - l) * alpha[m]
+    alpha = (table.vinv @ np.array(rhs) / table.stride_powers).tolist()
+    for l, terms in table.back:
+        for m, factor in terms:
+            alpha[l] -= factor * alpha[m]
     # residual check in the original system: sum_l alpha_l k^l vs rhs
-    recon = [sum(alpha[l] * ar.real(k) ** l for l in range(d + 1)) for k in use]
-    scale = max(modulus(x) for x in rhs) or 1.0
+    recon = [sum(map(operator.mul, alpha, powers)) for powers in table.k_powers]
+    scale = max(moduli(rhs)) or 1.0
     limit = ar.residual_tol * scale
     # written so that a NaN residual fails the gate too
-    bad = [e for e in (modulus(r - x) for r, x in zip(recon, rhs)) if not e <= limit]
+    bad = [e for e in moduli(list(map(operator.sub, recon, rhs))) if not e <= limit]
     if bad:
         raise NumericError(
             f"magnitude system ill-conditioned: residual {float(max(bad)):.3e} "
             f"vs data scale {float(scale):.3e}"
         )
     a = alpha_to_magnitudes(alpha)
-    return tuple(complex(x) for x in alpha), a
+    return tuple(map(complex, alpha)), a
 
 
 def recover_single_jump(
@@ -328,15 +368,15 @@ def recover_single_jump(
     M < 2(d+2)) the root is the node omega itself and its angle is read
     directly.
     """
-    plan = moments.plan
-    ar = _arith_of(moments.values)
     coeffs = build_annihilator(moments)
+    ar = _arith_of(coeffs)
     roots = ar.find_roots(coeffs)
     z = select_root(roots)
-    if plan.stride > 1:
+    N = moments.plan.stride
+    if N > 1:
         if xi_prior is None:
             raise ModelError("decimated recovery requires a location prior")
-        xi = disambiguate_nth_root(z, plan.stride, xi_prior)
+        xi = disambiguate_nth_root(z, N, xi_prior)
     else:
         xi = wrap_angle(-ar.phase(z), ar.pi)
     omega = ar.exp(-1j * xi)
@@ -344,14 +384,12 @@ def recover_single_jump(
     residual = 0j
     for c in coeffs:
         residual = residual * z + c
+    gaps = moduli([r1 - r2 for r1, r2 in itertools.combinations(roots, 2)])
     return JumpEstimate(
         xi=float(xi),
         magnitudes=a,
         root_residual=float(modulus(residual)),
-        condition_note=float(min(
-            (modulus(r1 - r2) for r1, r2 in itertools.combinations(roots, 2)),
-            default=math.inf,
-        )),
+        condition_note=float(min(gaps, default=math.inf)),
     )
 
 

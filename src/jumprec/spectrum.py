@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -22,6 +23,7 @@ __all__ = [
     "wrap_angle",
     "circular_distance",
     "modulus",
+    "moduli",
     "FourierSpectrum",
     "SamplePlan",
     "MomentSequence",
@@ -78,9 +80,20 @@ def modulus(z):
         return math.inf
 
 
+def moduli(values) -> list:
+    """[modulus(z) for z in values], in one abs() pass while none overflows."""
+    try:
+        return list(map(abs, values))
+    except OverflowError:
+        return [modulus(z) for z in values]
+
+
 def _complex_values(values) -> np.ndarray:
     # complex128, unless the values are mpmath numbers of an
-    # extended-precision solve, which keep their precision as an object array
+    # extended-precision solve, which keep their precision as an object array;
+    # a complex128 array, weight_moments' own, is taken as it is
+    if type(values) is np.ndarray and values.dtype == np.complex128:
+        return values
     arr = np.asarray(values)
     return arr if arr.dtype == object else arr.astype(np.complex128, copy=False)
 
@@ -88,7 +101,8 @@ def _complex_values(values) -> np.ndarray:
 def _all_finite(arr: np.ndarray) -> bool:
     if arr.dtype == object:
         return all(mp.isfinite(x) for x in arr)
-    return bool(np.isfinite(arr).all())
+    # counted in C, without the Python-level wrapper of ndarray.all
+    return np.count_nonzero(np.isfinite(arr)) == arr.size
 
 
 def _complex_pairs(pairs) -> np.ndarray:
@@ -354,8 +368,7 @@ def weight_moments(plan: SamplePlan, values) -> MomentSequence:
     if cs.shape != (len(plan.indices),):
         raise ModelError("moment indices and values disagree in length")
     return MomentSequence(plan, np.array(
-        [w * c for w, c in zip(_moment_weights(plan), cs.tolist())],
-        dtype=np.complex128,
+        list(map(operator.mul, _moment_weights(plan), cs.tolist())), dtype=np.complex128
     ))
 
 

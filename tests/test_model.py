@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -125,7 +126,7 @@ def test_model_validation_paths():
     with pytest.raises(ModelError):
         JumpModel(0, ((0.5, (1.0,)), (0.2, (1.0,))))  # not increasing
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(ModelError, match="non-finite magnitudes"):
+        with pytest.raises(ModelError, match="a must be finite"):
             JumpModel(1, ((0.3, (1.0, bad)),))
     record = {"d": 1, "jumps": [{"xi": 0.3, "a": [float("nan"), 0.3]}]}
     with pytest.raises(ModelError, match="a must be finite"):
@@ -145,6 +146,33 @@ def test_model_reads_its_order_as_an_integer(tmp_path):
     for bad in (True, 1.0):
         with pytest.raises(ModelError, match=f"order={bad!r}"):
             JumpModel(bad, ((0.3, (1.0, -0.7)),))
+
+
+@pytest.mark.parametrize(
+    "jump, message",
+    [(("0.3", ("1.5",)), "xi must be a real number, got xi='0.3'"),
+     ((True, (1.0,)), "xi must be a real number, got xi=True"),
+     ((float("nan"), (1.0,)), "xi must be finite, got xi=nan"),
+     ((0.3, ("1.5",)), "a must be a number, got a='1.5'"),
+     ((0.3, (True,)), "a must be a number, got a=True"),
+     ((0.3, (None,)), "a must be a number, got a=None"),
+     ((0.3, (complex(1.0, float("nan")),)), "a must be finite, got a=(1+nanj)"),
+     ((0.3, (10**400,)), "a is past the double range")],
+    ids=["str-xi", "bool-xi", "nan-xi", "str-a", "bool-a", "none-a", "nan-imag-a", "huge-a"],
+)
+def test_model_reads_its_fields_as_its_record_reader_does(jump, message):
+    # the constructor takes what JumpModel.from_json_dict takes, and names
+    # the field it refuses
+    with pytest.raises(ModelError, match=re.escape(message)):
+        JumpModel(0, (jump,))
+
+
+def test_model_keeps_numbers_as_float_locations_and_complex_magnitudes():
+    m = JumpModel(1, ((np.float64(0.3), (np.complex128(1 + 2j), 2)),))
+    ((xi, mags),) = m.jumps
+    assert type(xi) is float and xi == 0.3
+    assert [type(a) for a in mags] == [complex, complex]
+    assert mags == (1 + 2j, 2 + 0j)
 
 
 def test_model_properties_and_empty_jump_set():

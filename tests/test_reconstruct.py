@@ -7,6 +7,7 @@ import math
 import re
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -407,16 +408,24 @@ def test_a_jump_at_minus_pi_polishes_as_well_as_any_other():
 
 
 def test_every_full_order_solve_goes_through_the_one_entry(monkeypatch):
-    # every binding of the solve entries and the moment formula in the
-    # package is replaced, as the benchmark's span tracer does: a two-jump
-    # reconstruct makes K full-order solves on the first pass and K per
-    # polish sweep (one _moved per jump and sweep), and its K half-order
-    # solves are not counted among them
+    # every binding of the solve entries, their inner layers and the moment
+    # formula in the package is replaced, as the benchmark's span tracer
+    # does: a two-jump reconstruct makes K full-order solves on the first
+    # pass and K per polish sweep (one _moved per jump and sweep), and its
+    # K half-order solves are not counted among them.  Every solve, half
+    # order too, builds its annihilator, finds its roots, picks one and
+    # solves for the magnitudes; only the decimated ones disambiguate, and
+    # detection finds roots once more
     spec, cfg = _d2_two_jump_case(1024)
     originals = {
         "recover_single_jump": solver.recover_single_jump,
         "half_order_recover": solver.half_order_recover,
         "weight_moments": spectrum_module.weight_moments,
+        "build_annihilator": solver.build_annihilator,
+        "select_root": solver.select_root,
+        "solve_magnitudes": solver.solve_magnitudes,
+        "disambiguate_nth_root": solver.disambiguate_nth_root,
+        "find_roots": rootfind.find_roots,
     }
     counts = dict.fromkeys(originals, 0)
     modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "jumprec"]
@@ -445,10 +454,16 @@ def test_every_full_order_solve_goes_through_the_one_entry(monkeypatch):
     full_reconstruct(spec, cfg)
     K = cfg.K
     assert moves and len(moves) % K == 0
+    solves = 2 * K + len(moves)
     assert counts == {
         "recover_single_jump": K + len(moves),
         "half_order_recover": K,
-        "weight_moments": 2 * K + len(moves),
+        "weight_moments": solves,
+        "build_annihilator": solves,
+        "select_root": solves,
+        "solve_magnitudes": solves,
+        "disambiguate_nth_root": K + len(moves),
+        "find_roots": solves + 1,
     }
 
 
@@ -641,8 +656,7 @@ def test_shape_caches_are_bounded_read_only_and_change_no_byte():
     for name in (
         "jumprec.model._positive_factors",
         "jumprec.reconstruct._band",
-        "jumprec.solver._signed_binomials",
-        "jumprec.solver._stride_powers_float",
+        "jumprec.solver._plan_table",
         "jumprec.spectrum._moment_weights",
         "jumprec.rootfind._subdiagonal",
     ):
@@ -674,13 +688,15 @@ def test_shape_caches_are_bounded_read_only_and_change_no_byte():
     held = [
         model_module._positive_factors(512, 1),
         reconstruct._band(SamplePlan("decimated", 1, 384), 20),
-        solver._stride_powers_float(128, 1),
+        solver._plan_table(SamplePlan("decimated", 1, 384), None),
         solver._vandermonde_inverse_float((1, 2)),
         rootfind._subdiagonal(3),
         localize._window_taper(np.pi / 2, 512, 20),
     ]
+    with mp.workdps(60):
+        held.append(solver._plan_table(SamplePlan("consecutive", 2, 384), 60))
     found = list(arrays(tuple(held)))
-    assert len(found) == 13
+    assert len(found) == 16
     for arr in found:
         with pytest.raises(ValueError):
             arr[...] = 0

@@ -106,6 +106,22 @@ def test_roots_are_numpy_roots_bit_for_bit(degree, zeros, lead, last, data):
     assert bits(got).tobytes() == bits(roots_reference(coeffs)).tobytes()
 
 
+@given(
+    degree=st.integers(1, 6),
+    lead=_NONZERO,
+    last=_NONZERO,
+    scale=st.sampled_from([1e-300, 1e-289, 1e-280, 1e280, 1e289, 1e300]),
+    data=st.data(),
+)
+def test_roots_near_the_ends_of_the_range_are_numpy_roots(degree, lead, last, scale, data):
+    # the normalization leaves numpy's warnings on where every modulus sits
+    # within [1e-290, 1e290]; on either side of those ends no warning
+    # escapes (the suite makes one an error) and the bits stay numpy.roots'
+    inner = [complex(data.draw(_PART), data.draw(_PART)) for _ in range(degree - 1)]
+    coeffs = [scale * c for c in [lead] + inner + [last]]
+    assert bits(find_roots(coeffs)).tobytes() == bits(roots_reference(coeffs)).tobytes()
+
+
 def test_residual_gate_can_fire(monkeypatch):
     # roots +-sqrt(2) leave a nonzero rounding residual in double
     coeffs = [1.0, 0.0, -2.0]

@@ -10,7 +10,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from conftest import bits, magnitudes_reference, sampled_moments
+from conftest import bits, magnitudes_reference, roots_reference, sampled_moments
 from jumprec.errors import AmbiguityError, ModelError, NumericError
 from jumprec.model import JumpModel, phi_coeff_array
 from jumprec.rootfind import find_roots
@@ -480,3 +480,53 @@ def test_one_solve_takes_either_plan_kind():
     assert half_order_recover(moments) == recover_single_jump(moments, None)
     with pytest.raises(ModelError, match="requires a location prior"):
         half_order_recover(sampled_moments(sp, SamplePlan("decimated", 1, 64)))
+
+
+def _solve_reference(moments, xi_prior):
+    # the whole solve from independent parts: the annihilator from
+    # math.comb, numpy.roots, the nearest-circle pick with its 1e-14 tie
+    # rule, the O(N) branch scan and the array-form magnitude solve
+    plan = moments.plan
+    coeffs = [(-1) ** j * math.comb(plan.d + 1, j) * m
+              for j, m in enumerate(moments.values.tolist())]
+    best = None
+    for r in roots_reference(coeffs).tolist():
+        dist, angle = abs(abs(r) - 1.0), abs(cmath.phase(r))
+        if best is None or dist < best[0] - 1e-14 or (
+            abs(dist - best[0]) <= 1e-14 and angle < best[1]
+        ):
+            best = (dist, angle, r)
+    if plan.stride > 1:
+        xi = _scan_double(best[2], plan.stride, xi_prior)
+    else:
+        xi = float(np.mod(-cmath.phase(best[2]) + np.pi, 2.0 * np.pi) - np.pi)
+    return xi, magnitudes_reference(moments, cmath.exp(-1j * xi))[1]
+
+
+@pytest.mark.parametrize("kind", ["decimated", "consecutive"])
+@given(
+    d=st.integers(0, 4),
+    N=st.integers(1, 64),
+    extra=st.integers(0, 5),
+    xi=st.floats(-np.pi, np.pi, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_whole_solve_is_its_references_bit_for_bit(kind, d, N, extra, xi, seed):
+    # noisy moments of one jump at stride N (decimated) or at the top of
+    # the spectrum (consecutive) and a prior within a quarter branch:
+    # recover_single_jump gives the location and magnitude bits of the
+    # chain of references, or refuses where a gate the references lack does
+    rng = np.random.default_rng(seed)
+    plan = SamplePlan(kind, d, (d + 2) * N + extra % (d + 2))
+    alpha = tuple(complex(*rng.uniform(-2.0, 2.0, 2)) for _ in range(d + 1))
+    exact = synth_moments(xi, alpha, plan).values
+    noise = 1e-3 * (rng.normal(size=d + 2) + 1j * rng.normal(size=d + 2))
+    mom = MomentSequence(plan, exact * (1.0 + noise))
+    prior = xi + rng.uniform(-0.25, 0.25) * np.pi / plan.stride
+    try:
+        est = recover_single_jump(mom, prior)
+    except NumericError:
+        return  # a root or magnitude gate refused; the references have none
+    xi_ref, a_ref = _solve_reference(mom, prior)
+    assert bits([est.xi]).tobytes() == bits([xi_ref]).tobytes()
+    assert bits(est.magnitudes).tobytes() == bits(a_ref).tobytes()
