@@ -56,7 +56,7 @@ def _normalized(c: np.ndarray, lead_tol):
             f"vanishing leading coefficient ({float(sizes[0]):.3e} vs scale "
             f"{float(cmax):.3e})"
         )
-    if 1e-290 < cmax < 1e290:
+    if c.dtype == np.complex128 and 1e-290 < cmax < 1e290:
         # the check above bounds every quotient by 1 / lead_tol, and with
         # every modulus in this range no step of numpy's complex division
         # overflows: there is no warning to silence
