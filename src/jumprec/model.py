@@ -342,19 +342,22 @@ def phi_fourier_coeff(model: JumpModel, k: int) -> complex:
     """Closed-form Fourier coefficient of the piecewise polynomial.
 
     c_0 = 0 by the zero-mean convention of the basis; any DC offset
-    belongs to the smooth part.
+    belongs to the smooth part.  The phase e^{-ik xi} is the kernel's
+    (_phases), conjugated for k < 0.
     """
     if k == 0:
         return 0.0 + 0.0j
     acc = 0.0 + 0.0j
     ik = 1j * k
+    at = _phase_index([abs(k)])
     for xi, mags in model.jumps:
         inner = 0.0 + 0.0j
         w = 1.0 / ik
         for a in mags:
             inner += a * w
             w /= ik
-        acc += np.exp(-ik * xi) * inner
+        phase = complex(_phases(xi, at)[0])
+        acc += (phase if k > 0 else phase.conjugate()) * inner
     return complex(acc / (2.0 * np.pi))
 
 
@@ -376,65 +379,123 @@ def phi_factors(ks, order: int) -> tuple:
     return ik, powers
 
 
-def _phases(ks: np.ndarray, xi: float) -> np.ndarray:
-    # e^{-ik xi} at the real indices ks: cos and sin of the real product
-    # k (-xi), written into the parts of one complex array.  These are the
-    # values np.exp(-ik * xi), ik = 1j * ks, gives, bit for bit (test_model
-    # pins it), without its exp of the zero real part and the scaling by it
-    arg = ks * -xi
-    out = np.empty(arg.size, dtype=np.complex128)
-    np.cos(arg, out=out.real)
-    np.sin(arg, out=out.imag)
-    return out
+# the phase kernel writes each index k = q _PHASE_STEP + r, 0 <= r < _PHASE_STEP
+_PHASE_STEP = 64
 
 
-def _phi_halves(jumps, factors, negative: bool):
-    # the one closed-form kernel: c_k at the indices of factors, and when
-    # negative also c_{-k}, which reuses the phases and powers (only signs
-    # flip), so both halves are bit-identical to evaluating each index alone
-    ik, powers = factors
-    ks = ik.imag
-    pos = np.zeros(ik.size, dtype=np.complex128)
-    neg = np.zeros(ik.size, dtype=np.complex128) if negative else None
+def _phase_table(ns: np.ndarray, xi: float) -> np.ndarray:
+    # e^{-i n xi} at the integers 0 <= ns < 2^29, each within about an ulp:
+    # xi = head + tail, head its float32 rounding and tail the exact rest,
+    # so n * head is exact and n * tail, below 2^-24 |n xi|, carries only
+    # its own rounding; the two factors' cos and sin take one call each
+    head = float(np.float32(xi))
+    args = np.multiply.outer((-head, head - xi), ns)
+    factors = np.empty(args.shape, dtype=np.complex128)
+    np.cos(args, out=factors.real)
+    np.sin(args, out=factors.imag)
+    return factors[0] * factors[1]
+
+
+def _phase_index(ks) -> tuple:
+    """The kernel's tables for the integers ks >= 0, in any order.
+
+    Returns (ns, at): ns lists the table's integers, 0.._PHASE_STEP-1 then
+    the multiples q _PHASE_STEP that ks reach, and at[0], at[1] are the
+    positions in ns of each k's two parts, q _PHASE_STEP and r.  It depends
+    on the indices alone, so a caller that phases many locations on one
+    index set builds it once.
+    """
+    q, r = np.divmod(np.asarray(ks, dtype=np.int64), _PHASE_STEP)
+    qs, at_q = np.unique(q, return_inverse=True)
+    ns = np.concatenate((np.arange(_PHASE_STEP), _PHASE_STEP * qs))
+    return ns, np.stack((at_q + _PHASE_STEP, r))
+
+
+def _phases(xi: float, at) -> np.ndarray:
+    """e^{-ik xi} at integer indices 0 <= k < 2^29, each within about an ulp.
+
+    at is M, for k = 1..M, or a _phase_index, for its indices.  Each phase
+    is the product of two table entries, e^{-i qB xi} e^{-i r xi} with
+    k = qB + r, B = _PHASE_STEP, and each entry is cos and sin of exact
+    products (_phase_table): the error no longer grows like eps k |xi|, as
+    cos and sin of the rounded product k xi do (3.6e-12 at k = 65536).
+    For 1..M the product is an outer product of the tables, M/B + 1 and B
+    entries; for an index the entries are gathered.  Both forms multiply
+    the same entries in the same order, so they give the same bits at the
+    same k.
+    """
+    if isinstance(at, tuple):
+        ns, pos = at
+        parts = _phase_table(ns, xi)[pos]
+        return parts[0] * parts[1]
+    B = _PHASE_STEP
+    table = _phase_table(np.concatenate((np.arange(B), B * np.arange(at // B + 1))), xi)
+    return np.multiply.outer(table[B:], table[:B]).ravel()[1 : at + 1]
+
+
+def _phi_halves(jumps, powers, at, negative: bool):
+    # the one closed-form kernel: c_k of one or more jumps at the indices of
+    # at (M or a _phase_index) from powers, (ik)^{-(l+1)} there, and when
+    # negative also c_{-k}, which reuses the phases and powers: e^{ik xi} is
+    # the conjugate of e^{-ik xi} and (-ik)^{-(l+1)} = (-1)^{l+1}
+    # (ik)^{-(l+1)}.  The magnitudes carry the 1/2pi, and each order's term
+    # goes through one buffer, so a jump allocates its sum and its phases only
+    pos = neg = term = None
     for xi, mags in jumps:
-        inner_pos = np.zeros(ik.size, dtype=np.complex128)
-        inner_neg = np.zeros(ik.size, dtype=np.complex128) if negative else None
-        for ell, (a, w) in enumerate(zip(mags, powers)):
-            term = a * w
-            inner_pos += term
+        mags = [a / (2.0 * np.pi) for a in mags]
+        inner = powers[0] * mags[0]
+        inner_neg = -inner if negative else None
+        for ell in range(1, len(mags)):
+            term = np.multiply(powers[ell], mags[ell], out=term)
+            inner += term
             if negative:
                 # (-1)^{l+1}: the odd orders keep their sign at -k
                 if ell % 2:
                     inner_neg += term
                 else:
                     inner_neg -= term
-        phase = _phases(ks, xi)
-        pos += phase * inner_pos
+        phase = _phases(xi, at)
+        inner *= phase
+        if pos is None:
+            pos = inner
+        else:
+            pos += inner
         if negative:
-            neg += phase.conj() * inner_neg
-    pos /= 2.0 * np.pi
-    if negative:
-        neg /= 2.0 * np.pi
+            inner_neg *= phase.conj()
+            if neg is None:
+                neg = inner_neg
+            else:
+                neg += inner_neg
     return pos, neg
 
 
 @functools.lru_cache(maxsize=1)
 def _positive_factors(M: int, order: int) -> tuple:
-    # phi_factors on 1..M, read-only: they depend on (M, order) alone, and
-    # repeated reconstructions of one shape ask for the same ones each call;
-    # only the last shape is kept, since they grow with M
-    ik, powers = phi_factors(np.arange(1, M + 1), order)
-    for arr in (ik, *powers):
+    # the powers of phi_factors on 1..M, read-only: they depend on
+    # (M, order) alone, and repeated reconstructions of one shape ask for
+    # the same ones each call; only the last shape is kept, since they grow
+    # with M
+    powers = tuple(phi_factors(np.arange(1, M + 1), order)[1])
+    for arr in powers:
         arr.flags.writeable = False
-    return ik, tuple(powers)
+    return powers
 
 
-def _coeff_array(jumps, M: int, factors) -> np.ndarray:
-    # c_{-M}..c_M of the jumps from the kernel's two halves, c_0 = 0
-    pos, neg = _phi_halves(jumps, factors, negative=True)
-    out = np.zeros(2 * M + 1, dtype=np.complex128)
+def _coeff_array(jumps, M: int, powers) -> np.ndarray:
+    # c_{-M}..c_M of the jumps from the kernel's positive half, c_0 = 0;
+    # real magnitudes make c_{-k} = conj(c_k), taken as the conjugate
+    # mirror, so the result is conjugate-symmetric bit for bit
+    if not jumps:
+        return np.zeros(2 * M + 1, dtype=np.complex128)
+    real = all(a.imag == 0.0 for _, mags in jumps for a in mags)
+    pos, neg = _phi_halves(jumps, powers, M, negative=not real)
+    out = np.empty(2 * M + 1, dtype=np.complex128)
     out[M + 1 :] = pos
-    out[:M] = neg[::-1]
+    out[M] = 0.0
+    if real:
+        np.conjugate(pos[::-1], out=out[:M])
+    else:
+        out[:M] = neg[::-1]
     return out
 
 
@@ -442,16 +503,19 @@ def phi_coeff_array(model: JumpModel, M: int) -> np.ndarray:
     """Coefficients c_{-M}..c_M of the piecewise polynomial, ascending k.
 
     The array form of phi_fourier_coeff, c_0 = 0.  It shares its kernel
-    with the polish's band peel: phases e^{-ik xi} and powers (ik)^{-(l+1)}
-    (phi_factors) are computed for k = 1..M only, the powers once for all
-    jumps.  The half k < 0 reuses them: e^{ik xi} is the conjugate of
-    e^{-ik xi} and (-ik)^{-(l+1)} = (-1)^{l+1} (ik)^{-(l+1)}.  Only signs
-    flip, so the result is bit-identical to evaluating every index,
-    complex magnitudes included.  The index 1..M and its d+1 powers, d+1
-    complex divisions of length M, depend on (M, d) only and are built
-    once and kept, read-only, for the last shape.  Each call then
-    costs, per jump, one real cos and one real sin and about 2(d+3)
-    multiply-adds of length M.
+    with the polish's band peel: the phases e^{-ik xi} come from the exact
+    two-table kernel (_phases) and the powers (ik)^{-(l+1)} (phi_factors)
+    are computed for k = 1..M only, once for all jumps.  Every phase is
+    within about an ulp of e^{-ik xi} at every k, where cos and sin of the
+    rounded product k xi erred by up to eps k |xi|.  The half k < 0 reuses
+    the positive one: for a real model it is its conjugate mirror, so the
+    array is conjugate-symmetric bit for bit, and for complex magnitudes
+    the same phases conjugated and the powers' signs (-1)^{l+1} flipped.
+    The d+1 powers, d+1 complex divisions of length M, depend on (M, d)
+    only and are built once and kept, read-only, for the last shape.
+    Each call then costs, per jump, cos and sin of M/64 + 65 table
+    entries, one complex product of length M for its phases and about
+    2(d+1) multiply-adds of length M, doubled for complex magnitudes.
     """
     M = read_int(M, "M")
     if M < 0:
@@ -598,7 +662,7 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
             raise ModelError(f"poly-blend order must be in 1..{_TABLE_MAX - 1}")
         def blend_coeffs(M, n=order, c=center, A=amp):
             jump = ((c, (0.0,) * n + (A,)),)
-            return _coeff_array(jump, M, phi_factors(np.arange(1, M + 1), n))
+            return _coeff_array(jump, M, phi_factors(np.arange(1, M + 1), n)[1])
 
         return SmoothPart(
             "poly-blend",

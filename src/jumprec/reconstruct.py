@@ -22,6 +22,7 @@ from .localize import _BUMP_MIN_M, localize_jump, make_bump, prony_order0
 from .model import (
     AprioriBounds,
     JumpModel,
+    _phase_index,
     _phi_halves,
     phi_coeff_array,
     phi_eval,
@@ -191,19 +192,22 @@ class _BandPeel:
     Windowing at an index k with a degree-D window reads the data on
     k - D .. k + D only, so each jump's own singular part is kept on the
     union of those d+2 intervals around the plan's indices (disjoint once
-    the stride N exceeds 2D), and the powers (ik)^{-(l+1)} are built for
-    it.  The union holds k >= 1 only: pipeline_geometry keeps the window
-    degree below the lowest decimated index.  The windows share one degree
-    D, and every one of a make_bump window's 2D+1 taps is nonzero, so one
-    gather serves them all and reads the terms in product_spectrum's
-    order: a solve's windowed values equal product_spectrum's on the fully
-    peeled spectrum bit for bit.  The union, its powers and the gather
-    depend on the plan and D only, not on the data or the windows'
-    centres: they are built once per shape and kept, read-only.
+    the stride N exceeds 2D), and the powers (ik)^{-(l+1)} and the phase
+    kernel's index (model._phase_index) are built for it.  The union holds
+    k >= 1 only: pipeline_geometry keeps the window degree below the
+    lowest decimated index.  The windows share one degree D, and every one
+    of a make_bump window's 2D+1 taps is nonzero, so one gather serves them
+    all and reads the terms in product_spectrum's order: a solve's windowed
+    values equal product_spectrum's on the fully peeled spectrum bit for
+    bit.  The union, its powers, its phase index and the gather depend on
+    the plan and D only, not on the data or the windows' centres: they are
+    built once per shape and kept, read-only.
     """
 
     def __init__(self, spec: FourierSpectrum, plan: SamplePlan, windows):
-        self.band, self.factors, self.at_ks, self.gather = _band(plan, windows[0].M)
+        self.band, self.powers, self.phase_index, self.at_ks, self.gather = _band(
+            plan, windows[0].M
+        )
         self.data = spec.coeffs[self.band + spec.M]
         self.taps = [w.coeffs for w in windows]
 
@@ -213,9 +217,12 @@ class _BandPeel:
         Each jump is its own model, and no JumpModel is built for it: polish
         iterates may pass through configurations a JumpModel of all jumps
         would reject, and the solve already hands back a location in
-        [-pi, pi) and magnitudes that passed its finite residual gate.
+        [-pi, pi) and magnitudes that passed its finite residual gate.  The
+        phases are the kernel's gather form, the bits phi_coeff_array's
+        outer form gives at the same indices.
         """
-        return _phi_halves(((est.xi, est.magnitudes),), self.factors, negative=False)[0]
+        jump = ((est.xi, est.magnitudes),)
+        return _phi_halves(jump, self.powers, self.phase_index, negative=False)[0]
 
     def samples(self, own: list, j: int) -> np.ndarray:
         """The data less every jump, windowed by jump j's window, plus jump j.
@@ -235,16 +242,17 @@ def _read_only(*arrays) -> None:
 
 @functools.lru_cache(maxsize=32)
 def _band(plan: SamplePlan, D: int) -> tuple:
-    # (union band, phi_factors on it, positions of the plan's indices in it,
-    # positions of the terms k + D .. k - D a degree-D window reads at each
-    # plan index k)
+    # (union band, phi_factors' powers on it, its phase index, positions of
+    # the plan's indices in it, positions of the terms k + D .. k - D a
+    # degree-D window reads at each plan index k)
     ks = np.array(plan.indices, dtype=np.int64)
     band = np.unique(np.add.outer(ks, np.arange(-D, D + 1)))
-    ik, powers = phi_factors(band, plan.d)
+    powers = tuple(phi_factors(band, plan.d)[1])
+    phase_index = _phase_index(band)
     at_ks = np.searchsorted(band, ks)
     gather = np.searchsorted(band, np.add.outer(ks, D - np.arange(2 * D + 1)))
-    _read_only(band, ik, *powers, at_ks, gather)
-    return band, (ik, tuple(powers)), at_ks, gather
+    _read_only(band, *powers, *phase_index, at_ks, gather)
+    return band, powers, phase_index, at_ks, gather
 
 
 def _moved(est, prev, M: int) -> float:
@@ -269,26 +277,39 @@ def _approximant(spec: FourierSpectrum, estimates, provenance: dict):
     recovered magnitude, and their corrected spectrum is projected onto
     real functions, (psi_k + conj(psi_{-k})) / 2: exactly
     conjugate-symmetric, so it is certified at its own scale, and equal in
-    value to psi where psi already was.
+    value to psi where psi already was.  A real estimate's singular part is
+    conjugate-symmetric bit for bit (phi_coeff_array), so only the data are
+    averaged with their mirror, and psi is formed in one pass over k >= 0
+    and mirrored.
     """
     jumps = tuple(
         (e.xi, tuple(m.real for m in e.magnitudes) if spec.real_valued else e.magnitudes)
         for e in sorted(estimates, key=lambda e: e.xi)
     )
     estimate = JumpModel(estimates[0].order, jumps)
-    psi = spec.coeffs - phi_coeff_array(estimate, spec.M)
-    if spec.real_valued:
+    M, coeffs = spec.M, spec.coeffs
+    phi = phi_coeff_array(estimate, M)
+    if not spec.real_valued:
+        psi = coeffs - phi
+    else:
+        psi = np.empty_like(phi)
+        half = psi[M:]
         # on the real and imaginary parts: summed, then halved, which is
         # exact, or, when a sum would pass the double range, halved first
-        parts = psi.view(np.float64)
-        mirror = psi[::-1].conj().view(np.float64)
+        parts = half.view(np.float64)
+        data = coeffs[M:].view(np.float64)
+        mirror = coeffs[M::-1].conj().view(np.float64)
         try:
             with np.errstate(over="raise"):
-                parts = (parts + mirror) * 0.5
+                np.add(data, mirror, out=parts)
         except FloatingPointError:
-            parts = parts * 0.5 + mirror * 0.5
-        psi = parts.view(np.complex128)
-    return Approximant(estimate, FourierSpectrum(spec.M, psi, spec.real_valued), provenance)
+            np.multiply(data, 0.5, out=parts)
+            parts += mirror * 0.5
+        else:
+            parts *= 0.5
+        half -= phi[M:]
+        np.conjugate(half[:0:-1], out=psi[:M])
+    return Approximant(estimate, FourierSpectrum(M, psi, spec.real_valued), provenance)
 
 
 def _cause(config: ReconstructionConfig) -> str:
@@ -336,7 +357,12 @@ def full_reconstruct(
     not hold it above the tolerance at large M.  The loop stops when a
     sweep's change falls below _REFINE_TOL, when it grows on two sweeps in
     a row, or when refine_sweeps run out, and it keeps the sweep with the
-    smallest change, not the last one.
+    smallest change, not the last one.  Every phase e^{-ik xi} the
+    pipeline forms is within about an ulp at every k (model._phases), and
+    each solve demodulates its magnitudes by its own root, not by a phase
+    of the rounded xi, so on clean data the peel hands the sweeps no
+    rounding-level error that grows with k: two d=2 jumps at M =
+    1024..65536 stop on the tolerance within two sweeps.
     Every single-jump solve reads only its samples: windowed values at a
     SamplePlan's indices go through spectrum.weight_moments to
     recover_single_jump (half_order_recover on the consecutive plan).  The
@@ -346,11 +372,15 @@ def full_reconstruct(
     pipeline_geometry caps D by the separation J, not by M.  The polish
     peels each jump's singular part only on the union of the intervals
     [k-D, k+D] around the d+2 decimated indices, with the powers
-    (ik)^{-(l+1)} built once per shape.  No spectrum is built for any
-    solve, so the first pass and each sweep cost O(K (d+2) D), the same at
-    every M past the cap.  What grows with M is each window shape's cached
-    plateau check and the one full singular part the corrected spectrum
-    subtracts.
+    (ik)^{-(l+1)} and the phase kernel's index built once per shape; each
+    peel's phases are gathered from two tables of 64 and a few entries.
+    No spectrum is built for any solve, so the first pass and each sweep
+    cost O(K (d+2) D), the same at every M past the cap.  What grows with
+    M is each window shape's cached plateau check and the corrected
+    spectrum: per jump, the phases as one outer product of tables of
+    M/64 + 1 and 64 entries and about 2(d+1) multiply-adds of length M,
+    then, for real data, one pass over k >= 0 that averages the data with
+    their mirror, subtracts and mirrors.
     Spectra with M < 32, too short for the window, raise ModelError, and so
     do spectra with too few modes for the window shape of order d.
     """

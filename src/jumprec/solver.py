@@ -6,8 +6,8 @@ forms the moments from the values c_k at a sampling plan's indices
 recover_single_jump builds the finite-difference annihilating
 polynomial as its list of d+2 coefficients, finds its roots, picks the
 one near the unit circle, undoes the N-th power with a prior, then
-solves one small integer-node Vandermonde system, the same for both
-plan kinds, for the weighted magnitudes.  half_order_recover is the
+demodulates by that root and solves one small integer-node Vandermonde
+system, the same for both plan kinds, for the weighted magnitudes.  half_order_recover is the
 same solve with no prior.  The s_i^d family used in the analysis of the
 decimated construction lives here too.
 
@@ -42,6 +42,7 @@ import numpy as np
 
 from . import rootfind
 from .errors import AmbiguityError, ModelError, NumericError
+from .model import _phase_index, _phases
 from .spectrum import (
     MomentSequence,
     SamplePlan,
@@ -199,7 +200,6 @@ class _Arith(NamedTuple):
     """
 
     digits: Optional[int]
-    exp: Callable
     phase: Callable
     pi: Any
     residual_tol: Any
@@ -207,7 +207,7 @@ class _Arith(NamedTuple):
 
 
 _DOUBLE = _Arith(
-    digits=None, exp=cmath.exp, phase=cmath.phase, pi=math.pi, residual_tol=1e-8,
+    digits=None, phase=cmath.phase, pi=math.pi, residual_tol=1e-8,
     find_roots=lambda coeffs: rootfind.find_roots(coeffs).tolist(),
 )
 
@@ -215,7 +215,7 @@ _DOUBLE = _Arith(
 @functools.lru_cache(maxsize=16)
 def _extended(digits: int) -> _Arith:
     return _Arith(
-        digits=digits, exp=mp.exp, phase=mp.arg, pi=mp.pi,
+        digits=digits, phase=mp.arg, pi=mp.pi,
         residual_tol=mp.mpf(10) ** (12 - digits),
         find_roots=lambda coeffs: rootfind.find_roots_mp(coeffs, digits),
     )
@@ -235,7 +235,9 @@ class _PlanTable(NamedTuple):
 
     binomials are the annihilator's weights (-1)^j C(d+1, j), j = 0..d+1.
     The magnitude solve reads the first d+1 indices, use, each written
-    k = shift + N t on the integer nodes t = first..first+d: vinv is the
+    k = shift + N t on the integer nodes t = first..first+d, and
+    demodulates each by the root's power -(k // N): -t on a decimated plan
+    (shift 0), -k at stride 1 (turns).  vinv is the
     exact inverse of the nodes' Vandermonde matrix, stride_powers holds
     N^l, l = 0..d, back lists the back-substitution top down as rows
     (l, ((m, C(m, l) shift^(m-l)), m = l+1..d), none when shift is 0, and
@@ -245,6 +247,7 @@ class _PlanTable(NamedTuple):
 
     binomials: tuple
     use: tuple
+    turns: tuple
     vinv: np.ndarray
     stride_powers: np.ndarray
     back: tuple
@@ -284,6 +287,7 @@ def _build_table(plan: SamplePlan, real: Callable, vandermonde_inverse, dtype) -
     return _PlanTable(
         binomials=tuple((-1) ** j * math.comb(d + 1, j) for j in range(d + 2)),
         use=use,
+        turns=tuple(-(k // N) for k in use),
         vinv=vinv,
         stride_powers=stride_powers,
         back=back,
@@ -303,20 +307,30 @@ def magnitudes_to_alpha(a) -> tuple:
 
 
 def synth_moments(xi: float, alpha, plan: SamplePlan) -> MomentSequence:
-    """Exact moments m_k = e^{-i k xi} sum_l alpha_l k^l of one jump on a plan."""
+    """Exact moments m_k = e^{-i k xi} sum_l alpha_l k^l of one jump on a plan.
+
+    The phases are the phase kernel's (model._phases), within about an ulp
+    at every index.
+    """
     alpha = [complex(x) for x in alpha]
+    phases = _phases(xi, _phase_index(plan.indices)).tolist()
     vals = []
-    for k in plan.indices:
+    for k, phase in zip(plan.indices, phases):
         poly = sum(a * float(k) ** l for l, a in enumerate(alpha))
-        vals.append(cmath.exp(-1j * k * xi) * poly)
+        vals.append(phase * poly)
     return MomentSequence(plan, np.array(vals))
 
 
-def solve_magnitudes(moments: MomentSequence, omega_est: complex):
+def solve_magnitudes(moments: MomentSequence, root: complex):
     """Weighted magnitudes from the first d+1 moments of the moments' plan.
 
-    Demodulates with omega_est (must be unit-modulus to 1e-10), then
-    solves one small integer-node Vandermonde system for both plan kinds.
+    root is the annihilator's root on the unit circle (to 1e-10),
+    u = e^{-i xi N} for the plan's stride N.  Each moment m_k is
+    demodulated by u^{-(k // N)}: u^{-t} on a decimated plan, k = N t, and
+    u^{-k} at stride 1, where u is e^{-i xi} itself.  That is e^{ik xi}
+    without a rounded xi, whose one-ulp error would turn into a k-ulp
+    phase error at index k.  Then one small integer-node Vandermonde system
+    is solved for both plan kinds.
     Each index is written k = shift + N t on the nodes t = first..first+d:
     a decimated plan has shift 0, N = its stride and t from 1, a
     consecutive one shift = its first index, N = 1 and t from 0.  The
@@ -326,15 +340,15 @@ def solve_magnitudes(moments: MomentSequence, omega_est: complex):
     demodulated moments to residual_tol relative to their scale; a NaN
     or infinite alpha fails that gate too.
     """
-    radius = modulus(omega_est)
+    radius = modulus(root)
     if abs(radius - 1.0) > 1e-10:
         raise ModelError(
-            f"omega estimate must sit on the unit circle, |omega|={radius:.12g}"
+            f"root estimate must sit on the unit circle, |root|={radius:.12g}"
         )
     values = moments.values.tolist()
     ar = _arith_of(values)
     table = _plan_table(moments.plan, ar.digits)
-    rhs = [v * omega_est ** -k for v, k in zip(values, table.use)]
+    rhs = [v * root ** turn for v, turn in zip(values, table.turns)]
     # sum_l alpha_l k^l = sum_m beta_m N^m t^m with
     # beta_m = sum_{l >= m} C(l, m) shift^(l-m) alpha_l: the product and
     # the division give beta, and the back-substitution, top down, alpha
@@ -366,12 +380,15 @@ def recover_single_jump(
     annihilator root then determines xi only up to the N-th roots of
     unity.  At stride 1 (a consecutive plan, or a decimated one over
     M < 2(d+2)) the root is the node omega itself and its angle is read
-    directly.
+    directly.  The magnitudes are demodulated by the root brought onto the
+    unit circle, z/|z|, not by a phase of the rounded xi.
     """
     coeffs = build_annihilator(moments)
     ar = _arith_of(coeffs)
     roots = ar.find_roots(coeffs)
     z = select_root(roots)
+    if z == 0:
+        raise ModelError("zero root cannot carry phase information")
     N = moments.plan.stride
     if N > 1:
         if xi_prior is None:
@@ -379,8 +396,7 @@ def recover_single_jump(
         xi = disambiguate_nth_root(z, N, xi_prior)
     else:
         xi = wrap_angle(-ar.phase(z), ar.pi)
-    omega = ar.exp(-1j * xi)
-    _, a = solve_magnitudes(moments, omega)
+    _, a = solve_magnitudes(moments, z / modulus(z))
     residual = 0j
     for c in coeffs:
         residual = residual * z + c

@@ -208,13 +208,17 @@ class FourierSpectrum:
         return cls(M, _complex_pairs(pairs), real_valued)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SamplePlan:
     """Which moment indices feed the annihilator.
 
     decimated: {N, 2N, ..., (d+2)N} with N = floor(M/(d+2));
     consecutive: {M-d-1, ..., M}.  Both hold exactly d+2 strictly
-    increasing indices in 1..M, computed once per plan.
+    increasing indices in 1..M, computed once per plan.  Plans are
+    interned: SamplePlan(kind, d, M) returns the one plan of that shape
+    (the last 256 shapes are kept), so the caches keyed by a plan find it
+    by identity, without comparing fields.  Equal shapes still compare
+    equal.
     """
 
     kind: str
@@ -222,19 +226,13 @@ class SamplePlan:
     M: int
     indices: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.kind not in ("decimated", "consecutive"):
-            raise ModelError(f"unknown plan kind {self.kind!r}")
-        object.__setattr__(self, "d", read_int(self.d, "d"))
-        object.__setattr__(self, "M", read_int(self.M, "M"))
-        if self.d < 0:
-            raise ModelError(f"plan order must be >= 0, got {self.d}")
-        if self.M < self.d + 2:
-            raise ModelError(
-                f"M={self.M} cannot host d+2 = {self.d + 2} sample indices"
-            )
-        s, b = self.stride, self.base_index
-        object.__setattr__(self, "indices", tuple(b + j * s for j in range(self.d + 2)))
+    def __new__(cls, kind: str, d: int, M: int):
+        if kind not in ("decimated", "consecutive"):
+            raise ModelError(f"unknown plan kind {kind!r}")
+        return _interned_plan(kind, read_int(d, "d"), read_int(M, "M"))
+
+    def __reduce__(self):
+        return (SamplePlan, (self.kind, self.d, self.M))
 
     @property
     def stride(self) -> int:
@@ -245,6 +243,20 @@ class SamplePlan:
         if self.kind == "decimated":
             return self.M // (self.d + 2)
         return self.M - self.d - 1
+
+
+@functools.lru_cache(maxsize=256)
+def _interned_plan(kind: str, d: int, M: int) -> SamplePlan:
+    if d < 0:
+        raise ModelError(f"plan order must be >= 0, got {d}")
+    if M < d + 2:
+        raise ModelError(f"M={M} cannot host d+2 = {d + 2} sample indices")
+    plan = object.__new__(SamplePlan)
+    for name, value in (("kind", kind), ("d", d), ("M", M)):
+        object.__setattr__(plan, name, value)
+    s, b = plan.stride, plan.base_index
+    object.__setattr__(plan, "indices", tuple(b + j * s for j in range(d + 2)))
+    return plan
 
 
 @dataclass(frozen=True)

@@ -159,15 +159,18 @@ def moments_reference(spectrum, plan) -> np.ndarray:
     )
 
 
-def magnitudes_reference(moments, omega):
+def magnitudes_reference(moments, root):
     """(alpha, a) of the magnitude solve in array form, on numpy scalars; no gate.
 
-    The reference solver.solve_magnitudes must equal bit for bit.
+    Each moment is demodulated by the root u ~ e^{-i xi N} to the power
+    -(k // N): -t at k = N t on a decimated plan, -k at stride 1.  The
+    reference solver.solve_magnitudes must equal bit for bit.
     """
     plan = moments.plan
     d = plan.d
     use = plan.indices[: d + 1]
-    rhs = np.array([moments.values[j] * omega ** (-use[j]) for j in range(d + 1)])
+    N = plan.stride
+    rhs = np.array([moments.values[j] * root ** (-(use[j] // N)) for j in range(d + 1)])
     if plan.kind == "decimated":
         vinv = _vandermonde_inverse_float(tuple(range(1, d + 2)))
         alpha = (vinv @ rhs) / np.power(float(plan.stride), np.arange(d + 1))

@@ -25,6 +25,7 @@ from jumprec.errors import ModelError
 from jumprec.model import (
     AprioriBounds,
     SmoothPart,
+    _phase_index,
     _phases,
     _unit_fraction,
     JumpModel,
@@ -376,22 +377,33 @@ def test_coeff_array_matches_scalar_form():
         assert abs(arr[12 + k] - phi_fourier_coeff(m, k)) <= 1e-16
 
 
-def full_index_coeff_array(model, M):
-    # reference: every index -M..M evaluated on its own, no symmetry used
-    ks = np.arange(-M, M + 1)
-    out = np.zeros(2 * M + 1, dtype=np.complex128)
-    nz = ks != 0
-    ik = 1j * ks[nz].astype(float)
-    inner = np.zeros(ik.shape, dtype=np.complex128)
-    for xi, mags in model.jumps:
-        inner[:] = 0.0
-        w = 1.0 / ik
-        for a in mags:
-            inner += a * w
-            w = w / ik
-        out[nz] += np.exp(-ik * xi) * inner
-    out /= 2.0 * np.pi
-    return out
+# a few ulp of a unit-modulus value: the phase kernel's budget
+_FEW_ULP = 4.0 * np.finfo(float).eps
+
+
+def phases_mp(ks, xi, dps=40):
+    """e^{-ik xi} at the integers ks in mpmath, rounded once to complex."""
+    with mp.workdps(dps):
+        x = mp.mpf(float(xi))
+        return np.array([complex(mp.expj(-int(k) * x)) for k in ks])
+
+
+def closed_form_mp(model, ks, dps=40):
+    """(c_k, bound) at the integers ks in mpmath: the closed form, rounded
+    once, and sum_j sum_l |a_l| |k|^{-(l+1)} / 2pi, the scale of its terms."""
+    out, scale = [], []
+    with mp.workdps(dps):
+        for k in ks:
+            acc, size = mp.mpc(0), mp.mpf(0)
+            if k:
+                ik = mp.mpc(0, int(k))
+                for xi, mags in model.jumps:
+                    inner = sum(mp.mpc(a.real, a.imag) / ik ** (l + 1) for l, a in enumerate(mags))
+                    acc += mp.expj(-int(k) * mp.mpf(xi)) * inner
+                    size += sum(abs(a) / abs(ik) ** (l + 1) for l, a in enumerate(mags))
+            out.append(complex(acc / (2 * mp.pi)))
+            scale.append(float(size / (2 * mp.pi)))
+    return np.array(out), np.array(scale)
 
 
 @st.composite
@@ -427,24 +439,55 @@ def jump_models(draw):
 
 
 @given(
-    lo=st.integers(1, 2**17),
-    n=st.integers(1, 2048),
+    lo=st.integers(1, 2**20),
+    n=st.integers(1, 4096),
     xi=st.one_of(
         st.sampled_from([0.0, -0.0, np.pi, -np.pi]),
         st.floats(-np.pi, np.pi, allow_nan=False),
     ),
+    seed=st.integers(0, 2**32 - 1),
 )
-@example(lo=1, n=2**17, xi=0.7)
-@example(lo=1, n=2**17, xi=-np.pi)
-@example(lo=1, n=2**17, xi=-0.0)
-def test_phases_are_the_complex_exp_byte_for_byte(lo, n, xi):
-    # the singular part's phases come from real cos and sin; they must be
-    # the bytes np.exp(-ik * xi) gives, signed zeros included, so a numpy
-    # that computes the two differently fails here and not in the digits
-    ks = np.arange(lo, min(lo + n, 2**17 + 1), dtype=float)
-    ik = 1j * ks
-    minus_ik = -ik
-    assert _phases(ks, xi).tobytes() == np.exp(minus_ik * xi).tobytes()
+@example(lo=2**20 - 4095, n=4096, xi=0.7, seed=0)
+@example(lo=1, n=4096, xi=-np.pi, seed=1)
+@example(lo=2**20 - 4095, n=4096, xi=-np.pi, seed=2)
+@example(lo=1, n=64, xi=-0.0, seed=3)
+def test_phases_are_e_to_the_minus_ik_xi_to_a_few_ulp(lo, n, xi, seed):
+    # both forms of the kernel, the outer product on 1..M and the gather at
+    # scattered indices, against mpmath: a few ulp at every k up to 2^20,
+    # where cos and sin of the rounded product k xi were off by up to
+    # eps k |xi| (2.3e-13 at k = 4096, 6e-11 at 2^20)
+    M = min(lo + n - 1, 2**20)
+    ks = np.arange(lo, M + 1)
+    rng = np.random.default_rng(seed)
+    sample = np.unique(np.concatenate((ks[:4], ks[-4:], rng.choice(ks, 60))))
+    full = _phases(xi, M)
+    assert full.shape == (M,)
+    assert np.max(np.abs(full[sample - 1] - phases_mp(sample, xi))) <= _FEW_ULP
+    scattered = rng.integers(0, 2**20 + 1, size=60)
+    got = _phases(xi, _phase_index(scattered))
+    assert np.max(np.abs(got - phases_mp(scattered, xi))) <= _FEW_ULP
+
+
+@given(
+    M=st.integers(0, 2**17),
+    xi=st.one_of(
+        st.sampled_from([0.0, -0.0, np.pi, -np.pi]),
+        st.floats(-np.pi, np.pi, allow_nan=False),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(M=2**17, xi=0.7, seed=0)
+@example(M=0, xi=0.7, seed=0)
+def test_phase_gather_and_outer_forms_give_the_same_bits(M, xi, seed):
+    # the band peel gathers the phases the corrected spectrum builds as an
+    # outer product; the two must agree bit for bit at every shared k,
+    # scattered, unsorted and repeated indices included
+    full = _phases(xi, M)
+    rng = np.random.default_rng(seed)
+    ks = rng.integers(1, M + 1, size=rng.integers(0, 300)) if M else []
+    ks = np.concatenate((ks, [k for k in (1, 63, 64, 65, M) if 1 <= k <= M])).astype(np.int64)
+    got = _phases(xi, _phase_index(ks))
+    assert got.tobytes() == full[ks - 1].tobytes()
 
 
 _FRACTION_POINTS = np.array([
@@ -467,14 +510,31 @@ def test_unit_fraction_is_np_mod_byte_for_byte(values):
     assert t.tobytes() == want.tobytes()
 
 
-@given(model=jump_models(), M=st.integers(0, 600))
-@example(model=JumpModel(1, ((0.3, (1.0 + 0.5j, -0.25j)),)), M=5)
-def test_coeff_array_is_the_full_index_form_bit_for_bit(model, M):
+@given(model=jump_models(), M=st.integers(0, 600), seed=st.integers(0, 2**32 - 1))
+@example(model=JumpModel(1, ((0.3, (1.0 + 0.5j, -0.25j)),)), M=5, seed=0)
+@example(
+    model=JumpModel(2, ((-1.3, (1.0, 0.3, -0.2)), (0.7, (0.8, -0.4, 0.25)))),
+    M=2**20,
+    seed=0,
+)
+def test_coeff_array_is_the_closed_form_to_a_few_ulp(model, M, seed):
+    # against the closed form in mpmath, at the ends, near zero and at
+    # scattered indices of both halves, up to k = 2^20: a few ulp of the
+    # terms' scale; a real model's halves are conjugate mirrors bit for bit
     arr = phi_coeff_array(model, M)
-    assert arr.tobytes() == full_index_coeff_array(model, M).tobytes()
+    assert arr.shape == (2 * M + 1,)
+    rng = np.random.default_rng(seed)
+    ks = np.arange(-M, M + 1)
+    sample = np.unique(np.concatenate((ks[:3], ks[M - 3 : M + 4], ks[-3:], rng.choice(ks, 40))))
+    want, scale = closed_form_mp(model, sample)
+    assert np.all(np.abs(arr[sample + M] - want) <= 8.0 * np.finfo(float).eps * scale)
+    assert arr[M] == 0
+    if model.is_real and model.K:
+        assert arr[:M].tobytes() == arr[M + 1 :][::-1].conj().tobytes()
     tol = 1e-15 * max(1.0, model.magnitude_sum())
-    scalar = np.array([phi_fourier_coeff(model, k) for k in range(-M, M + 1)])
-    assert np.max(np.abs(arr - scalar)) <= tol
+    small = ks[np.abs(ks) <= 600]
+    scalar = np.array([phi_fourier_coeff(model, int(k)) for k in small])
+    assert np.max(np.abs(arr[small + M] - scalar), initial=0.0) <= tol
 
 
 @given(model=jump_models(), M=st.integers(1, 600), data=st.data())

@@ -19,4 +19,4 @@ def test_readme_python_blocks_run_in_order(capsys):
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
     assert namespace["appr"].estimate.locations[0] == pytest.approx(0.7, abs=1e-9)
     assert namespace["est"].xi == pytest.approx(0.7, abs=1e-9)
-    assert capsys.readouterr().out.startswith("(0.6999")
+    assert capsys.readouterr().out.startswith("(0.7000000000000002,)")

@@ -407,6 +407,32 @@ def test_a_jump_at_minus_pi_polishes_as_well_as_any_other():
     assert max(abs(a - t) / M**l for l, (a, t) in enumerate(zip(mags, truth))) <= 2.5e-4
 
 
+@pytest.mark.parametrize("M", [4096, 16384])
+def test_two_jump_polish_stops_on_the_tolerance_within_two_sweeps(M, monkeypatch):
+    # CI's conv2 model: two d=2 jumps on expsin.  With phases exact to an
+    # ulp and the magnitudes demodulated by the root, a sweep's change
+    # falls below _REFINE_TOL at once; phases of the rounded product k xi
+    # kept it cycling above it for 2 to 4 sweeps
+    model = JumpModel(2, ((-1.3, (1.0, 0.3, -0.2)), (0.7, (0.8, -0.4, 0.25))))
+    spec = synth_spectrum(model, smooth_catalog("expsin", amp=1.0), M)
+    cfg = ReconstructionConfig(d=2, K=2, bounds=AprioriBounds(1.5707963, 4.0, 0.05, 10.0))
+    changes = []
+    moved = reconstruct._moved
+
+    def recorded(*args):
+        changes.append(moved(*args))
+        return changes[-1]
+
+    monkeypatch.setattr(reconstruct, "_moved", recorded)
+    ap = full_reconstruct(spec, cfg)
+    sweeps = [max(changes[i : i + 2]) for i in range(0, len(changes), 2)]
+    assert 1 <= len(sweeps) <= 2
+    assert sweeps[-1] < reconstruct._REFINE_TOL
+    for (xi, mags), (xi_t, mags_t) in zip(ap.estimate.jumps, model.jumps):
+        assert circ(xi, xi_t) <= 1e-15
+        assert max(abs(a - t) / M**l for l, (a, t) in enumerate(zip(mags, mags_t))) <= 1e-14
+
+
 def test_every_full_order_solve_goes_through_the_one_entry(monkeypatch):
     # every binding of the solve entries, their inner layers and the moment
     # formula in the package is replaced, as the benchmark's span tracer

@@ -351,13 +351,24 @@ def test_weight_map_round_trips(pairs):
 
 
 def test_weighted_moments_match_closed_form():
-    # 2 pi (ik)^{d+1} c_k collapses to e^{-ik xi} sum_l alpha_l k^l
+    # 2 pi (ik)^{d+1} c_k collapses to e^{-ik xi} sum_l alpha_l k^l: the
+    # moments of the synthesized spectrum and synth_moments both sit within
+    # a few ulp of that closed form in mpmath, relative to the scale
+    # sum_l |alpha_l| k^l of its terms, at every index up to 2^16
     m = JumpModel(2, ((0.7, (1.0, -0.5, 0.3)),))
-    sp = jump_spectrum(m, 64)
-    for plan in (SamplePlan("decimated", 2, 64), SamplePlan("consecutive", 2, 50)):
-        lhs = sampled_moments(sp, plan)
-        rhs = synth_moments(0.7, magnitudes_to_alpha((1.0, -0.5, 0.3)), plan)
-        assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12
+    alpha = magnitudes_to_alpha((1.0, -0.5, 0.3))
+    for M in (64, 4096, 65536):
+        sp = jump_spectrum(m, M)
+        for plan in (SamplePlan("decimated", 2, M), SamplePlan("consecutive", 2, M - 14)):
+            with mp.workdps(40):
+                terms = [[mp.mpc(a.real, a.imag) * mp.mpf(k) ** l for l, a in enumerate(alpha)]
+                         for k in plan.indices]
+                want = np.array([complex(mp.expj(-k * mp.mpf(0.7)) * sum(t))
+                                 for k, t in zip(plan.indices, terms)])
+                scale = np.array([float(sum(abs(x) for x in t)) for t in terms])
+            tol = 4.0 * np.finfo(float).eps * scale
+            assert np.all(np.abs(sampled_moments(sp, plan).values - want) <= tol)
+            assert np.all(np.abs(synth_moments(0.7, alpha, plan).values - want) <= tol)
 
 
 # ---------------------------------------------------------------- magnitudes
@@ -368,7 +379,8 @@ def test_magnitude_solve_complex_weights_decimated():
     plan = SamplePlan("decimated", d, 60)  # stride 20
     alpha = (2.0 + 1.0j, -1.0 + 0j)
     mom = synth_moments(xi, alpha, plan)
-    got_alpha, got_a = solve_magnitudes(mom, cmath.exp(-1j * xi))
+    # the root of the decimated annihilator, e^{-i xi N}
+    got_alpha, got_a = solve_magnitudes(mom, cmath.exp(-1j * xi * plan.stride))
     assert max(abs(x - y) for x, y in zip(got_alpha, alpha)) <= 1e-11
     assert max(
         abs(x - y) for x, y in zip(got_a, alpha_to_magnitudes(alpha))
@@ -392,20 +404,21 @@ def test_magnitude_solve_consecutive_plan():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_magnitude_solve_is_the_array_form_bit_for_bit(kind, d, N, xi, seed):
-    # noisy moments and an omega a little off the jump: Python complex
-    # arithmetic gives the bits the numpy-scalar array form gave
+    # noisy moments and a root a little off the jump's, e^{-i xi N} for
+    # the plan's stride N: Python complex arithmetic gives the bits the
+    # numpy-scalar array form gave
     rng = np.random.default_rng(seed)
     plan = SamplePlan(kind, d, (d + 2) * N)
     alpha = tuple(complex(*rng.uniform(-2.0, 2.0, 2)) for _ in range(d + 1))
     exact = synth_moments(xi, alpha, plan).values
     noise = 1e-3 * (rng.normal(size=d + 2) + 1j * rng.normal(size=d + 2))
     mom = MomentSequence(plan, exact * (1.0 + noise))
-    omega = cmath.exp(-1j * (xi + 1e-3 * rng.normal() / plan.M))
+    root = cmath.exp(-1j * (xi + 1e-3 * rng.normal() / plan.M) * plan.stride)
     try:
-        got_alpha, got_a = solve_magnitudes(mom, omega)
+        got_alpha, got_a = solve_magnitudes(mom, root)
     except NumericError:
         return  # the residual gate refused the system; the reference has no gate
-    ref_alpha, ref_a = magnitudes_reference(mom, omega)
+    ref_alpha, ref_a = magnitudes_reference(mom, root)
     assert bits(got_alpha).tobytes() == bits(ref_alpha).tobytes()
     assert bits(got_a).tobytes() == bits(ref_a).tobytes()
 
@@ -500,7 +513,7 @@ def _solve_reference(moments, xi_prior):
         xi = _scan_double(best[2], plan.stride, xi_prior)
     else:
         xi = float(np.mod(-cmath.phase(best[2]) + np.pi, 2.0 * np.pi) - np.pi)
-    return xi, magnitudes_reference(moments, cmath.exp(-1j * xi))[1]
+    return xi, magnitudes_reference(moments, best[2] / abs(best[2]))[1]
 
 
 @pytest.mark.parametrize("kind", ["decimated", "consecutive"])
