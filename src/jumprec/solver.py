@@ -7,9 +7,9 @@ recover_single_jump builds the finite-difference annihilating
 polynomial as its list of d+2 coefficients, finds its roots, picks the
 one near the unit circle, undoes the N-th power with a prior, then
 demodulates by that root and solves one small integer-node Vandermonde
-system, the same for both plan kinds, for the weighted magnitudes.  half_order_recover is the
-same solve with no prior.  The s_i^d family used in the analysis of the
-decimated construction lives here too.
+system, the same for both plan kinds, for the weighted magnitudes.
+half_order_recover is the same solve with no prior.  The s_i^d family
+used in the analysis of the decimated construction lives here too.
 
 Every step runs in the arithmetic of the values it is handed: double for
 complex/numpy input, mpmath at the current working precision for mpmath
@@ -387,13 +387,13 @@ def recover_single_jump(
     ar = _arith_of(coeffs)
     roots = ar.find_roots(coeffs)
     z = select_root(roots)
-    if z == 0:
-        raise ModelError("zero root cannot carry phase information")
     N = moments.plan.stride
     if N > 1:
         if xi_prior is None:
             raise ModelError("decimated recovery requires a location prior")
         xi = disambiguate_nth_root(z, N, xi_prior)
+    elif z == 0:
+        raise ModelError("zero root cannot carry phase information")
     else:
         xi = wrap_angle(-ar.phase(z), ar.pi)
     _, a = solve_magnitudes(moments, z / modulus(z))

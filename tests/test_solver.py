@@ -1,7 +1,10 @@
 """Sample plans, annihilator construction, root handling, magnitude solve."""
 
 import cmath
+import copy
+import dataclasses
 import math
+import pickle
 import re
 
 import mpmath as mp
@@ -62,6 +65,22 @@ def test_numpy_integers_are_plan_and_moment_integers():
     mom = sampled_moments(SPEC8, plan)
     assert type(mom.order) is int and mom.order == 1
     assert mom.indices == (2, 4, 6) and mom.plan is plan
+
+
+def test_plans_are_interned_by_shape():
+    # one object per (kind, d, M), however the integers arrive, so the
+    # caches keyed by a plan hit by identity and never compare fields;
+    # equal shapes still compare equal, and copies are the same plan
+    plan = SamplePlan("decimated", 2, 64)
+    for same in (
+        SamplePlan("decimated", np.int64(2), 64),
+        SamplePlan(kind="decimated", d=2, M=np.int32(64)),
+        dataclasses.replace(SamplePlan("decimated", 2, 32), M=64),
+        copy.deepcopy(plan),
+        pickle.loads(pickle.dumps(plan)),
+    ):
+        assert same is plan
+    assert plan == SamplePlan("decimated", 2, 64) != SamplePlan("consecutive", 2, 64)
 
 
 def test_decimated_plan_geometry():
