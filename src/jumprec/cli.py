@@ -55,6 +55,7 @@ from .solver import half_order_recover
 from .spectrum import (
     FourierSpectrum,
     SamplePlan,
+    _from_positive_half,
     circular_distance,
     load_spectrum,
     modulus,
@@ -385,9 +386,7 @@ def _noisy_spectrum(bs: BenchmarkSpec, M: int):
         bs.noise_amp * ks ** (-bs.noise_decay)
         * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=M))
     )
-    coeffs = np.zeros(2 * M + 1, dtype=np.complex128)
-    coeffs[M + 1:] = pert
-    coeffs[:M] = np.conj(pert)[::-1]
+    coeffs = _from_positive_half(0.0, pert)
     noise = FourierSpectrum(M, coeffs, real_valued=True)
     data = FourierSpectrum(M, spec.coeffs + coeffs, real_valued=spec.real_valued)
     return data, noise

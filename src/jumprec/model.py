@@ -3,9 +3,10 @@
 The singular basis V_n(x; xi) is a scaled, periodized Bernoulli polynomial
 whose n-th derivative jumps by exactly 1 at xi while all lower derivatives
 stay continuous.  A jump model is a finite sum of such terms; its Fourier
-coefficients have the closed form implemented in phi_fourier_coeff.  Smooth
-remainders come from a small named catalog, each with the closed form of
-its coefficients, so a synthesized spectrum is exact to rounding at every
+coefficients have a closed form, evaluated by one kernel at one index
+(phi_fourier_coeff) or on -M..M (phi_coeff_array).  Smooth remainders
+come from a small named catalog, each with the closed form of its
+coefficients, so a synthesized spectrum is exact to rounding at every
 index: no smooth part is sampled or integrated numerically.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -31,6 +32,7 @@ from .errors import (
 from .spectrum import (
     FourierSpectrum,
     _finite_points,
+    _from_positive_half,
     circular_distance,
     modulus,
     wrap_angle,
@@ -250,10 +252,6 @@ class SmoothPart:
     name: str
     evaluator: Callable[[np.ndarray], np.ndarray]
     coeff_fn: Callable[[int], np.ndarray]
-    params: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "params": dict(self.params)}
 
 
 @dataclass(frozen=True)
@@ -342,32 +340,27 @@ def phi_fourier_coeff(model: JumpModel, k: int) -> complex:
     """Closed-form Fourier coefficient of the piecewise polynomial.
 
     c_0 = 0 by the zero-mean convention of the basis; any DC offset
-    belongs to the smooth part.  The phase e^{-ik xi} is the kernel's
-    (_phases), conjugated for k < 0.
+    belongs to the smooth part.  It is phi_coeff_array's kernel
+    (_phi_halves) at the one index |k|, so it agrees with that array to
+    rounding (numpy's vector loops need not round a product as a length-1
+    array's does); a k < 0 runs it on the conjugated magnitudes and
+    conjugates the result, c_{-k}(a) = conj(c_k(conj a)).
     """
-    if k == 0:
+    if k == 0 or not model.jumps:
         return 0.0 + 0.0j
-    acc = 0.0 + 0.0j
-    ik = 1j * k
-    at = _phase_index([abs(k)])
-    for xi, mags in model.jumps:
-        inner = 0.0 + 0.0j
-        w = 1.0 / ik
-        for a in mags:
-            inner += a * w
-            w /= ik
-        phase = complex(_phases(xi, at)[0])
-        acc += (phase if k > 0 else phase.conjugate()) * inner
-    return complex(acc / (2.0 * np.pi))
+    n = abs(k)
+    jumps = model.jumps if k > 0 else _conjugated(model.jumps)
+    c = complex(_phi_halves(jumps, phi_factors([n], model.order), _phase_index([n]))[0])
+    return c if k > 0 else c.conjugate()
 
 
-def phi_factors(ks, order: int) -> tuple:
-    """The index factors of the closed form at the positive indices ks.
+def phi_factors(ks, order: int) -> list:
+    """The powers of the closed form at the positive indices ks.
 
-    Returns (ik, powers) with ik = 1j*k and powers[l] = (ik)^{-(l+1)} for
-    l = 0..order, each power one complex division from the one before.
-    They depend on the indices and the order only, so a caller that builds
-    many models' coefficients on one index set builds them once.
+    powers[l] = (ik)^{-(l+1)} for l = 0..order, each power one complex
+    division from the one before.  They depend on the indices and the
+    order only, so a caller that builds many models' coefficients on one
+    index set builds them once.
     """
     ks = np.asarray(ks, dtype=float)
     if ks.size and ks.min() < 1:
@@ -376,7 +369,7 @@ def phi_factors(ks, order: int) -> tuple:
     powers = [1.0 / ik]
     for _ in range(order):
         powers.append(powers[-1] / ik)
-    return ik, powers
+    return powers
 
 
 # the phase kernel writes each index k = q _PHASE_STEP + r, 0 <= r < _PHASE_STEP
@@ -433,40 +426,30 @@ def _phases(xi: float, at) -> np.ndarray:
     return np.multiply.outer(table[B:], table[:B]).ravel()[1 : at + 1]
 
 
-def _phi_halves(jumps, powers, at, negative: bool):
-    # the one closed-form kernel: c_k of one or more jumps at the indices of
-    # at (M or a _phase_index) from powers, (ik)^{-(l+1)} there, and when
-    # negative also c_{-k}, which reuses the phases and powers: e^{ik xi} is
-    # the conjugate of e^{-ik xi} and (-ik)^{-(l+1)} = (-1)^{l+1}
-    # (ik)^{-(l+1)}.  The magnitudes carry the 1/2pi, and each order's term
-    # goes through one buffer, so a jump allocates its sum and its phases only
-    pos = neg = term = None
+def _phi_halves(jumps, powers, at):
+    # the one closed-form kernel: c_k of one or more jumps at the positive
+    # indices of at (M or a _phase_index) from powers, (ik)^{-(l+1)} there.
+    # The k < 0 half is the same kernel by c_{-k}(a) = conj(c_k(conj a)):
+    # run on the conjugated magnitudes, with the same powers and phases, and
+    # conjugated.  The magnitudes carry the 1/2pi, and each order's term goes
+    # through one buffer, so a jump allocates its sum and its phases only
+    out = term = None
     for xi, mags in jumps:
         mags = [a / (2.0 * np.pi) for a in mags]
         inner = powers[0] * mags[0]
-        inner_neg = -inner if negative else None
         for ell in range(1, len(mags)):
             term = np.multiply(powers[ell], mags[ell], out=term)
             inner += term
-            if negative:
-                # (-1)^{l+1}: the odd orders keep their sign at -k
-                if ell % 2:
-                    inner_neg += term
-                else:
-                    inner_neg -= term
-        phase = _phases(xi, at)
-        inner *= phase
-        if pos is None:
-            pos = inner
+        inner *= _phases(xi, at)
+        if out is None:
+            out = inner
         else:
-            pos += inner
-        if negative:
-            inner_neg *= phase.conj()
-            if neg is None:
-                neg = inner_neg
-            else:
-                neg += inner_neg
-    return pos, neg
+            out += inner
+    return out
+
+
+def _conjugated(jumps) -> tuple:
+    return tuple((xi, tuple(a.conjugate() for a in mags)) for xi, mags in jumps)
 
 
 @functools.lru_cache(maxsize=1)
@@ -475,47 +458,44 @@ def _positive_factors(M: int, order: int) -> tuple:
     # (M, order) alone, and repeated reconstructions of one shape ask for
     # the same ones each call; only the last shape is kept, since they grow
     # with M
-    powers = tuple(phi_factors(np.arange(1, M + 1), order)[1])
+    powers = tuple(phi_factors(np.arange(1, M + 1), order))
     for arr in powers:
         arr.flags.writeable = False
     return powers
 
 
 def _coeff_array(jumps, M: int, powers) -> np.ndarray:
-    # c_{-M}..c_M of the jumps from the kernel's positive half, c_0 = 0;
-    # real magnitudes make c_{-k} = conj(c_k), taken as the conjugate
-    # mirror, so the result is conjugate-symmetric bit for bit
+    # c_{-M}..c_M of the jumps from the kernel's positive half, c_0 = 0; the
+    # k < 0 half is a real model's conjugate mirror, so the result is
+    # conjugate-symmetric bit for bit, or the mirror of the kernel run on the
+    # conjugated magnitudes
     if not jumps:
         return np.zeros(2 * M + 1, dtype=np.complex128)
     real = all(a.imag == 0.0 for _, mags in jumps for a in mags)
-    pos, neg = _phi_halves(jumps, powers, M, negative=not real)
-    out = np.empty(2 * M + 1, dtype=np.complex128)
-    out[M + 1 :] = pos
-    out[M] = 0.0
-    if real:
-        np.conjugate(pos[::-1], out=out[:M])
-    else:
-        out[:M] = neg[::-1]
-    return out
+    pos = _phi_halves(jumps, powers, M)
+    neg = None if real else _phi_halves(_conjugated(jumps), powers, M)
+    return _from_positive_half(0.0, pos, neg)
 
 
 def phi_coeff_array(model: JumpModel, M: int) -> np.ndarray:
     """Coefficients c_{-M}..c_M of the piecewise polynomial, ascending k.
 
     The array form of phi_fourier_coeff, c_0 = 0.  It shares its kernel
-    with the polish's band peel: the phases e^{-ik xi} come from the exact
-    two-table kernel (_phases) and the powers (ik)^{-(l+1)} (phi_factors)
-    are computed for k = 1..M only, once for all jumps.  Every phase is
-    within about an ulp of e^{-ik xi} at every k, where cos and sin of the
-    rounded product k xi erred by up to eps k |xi|.  The half k < 0 reuses
-    the positive one: for a real model it is its conjugate mirror, so the
-    array is conjugate-symmetric bit for bit, and for complex magnitudes
-    the same phases conjugated and the powers' signs (-1)^{l+1} flipped.
-    The d+1 powers, d+1 complex divisions of length M, depend on (M, d)
-    only and are built once and kept, read-only, for the last shape.
-    Each call then costs, per jump, cos and sin of M/64 + 65 table
-    entries, one complex product of length M for its phases and about
-    2(d+1) multiply-adds of length M, doubled for complex magnitudes.
+    (_phi_halves) with phi_fourier_coeff and the polish's band peel: the
+    phases e^{-ik xi} come from the exact two-table kernel (_phases) and
+    the powers (ik)^{-(l+1)} (phi_factors) are computed for k = 1..M only,
+    once for all jumps.  Every phase is within about an ulp of e^{-ik xi}
+    at every k, where cos and sin of the rounded product k xi erred by up
+    to eps k |xi|.  The half k < 0 comes from the kernel's positive half,
+    c_{-k}(a) = conj(c_k(conj a)): for a real model it is that half's
+    conjugate mirror, so the array is conjugate-symmetric bit for bit, and
+    for complex magnitudes the mirror of a second run on the conjugated
+    magnitudes, with the same powers.  The d+1 powers, d+1 complex
+    divisions of length M, depend on (M, d) only and are built once and
+    kept, read-only, for the last shape.  Each call then costs, per jump,
+    cos and sin of M/64 + 65 table entries, one complex product of length
+    M for its phases and about 2(d+1) multiply-adds of length M, doubled
+    for complex magnitudes.
     """
     M = read_int(M, "M")
     if M < 0:
@@ -623,7 +603,6 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
             "sin",
             lambda xs, A=amp, w=freq, p=phase: A * np.sin(w * np.asarray(xs, float) + p),
             sin_coeffs,
-            {"amp": amp, "freq": freq, "phase": phase},
         )
     if name == "expsin":
         amp = read_real(params.pop("amp", 1.0), "amp")
@@ -637,17 +616,13 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
         def expsin_coeffs(M, A=amp):
             # c_{-n} = conj(c_n) exactly, so real data stay symmetric bit for bit
             pos = _bessel_i(A, M)[1:] * _MINUS_I_POWERS[np.arange(1, M + 1) % 4]
-            out = np.zeros(2 * M + 1, dtype=np.complex128)
-            out[M + 1 :] = pos
-            out[:M] = pos[::-1].conj()
-            return out
+            return _from_positive_half(0.0, pos)
 
         mean = float(_bessel_i(amp, 0)[0])
         return SmoothPart(
             "expsin",
             lambda xs, A=amp, m=mean: np.exp(A * np.sin(np.asarray(xs, float))) - m,
             expsin_coeffs,
-            {"amp": amp},
         )
     if name == "poly-blend":
         order = params.pop("order", None)
@@ -662,13 +637,12 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
             raise ModelError(f"poly-blend order must be in 1..{_TABLE_MAX - 1}")
         def blend_coeffs(M, n=order, c=center, A=amp):
             jump = ((c, (0.0,) * n + (A,)),)
-            return _coeff_array(jump, M, phi_factors(np.arange(1, M + 1), n)[1])
+            return _coeff_array(jump, M, phi_factors(np.arange(1, M + 1), n))
 
         return SmoothPart(
             "poly-blend",
             lambda xs, n=order, c=center, A=amp: A * vn_eval(n, np.asarray(xs, float), c),
             blend_coeffs,
-            {"order": order, "center": center, "amp": amp},
         )
     raise ModelError(f"unknown smooth-part name {name!r}")
 

@@ -114,16 +114,11 @@ class ReconstructionConfig:
                 f"jumps on the circle (needs J <= 2pi/K = {2.0 * np.pi / self.K:.6g})"
             )
         if self.priors is not None:
-            pri = []
-            try:
-                for p in self.priors:
-                    pri.append(read_real(p, "priors"))
-            except TypeError as exc:
-                raise ModelError(f"priors must be numbers: {exc}") from exc
-            except ModelError:
-                if isinstance(p, float):
-                    raise  # a non-finite prior, named by read_real
-                raise ModelError(f"priors must be numbers: got prior {p!r}") from None
+            if not isinstance(self.priors, (list, tuple, np.ndarray)) or (
+                getattr(self.priors, "ndim", 1) != 1
+            ):
+                raise ModelError(f"priors must be a list of reals, got {self.priors!r}")
+            pri = [read_real(p, f"priors[{i}]") for i, p in enumerate(self.priors)]
             if len(pri) != self.K:
                 raise ModelError(
                     f"got {len(pri)} priors for K={self.K} jumps"
@@ -222,7 +217,7 @@ class _BandPeel:
         outer form gives at the same indices.
         """
         jump = ((est.xi, est.magnitudes),)
-        return _phi_halves(jump, self.powers, self.phase_index, negative=False)[0]
+        return _phi_halves(jump, self.powers, self.phase_index)
 
     def samples(self, own: list, j: int) -> np.ndarray:
         """The data less every jump, windowed by jump j's window, plus jump j.
@@ -247,7 +242,7 @@ def _band(plan: SamplePlan, D: int) -> tuple:
     # degree-D window reads at each plan index k)
     ks = np.array(plan.indices, dtype=np.int64)
     band = np.unique(np.add.outer(ks, np.arange(-D, D + 1)))
-    powers = tuple(phi_factors(band, plan.d)[1])
+    powers = tuple(phi_factors(band, plan.d))
     phase_index = _phase_index(band)
     at_ks = np.searchsorted(band, ks)
     gather = np.searchsorted(band, np.add.outer(ks, D - np.arange(2 * D + 1)))

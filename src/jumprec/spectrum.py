@@ -134,6 +134,21 @@ def _complex_pairs(pairs) -> np.ndarray:
     return np.array(values, dtype=np.complex128)
 
 
+def _from_positive_half(c0, pos, neg=None) -> np.ndarray:
+    """c_{-M}..c_M, M = len(pos), from c_0 and c_1..c_M.
+
+    The k < 0 half is the conjugate mirror of pos, which makes the array
+    conjugate-symmetric bit for bit, or of neg when given: neg holds
+    conj(c_{-k}) at k = 1..M.
+    """
+    M = len(pos)
+    out = np.empty(2 * M + 1, dtype=np.complex128)
+    out[M + 1 :] = pos
+    out[M] = c0
+    np.conjugate((pos if neg is None else neg)[::-1], out=out[:M])
+    return out
+
+
 @dataclass(frozen=True)
 class FourierSpectrum:
     """Coefficients c_{-M}..c_M of a 2pi-periodic function.

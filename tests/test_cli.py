@@ -312,7 +312,7 @@ def test_bad_prior_is_named_in_the_model_error(runner, tmp_path):
 
 @pytest.mark.parametrize(
     "priors, named",
-    [("[true]", "prior True"), ('["0.7"]', "prior '0.7'"),
+    [("[true]", "priors[0]=True"), ('["0.7"]', "priors[0]='0.7'"),
      ("[1e308]", "prior 1e+308 outside"), ("[3.5]", "prior 3.5 outside"),
      ("[0.7", "--priors must be a JSON list")],
 )

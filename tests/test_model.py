@@ -559,7 +559,7 @@ def test_coeffs_at_positive_indices_are_the_array_entries_bit_for_bit(model, M, 
 
 
 def test_phi_factors_take_positive_indices_only():
-    ik, powers = phi_factors([1, 2, 4], 2)
+    powers = phi_factors([1, 2, 4], 2)
     assert len(powers) == 3
     # (ik)^-3 = i/k^3, exact for powers of two
     assert np.array_equal(powers[2], np.array([1.0, 1 / 8, 1 / 64]) * 1j)

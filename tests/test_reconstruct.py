@@ -124,10 +124,12 @@ def test_config_prior_plumbing():
     with pytest.raises(ModelError):
         ReconstructionConfig(d=1, K=2, bounds=BND, priors=(0.7,))
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(ModelError, match="priors must be finite"):
+        with pytest.raises(ModelError, match=re.escape("priors[0] must be finite")):
             ReconstructionConfig(d=1, K=1, bounds=BND, priors=(bad,))
-    with pytest.raises(ModelError, match="priors must be numbers"):
+    with pytest.raises(ModelError, match=re.escape("priors[0] must be a real number")):
         ReconstructionConfig(d=1, K=1, bounds=BND, priors=(None,))
+    with pytest.raises(ModelError, match="priors must be a list of reals"):
+        ReconstructionConfig(d=1, K=1, bounds=BND, priors=0.7)
     cfg = ReconstructionConfig(d=1, K=2, bounds=BND, priors=(-1.3, 0.7))
     assert cfg.priors == (-1.3, 0.7)
 
@@ -137,8 +139,13 @@ def test_config_prior_plumbing():
 )
 def test_config_rejects_priors_that_are_not_numbers(bad):
     # float() would have taken True as 1.0 and "0.7" as 0.7
-    with pytest.raises(ModelError, match="priors must be numbers: got prior"):
+    with pytest.raises(ModelError, match=re.escape("priors[0] must be a real number")):
         ReconstructionConfig(d=1, K=1, bounds=BND, priors=(bad,))
+
+
+def test_config_names_the_prior_that_is_not_a_number():
+    with pytest.raises(ModelError, match=re.escape("priors[1] must be a real number")):
+        ReconstructionConfig(d=1, K=2, bounds=BND, priors=(0.7, "x"))
 
 
 @pytest.mark.parametrize("bad", [1e308, -1e308, math.pi, -math.pi - 1e-12, 4.0])
