@@ -138,17 +138,19 @@ def vn_eval(n: int, x, xi: float):
     """Evaluate V_n(x; xi), the order-n unit-jump basis element.
 
     2pi-periodic; right-continuous at the jump (x = xi gives the limit
-    from above).  Vectorized over x.
+    from above).  Vectorized over x.  A NaN or inf point, or an xi that
+    is not a finite real, is a ModelError, as in phi_eval.
     """
     if n < 0:
         raise ModelError(f"basis order must be >= 0, got {n}")
     if n + 1 > _TABLE_MAX:
         raise ModelError(f"basis order {n} beyond coefficient table")
-    t = np.mod((np.asarray(x, dtype=float) - xi) / (2.0 * np.pi), 1.0)
-    val = np.zeros(np.shape(t))
+    t = (_finite_points(x) - read_real(xi, "xi")) / (2.0 * np.pi)
+    _unit_fraction(t)
+    val = np.zeros(t.shape)
     _horner(_VN_POLYS[n], t, val)
     if np.ndim(x) == 0:
-        return float(val)
+        return float(val[0])
     return val
 
 
@@ -256,7 +258,10 @@ class SmoothPart:
 
 @dataclass(frozen=True)
 class AprioriBounds:
-    """Known-in-advance constants: separation, magnitude box, smooth decay."""
+    """Known-in-advance constants: separation, magnitude box, smooth decay.
+
+    Each is read as a finite real (errors.read_real), else a ModelError.
+    """
 
     J: float
     A: float
@@ -264,8 +269,8 @@ class AprioriBounds:
     R: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.J, self.A, self.B, self.R)):
-            raise ModelError(f"bounds must be finite, got {self}")
+        for name in ("J", "A", "B", "R"):
+            object.__setattr__(self, name, read_real(getattr(self, name), name))
         if self.J <= 0:
             raise ModelError(f"separation must be positive, got {self.J}")
         if self.B <= 0:

@@ -3,7 +3,7 @@
 Each jump is detected coarsely, isolated with a smooth window, refined at
 half order on consecutive indices, then solved at full order on the
 decimated plan.  Polish sweeps repeat the full-order solves on peeled
-data and keep the sweep whose estimates moved least.  The recovered
+data while each moves the estimates less than the last.  The recovered
 singular part is subtracted from the data to leave an estimate of the
 smooth remainder's coefficients.
 """
@@ -101,6 +101,8 @@ class ReconstructionConfig:
     refine_sweeps: int = 10
 
     def __post_init__(self):
+        if not isinstance(self.bounds, AprioriBounds):
+            raise ModelError(f"bounds must be an AprioriBounds, got {self.bounds!r}")
         for name in ("d", "K", "refine_sweeps"):
             object.__setattr__(self, name, read_int(getattr(self, name), name))
         if self.d < 0:
@@ -345,19 +347,19 @@ def full_reconstruct(
     estimate from the data, window only the peeled remainder, restore the
     jump's own coefficients and re-solve.  Window leakage then scales
     with the remaining estimation error rather than with the other jumps'
-    full amplitude.  The sweeps need not contract: on noisy data the
-    change often grows or stalls at rounding level.  A sweep's change is
-    the largest over the jumps of |dxi| on the circle plus
-    sum_l |da_l| / M^l, so rounding in a_l, which grows like eps M^l, does
-    not hold it above the tolerance at large M.  The loop stops when a
-    sweep's change falls below _REFINE_TOL, when it grows on two sweeps in
-    a row, or when refine_sweeps run out, and it keeps the sweep with the
-    smallest change, not the last one.  Every phase e^{-ik xi} the
-    pipeline forms is within about an ulp at every k (model._phases), and
-    each solve demodulates its magnitudes by its own root, not by a phase
-    of the rounded xi, so on clean data the peel hands the sweeps no
-    rounding-level error that grows with k: two d=2 jumps at M =
-    1024..65536 stop on the tolerance within two sweeps.
+    full amplitude.  A sweep's change is the largest over the jumps of
+    |dxi| on the circle plus sum_l |da_l| / M^l, so rounding in a_l, which
+    grows like eps M^l, does not hold it above the tolerance at large M.
+    Sweeps need not contract (noisy data, a high-order solve's rounding
+    floor), so each runs on copies and is kept only if its change is below
+    the last kept sweep's.  The first sweep not kept is discarded and ends
+    the polish, as do a kept change below _REFINE_TOL and the end of
+    refine_sweeps; the last kept sweep is the one that moved least.  Every
+    phase e^{-ik xi} the pipeline forms is within about an ulp at every k
+    (model._phases), and each solve demodulates its magnitudes by its own
+    root, not by a phase of the rounded xi, so on clean data the peel
+    hands the sweeps no rounding-level error that grows with k: two d=2
+    jumps at M = 1024..65536 stop on the tolerance within two sweeps.
     Every single-jump solve reads only its samples: windowed values at a
     SamplePlan's indices go through spectrum.weight_moments to
     recover_single_jump (half_order_recover on the consecutive plan).  The
@@ -427,34 +429,25 @@ def full_reconstruct(
         prior = half_order_recover(weight_moments(half, values[n:])).xi
         estimates.append(recover_single_jump(weight_moments(plan, values[:n]), prior))
 
-    best = list(estimates)
-    best_change = math.inf
-    prev_change = math.inf
-    grew = 0
     peel = _BandPeel(spec, plan, windows)
     own = [peel.own(e) for e in estimates]
+    kept_change = math.inf
     for _ in range(config.refine_sweeps):
+        trial, trial_own = list(estimates), list(own)
         change = 0.0
         for j in range(len(windows)):
-            moments = weight_moments(plan, peel.samples(own, j))
-            est = recover_single_jump(moments, estimates[j].xi)
-            change = max(change, _moved(est, estimates[j], M))
-            estimates[j] = est
-            own[j] = peel.own(est)
-        if change < best_change:
-            best_change = change
-            best = list(estimates)
+            moments = weight_moments(plan, peel.samples(trial_own, j))
+            est = recover_single_jump(moments, trial[j].xi)
+            change = max(change, _moved(est, trial[j], M))
+            trial[j] = est
+            trial_own[j] = peel.own(est)
+        if change >= kept_change:
+            break
+        estimates, own, kept_change = trial, trial_own, change
         if change < _REFINE_TOL:
             break
-        if change > prev_change:
-            grew += 1
-            if grew >= 2:
-                break
-        else:
-            grew = 0
-        prev_change = change
-    check_leading_floor(best, config)
-    return _approximant(spec, best, config.to_json_dict())
+    check_leading_floor(estimates, config)
+    return _approximant(spec, estimates, config.to_json_dict())
 
 
 def eval_approximant(appr: Approximant, x, side: Optional[str] = None):

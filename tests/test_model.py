@@ -112,6 +112,19 @@ def test_basis_order_validation():
         vn_eval(32, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), [0.1, -float("inf")]])
+def test_basis_rejects_non_finite_points(x):
+    # np.mod returned NaN for these, with a RuntimeWarning
+    with pytest.raises(ModelError, match="evaluation points must be finite"):
+        vn_eval(1, x, 0.0)
+
+
+@pytest.mark.parametrize("xi", [float("nan"), True, "0.3"])
+def test_basis_reads_its_location_as_a_finite_real(xi):
+    with pytest.raises(ModelError, match="xi"):
+        vn_eval(1, 0.5, xi)
+
+
 # ---------------------------------------------------------------- model
 
 
@@ -242,6 +255,17 @@ def test_bounds_validation():
                 dict(good, R="x"), [1.0, 4.0, 0.1, 2.0]):
         with pytest.raises(ModelError, match="numeric J, A, B, R"):
             AprioriBounds.from_json_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("J", True), ("J", "1"), ("A", None), ("B", float("nan")), ("R", [1.0])],
+)
+def test_bounds_read_each_field_as_a_finite_real(field, value):
+    # J=True was accepted as 1.0, and a string or None raised TypeError
+    good = {"J": 1.0, "A": 4.0, "B": 0.1, "R": 2.0}
+    with pytest.raises(ModelError, match=f"^{field} must be"):
+        AprioriBounds(**dict(good, **{field: value}))
 
 
 # ---------------------------------------------------------------- evaluation

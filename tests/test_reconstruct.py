@@ -78,6 +78,15 @@ def test_config_rejects_counts_that_are_not_integers(field, value):
         ReconstructionConfig(**args)
 
 
+@pytest.mark.parametrize("bounds", [
+    {"J": np.pi / 2, "A": 4.0, "B": 0.05, "R": 10.0}, (np.pi / 2, 4.0, 0.05, 10.0), None,
+])
+def test_config_rejects_bounds_that_are_not_apriori_bounds(bounds):
+    # a dict raised AttributeError on bounds.J
+    with pytest.raises(ModelError, match="bounds must be an AprioriBounds"):
+        ReconstructionConfig(d=1, K=1, bounds=bounds)
+
+
 def test_config_takes_numpy_integer_counts_as_int():
     cfg = ReconstructionConfig(d=np.int64(1), K=np.int32(1), bounds=BND)
     assert type(cfg.d) is int and type(cfg.K) is int
@@ -399,6 +408,54 @@ def test_polish_measures_a_move_across_pi_on_the_circle(monkeypatch):
     full_reconstruct(spec, ReconstructionConfig(d=1, K=1, bounds=BND))
     # the first pass, then one sweep that stops on the tolerance
     assert len(calls) == 2
+
+
+def test_polish_keeps_a_sweep_only_while_it_contracts(monkeypatch):
+    # scripted sweep changes 1e-6, 1e-7, 3e-7, 1e-9, 2e-9, 4e-9: the third
+    # sweep grows, so it is discarded, the polish ends there and returns
+    # the second sweep.  Stopping after two growing sweeps and keeping the
+    # best ran seven solves and returned the fourth.
+    steps = iter((0.0, 1e-6, 1e-7, 3e-7, 1e-9, 2e-9, 4e-9, 8e-9, 1.6e-8, 3.2e-8, 6.4e-8))
+    calls = [0.7]
+
+    def scripted(moments, prior):
+        calls.append(calls[-1] + next(steps))
+        return JumpEstimate(calls[-1], (1.0, 0.3), 0.0, math.inf)
+
+    monkeypatch.setattr(reconstruct, "recover_single_jump", scripted)
+    spec = synth_spectrum(JumpModel(1, ((0.7, (1.0, 0.3)),)), None, 128)
+    ap = full_reconstruct(spec, ReconstructionConfig(d=1, K=1, bounds=BND))
+    # the first pass, two kept sweeps and the discarded one
+    assert len(calls) - 1 == 4
+    assert ap.estimate.locations == (calls[3],)
+
+
+@pytest.mark.parametrize("M", [512, 2048])
+def test_d4_polish_at_the_rounding_floor_stops_below_the_sweep_cap(M, monkeypatch):
+    # CI's d4 model.  A d=4 solve's rounding floor sits above _REFINE_TOL,
+    # and its sweep changes went up and down at 8e-14 to 5.6e-13 through
+    # all 10 sweeps, so no growth twice in a row ever stopped them
+    model = JumpModel(4, ((0.7, (1.0, -0.4, 0.25, 0.1, -0.05)),))
+    spec = synth_spectrum(model, smooth_catalog("expsin", amp=1.0), M)
+    cfg = ReconstructionConfig(d=4, K=1, bounds=AprioriBounds(np.pi / 2, 4.0, 0.05, 10.0))
+    changes = []
+    moved = reconstruct._moved
+
+    def recorded(*args):
+        changes.append(moved(*args))
+        return changes[-1]
+
+    monkeypatch.setattr(reconstruct, "_moved", recorded)
+    ap = full_reconstruct(spec, cfg)
+    assert len(changes) < cfg.refine_sweeps
+    # every sweep but the last was kept and contracted; the last was kept
+    # on the tolerance or discarded for not contracting
+    assert all(b < a for a, b in zip(changes[:-1], changes[1:-1]))
+    assert changes[-1] < reconstruct._REFINE_TOL or changes[-1] >= changes[-2]
+    ((xi, mags),) = ap.estimate.jumps
+    assert circ(xi, 0.7) <= 1e-13
+    truth = model.jumps[0][1]
+    assert max(abs(a - t) / M**l for l, (a, t) in enumerate(zip(mags, truth))) <= 1e-10
 
 
 def test_a_jump_at_minus_pi_polishes_as_well_as_any_other():
