@@ -3,7 +3,8 @@
 Each jump is detected coarsely, isolated with a smooth window, refined at
 half order on consecutive indices, then solved at full order on the
 decimated plan.  Polish sweeps repeat the full-order solves on peeled
-data while each moves the estimates less than the last.  The recovered
+data while each moves the estimates less than the last, and stop once
+one moves them less than the data's own error scale.  The recovered
 singular part is subtracted from the data to leave an estimate of the
 smooth remainder's coefficients.
 """
@@ -277,7 +278,8 @@ def _approximant(spec: FourierSpectrum, estimates, provenance: dict):
     value to psi where psi already was.  A real estimate's singular part is
     conjugate-symmetric bit for bit (phi_coeff_array), so only the data are
     averaged with their mirror, and psi is formed in one pass over k >= 0
-    and mirrored.
+    and mirrored.  psi is written into the array phi_coeff_array returns,
+    in place.
     """
     jumps = tuple(
         (e.xi, tuple(m.real for m in e.magnitudes) if spec.real_valued else e.magnitudes)
@@ -285,27 +287,28 @@ def _approximant(spec: FourierSpectrum, estimates, provenance: dict):
     )
     estimate = JumpModel(estimates[0].order, jumps)
     M, coeffs = spec.M, spec.coeffs
-    phi = phi_coeff_array(estimate, M)
+    psi = phi_coeff_array(estimate, M)
     if not spec.real_valued:
-        psi = coeffs - phi
+        np.subtract(coeffs, psi, out=psi)
     else:
-        psi = np.empty_like(phi)
-        half = psi[M:]
         # on the real and imaginary parts: summed, then halved, which is
         # exact, or, when a sum would pass the double range, halved first
-        parts = half.view(np.float64)
         data = coeffs[M:].view(np.float64)
-        mirror = coeffs[M::-1].conj().view(np.float64)
+        mirror = coeffs[M::-1].conj()
+        parts = mirror.view(np.float64)
         try:
             with np.errstate(over="raise"):
-                np.add(data, mirror, out=parts)
+                np.add(data, parts, out=parts)
         except FloatingPointError:
-            np.multiply(data, 0.5, out=parts)
-            parts += mirror * 0.5
+            # the add that raised may have written the mirror: read it again
+            mirror = coeffs[M::-1].conj()
+            parts = mirror.view(np.float64)
+            parts *= 0.5
+            parts += data * 0.5
         else:
             parts *= 0.5
-        half -= phi[M:]
-        np.conjugate(half[:0:-1], out=psi[:M])
+        np.subtract(mirror, psi[M:], out=psi[M:])
+        np.conjugate(psi[:M:-1], out=psi[:M])
     return Approximant(estimate, FourierSpectrum(M, psi, spec.real_valued), provenance)
 
 
@@ -353,13 +356,21 @@ def full_reconstruct(
     Sweeps need not contract (noisy data, a high-order solve's rounding
     floor), so each runs on copies and is kept only if its change is below
     the last kept sweep's.  The first sweep not kept is discarded and ends
-    the polish, as do a kept change below _REFINE_TOL and the end of
-    refine_sweeps; the last kept sweep is the one that moved least.  Every
-    phase e^{-ik xi} the pipeline forms is within about an ulp at every k
-    (model._phases), and each solve demodulates its magnitudes by its own
-    root, not by a phase of the rounded xi, so on clean data the peel
-    hands the sweeps no rounding-level error that grows with k: two d=2
-    jumps at M = 1024..65536 stop on the tolerance within two sweeps.
+    the polish, as does the end of refine_sweeps; the last kept sweep is
+    the one that moved least.  A kept sweep also ends it when its change is
+    below _REFINE_TOL or below the smallest circle offset of its solves,
+    ||z| - 1| / N for the annihilator root z (solver.JumpEstimate): exact
+    data put z on the unit circle, and data error moves it off by about
+    the location error times N, so a change below that scale moves noise
+    only.  On clean data the offset sits at rounding level and the
+    tolerance rules; on noisy data the polish stops after one or two
+    sweeps instead of contracting on to the cap.  The first sweep always
+    runs.  Every phase e^{-ik xi} the pipeline forms is within about an
+    ulp at every k (model._phases), and each solve demodulates its
+    magnitudes by its own root, not by a phase of the rounded xi, so on
+    clean data the peel hands the sweeps no rounding-level error that
+    grows with k: two d=2 jumps at M = 1024..65536 stop on the tolerance
+    within two sweeps.
     Every single-jump solve reads only its samples: windowed values at a
     SamplePlan's indices go through spectrum.weight_moments to
     recover_single_jump (half_order_recover on the consecutive plan).  The
@@ -377,7 +388,7 @@ def full_reconstruct(
     spectrum: per jump, the phases as one outer product of tables of
     M/64 + 1 and 64 entries and about 2(d+1) multiply-adds of length M,
     then, for real data, one pass over k >= 0 that averages the data with
-    their mirror, subtracts and mirrors.
+    their mirror, subtracts and mirrors, into the singular part's array.
     Spectra with M < 32, too short for the window, raise ModelError, and so
     do spectra with too few modes for the window shape of order d.
     """
@@ -444,7 +455,8 @@ def full_reconstruct(
         if change >= kept_change:
             break
         estimates, own, kept_change = trial, trial_own, change
-        if change < _REFINE_TOL:
+        # below the data's own error scale a further sweep only moves noise
+        if change < max(_REFINE_TOL, min(e.circle_offset for e in estimates)):
             break
     check_leading_floor(estimates, config)
     return _approximant(spec, estimates, config.to_json_dict())

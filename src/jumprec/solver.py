@@ -7,7 +7,9 @@ recover_single_jump builds the finite-difference annihilating
 polynomial as its list of d+2 coefficients, finds its roots, picks the
 one near the unit circle, undoes the N-th power with a prior, then
 demodulates by that root and solves one small integer-node Vandermonde
-system, the same for both plan kinds, for the weighted magnitudes.
+system, the same for both plan kinds, for the weighted magnitudes.  How
+far the root sat off the circle, over N, comes back as the estimate's
+circle_offset, a per-jump error scale that reconstruct's polish stops on.
 half_order_recover is the same solve with no prior.  The s_i^d family
 used in the analysis of the decimated construction lives here too.
 
@@ -71,12 +73,21 @@ _S_POLY_DMAX = 16
 
 @dataclass(frozen=True)
 class JumpEstimate:
-    """Recovered single-jump parameters with solver diagnostics."""
+    """Recovered single-jump parameters with solver diagnostics.
+
+    circle_offset is ||z| - 1| / N for the selected annihilator root z,
+    before it is brought onto the unit circle, and the plan's stride N.
+    Exact data put z = e^{-i xi N} on the circle; data error moves it off
+    the circle by about as much as it turns its angle, and the angle error
+    over N is the location error, so the offset is a per-jump error scale
+    that costs nothing.  It is 0.0 when not computed.
+    """
 
     xi: float
     magnitudes: tuple
     root_residual: float
     condition_note: float
+    circle_offset: float = 0.0
 
     @property
     def order(self) -> int:
@@ -381,7 +392,8 @@ def recover_single_jump(
     unity.  At stride 1 (a consecutive plan, or a decimated one over
     M < 2(d+2)) the root is the node omega itself and its angle is read
     directly.  The magnitudes are demodulated by the root brought onto the
-    unit circle, z/|z|, not by a phase of the rounded xi.
+    unit circle, z/|z|, not by a phase of the rounded xi, and how far z
+    sat off the circle, ||z| - 1| / N, is returned as circle_offset.
     """
     coeffs = build_annihilator(moments)
     ar = _arith_of(coeffs)
@@ -396,7 +408,8 @@ def recover_single_jump(
         raise ModelError("zero root cannot carry phase information")
     else:
         xi = wrap_angle(-ar.phase(z), ar.pi)
-    _, a = solve_magnitudes(moments, z / modulus(z))
+    radius = modulus(z)
+    _, a = solve_magnitudes(moments, z / radius)
     residual = 0j
     for c in coeffs:
         residual = residual * z + c
@@ -406,6 +419,7 @@ def recover_single_jump(
         magnitudes=a,
         root_residual=float(modulus(residual)),
         condition_note=float(min(gaps, default=math.inf)),
+        circle_offset=float(abs(radius - 1) / N),
     )
 
 

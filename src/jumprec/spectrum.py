@@ -182,7 +182,9 @@ class FourierSpectrum:
             raise ModelError("spectrum holds non-finite coefficients (NaN or inf)")
         object.__setattr__(self, "coeffs", arr)
         if self.real_valued:
-            defect = float(np.max(np.abs(arr[::-1].conj() - arr)))
+            # |conj(c_{-k}) - c_k| is the same number at k and -k
+            M = self.M
+            defect = float(np.max(np.abs(arr[M::-1].conj() - arr[M:])))
             scale = float(np.max(np.abs(arr)))
             if defect > _SYMMETRY_TOL * max(scale, 1.0):
                 raise ModelError(

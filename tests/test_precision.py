@@ -43,6 +43,9 @@ def test_extended_path_agrees_with_double_on_easy_data():
         for l, (a_mp, a_d) in enumerate(zip(est_mp.magnitudes, est_d.magnitudes)):
             assert abs(a_mp - a_d) <= tol(l)
         assert isinstance(est_mp.xi, float)
+        # the root's distance from the circle, in 60 digits, returned as a float
+        assert isinstance(est_mp.circle_offset, float)
+        assert est_mp.circle_offset <= 1e-15
         assert all(isinstance(a, complex) for a in est_mp.magnitudes)
 
 

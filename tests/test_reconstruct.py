@@ -430,6 +430,55 @@ def test_polish_keeps_a_sweep_only_while_it_contracts(monkeypatch):
     assert ap.estimate.locations == (calls[3],)
 
 
+def test_polish_stops_once_a_kept_sweep_moves_less_than_the_circle_offset(monkeypatch):
+    # scripted sweep changes 1e-5, 5e-7, 1e-8 with every root 1e-6 off the
+    # circle: the second sweep contracts and moves less than the data's own
+    # error scale, so it is kept and ends the polish; the third never runs
+    steps = iter((0.0, 1e-5, 5e-7, 1e-8, 1e-10, 1e-12))
+    calls = [0.7]
+
+    def scripted(moments, prior):
+        calls.append(calls[-1] + next(steps))
+        return JumpEstimate(calls[-1], (1.0, 0.3), 0.0, math.inf, circle_offset=1e-6)
+
+    monkeypatch.setattr(reconstruct, "recover_single_jump", scripted)
+    spec = synth_spectrum(JumpModel(1, ((0.7, (1.0, 0.3)),)), None, 128)
+    ap = full_reconstruct(spec, ReconstructionConfig(d=1, K=1, bounds=BND))
+    # the first pass and two kept sweeps
+    assert len(calls) - 1 == 3
+    assert ap.estimate.locations == (calls[3],)
+
+
+def test_noisy_polish_stops_at_the_noise_scale(monkeypatch):
+    # a many-small shape under k^-3 coefficient noise: the sweeps contract
+    # far below the data's error, and polishing on to 9 sweeps moved err_xi
+    # from 7.1392e-5 to 7.1416e-5 only
+    M = 64
+    model = JumpModel(1, ((0.7, (0.8, -0.3)),))
+    spec = synth_spectrum(model, smooth_catalog("expsin", amp=0.7), M)
+    ks = np.arange(1, M + 1)
+    phases = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, size=M)
+    noise = 0.5 * ks**-3.0 * np.exp(1j * phases)
+    coeffs = spec.coeffs.copy()
+    coeffs[M + 1 :] += noise
+    coeffs[:M] += np.conj(noise[::-1])
+    spec = FourierSpectrum(M, coeffs, real_valued=True)
+    solves = []
+    solve = reconstruct.recover_single_jump
+
+    def counted(moments, prior):
+        solves.append(prior)
+        return solve(moments, prior)
+
+    bounds = AprioriBounds(J=np.pi / 2, A=8.0, B=0.5, R=1.0)
+    monkeypatch.setattr(reconstruct, "recover_single_jump", counted)
+    ap = full_reconstruct(spec, ReconstructionConfig(d=1, K=1, bounds=bounds))
+    # the first pass, then at most 3 sweeps (the contraction rule alone ran 9)
+    assert 2 <= len(solves) <= 4
+    ((xi, _),) = ap.estimate.jumps
+    assert abs(circ(xi, 0.7) - 7.1416e-5) <= 0.02 * 7.1416e-5
+
+
 @pytest.mark.parametrize("M", [512, 2048])
 def test_d4_polish_at_the_rounding_floor_stops_below_the_sweep_cap(M, monkeypatch):
     # CI's d4 model.  A d=4 solve's rounding floor sits above _REFINE_TOL,

@@ -476,6 +476,25 @@ def test_single_jump_recovery_pinned_example():
     assert est.condition_note > 0.1
 
 
+@pytest.mark.parametrize("d,M", [(1, 64), (2, 256), (3, 1024)])
+def test_circle_offset_is_rounding_on_exact_moments_and_grows_with_their_error(d, M):
+    # exact moments put the root e^{-i xi N} on the unit circle; a relative
+    # moment error moves it off the circle in proportion, the scale on
+    # which the polish stops
+    plan = SamplePlan("decimated", d, M)
+    exact = synth_moments(0.7, magnitudes_to_alpha((1.0, -0.4, 0.25, 0.1)[: d + 1]), plan)
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=d + 2) + 1j * rng.normal(size=d + 2)
+    offsets = [recover_single_jump(exact, 0.7).circle_offset]
+    for rel in (1e-8, 1e-5):
+        moments = MomentSequence(plan, exact.values * (1.0 + rel * w))
+        offsets.append(recover_single_jump(moments, 0.7).circle_offset)
+    assert isinstance(offsets[0], float)
+    assert offsets[0] <= 1e-15
+    assert 1e-12 <= offsets[1] <= 1e-7
+    assert 300.0 <= offsets[2] / offsets[1] <= 3000.0
+
+
 def test_recovery_validation():
     m = JumpModel(0, ((0.7, (1.0,)),))
     sp = jump_spectrum(m, 32)

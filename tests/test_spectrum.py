@@ -139,6 +139,16 @@ def test_real_flag_requires_conjugate_symmetry():
     FourierSpectrum(1, np.array([0.5 - 0.25j, 1.0 + 0j, 0.5 + 0.25j]), True)
 
 
+def test_symmetry_defect_at_one_negative_index_is_rejected():
+    # the defect is read over k >= 0 only: |conj(c_{-k}) - c_k| is the same
+    # number at k and -k, so a defect placed at k < 0 shows at its mirror
+    M = 8
+    cs = phi_coeff_array(JumpModel(1, ((0.7, (1.0, 0.3)),)), M)
+    cs[M - 5] += 3e-3 - 4e-3j
+    with pytest.raises(ModelError, match=r"defect 5\.000e-03 at scale"):
+        FourierSpectrum(M, cs, real_valued=True)
+
+
 def test_coefficient_lookup_and_bounds():
     sp = FourierSpectrum(2, np.arange(5, dtype=complex), False)
     assert sp.coeff(-2) == 0.0
