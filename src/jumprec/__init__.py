@@ -22,7 +22,6 @@ from .model import (
     adversarial_pair,
     bernoulli_poly,
     phi_eval,
-    phi_fourier_coeff,
     smooth_catalog,
     synth_spectrum,
     vn_eval,

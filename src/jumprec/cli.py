@@ -46,6 +46,7 @@ from .reconstruct import (
     Approximant,
     ReconstructionConfig,
     _approximant,
+    _priors,
     check_leading_floor,
     full_reconstruct,
     jump_free_error,
@@ -185,7 +186,11 @@ def synth(ctx, model_path, smooth_name, smooth_args, modes):
     """Write the first M Fourier coefficients of model + smooth part."""
     out = _require_out(ctx)
     model = load_model(model_path)
-    smooth = _smooth_part(smooth_name, json.loads(smooth_args))
+    try:
+        args = json.loads(smooth_args)
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"--smooth-args must be a JSON object: {exc}") from exc
+    smooth = _smooth_part(smooth_name, args)
     spec = synth_spectrum(model, smooth, modes)
     save_spectrum(out, spec)
     click.echo(f"wrote spectrum with M={modes} to {out}")
@@ -201,10 +206,10 @@ def _recover_extended(spec, cfg, digits) -> Approximant:
         raise ModelError(
             "extended precision supports single-jump recovery only (K=1)"
         )
-    if cfg.priors is None:
-        # detection still certifies that the data carries a jump; without a
-        # window its coarse location is not needed
-        prony_order0(spec, 1)
+    # detection still certifies, as in full_reconstruct, that the data carry
+    # a jump when no prior is given; without a window its coarse location is
+    # not needed
+    _priors(spec, cfg)
     M_eff = pipeline_geometry(spec.M, cfg.d, cfg.bounds.J)[0]
     # the half-order location, as in full_reconstruct, is what makes the
     # decimated root disambiguation safe; a coarse prior is not

@@ -3,8 +3,10 @@
 The singular basis V_n(x; xi) is a scaled, periodized Bernoulli polynomial
 whose n-th derivative jumps by exactly 1 at xi while all lower derivatives
 stay continuous.  A jump model is a finite sum of such terms; its Fourier
-coefficients have a closed form, evaluated by one kernel at one index
-(phi_fourier_coeff) or on -M..M (phi_coeff_array).  Smooth remainders
+coefficients have a closed form, evaluated by one kernel (_phi_halves) on
+-M..M (phi_coeff_array) or, for the polish, on a band of indices.  The
+paper's objects (the Bernoulli tables, V_n) read their orders as the
+record readers do (errors.read_int).  Smooth remainders
 come from a small named catalog, each with the closed form of its
 coefficients, so a synthesized spectrum is exact to rounding at every
 index: no smooth part is sampled or integrated numerically.
@@ -46,7 +48,6 @@ __all__ = [
     "SmoothPart",
     "AprioriBounds",
     "phi_eval",
-    "phi_fourier_coeff",
     "phi_factors",
     "phi_coeff_array",
     "synth_spectrum",
@@ -117,6 +118,7 @@ def _horner(coeffs, t: np.ndarray, out: np.ndarray) -> None:
 
 def bernoulli_coefficients(n: int):
     """Exact rational coefficients of B_n, ascending powers."""
+    n = read_int(n, "n")
     if not 0 <= n <= _TABLE_MAX:
         raise ModelError(f"Bernoulli table covers 0..{_TABLE_MAX}, got n={n}")
     return _BERNOULLI_POLYS[n]
@@ -124,6 +126,7 @@ def bernoulli_coefficients(n: int):
 
 def bernoulli_poly(n: int, x):
     """Evaluate the Bernoulli polynomial B_n at x (scalar or array)."""
+    n = read_int(n, "n")
     if not 0 <= n <= _TABLE_MAX:
         raise ModelError(f"Bernoulli table covers 0..{_TABLE_MAX}, got n={n}")
     xs = np.asarray(x, dtype=float)
@@ -139,8 +142,10 @@ def vn_eval(n: int, x, xi: float):
 
     2pi-periodic; right-continuous at the jump (x = xi gives the limit
     from above).  Vectorized over x.  A NaN or inf point, or an xi that
-    is not a finite real, is a ModelError, as in phi_eval.
+    is not a finite real, is a ModelError, as in phi_eval, and so is an
+    order that is not an integer.
     """
+    n = read_int(n, "n")
     if n < 0:
         raise ModelError(f"basis order must be >= 0, got {n}")
     if n + 1 > _TABLE_MAX:
@@ -341,24 +346,6 @@ def phi_eval(model: JumpModel, x, side: Optional[str] = None):
     return out
 
 
-def phi_fourier_coeff(model: JumpModel, k: int) -> complex:
-    """Closed-form Fourier coefficient of the piecewise polynomial.
-
-    c_0 = 0 by the zero-mean convention of the basis; any DC offset
-    belongs to the smooth part.  It is phi_coeff_array's kernel
-    (_phi_halves) at the one index |k|, so it agrees with that array to
-    rounding (numpy's vector loops need not round a product as a length-1
-    array's does); a k < 0 runs it on the conjugated magnitudes and
-    conjugates the result, c_{-k}(a) = conj(c_k(conj a)).
-    """
-    if k == 0 or not model.jumps:
-        return 0.0 + 0.0j
-    n = abs(k)
-    jumps = model.jumps if k > 0 else _conjugated(model.jumps)
-    c = complex(_phi_halves(jumps, phi_factors([n], model.order), _phase_index([n]))[0])
-    return c if k > 0 else c.conjugate()
-
-
 def phi_factors(ks, order: int) -> list:
     """The powers of the closed form at the positive indices ks.
 
@@ -453,10 +440,6 @@ def _phi_halves(jumps, powers, at):
     return out
 
 
-def _conjugated(jumps) -> tuple:
-    return tuple((xi, tuple(a.conjugate() for a in mags)) for xi, mags in jumps)
-
-
 @functools.lru_cache(maxsize=1)
 def _positive_factors(M: int, order: int) -> tuple:
     # the powers of phi_factors on 1..M, read-only: they depend on
@@ -478,17 +461,19 @@ def _coeff_array(jumps, M: int, powers) -> np.ndarray:
         return np.zeros(2 * M + 1, dtype=np.complex128)
     real = all(a.imag == 0.0 for _, mags in jumps for a in mags)
     pos = _phi_halves(jumps, powers, M)
-    neg = None if real else _phi_halves(_conjugated(jumps), powers, M)
-    return _from_positive_half(0.0, pos, neg)
+    if real:
+        return _from_positive_half(0.0, pos)
+    conjugated = [(xi, [a.conjugate() for a in mags]) for xi, mags in jumps]
+    return _from_positive_half(0.0, pos, _phi_halves(conjugated, powers, M))
 
 
 def phi_coeff_array(model: JumpModel, M: int) -> np.ndarray:
     """Coefficients c_{-M}..c_M of the piecewise polynomial, ascending k.
 
-    The array form of phi_fourier_coeff, c_0 = 0.  It shares its kernel
-    (_phi_halves) with phi_fourier_coeff and the polish's band peel: the
-    phases e^{-ik xi} come from the exact two-table kernel (_phases) and
-    the powers (ik)^{-(l+1)} (phi_factors) are computed for k = 1..M only,
+    c_0 = 0 by the zero-mean convention of the basis; any DC offset
+    belongs to the smooth part.  It shares its kernel (_phi_halves) with
+    the polish's band peel: the phases e^{-ik xi} come from the exact
+    two-table kernel (_phases) and the powers (ik)^{-(l+1)} (phi_factors) are computed for k = 1..M only,
     once for all jumps.  Every phase is within about an ulp of e^{-ik xi}
     at every k, where cos and sin of the rounded product k xi erred by up
     to eps k |xi|.  The half k < 0 comes from the kernel's positive half,

@@ -51,8 +51,10 @@ __all__ = [
     "jump_free_error",
 ]
 
-# fraction of the index range trusted after windowing; the top band
-# carries convolution truncation error and is never sampled
+# fraction of the index range the single-jump solves sample.  It is not a
+# truncation limit: a degree-D window's product is exact at every
+# k <= M - D, and pipeline_geometry caps D at 80 (J = pi/2) to 211
+# (J = 0.6), far below the M/4 indices above M_eff that go unsampled
 _USABLE_FRACTION = 0.75
 
 # polish stops once a sweep moves no estimate by more than this, each
@@ -338,6 +340,24 @@ def check_leading_floor(estimates, config: ReconstructionConfig) -> None:
             )
 
 
+def _priors(spec: FourierSpectrum, config: ReconstructionConfig) -> list:
+    """config.priors, or else the K locations detection certifies.
+
+    Detection that certifies fewer than K jumps (a DetectionError) is a
+    ModelError naming K and the certified rank: the data do not carry the
+    jumps the caller declared.  Both precisions of recovery detect here.
+    """
+    if config.priors is not None:
+        return list(config.priors)
+    try:
+        return prony_order0(spec, config.K)
+    except DetectionError as exc:
+        raise ModelError(
+            f"expected K={config.K} jumps but detection certified only "
+            f"{exc.rank}"
+        ) from exc
+
+
 def full_reconstruct(
     spec: FourierSpectrum, config: ReconstructionConfig
 ) -> Approximant:
@@ -399,16 +419,7 @@ def full_reconstruct(
             f"window that isolates each jump is built from at least "
             f"{_BUMP_MIN_M} modes"
         )
-    if config.priors is not None:
-        priors = list(config.priors)
-    else:
-        try:
-            priors = prony_order0(spec, config.K)
-        except DetectionError as exc:
-            raise ModelError(
-                f"expected K={config.K} jumps but detection certified only "
-                f"{exc.rank}"
-            ) from exc
+    priors = _priors(spec, config)
     # priors closer than half the declared separation cannot belong to
     # distinct admissible jumps; asking for too many jumps lands here
     for i in range(len(priors)):

@@ -43,8 +43,7 @@ import mpmath as mp
 import numpy as np
 
 from . import rootfind
-from .errors import AmbiguityError, ModelError, NumericError
-from .model import _phase_index, _phases
+from .errors import AmbiguityError, ModelError, NumericError, read_int
 from .spectrum import (
     MomentSequence,
     SamplePlan,
@@ -63,9 +62,7 @@ __all__ = [
     "solve_magnitudes",
     "recover_single_jump",
     "half_order_recover",
-    "synth_moments",
     "alpha_to_magnitudes",
-    "magnitudes_to_alpha",
 ]
 
 _S_POLY_DMAX = 16
@@ -99,6 +96,7 @@ def s_poly(i: int, d: int):
 
     s_i^d(w) = sum_{j=0}^{d+1} (-1)^j C(d+1, j) (j+1)^i w^{d+1-j}; exact.
     """
+    i, d = read_int(i, "i"), read_int(d, "d")
     if i < 0:
         raise ModelError(f"s_poly index i must be >= 0, got {i}")
     if not 0 <= d <= _S_POLY_DMAX:
@@ -193,13 +191,6 @@ def _vandermonde_inverse(nodes: tuple):
     return tuple(zip(*cols))
 
 
-@functools.lru_cache(maxsize=64)
-def _vandermonde_inverse_float(nodes: tuple) -> np.ndarray:
-    arr = np.array([[float(x) for x in row] for row in _vandermonde_inverse(nodes)])
-    arr.flags.writeable = False
-    return arr
-
-
 class _Arith(NamedTuple):
     """The arithmetic a single-jump solve runs in: double or mpmath.
 
@@ -273,22 +264,23 @@ def _plan_table(plan: SamplePlan, digits: Optional[int]) -> _PlanTable:
     to for the product with the complex right-hand side, exactly.
     """
     if digits is None:
-        return _build_table(plan, float, _vandermonde_inverse_float, np.complex128)
+        return _build_table(plan, float, float, np.complex128)
     with mp.workdps(digits):
-        return _build_table(plan, mp.mpf, _vandermonde_inverse_mp, object)
+        return _build_table(plan, mp.mpf, _mpf_of_fraction, object)
 
 
-def _vandermonde_inverse_mp(nodes: tuple) -> list:
-    return [[mp.mpf(x.numerator) / x.denominator for x in row]
-            for row in _vandermonde_inverse(nodes)]
+def _mpf_of_fraction(x: Fraction):
+    return mp.mpf(x.numerator) / x.denominator
 
 
-def _build_table(plan: SamplePlan, real: Callable, vandermonde_inverse, dtype) -> _PlanTable:
+def _build_table(plan: SamplePlan, real: Callable, of_fraction: Callable, dtype) -> _PlanTable:
+    # of_fraction rounds an exact Fraction into the table's arithmetic
     d, N = plan.d, plan.stride
     first = 1 if plan.kind == "decimated" else 0
     use = plan.indices[: d + 1]
     shift = use[0] - first * N
-    vinv = np.array(vandermonde_inverse(tuple(range(first, first + d + 1))), dtype=dtype)
+    exact = _vandermonde_inverse(tuple(range(first, first + d + 1)))
+    vinv = np.array([[of_fraction(x) for x in row] for row in exact], dtype=dtype)
     stride_powers = np.power(real(N), np.arange(d + 1)).astype(dtype)
     vinv.flags.writeable = stride_powers.flags.writeable = False
     back = tuple(
@@ -310,26 +302,6 @@ def alpha_to_magnitudes(alpha) -> tuple:
     """Invert the weighting alpha_l = i^l a_{d-l}."""
     d = len(alpha) - 1
     return tuple(complex(alpha[d - m]) * (-1j) ** (d - m) for m in range(d + 1))
-
-
-def magnitudes_to_alpha(a) -> tuple:
-    d = len(a) - 1
-    return tuple((1j) ** l * complex(a[d - l]) for l in range(d + 1))
-
-
-def synth_moments(xi: float, alpha, plan: SamplePlan) -> MomentSequence:
-    """Exact moments m_k = e^{-i k xi} sum_l alpha_l k^l of one jump on a plan.
-
-    The phases are the phase kernel's (model._phases), within about an ulp
-    at every index.
-    """
-    alpha = [complex(x) for x in alpha]
-    phases = _phases(xi, _phase_index(plan.indices)).tolist()
-    vals = []
-    for k, phase in zip(plan.indices, phases):
-        poly = sum(a * float(k) ** l for l, a in enumerate(alpha))
-        vals.append(phase * poly)
-    return MomentSequence(plan, np.array(vals))
 
 
 def solve_magnitudes(moments: MomentSequence, root: complex):

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, read_int, read_real
 
 __all__ = [
     "PronyConfig",
@@ -42,7 +42,9 @@ class PronyConfig:
     unknown nodes give R = C + K unknowns total; samples on an
     arithmetic progression of stride sigma, whose start the bound does
     not depend on; delta_sigma is the minimal distance between sigma-th
-    node powers; eps the perturbation level.
+    node powers; eps the perturbation level.  Counts are read as integers
+    (errors.read_int) and node_gap and eps as finite reals
+    (errors.read_real), else a ModelError naming the field.
     """
 
     K: int
@@ -52,7 +54,11 @@ class PronyConfig:
     eps: float
 
     def __post_init__(self):
-        mult = tuple(int(m) for m in self.multiplicities)
+        for name in ("K", "sigma"):
+            object.__setattr__(self, name, read_int(getattr(self, name), name))
+        for name in ("node_gap", "eps"):
+            object.__setattr__(self, name, read_real(getattr(self, name), name))
+        mult = tuple(read_int(m, "multiplicities") for m in self.multiplicities)
         if self.K < 1 or len(mult) != self.K:
             raise ModelError(
                 f"need K >= 1 multiplicities, got K={self.K}, {len(mult)} entries"
@@ -78,6 +84,7 @@ class PronyConfig:
 
 def node_perturbation_bound(cfg: PronyConfig, j: int, a_lead: float) -> float:
     """First-order node error: (2/l_j!) (2/delta)^R eps / (a_lead sigma^{l_j})."""
+    j, a_lead = read_int(j, "j"), read_real(a_lead, "a_lead")
     if not 0 <= j < cfg.K:
         raise ModelError(f"node index {j} outside 0..{cfg.K - 1}")
     if a_lead <= 0:
@@ -95,6 +102,7 @@ def node_perturbation_bound(cfg: PronyConfig, j: int, a_lead: float) -> float:
 
 def decimated_cap_constant(d: int) -> Fraction:
     """Exact constant 2^{d+2}(d+2)/(d+1)! of the decimated accuracy cap."""
+    d = read_int(d, "d")
     if d < 0:
         raise ModelError(f"order must be >= 0, got {d}")
     return Fraction(2 ** (d + 2) * (d + 2), math.factorial(d + 1))
@@ -102,6 +110,8 @@ def decimated_cap_constant(d: int) -> Fraction:
 
 def decimated_cap(d: int, R_star: float, B_star: float, N: int) -> float:
     """Node-error ceiling of the decimated plan at stride N."""
+    R_star, B_star = read_real(R_star, "R_star"), read_real(B_star, "B_star")
+    N = read_int(N, "N")
     if B_star <= 0:
         raise ModelError(f"magnitude floor must be positive, got {B_star}")
     if R_star < 0:
@@ -114,6 +124,7 @@ def decimated_cap(d: int, R_star: float, B_star: float, N: int) -> float:
 
 
 def c9_exact(d: int) -> Fraction:
+    d = read_int(d, "d")
     if d < 0:
         raise ModelError(f"order must be >= 0, got {d}")
     return Fraction(3 ** (d + 1), math.factorial(d + 1))
@@ -125,6 +136,7 @@ def c9_bound(d: int) -> float:
 
 
 def method_gap_exact(d: int) -> Fraction:
+    d = read_int(d, "d")
     if d < 0:
         raise ModelError(f"order must be >= 0, got {d}")
     return Fraction(3, 2) ** (d + 1) / (2 * (d + 2))
@@ -138,6 +150,7 @@ def method_gap_factor(d: int) -> float:
 
 def misspec_exponent(d_used: int, d_true: int) -> int:
     """Predicted error exponent for order-d_used recovery on order-d_true data."""
+    d_used, d_true = read_int(d_used, "d_used"), read_int(d_true, "d_true")
     if d_true < 0:
         raise ModelError(f"true order must be >= 0, got {d_true}")
     if d_true > d_used:

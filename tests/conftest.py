@@ -9,14 +9,22 @@ from jumprec.errors import ModelError
 from jumprec.localize import localize_jump
 from jumprec.model import (
     JumpModel,
+    _phase_index,
+    _phases,
     bernoulli_coefficients,
     bernoulli_poly,
     phi_coeff_array,
     smooth_catalog,
     synth_spectrum,
 )
-from jumprec.solver import _vandermonde_inverse_float
-from jumprec.spectrum import FourierSpectrum, plan_values, weight_moments
+from jumprec.solver import _vandermonde_inverse
+from jumprec.spectrum import (
+    FourierSpectrum,
+    MomentSequence,
+    SamplePlan,
+    plan_values,
+    weight_moments,
+)
 
 # property runs share the CI budget with the slope sweeps; no per-example
 # deadline, the suite-level timeout is the real guard
@@ -159,6 +167,26 @@ def moments_reference(spectrum, plan) -> np.ndarray:
     )
 
 
+def magnitudes_to_alpha(a) -> tuple:
+    d = len(a) - 1
+    return tuple((1j) ** l * complex(a[d - l]) for l in range(d + 1))
+
+
+def synth_moments(xi: float, alpha, plan: SamplePlan) -> MomentSequence:
+    """Exact moments m_k = e^{-i k xi} sum_l alpha_l k^l of one jump on a plan.
+
+    The phases are the phase kernel's (model._phases), within about an ulp
+    at every index.
+    """
+    alpha = [complex(x) for x in alpha]
+    phases = _phases(xi, _phase_index(plan.indices)).tolist()
+    vals = []
+    for k, phase in zip(plan.indices, phases):
+        poly = sum(a * float(k) ** l for l, a in enumerate(alpha))
+        vals.append(phase * poly)
+    return MomentSequence(plan, np.array(vals))
+
+
 def magnitudes_reference(moments, root):
     """(alpha, a) of the magnitude solve in array form, on numpy scalars; no gate.
 
@@ -172,11 +200,11 @@ def magnitudes_reference(moments, root):
     N = plan.stride
     rhs = np.array([moments.values[j] * root ** (-(use[j] // N)) for j in range(d + 1)])
     if plan.kind == "decimated":
-        vinv = _vandermonde_inverse_float(tuple(range(1, d + 2)))
+        vinv = np.array(_vandermonde_inverse(tuple(range(1, d + 2))), dtype=float)
         alpha = (vinv @ rhs) / np.power(float(plan.stride), np.arange(d + 1))
     else:
         base = float(use[0])
-        beta = _vandermonde_inverse_float(tuple(range(0, d + 1))) @ rhs
+        beta = np.array(_vandermonde_inverse(tuple(range(0, d + 1))), dtype=float) @ rhs
         alpha = np.zeros_like(beta)
         for l in range(d, -1, -1):
             acc = beta[l]

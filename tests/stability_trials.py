@@ -11,8 +11,9 @@ from typing import Sequence
 
 import numpy as np
 
+from conftest import magnitudes_to_alpha, synth_moments
 from jumprec.errors import ModelError
-from jumprec.solver import magnitudes_to_alpha, recover_single_jump, synth_moments
+from jumprec.solver import recover_single_jump
 from jumprec.spectrum import MomentSequence, SamplePlan, circular_distance
 from jumprec.stability import decimated_cap, fit_loglog_slope, misspec_exponent
 

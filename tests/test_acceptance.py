@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conftest import magnitudes_to_alpha, synth_moments
 from jumprec.cli import load_bench_spec, main as cli_main, run_bench
 from jumprec.model import (
     AprioriBounds,
@@ -26,13 +27,7 @@ from jumprec.reconstruct import (
     full_reconstruct,
     jump_free_error,
 )
-from jumprec.solver import (
-    SamplePlan,
-    build_annihilator,
-    magnitudes_to_alpha,
-    s_poly,
-    synth_moments,
-)
+from jumprec.solver import SamplePlan, build_annihilator, s_poly
 from jumprec.stability import (
     c9_exact,
     decimated_cap_constant,

@@ -1,15 +1,30 @@
-"""Only the library's own error families leave its entry points."""
+"""Only the library's own error families leave its entry points, and
+the package exports only names its modules export."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jumprec.errors import JumprecError, NumericError
-from jumprec.model import AprioriBounds
+import jumprec
+from jumprec.errors import JumprecError, ModelError, NumericError
+from jumprec.model import AprioriBounds, bernoulli_coefficients, bernoulli_poly, vn_eval
 from jumprec.reconstruct import ReconstructionConfig, full_reconstruct
 from jumprec.rootfind import find_roots
-from jumprec.solver import half_order_recover, recover_single_jump
+from jumprec.solver import half_order_recover, recover_single_jump, s_poly
 from jumprec.spectrum import FourierSpectrum, SamplePlan
+from jumprec.stability import (
+    PronyConfig,
+    c9_bound,
+    decimated_cap,
+    method_gap_factor,
+    misspec_exponent,
+    node_perturbation_bound,
+)
 
 from conftest import sampled_moments
 
@@ -102,3 +117,58 @@ def test_overflowing_moduli_are_numeric_errors():
         full_reconstruct(spec, config)
     with pytest.raises(NumericError, match="non-finite coefficients"):
         recover_single_jump(sampled_moments(spec, SamplePlan("decimated", 4, M)), 0.7)
+
+
+NAN = float("nan")
+
+
+def _prony(**fields):
+    return PronyConfig(**{"K": 1, "multiplicities": (1,), "sigma": 1,
+                          "node_gap": 0.5, "eps": 1e-3, **fields})
+
+
+# the paper's objects read orders and counts as integers and reals as
+# finite reals, as the record readers do: each bad value is a ModelError
+# naming its argument, not a TypeError, a nan or a silent truncation
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: vn_eval(1.0, 0.3, 0.0), "n", id="vn_eval-float-order"),
+        pytest.param(lambda: vn_eval(True, 0.3, 0.0), "n", id="vn_eval-bool-order"),
+        pytest.param(lambda: bernoulli_poly(2.0, 0.3), "n", id="bernoulli_poly-float-order"),
+        pytest.param(lambda: bernoulli_coefficients(2.0), "n", id="bernoulli_coefficients-float"),
+        pytest.param(lambda: s_poly(0, 1.0), "d", id="s_poly-float-d"),
+        pytest.param(lambda: s_poly(0.5, 1), "i", id="s_poly-float-i"),
+        pytest.param(lambda: c9_bound(1.5), "d", id="c9_bound-float-d"),
+        pytest.param(lambda: method_gap_factor(True), "d", id="method_gap_factor-bool-d"),
+        pytest.param(lambda: misspec_exponent(2.5, 1), "d_used", id="misspec_exponent-float"),
+        pytest.param(lambda: decimated_cap(2.5, 0.5, 0.5, 10), "d", id="decimated_cap-float-d"),
+        pytest.param(lambda: decimated_cap(2, NAN, 0.5, 10), "R_star", id="decimated_cap-nan-R"),
+        pytest.param(lambda: decimated_cap(2, 0.5, NAN, 10), "B_star", id="decimated_cap-nan-B"),
+        pytest.param(lambda: node_perturbation_bound(_prony(), 0, NAN), "a_lead",
+                     id="node_perturbation_bound-nan-a_lead"),
+        pytest.param(lambda: _prony(eps=NAN), "eps", id="PronyConfig-nan-eps"),
+        pytest.param(lambda: _prony(node_gap=NAN), "node_gap", id="PronyConfig-nan-node_gap"),
+        pytest.param(lambda: _prony(multiplicities=(1.7,)), "multiplicities",
+                     id="PronyConfig-float-multiplicity"),
+        pytest.param(lambda: _prony(K="1"), "K", id="PronyConfig-str-K"),
+    ],
+)
+def test_paper_objects_read_their_arguments_as_the_record_readers_do(call, name):
+    with pytest.raises(ModelError, match=rf"\b{name}="):
+        call()
+
+
+def test_every_export_resolves_and_the_package_imports_only_exports():
+    modules = {
+        info.name: importlib.import_module(f"jumprec.{info.name}")
+        for info in pkgutil.iter_modules(jumprec.__path__)
+    }
+    for name, mod in modules.items():
+        for export in getattr(mod, "__all__", ()):
+            assert hasattr(mod, export), f"jumprec.{name}.__all__ lists {export!r}"
+    for node in ast.walk(ast.parse(inspect.getsource(jumprec))):
+        if isinstance(node, ast.ImportFrom):
+            exported = modules[node.module].__all__
+            for alias in node.names:
+                assert alias.name in exported, f"jumprec imports {node.module}.{alias.name}"

@@ -92,6 +92,22 @@ def test_synth_rejects_non_object_smooth_args(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_synth_smooth_args_that_are_not_json_exit_2(runner, tmp_path):
+    # text that does not parse is the caller's argument, as --priors is;
+    # only a file that fails to parse is an I/O error
+    mp = write_json(tmp_path / "m.json", MODEL_D1)
+    outp = tmp_path / "s.json"
+    res = runner.invoke(
+        main,
+        ["--out", str(outp), "synth", mp, "-M", "32", "--smooth", "expsin",
+         "--smooth-args", "nope"],
+    )
+    assert res.exit_code == 2, errtext(res)
+    assert "model error" in errtext(res)
+    assert "--smooth-args" in errtext(res)
+    assert not outp.exists()
+
+
 @pytest.mark.parametrize(
     "smooth_args, code, named",
     [('{"amp": -0.7}', 0, None),
@@ -245,6 +261,23 @@ def test_non_number_coefficients_exit_2_naming_coeffs(runner, tmp_path, value, s
     assert "model error" in errtext(res)
     assert "coeffs[0]" in errtext(res)
     assert "Traceback" not in errtext(res)
+    assert not outp.exists()
+
+
+@pytest.mark.parametrize("precision", ["double", "extended:60"])
+def test_jump_free_data_exit_2_in_both_precisions(runner, tmp_path, precision):
+    # an expsin spectrum with no jump: detection certifies rank 0, which is
+    # a model error (the data do not carry K=1 jumps), not a numeric one
+    sp = synthesize(runner, tmp_path, model={"d": 1, "jumps": []}, smooth="expsin")
+    bp = write_json(tmp_path / "b.json", BOUNDS)
+    outp = tmp_path / "a.json"
+    res = runner.invoke(
+        main,
+        ["--precision", precision, "--out", str(outp), "recover", sp,
+         "-d", "1", "-K", "1", "--bounds", bp],
+    )
+    assert res.exit_code == 2, errtext(res)
+    assert "model error: expected K=1 jumps but detection certified only 0" in errtext(res)
     assert not outp.exists()
 
 

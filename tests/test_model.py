@@ -37,7 +37,6 @@ from jumprec.model import (
     phi_coeff_array,
     phi_eval,
     phi_factors,
-    phi_fourier_coeff,
     save_model,
     shift_jumps,
     smooth_catalog,
@@ -347,18 +346,20 @@ def test_phi_eval_rejects_non_finite_points(bad):
 
 
 def test_unit_step_first_coefficient():
-    c = phi_fourier_coeff(JumpModel(0, ((0.0, (1.0,)),)), 1)
+    M = 1
+    c = phi_coeff_array(JumpModel(0, ((0.0, (1.0,)),)), M)[M + 1]
     assert c == pytest.approx(1.0 / (2.0j * np.pi), abs=1e-16)
     assert c.imag == pytest.approx(-0.159154943091895, abs=1e-14)
 
 
 def test_dc_coefficient_vanishes():
-    assert phi_fourier_coeff(JumpModel(1, ((0.3, (1.0, 2.0)),)), 0) == 0.0
+    M = 1
+    assert phi_coeff_array(JumpModel(1, ((0.3, (1.0, 2.0)),)), M)[M + 0] == 0.0
 
 
 def test_coefficient_matches_quadrature():
     m = JumpModel(1, ((1.0, (2.0, 3.0)),))
-    k = 5
+    M = k = 5
     re, _ = quad(
         lambda x: phi_eval(m, np.array([x]))[0] * np.cos(-k * x),
         -np.pi, np.pi, points=[1.0], limit=400, epsabs=1e-13,
@@ -368,7 +369,7 @@ def test_coefficient_matches_quadrature():
         -np.pi, np.pi, points=[1.0], limit=400, epsabs=1e-13,
     )
     oracle = (re + 1j * im) / (2.0 * np.pi)
-    got = phi_fourier_coeff(m, k)
+    got = phi_coeff_array(m, M)[M + k]
     assert abs(got - oracle) <= 1e-10
     assert got == pytest.approx(
         0.0556294666672128 - 0.0363726001975028j, abs=1e-12
@@ -379,26 +380,22 @@ def test_coefficients_are_additive_over_jumps():
     m1 = JumpModel(1, ((0.3, (1.0, 0.5)),))
     m2 = JumpModel(1, ((-1.1, (0.7, -0.2)),))
     both = JumpModel(1, ((-1.1, (0.7, -0.2)), (0.3, (1.0, 0.5))))
+    M = 12
     for k in (-7, 1, 12):
         assert abs(
-            phi_fourier_coeff(both, k)
-            - phi_fourier_coeff(m1, k)
-            - phi_fourier_coeff(m2, k)
+            phi_coeff_array(both, M)[M + k]
+            - phi_coeff_array(m1, M)[M + k]
+            - phi_coeff_array(m2, M)[M + k]
         ) <= 1e-14
 
 
 def test_coefficient_decay_bound():
     m = JumpModel(2, ((-1.1, (0.7, 0.1, 0.4)), (0.3, (1.0, 0.3, -0.2))))
     budget = m.magnitude_sum()
+    M = 64
+    coeffs = phi_coeff_array(m, M)
     for k in (1, 2, 5, 17, 64):
-        assert abs(phi_fourier_coeff(m, k)) * k <= budget
-
-
-def test_coeff_array_matches_scalar_form():
-    m = JumpModel(2, ((-1.1, (0.7, 0.1, 0.4)), (0.3, (1.0, 0.3, -0.2))))
-    arr = phi_coeff_array(m, 12)
-    for k in range(-12, 13):
-        assert abs(arr[12 + k] - phi_fourier_coeff(m, k)) <= 1e-16
+        assert abs(coeffs[M + k]) * k <= budget
 
 
 # a few ulp of a unit-modulus value: the phase kernel's budget
@@ -555,10 +552,6 @@ def test_coeff_array_is_the_closed_form_to_a_few_ulp(model, M, seed):
     assert arr[M] == 0
     if model.is_real and model.K:
         assert arr[:M].tobytes() == arr[M + 1 :][::-1].conj().tobytes()
-    tol = 1e-15 * max(1.0, model.magnitude_sum())
-    small = ks[np.abs(ks) <= 600]
-    scalar = np.array([phi_fourier_coeff(model, int(k)) for k in small])
-    assert np.max(np.abs(arr[small + M] - scalar), initial=0.0) <= tol
 
 
 @given(model=jump_models(), M=st.integers(1, 600), data=st.data())

@@ -13,7 +13,14 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from conftest import bits, magnitudes_reference, roots_reference, sampled_moments
+from conftest import (
+    bits,
+    magnitudes_reference,
+    magnitudes_to_alpha,
+    roots_reference,
+    sampled_moments,
+    synth_moments,
+)
 from jumprec.errors import AmbiguityError, ModelError, NumericError
 from jumprec.model import JumpModel, phi_coeff_array
 from jumprec.rootfind import find_roots
@@ -22,12 +29,10 @@ from jumprec.solver import (
     build_annihilator,
     disambiguate_nth_root,
     half_order_recover,
-    magnitudes_to_alpha,
     recover_single_jump,
     s_poly,
     select_root,
     solve_magnitudes,
-    synth_moments,
 )
 from jumprec.spectrum import FourierSpectrum, MomentSequence, SamplePlan
 
