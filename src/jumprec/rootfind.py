@@ -2,25 +2,33 @@
 
 Double precision takes the eigenvalues of the companion matrix with
 numpy.linalg.eigvals, the matrix numpy.roots builds, and extended precision
-uses mpmath.polyroots.  Both normalize the polynomial by its leading
-coefficient first and accept the roots only if each one's residual is
-small against the scale of its own evaluation.  The checks run on Python
-numbers (one .tolist() per array): the polynomials here have a handful of
-coefficients, where numpy's per-call overhead costs more than the
-arithmetic.  The moduli of each coefficient list are taken in one pass;
-those of the normalized list both check it and scale the gate.
-Coefficients are given in descending powers, matching numpy.roots.
+uses mpmath.polyroots, started from those same eigenvalues for the
+polynomial rounded to double: Durand-Kerner converges quadratically from a
+start accurate to double precision, where its default spiral start takes
+several times the steps.  When the rounded polynomial has no finite
+eigenvalues, or the warm start does not converge within its short budget,
+polyroots runs again from its default start.  Both finders normalize the
+polynomial by its leading coefficient first and accept the roots only if
+each one's residual is small against the scale of its own evaluation.  The
+checks run on Python numbers (one .tolist() per array): the polynomials
+here have a handful of coefficients, where numpy's per-call overhead costs
+more than the arithmetic.  The moduli of each coefficient list are taken in
+one pass; those of the normalized list both check it and scale the gate.
+Coefficients are given in descending powers, matching numpy.roots; one that
+is not a number is a ModelError.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
+import numbers
 
 import mpmath as mp
 import numpy as np
 
-from .errors import RootFindError
+from .errors import ModelError, RootFindError
 from .spectrum import moduli, modulus
 
 __all__ = ["find_roots", "find_roots_mp"]
@@ -29,9 +37,19 @@ _RESIDUAL_FACTOR = 1e-11
 # a double carries about 16 decimal digits; find_roots_mp tightens the gate
 # by one decade for every digit it works with beyond these
 _DOUBLE_DIGITS = 16
-# mpmath.polyroots iteration budget; its default of 50 assumes good
-# starting points, and it starts from a fixed spiral
+# mpmath.polyroots iteration budget from its default start, a fixed spiral
+# that knows nothing of the roots; mpmath's own default of 50 assumes good
+# starting points
 _MP_MAX_STEPS = 200
+# Durand-Kerner converges quadratically at simple roots, so a start good to
+# a double's 53 bits is good to 106, 212, 424, ... bits after 1, 2, 3, ...
+# steps.  polyroots stops once a step's correction, the error the step
+# started from, is below the working precision's epsilon: a warm start at
+# p bits needs 1 + ceil(log2(p / 53)) steps (3 at 60 digits, 6 at 400).
+# The spare steps cover seeds a few bits short of double accuracy (roots
+# of modulus 26 beside gaps of 0.39 in the d=3 annihilators take 4 at 60
+# digits); a start that needs more falls back to the spiral.
+_WARM_SPARE_STEPS = 2
 
 
 def _normalized(c: np.ndarray, lead_tol):
@@ -102,6 +120,39 @@ def _subdiagonal(n: int) -> np.ndarray:
     return arr
 
 
+def _companion_eigvals(c: np.ndarray) -> list:
+    """Eigenvalues of the companion matrix of c, numpy.roots' own step.
+
+    c is a complex128 array of degree >= 1 with c[0] != 0; the first row
+    is -c[1:] / c[0].  numpy.linalg.LinAlgError passes through.
+    """
+    n = c.size - 1
+    companion = _subdiagonal(n).copy()
+    companion[0] = -c[1:] / c[0]
+    return np.linalg.eigvals(companion).tolist()
+
+
+def _double_seeds(c: list):
+    """The companion eigenvalues of c rounded to double, or None.
+
+    None when the rounded coefficients or their eigenvalues are not all
+    finite: c is normalized, and its other coefficients can pass the
+    double range at the precisions find_roots_mp works in.
+    """
+    rounded = np.array(c, dtype=np.complex128)
+    if not np.isfinite(rounded).all():
+        return None
+    try:
+        seeds = _companion_eigvals(rounded)
+    except np.linalg.LinAlgError:
+        return None
+    return seeds if all(map(cmath.isfinite, seeds)) else None
+
+
+def _not_a_number(coeffs) -> ModelError:
+    return ModelError(f"polynomial coefficients must be numbers, got {coeffs!r}")
+
+
 def find_roots(coeffs) -> np.ndarray:
     """All complex roots of the polynomial with the given coefficients.
 
@@ -111,18 +162,27 @@ def find_roots(coeffs) -> np.ndarray:
     diagonal) of the rest, by numpy.linalg.eigvals.  Roots return as a
     complex array in lexicographic order of (real, imag) rounded to 10
     decimals.  Raises RootFindError for degenerate input (degree < 1 or
-    vanishing leading coefficient) and when a root fails the residual gate.
+    vanishing leading coefficient) and when a root fails the residual gate,
+    and ModelError for a coefficient that is not a number.
     """
-    c, values, sizes = _normalized(np.asarray(coeffs, dtype=np.complex128), 1e-14)
+    try:
+        c = np.asarray(coeffs)
+    except ValueError as exc:  # a ragged sequence
+        raise _not_a_number(coeffs) from exc
+    if c.dtype != np.complex128:
+        if c.dtype.kind not in "biufc" and not (
+            c.dtype.kind == "O" and all(isinstance(x, numbers.Number) for x in c.flat)
+        ):
+            raise _not_a_number(coeffs)
+        c = c.astype(np.complex128)
+    c, values, sizes = _normalized(c, 1e-14)
     n = len(values) - 1
     while values[n] == 0:
         n -= 1
     roots = [0j] * (len(values) - 1 - n)
     if n:
-        companion = _subdiagonal(n).copy()
-        companion[0] = -c[1 : n + 1] / c[0]
         try:
-            roots = np.linalg.eigvals(companion).tolist() + roots
+            roots = _companion_eigvals(c[: n + 1]) + roots
         except np.linalg.LinAlgError as exc:
             raise RootFindError(f"root finding did not converge: {exc}") from exc
     _check_residuals(values, sizes, roots, _RESIDUAL_FACTOR)
@@ -134,18 +194,38 @@ def find_roots(coeffs) -> np.ndarray:
 def find_roots_mp(coeffs, prec_dps: int):
     """Extended-precision variant of find_roots using mpmath numbers.
 
-    coeffs is a sequence convertible to mpmath.mpc, descending powers.
-    mpmath.polyroots iterates with extra guard bits; its roots pass the
-    same scaled residual gate as find_roots, moved to prec_dps digits.
-    Returns a list of mpmath roots (real roots first, sorted).
+    coeffs is a sequence of numbers (mpmath's among them), descending
+    powers.  mpmath.polyroots iterates with extra guard bits, started from
+    the companion eigenvalues of the normalized polynomial rounded to
+    double (find_roots' step, without its residual gate: a polynomial
+    that is well posed at prec_dps digits may not be in double).  That
+    call gets a short budget; when it does not converge, or the rounded
+    polynomial gives no finite eigenvalues, polyroots runs from its
+    default start with the full budget.  Its roots pass the same scaled
+    residual gate as find_roots, moved to prec_dps digits.  Returns a list
+    of mpmath roots (real roots first, sorted).
     """
+    if not all(isinstance(x, numbers.Number) for x in coeffs):
+        raise _not_a_number(coeffs)
     with mp.workdps(prec_dps):
         c = np.array([mp.mpc(x) for x in coeffs], dtype=object)
         _, c, sizes = _normalized(c, mp.mpf(10) ** (2 - prec_dps))
-        try:
-            roots = mp.polyroots(c, maxsteps=_MP_MAX_STEPS, extraprec=mp.mp.prec)
-        except mp.mp.NoConvergence as exc:
-            raise RootFindError(f"extended root finding did not converge: {exc}") from exc
+        roots = None
+        seeds = _double_seeds(c)
+        if seeds is not None:
+            warm = 1 + math.ceil(math.log2(mp.mp.prec / 53)) + _WARM_SPARE_STEPS
+            try:
+                roots = mp.polyroots(
+                    c, maxsteps=min(_MP_MAX_STEPS, warm), extraprec=mp.mp.prec,
+                    roots_init=[mp.mpc(z) for z in seeds],
+                )
+            except mp.mp.NoConvergence:
+                pass
+        if roots is None:
+            try:
+                roots = mp.polyroots(c, maxsteps=_MP_MAX_STEPS, extraprec=mp.mp.prec)
+            except mp.mp.NoConvergence as exc:
+                raise RootFindError(f"extended root finding did not converge: {exc}") from exc
         gate = _RESIDUAL_FACTOR * mp.mpf(10) ** (_DOUBLE_DIGITS - prec_dps)
         _check_residuals(c, sizes, roots, gate)
         return roots

@@ -9,6 +9,7 @@ misspecification exponent, and the log-log slope fit the sweeps read.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -43,8 +44,9 @@ class PronyConfig:
     arithmetic progression of stride sigma, whose start the bound does
     not depend on; delta_sigma is the minimal distance between sigma-th
     node powers; eps the perturbation level.  Counts are read as integers
-    (errors.read_int) and node_gap and eps as finite reals
-    (errors.read_real), else a ModelError naming the field.
+    (errors.read_int), multiplicities as a sequence of them, and node_gap
+    and eps as finite reals (errors.read_real), else a ModelError naming
+    the field.
     """
 
     K: int
@@ -58,7 +60,12 @@ class PronyConfig:
             object.__setattr__(self, name, read_int(getattr(self, name), name))
         for name in ("node_gap", "eps"):
             object.__setattr__(self, name, read_real(getattr(self, name), name))
-        mult = tuple(read_int(m, "multiplicities") for m in self.multiplicities)
+        mult = self.multiplicities
+        if isinstance(mult, (str, bytes)) or not isinstance(mult, Iterable):
+            raise ModelError(
+                f"multiplicities must be a sequence of integers, got multiplicities={mult!r}"
+            )
+        mult = tuple(read_int(m, "multiplicities") for m in mult)
         if self.K < 1 or len(mult) != self.K:
             raise ModelError(
                 f"need K >= 1 multiplicities, got K={self.K}, {len(mult)} entries"

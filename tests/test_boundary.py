@@ -152,6 +152,10 @@ def _prony(**fields):
         pytest.param(lambda: _prony(multiplicities=(1.7,)), "multiplicities",
                      id="PronyConfig-float-multiplicity"),
         pytest.param(lambda: _prony(K="1"), "K", id="PronyConfig-str-K"),
+        pytest.param(lambda: _prony(multiplicities=1), "multiplicities",
+                     id="PronyConfig-int-multiplicities"),
+        pytest.param(lambda: _prony(multiplicities=None), "multiplicities",
+                     id="PronyConfig-none-multiplicities"),
     ],
 )
 def test_paper_objects_read_their_arguments_as_the_record_readers_do(call, name):

@@ -9,7 +9,9 @@ from hypothesis import assume, given, strategies as st
 
 from conftest import bits, roots_reference
 from jumprec import rootfind
-from jumprec.errors import RootFindError
+from jumprec.errors import ModelError, RootFindError
+from jumprec.model import JumpModel, smooth_catalog, synth_spectrum
+from jumprec.precision import recover_single_jump_mp
 from jumprec.rootfind import find_roots, find_roots_mp
 
 
@@ -185,3 +187,107 @@ def test_extended_precision_failures_are_root_find_errors(monkeypatch):
     monkeypatch.setattr(rootfind, "_MP_MAX_STEPS", 1)
     with pytest.raises(RootFindError):
         find_roots_mp([1.0, -6.0, 11.0, -6.0], 50)
+
+
+@pytest.mark.parametrize("finder", [find_roots, lambda c: find_roots_mp(c, 60)],
+                         ids=["double", "extended"])
+@pytest.mark.parametrize("coeffs", [["a", "b"], ["1", "2"], [None, 1.0], [1.0, [2.0, 3.0]]],
+                         ids=["letters", "digits", "none", "ragged"])
+def test_coefficients_that_are_not_numbers_are_model_errors(finder, coeffs):
+    with pytest.raises(ModelError, match="must be numbers"):
+        finder(coeffs)
+
+
+def _from_default_start(coeffs, digits):
+    # the extended finder with no companion roots to start from: its
+    # fallback, mpmath's own spiral start with the full budget
+    def no_seeds(c):
+        raise np.linalg.LinAlgError("no seeds")
+
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(rootfind, "_companion_eigvals", no_seeds)
+        return find_roots_mp(coeffs, digits)
+
+
+def _assert_same_roots(got, want, digits):
+    # as sets: mpmath sorts on |imag| first, so roots whose |imag| tie to
+    # the working precision may come in either order
+    assert len(got) == len(want)
+    with mp.workdps(digits):
+        for b in want:
+            assert min(abs(a - b) for a in got) <= mp.mpf(10) ** (2 - digits) * max(1, abs(b))
+
+
+def _annihilator(M, d):
+    # the degree-(d+1) polynomial the 60-digit solve of one jump over an
+    # expsin background hands to find_roots_mp, as `recover` at
+    # extended:60 does; its other roots sit 0.73 (d=2) and 0.39 (d=3)
+    # from the jump's
+    model = JumpModel(d, ((0.7, (1.0,) + (0.3,) * d),))
+    spec = synth_spectrum(model, smooth_catalog("expsin", amp=0.7), M)
+    seen = []
+
+    def record(coeffs, digits):
+        seen.append(list(coeffs))
+        return find_roots(np.array([complex(c) for c in coeffs]))
+
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(rootfind, "find_roots_mp", record)
+        recover_single_jump_mp(spec, d, 0.7, digits=60)
+    (coeffs,) = seen
+    return coeffs
+
+
+@pytest.mark.parametrize("M", [512, 1024, 4096])
+@pytest.mark.parametrize("d", [2, 3])
+def test_warm_start_gives_the_default_start_roots_on_annihilators(d, M):
+    coeffs = _annihilator(M, d)
+    got = find_roots_mp(coeffs, 60)
+    _assert_same_roots(got, _from_default_start(coeffs, 60), 60)
+    gap = min(abs(complex(a - b)) for i, a in enumerate(got) for b in got[i + 1 :])
+    assert gap == pytest.approx({2: 0.73, 3: 0.39}[d], abs=0.01)
+
+
+_ROOT = st.tuples(st.floats(-3, 3), st.floats(-3, 3)).map(lambda p: complex(*p))
+
+
+@given(st.lists(_ROOT, min_size=1, max_size=6), st.sampled_from([50, 60, 100]))
+def test_warm_start_gives_the_default_start_roots(roots, digits):
+    assume(all(abs(a - b) > 0.2 for i, a in enumerate(roots) for b in roots[i + 1 :]))
+    with mp.workdps(digits):
+        coeffs = [mp.mpc(1)]
+        for r in roots:
+            coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    # both starts return the same roots, or both fail the same gate
+    try:
+        want = _from_default_start(coeffs, digits)
+    except RootFindError:
+        with pytest.raises(RootFindError):
+            find_roots_mp(coeffs, digits)
+    else:
+        _assert_same_roots(find_roots_mp(coeffs, digits), want, digits)
+
+
+def test_warm_start_converges_within_a_short_budget(monkeypatch):
+    # from mpmath's spiral this annihilator takes 10-17 steps; from the
+    # double companion roots it takes 4
+    coeffs = _annihilator(4096, 3)
+    monkeypatch.setattr(rootfind, "_MP_MAX_STEPS", 6)
+    assert len(find_roots_mp(coeffs, 60)) == 4
+
+
+def test_starts_the_warm_budget_cannot_serve_fall_back_to_the_default():
+    # a double root converges only linearly from any start
+    with mp.workdps(60):
+        roots = find_roots_mp([1, -4, 5, -2], 60)
+        assert len(roots) == 3
+        for r, want in zip(roots, (1, 1, 2)):
+            assert abs(r - want) <= mp.mpf("1e-25")
+    # the normalized coefficients 1e390 are past the double range, so
+    # there are no finite companion roots to start from
+    with mp.workdps(400):
+        big = mp.mpf("1e390")
+        far, near = find_roots_mp([1 / big, 1, 1], 400)
+        # z^2 + 1e390 z + 1e390: -1e390 + 1 and -1 - 1e-390, to 398 digits
+        assert abs(far / (1 - big) - 1) <= mp.mpf("1e-398")
+        assert abs(near + 1) <= mp.mpf("1e-389")
