@@ -33,6 +33,12 @@ _BUMP_MIN_M = 32
 # error budget
 _PLATEAU_TOL = 5e-2
 
+# Kaiser shape parameter at which the window stops gaining digits: its
+# sidelobes fall like e^{-beta}, and e^{-38} = 3e-17 sits below double
+# rounding, so a degree past the one that reaches it only widens the
+# band the windowing reads
+_SEPARATION_BETA = 38.0
+
 
 def prony_order0(spec: FourierSpectrum, K: int) -> list:
     """Approximate all K jump locations from the top-index coefficients.
@@ -42,6 +48,7 @@ def prony_order0(spec: FourierSpectrum, K: int) -> list:
     all Hankel rows, and reads jump locations off the root angles.
     Locations return sorted ascending.
     """
+    K = read_int(K, "K")
     if K < 1:
         raise ModelError(f"detection needs K >= 1, got {K}")
     tail = 4 * K
@@ -118,6 +125,17 @@ def _window_taper(J: float, M: int, D: int) -> np.ndarray:
         )
     mag.flags.writeable = False
     return mag
+
+
+def _separation_degree(J: float) -> int:
+    """The least degree D at which _window_taper's beta reaches 38.
+
+    The taper of a window of half-width J has
+    beta = sqrt((J/3 (D+1))^2 - pi^2); this inverts it at
+    _SEPARATION_BETA.  It is 80 at J = 0.9 pi/2 and 211 at J = 0.54.
+    """
+    beta_reach = math.sqrt(_SEPARATION_BETA**2 + math.pi**2)
+    return math.ceil(beta_reach / (J / 3.0)) - 1
 
 
 def make_bump(center: float, J: float, M: int, degree: int) -> FourierSpectrum:

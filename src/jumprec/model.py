@@ -503,6 +503,7 @@ def synth_spectrum(
     closed forms; smooth=None adds nothing.  A real model with a catalog
     smooth part gives conjugate-symmetric coefficients bit for bit.
     """
+    M = read_int(M, "M")
     if model.K > 0 and M < (model.order + 2) * model.K:
         raise ModelError(
             f"M={M} below (d+2)K = {(model.order + 2) * model.K} "
@@ -637,8 +638,9 @@ def smooth_catalog(name: str, **params) -> SmoothPart:
     raise ModelError(f"unknown smooth-part name {name!r}")
 
 
-def fitted_decay_constant(spectrum: FourierSpectrum, exponent: int) -> float:
+def fitted_decay_constant(spectrum: FourierSpectrum, exponent: float) -> float:
     """Smallest R with |c_k| <= R k^{-exponent} over 1 <= k <= M."""
+    exponent = read_real(exponent, "exponent")
     ks = np.arange(1, spectrum.M + 1, dtype=float)
     vals = np.abs(spectrum.coeffs[spectrum.M + 1 :])
     return float(np.max(vals * ks**exponent))
@@ -646,6 +648,7 @@ def fitted_decay_constant(spectrum: FourierSpectrum, exponent: int) -> float:
 
 def shift_jumps(model: JumpModel, delta: float) -> JumpModel:
     """Translate every jump by delta, wrapping back into [-pi, pi)."""
+    delta = read_real(delta, "delta")
     moved = []
     for xi, mags in model.jumps:
         xi_new = float(wrap_angle(xi + delta))
@@ -665,6 +668,7 @@ def adversarial_pair(model: JumpModel, M: int, bounds: AprioriBounds):
     coefficients treats g and h identically while their jump sets differ
     by delta.
     """
+    M = read_int(M, "M")
     if model.magnitude_sum() >= bounds.A:
         raise ModelError(
             f"model magnitude sum {model.magnitude_sum():.6g} must stay "

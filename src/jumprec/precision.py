@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import mpmath as mp
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, read_int
 from .solver import JumpEstimate, recover_single_jump
 from .spectrum import FourierSpectrum, MomentSequence, SamplePlan, plan_values
 
@@ -66,6 +66,7 @@ def recover_single_jump_mp(
     Results come back as ordinary floats; the gain is that intermediate
     cancellation no longer caps accuracy.
     """
+    digits = read_int(digits, "digits")
     if digits < _MIN_DIGITS:
         raise ModelError(f"extended precision needs >= {_MIN_DIGITS} digits")
     plan = SamplePlan("decimated", d, spec.M if M is None else M)

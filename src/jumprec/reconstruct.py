@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DetectionError, ModelError, NumericError, read_int, read_real
-from .localize import _BUMP_MIN_M, localize_jump, make_bump, prony_order0
+from .localize import _BUMP_MIN_M, _separation_degree, localize_jump, make_bump, prony_order0
 from .model import (
     AprioriBounds,
     JumpModel,
@@ -62,30 +62,27 @@ _USABLE_FRACTION = 0.75
 _REFINE_TOL = 5e-14
 
 
-# Kaiser shape parameter at which the window stops gaining digits: its
-# sidelobes fall like e^{-beta}, and e^{-38} = 3e-17 sits below double
-# rounding, so a degree past the one that reaches it only widens the
-# band the windowing reads
-_SEPARATION_BETA = 38.0
-
-
 def pipeline_geometry(M: int, d: int, J: float) -> tuple:
     """(M_eff, window half-width, window degree) of the pipeline.
 
     Single-jump solves sample indices up to M_eff only.  The window degree
-    stays below the lowest decimated sample, so the window cannot fold
-    low-index content onto it, and below M - M_eff, so the windowed
-    coefficients are exact on every sampled index.  It is also capped at
-    the separation degree, the least D whose taper (localize's Kaiser
-    taper, beta = sqrt((width/3 (D+1))^2 - pi^2)) reaches beta = 38: 80 at
-    J = pi/2, 211 at J = 0.6.  The cap depends on J alone and never raises
-    the degree; from the M where it binds on, the degree stops growing.
+    stays below the lowest sample of the decimated plan over M_eff (its
+    stride), so the window cannot fold low-index content onto it, and
+    below M - M_eff, so the windowed coefficients are exact on every
+    sampled index.  It is also capped at the separation degree of the
+    window's half-width (localize's, the least D whose Kaiser taper
+    reaches beta = 38): 80 at J = pi/2, 211 at J = 0.6.  The cap depends
+    on J alone and never raises the degree; from the M where it binds
+    on, the degree stops growing.  M and d are integers and J a positive
+    real, else ModelError.
     """
+    M, d, J = read_int(M, "M"), read_int(d, "d"), read_real(J, "J")
+    if J <= 0.0:
+        raise ModelError(f"separation J must be > 0, got J={J!r}")
     M_eff = max(int(_USABLE_FRACTION * M), d + 2)
     width = min(0.9 * J, np.pi / 2.0)
-    beta_reach = math.sqrt(_SEPARATION_BETA**2 + math.pi**2)
-    separation = math.ceil(beta_reach / (width / 3.0)) - 1
-    degree = max(1, min(M - M_eff, M_eff // (d + 2) - 2, separation))
+    lowest = SamplePlan("decimated", d, M_eff).stride
+    degree = max(1, min(M - M_eff, lowest - 2, _separation_degree(width)))
     return M_eff, width, degree
 
 
@@ -444,7 +441,7 @@ def full_reconstruct(
 
     plan = SamplePlan("decimated", config.d, M_eff)
     half = SamplePlan("consecutive", config.d // 2, M_eff)
-    n = len(plan.indices)
+    n = plan.d + 2
     estimates = []
     for window in windows:
         values = localize_jump(spec, window, plan.indices + half.indices)

@@ -8,8 +8,10 @@ start accurate to double precision, where its default spiral start takes
 several times the steps.  When the rounded polynomial has no finite
 eigenvalues, or the warm start does not converge within its short budget,
 polyroots runs again from its default start.  Both finders normalize the
-polynomial by its leading coefficient first and accept the roots only if
-each one's residual is small against the scale of its own evaluation.  The
+polynomial by its leading coefficient first, take each trailing zero
+coefficient as an exact zero root, return the roots in one order and
+accept them only if each one's residual is small against the scale of
+its own evaluation.  The
 checks run on Python numbers (one .tolist() per array): the polynomials
 here have a handful of coefficients, where numpy's per-call overhead costs
 more than the arithmetic.  The moduli of each coefficient list are taken in
@@ -195,37 +197,51 @@ def find_roots_mp(coeffs, prec_dps: int):
     """Extended-precision variant of find_roots using mpmath numbers.
 
     coeffs is a sequence of numbers (mpmath's among them), descending
-    powers.  mpmath.polyroots iterates with extra guard bits, started from
-    the companion eigenvalues of the normalized polynomial rounded to
-    double (find_roots' step, without its residual gate: a polynomial
-    that is well posed at prec_dps digits may not be in double).  That
-    call gets a short budget; when it does not converge, or the rounded
-    polynomial gives no finite eigenvalues, polyroots runs from its
-    default start with the full budget.  Its roots pass the same scaled
-    residual gate as find_roots, moved to prec_dps digits.  Returns a list
-    of mpmath roots (real roots first, sorted).
+    powers.  As in find_roots, each trailing zero coefficient of the
+    normalized polynomial is an exact zero root.  mpmath.polyroots finds
+    the rest with extra guard bits and no cleanup, so a nonzero root
+    below the working epsilon stays nonzero.  It starts from the
+    companion eigenvalues of that polynomial rounded to double
+    (find_roots' step, without its residual gate: a polynomial that is
+    well posed at prec_dps digits may not be in double).  That call gets
+    a short budget; when it does not converge, or the rounded polynomial
+    gives no finite eigenvalues, polyroots runs from its default start
+    with the full budget.  The roots pass the same scaled residual gate
+    as find_roots, moved to prec_dps digits, and return as a list of
+    mpmath numbers in find_roots' order: by real, then imaginary part,
+    each rounded to 10 decimals.
     """
     if not all(isinstance(x, numbers.Number) for x in coeffs):
         raise _not_a_number(coeffs)
     with mp.workdps(prec_dps):
         c = np.array([mp.mpc(x) for x in coeffs], dtype=object)
         _, c, sizes = _normalized(c, mp.mpf(10) ** (2 - prec_dps))
-        roots = None
-        seeds = _double_seeds(c)
-        if seeds is not None:
-            warm = 1 + math.ceil(math.log2(mp.mp.prec / 53)) + _WARM_SPARE_STEPS
-            try:
-                roots = mp.polyroots(
-                    c, maxsteps=min(_MP_MAX_STEPS, warm), extraprec=mp.mp.prec,
-                    roots_init=[mp.mpc(z) for z in seeds],
-                )
-            except mp.mp.NoConvergence:
-                pass
-        if roots is None:
-            try:
-                roots = mp.polyroots(c, maxsteps=_MP_MAX_STEPS, extraprec=mp.mp.prec)
-            except mp.mp.NoConvergence as exc:
-                raise RootFindError(f"extended root finding did not converge: {exc}") from exc
+        n = len(c) - 1
+        while c[n] == 0:
+            n -= 1
+        roots = _polyroots_mp(c[: n + 1]) if n else []
+        roots += [mp.mpc(0)] * (len(c) - 1 - n)
         gate = _RESIDUAL_FACTOR * mp.mpf(10) ** (_DOUBLE_DIGITS - prec_dps)
         _check_residuals(c, sizes, roots, gate)
+        # find_roots' key, rounded in mpmath: the roots may pass the double range
+        roots.sort(key=lambda z: (mp.nint(z.real * 10**10), mp.nint(z.imag * 10**10)))
         return roots
+
+
+def _polyroots_mp(c: list) -> list:
+    # mpmath.polyroots at the working precision from the double seeds,
+    # then from its default start; c is normalized with a nonzero last term
+    seeds = _double_seeds(c)
+    if seeds is not None:
+        warm = 1 + math.ceil(math.log2(mp.mp.prec / 53)) + _WARM_SPARE_STEPS
+        try:
+            return mp.polyroots(
+                c, maxsteps=min(_MP_MAX_STEPS, warm), cleanup=False,
+                extraprec=mp.mp.prec, roots_init=[mp.mpc(z) for z in seeds],
+            )
+        except mp.mp.NoConvergence:
+            pass
+    try:
+        return mp.polyroots(c, maxsteps=_MP_MAX_STEPS, cleanup=False, extraprec=mp.mp.prec)
+    except mp.mp.NoConvergence as exc:
+        raise RootFindError(f"extended root finding did not converge: {exc}") from exc

@@ -43,7 +43,7 @@ import mpmath as mp
 import numpy as np
 
 from . import rootfind
-from .errors import AmbiguityError, ModelError, NumericError, read_int
+from .errors import AmbiguityError, ModelError, NumericError, read_int, read_real
 from .spectrum import (
     MomentSequence,
     SamplePlan,
@@ -147,7 +147,9 @@ def disambiguate_nth_root(z: complex, N: int, xi_prior: float) -> float:
     candidates are evenly spaced, so the winner and the runner-up are the
     two around the prior: only the branch n* nearest the prior and its
     neighbours are evaluated.  xi comes back in the arithmetic of z.
+    N is an integer and xi_prior a finite real, else ModelError.
     """
+    N, xi_prior = read_int(N, "N"), read_real(xi_prior, "xi_prior")
     if N < 1:
         raise ModelError(f"N must be >= 1, got {N}")
     if z == 0:
@@ -155,8 +157,8 @@ def disambiguate_nth_root(z: complex, N: int, xi_prior: float) -> float:
     ar = _arith_of(z)
     pi = ar.pi
     t = -ar.phase(z)
-    if not (math.isfinite(float(t)) and math.isfinite(xi_prior)):
-        raise ModelError(f"non-finite root {z} or prior {xi_prior}")
+    if not math.isfinite(float(t)):
+        raise ModelError(f"non-finite root {z}")
     offset = (xi_prior - float(t) / N) % (2.0 * math.pi)
     n_star = round(offset * N / (2.0 * math.pi))
     branches = sorted({(n_star - 1) % N, n_star % N, (n_star + 1) % N})
@@ -366,7 +368,10 @@ def recover_single_jump(
     directly.  The magnitudes are demodulated by the root brought onto the
     unit circle, z/|z|, not by a phase of the rounded xi, and how far z
     sat off the circle, ||z| - 1| / N, is returned as circle_offset.
+    A prior that is not a finite real is a ModelError.
     """
+    if xi_prior is not None:
+        xi_prior = read_real(xi_prior, "xi_prior")
     coeffs = build_annihilator(moments)
     ar = _arith_of(coeffs)
     roots = ar.find_roots(coeffs)

@@ -9,10 +9,11 @@ circular_distance are the package's one circle geometry.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -194,6 +195,7 @@ class FourierSpectrum:
 
     def coeff(self, k: int) -> complex:
         """Return c_k for -M <= k <= M."""
+        k = read_int(k, "k")
         if not -self.M <= k <= self.M:
             raise IndexError(f"coefficient index {k} outside [-{self.M}, {self.M}]")
         return complex(self.coeffs[k + self.M])
@@ -225,55 +227,42 @@ class FourierSpectrum:
         return cls(M, _complex_pairs(pairs), real_valued)
 
 
-@dataclass(frozen=True, init=False)
-class SamplePlan:
-    """Which moment indices feed the annihilator.
+class SamplePlan(collections.namedtuple("SamplePlan", "kind d M")):
+    """Which moment indices feed the annihilator: a (kind, d, M) value.
 
-    decimated: {N, 2N, ..., (d+2)N} with N = floor(M/(d+2));
-    consecutive: {M-d-1, ..., M}.  Both hold exactly d+2 strictly
-    increasing indices in 1..M, computed once per plan.  Plans are
-    interned: SamplePlan(kind, d, M) returns the one plan of that shape
-    (the last 256 shapes are kept), so the caches keyed by a plan find it
-    by identity, without comparing fields.  Equal shapes still compare
-    equal.
+    decimated: {N, 2N, ..., (d+2)N} with stride N = floor(M/(d+2));
+    consecutive: {M-d-1, ..., M}, stride 1.  Both hold exactly d+2 strictly
+    increasing indices in 1..M.  A plan is a plain tuple: equal shapes are
+    equal and hash alike, however they were built, so the caches keyed by
+    a plan hit by value.  Every way of making one, _make, _replace, copy
+    and pickle among them, runs the same checks.
     """
 
-    kind: str
-    d: int
-    M: int
-    indices: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
     def __new__(cls, kind: str, d: int, M: int):
         if kind not in ("decimated", "consecutive"):
             raise ModelError(f"unknown plan kind {kind!r}")
-        return _interned_plan(kind, read_int(d, "d"), read_int(M, "M"))
+        d, M = read_int(d, "d"), read_int(M, "M")
+        if d < 0:
+            raise ModelError(f"plan order must be >= 0, got {d}")
+        if M < d + 2:
+            raise ModelError(f"M={M} cannot host d+2 = {d + 2} sample indices")
+        return super().__new__(cls, kind, d, M)
 
-    def __reduce__(self):
-        return (SamplePlan, (self.kind, self.d, self.M))
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def stride(self) -> int:
         return self.M // (self.d + 2) if self.kind == "decimated" else 1
 
     @property
-    def base_index(self) -> int:
-        if self.kind == "decimated":
-            return self.M // (self.d + 2)
-        return self.M - self.d - 1
-
-
-@functools.lru_cache(maxsize=256)
-def _interned_plan(kind: str, d: int, M: int) -> SamplePlan:
-    if d < 0:
-        raise ModelError(f"plan order must be >= 0, got {d}")
-    if M < d + 2:
-        raise ModelError(f"M={M} cannot host d+2 = {d + 2} sample indices")
-    plan = object.__new__(SamplePlan)
-    for name, value in (("kind", kind), ("d", d), ("M", M)):
-        object.__setattr__(plan, name, value)
-    s, b = plan.stride, plan.base_index
-    object.__setattr__(plan, "indices", tuple(b + j * s for j in range(d + 2)))
-    return plan
+    def indices(self) -> tuple:
+        N = self.stride
+        first = N if self.kind == "decimated" else self.M - self.d - 1
+        return tuple(range(first, first + (self.d + 2) * N, N))
 
 
 @dataclass(frozen=True)
@@ -288,7 +277,7 @@ class MomentSequence:
 
     def __post_init__(self):
         vals = _complex_values(self.values)
-        if vals.ndim != 1 or vals.size != len(self.plan.indices):
+        if vals.ndim != 1 or vals.size != self.plan.d + 2:
             raise ModelError("moment indices and values disagree in length")
         if not _all_finite(vals):
             raise ModelError("moments hold non-finite values (NaN or inf)")
@@ -394,7 +383,7 @@ def weight_moments(plan: SamplePlan, values) -> MomentSequence:
     order 2pi, then (ik)^{d+1}, then c_k.
     """
     cs = np.asarray(values, dtype=np.complex128)
-    if cs.shape != (len(plan.indices),):
+    if cs.shape != (plan.d + 2,):
         raise ModelError("moment indices and values disagree in length")
     return MomentSequence(plan, np.array(
         list(map(operator.mul, _moment_weights(plan), cs.tolist())), dtype=np.complex128

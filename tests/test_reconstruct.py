@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import pickle
 import re
 import sys
 
@@ -16,15 +17,19 @@ from jumprec import localize, reconstruct, rootfind, solver
 from jumprec import model as model_module
 from jumprec import spectrum as spectrum_module
 from jumprec.errors import ModelError, NumericError
-from jumprec.localize import make_bump
+from jumprec.localize import make_bump, prony_order0
 from jumprec.model import (
     AprioriBounds,
     JumpModel,
+    adversarial_pair,
+    fitted_decay_constant,
     phi_coeff_array,
     phi_eval,
+    shift_jumps,
     smooth_catalog,
     synth_spectrum,
 )
+from jumprec.precision import recover_single_jump_mp
 from jumprec.reconstruct import (
     Approximant,
     ReconstructionConfig,
@@ -33,7 +38,7 @@ from jumprec.reconstruct import (
     jump_free_error,
     pipeline_geometry,
 )
-from jumprec.solver import JumpEstimate, SamplePlan
+from jumprec.solver import JumpEstimate, SamplePlan, disambiguate_nth_root, recover_single_jump
 from jumprec.spectrum import (
     FourierSpectrum,
     eval_partial_sum,
@@ -85,6 +90,47 @@ def test_config_rejects_bounds_that_are_not_apriori_bounds(bounds):
     # a dict raised AttributeError on bounds.J
     with pytest.raises(ModelError, match="bounds must be an AprioriBounds"):
         ReconstructionConfig(d=1, K=1, bounds=bounds)
+
+
+_SPEC_1 = synth_spectrum(JumpModel(1, ((0.7, (1.0, 0.3)),)), None, 64)
+_ENTRY_POINTS = {
+    "prony_order0 K=1.5": (lambda: prony_order0(_SPEC_1, 1.5), "K must be an integer"),
+    "prony_order0 K='1'": (lambda: prony_order0(_SPEC_1, "1"), "K must be an integer"),
+    "prony_order0 K=True": (lambda: prony_order0(_SPEC_1, True), "K must be an integer"),
+    "recover_single_jump prior='0.7'": (
+        lambda: recover_single_jump(sampled_moments(_SPEC_1, SamplePlan("decimated", 1, 64)), "0.7"),
+        "xi_prior must be a real number"),
+    "recover_single_jump prior=True": (
+        lambda: recover_single_jump(sampled_moments(_SPEC_1, SamplePlan("decimated", 1, 64)), True),
+        "xi_prior must be a real number"),
+    "disambiguate_nth_root N=2.5": (lambda: disambiguate_nth_root(1j, 2.5, 0.7), "N must be an integer"),
+    "disambiguate_nth_root N=True": (lambda: disambiguate_nth_root(1j, True, 0.7), "N must be an integer"),
+    "synth_spectrum M='100'": (lambda: synth_spectrum(TWO_JUMPS, None, "100"), "M must be an integer"),
+    "adversarial_pair M='100'": (
+        lambda: adversarial_pair(JumpModel(1, ((0.7, (1.0, 0.3)),)), "100", BND),
+        "M must be an integer"),
+    "shift_jumps delta='x'": (lambda: shift_jumps(TWO_JUMPS, "x"), "delta must be a real number"),
+    "fitted_decay_constant exponent='a'": (
+        lambda: fitted_decay_constant(_SPEC_1, "a"), "exponent must be a real number"),
+    "pipeline_geometry d=1.5": (lambda: pipeline_geometry(256, 1.5, 1.5), "d must be an integer"),
+    "pipeline_geometry J=-1.0": (lambda: pipeline_geometry(256, 1, -1.0), "J must be > 0"),
+    "pipeline_geometry J=nan": (lambda: pipeline_geometry(256, 1, math.nan), "J must be finite"),
+    "recover_single_jump_mp digits='60'": (
+        lambda: recover_single_jump_mp(_SPEC_1, 1, 0.7, digits="60"), "digits must be an integer"),
+    "recover_single_jump_mp digits=60.5": (
+        lambda: recover_single_jump_mp(_SPEC_1, 1, 0.7, digits=60.5), "digits must be an integer"),
+    "FourierSpectrum.coeff k=True": (lambda: _SPEC_1.coeff(True), "k must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", _ENTRY_POINTS)
+def test_public_entry_points_read_their_numeric_arguments(case):
+    # a float, bool, string or NaN where the entry point needs an integer
+    # or a real is a model error naming the argument: never a truncated
+    # count, a bool read as 1, a leaked TypeError or numpy's LinAlgError
+    call, message = _ENTRY_POINTS[case]
+    with pytest.raises(ModelError, match=re.escape(message)):
+        call()
 
 
 def test_config_takes_numpy_integer_counts_as_int():
@@ -839,6 +885,31 @@ def test_shape_caches_are_bounded_read_only_and_change_no_byte():
     for arr in found:
         with pytest.raises(ValueError):
             arr[...] = 0
+
+
+def test_plans_built_apart_share_one_entry_of_each_plan_cache():
+    # the plan-keyed caches hit by value: a plan built again, from numpy
+    # integers, by _replace or through a pickle, finds the first one's
+    # entry and gets the same cached object back
+    first = SamplePlan("decimated", 2, 768)
+    again = (
+        SamplePlan("decimated", np.int64(2), np.int32(768)),
+        SamplePlan("consecutive", 2, 768)._replace(kind="decimated"),
+        pickle.loads(pickle.dumps(first)),
+    )
+    lookups = (
+        (solver._plan_table, lambda plan: (plan, None)),
+        (spectrum_module._moment_weights, lambda plan: (plan,)),
+        (reconstruct._band, lambda plan: (plan, 20)),
+    )
+    for cache, args in lookups:
+        cache.cache_clear()
+        want = cache(*args(first))
+        for plan in again:
+            assert plan is not first
+            assert cache(*args(plan)) is want
+        info = cache.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, len(again))
 
 
 # ---------------------------------------------------------------- artifacts

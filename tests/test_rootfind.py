@@ -258,14 +258,41 @@ def test_warm_start_gives_the_default_start_roots(roots, digits):
         coeffs = [mp.mpc(1)]
         for r in roots:
             coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    # both starts return the same roots, or both fail the same gate
+    # both starts return the same roots; where the spiral start fails the
+    # gate (it can land a tiny root on exactly 0), the warm start fails it
+    # too or returns the roots the polynomial was built from
     try:
         want = _from_default_start(coeffs, digits)
     except RootFindError:
-        with pytest.raises(RootFindError):
-            find_roots_mp(coeffs, digits)
+        try:
+            got = find_roots_mp(coeffs, digits)
+        except RootFindError:
+            return
+        _assert_same_roots(got, [mp.mpc(r) for r in roots], digits)
     else:
         _assert_same_roots(find_roots_mp(coeffs, digits), want, digits)
+
+
+@pytest.mark.parametrize("root, digits", [(mp.mpf("1e-55"), 50), (mp.mpc(0, "4e-98"), 100)],
+                         ids=["real-1e-55", "imag-4e-98"])
+def test_a_nonzero_root_below_the_working_epsilon_stays_nonzero(root, digits):
+    # mpmath's cleanup would set it to exactly 0, whose residual fails the gate
+    with mp.workdps(digits):
+        (got,) = find_roots_mp([1, -root], digits)
+        assert abs(got - root) <= mp.mpf(10) ** (2 - digits) * abs(root)
+
+
+def test_extended_precision_zero_roots_are_exact_and_roots_come_in_one_order():
+    # z^2 (z - 2)(z^2 + 1): a trailing zero coefficient is an exact zero
+    # root, as in find_roots, and the roots come in its order, by real
+    # then imaginary part rounded to 10 decimals
+    coeffs = [1, -2, 1, -2, 0, 0]
+    got = find_roots_mp(coeffs, 60)
+    assert got[1:3] == [0, 0]
+    with mp.workdps(60):
+        for z, want in zip(got, (-1j, 0, 0, 1j, 2)):
+            assert abs(z - want) <= mp.mpf("1e-55")
+    assert [complex(z) for z in got] == pytest.approx(find_roots(coeffs).tolist(), abs=1e-14)
 
 
 def test_warm_start_converges_within_a_short_budget(monkeypatch):

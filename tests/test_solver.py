@@ -2,7 +2,6 @@
 
 import cmath
 import copy
-import dataclasses
 import math
 import pickle
 import re
@@ -72,26 +71,37 @@ def test_numpy_integers_are_plan_and_moment_integers():
     assert mom.indices == (2, 4, 6) and mom.plan is plan
 
 
-def test_plans_are_interned_by_shape():
-    # one object per (kind, d, M), however the integers arrive, so the
-    # caches keyed by a plan hit by identity and never compare fields;
-    # equal shapes still compare equal, and copies are the same plan
+def test_plans_are_values_of_their_shape():
+    # a plan is its (kind, d, M): equal shapes built apart, however the
+    # integers arrive, are equal and hash alike, so the caches keyed by a
+    # plan hit by value; every copy runs the constructor's checks
     plan = SamplePlan("decimated", 2, 64)
     for same in (
         SamplePlan("decimated", np.int64(2), 64),
         SamplePlan(kind="decimated", d=2, M=np.int32(64)),
-        dataclasses.replace(SamplePlan("decimated", 2, 32), M=64),
+        SamplePlan("decimated", 2, 32)._replace(M=np.int64(64)),
+        SamplePlan._make(["decimated", 2, 64]),
+        copy.copy(plan),
         copy.deepcopy(plan),
         pickle.loads(pickle.dumps(plan)),
     ):
-        assert same is plan
-    assert plan == SamplePlan("decimated", 2, 64) != SamplePlan("consecutive", 2, 64)
+        assert type(same) is SamplePlan and same == plan and hash(same) == hash(plan)
+        assert all(type(n) is int for n in (same.d, same.M))
+    assert plan != SamplePlan("consecutive", 2, 64)
+    with pytest.raises(ModelError, match="cannot host"):
+        plan._replace(M=1)
+    with pytest.raises(ModelError, match="unknown plan kind"):
+        plan._replace(kind="striped")
+    with pytest.raises(ModelError, match="d must be an integer"):
+        SamplePlan._make(("decimated", 1.5, 30))
+    with pytest.raises(AttributeError):
+        plan.M = 128
 
 
 def test_decimated_plan_geometry():
     plan = SamplePlan("decimated", 2, 17)
     assert plan.stride == 4
-    assert plan.base_index == 4
+    assert plan.indices[0] == 4
     assert plan.indices == (4, 8, 12, 16)
 
 
