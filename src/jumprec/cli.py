@@ -304,6 +304,8 @@ def load_bench_spec(path, fallback_seed: int = 0) -> BenchmarkSpec:
     "precision": "double", "seed": int, "bounds": {"J","A","B","R"}}.
     smooth, noise, precision, seed and bounds are optional; bounds default
     to values derived from the model.  Sweeps run in double precision only.
+    Noise whose largest term amp k^-decay, k <= max(M_values), is past the
+    double range is a ModelError.
     """
     data = read_json(path)
     if not isinstance(data, dict) or "model" not in data:
@@ -358,6 +360,18 @@ def load_bench_spec(path, fallback_seed: int = 0) -> BenchmarkSpec:
         raise ModelError(
             f"smallest M={M_values[0]} below (d+2)K = {floor_M}"
         )
+    # the noise's largest term, amp k^-decay at k = 1 or at the largest M,
+    # must be a double
+    if noise_amp > 0.0:
+        try:
+            peak = noise_amp * max(1.0, float(M_values[-1]) ** -noise_decay)
+        except OverflowError:
+            peak = math.inf
+        if not math.isfinite(peak):
+            raise ModelError(
+                f"'noise' with amp {noise_amp!r} and decay {noise_decay!r}: "
+                f"amp k^-decay passes the double range at k = {M_values[-1]}"
+            )
 
     precision = data.get("precision", "double")
     if precision != "double":

@@ -46,7 +46,9 @@ def prony_order0(spec: FourierSpectrum, K: int) -> list:
     Forms first-order moments 2 pi i k c_k on the 4K highest indices,
     solves the monic K-term annihilating polynomial in least squares over
     all Hankel rows, and reads jump locations off the root angles.
-    Locations return sorted ascending.
+    Locations return sorted ascending.  Finite coefficients so large that
+    a moment passes the double range raise a plain NumericError, not a
+    DetectionError: the rank of such data is not measured.
     """
     K = read_int(K, "K")
     if K < 1:
@@ -56,7 +58,13 @@ def prony_order0(spec: FourierSpectrum, K: int) -> list:
         raise ModelError(f"detection needs M >= 4K = {tail}, got M={spec.M}")
     k0 = spec.M - tail + 1
     ks = np.arange(k0, spec.M + 1)
-    y = 2.0 * np.pi * 1j * ks * spec.coeffs[k0 + spec.M : 2 * spec.M + 1]
+    with np.errstate(over="ignore"):
+        y = 2.0 * np.pi * 1j * ks * spec.coeffs[k0 + spec.M : 2 * spec.M + 1]
+    if np.count_nonzero(np.isfinite(y)) != y.size:
+        raise NumericError(
+            f"detection moments 2 pi i k c_k at k = {k0}..{spec.M} pass the "
+            "double range"
+        )
 
     hankel = np.array([y[t : t + K + 1] for t in range(tail - K)])
     svals = np.linalg.svd(hankel, compute_uv=False)

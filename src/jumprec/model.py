@@ -238,6 +238,10 @@ class JumpModel:
                 mags = []
                 for a in rec["a"]:
                     if isinstance(a, (list, tuple)):
+                        if len(a) != 2:
+                            raise ModelError(
+                                f"a complex magnitude must be an [re, im] pair, got a={a!r}"
+                            )
                         mags.append(complex(read_real(a[0], "a"), read_real(a[1], "a")))
                     else:
                         mags.append(complex(read_real(a, "a")))

@@ -277,8 +277,11 @@ def _approximant(spec: FourierSpectrum, estimates, provenance: dict):
     value to psi where psi already was.  A real estimate's singular part is
     conjugate-symmetric bit for bit (phi_coeff_array), so only the data are
     averaged with their mirror, and psi is formed in one pass over k >= 0
-    and mirrored.  psi is written into the array phi_coeff_array returns,
-    in place.
+    and mirrored.  The average halves each part, then sums: halving a
+    double is exact above 2^-1021, so this gives the bits of the halved
+    sum wherever that sum is finite, and no sum can overflow on data near
+    the double range.  psi is written into the array phi_coeff_array
+    returns, in place.
     """
     jumps = tuple(
         (e.xi, tuple(m.real for m in e.magnitudes) if spec.real_valued else e.magnitudes)
@@ -290,22 +293,12 @@ def _approximant(spec: FourierSpectrum, estimates, provenance: dict):
     if not spec.real_valued:
         np.subtract(coeffs, psi, out=psi)
     else:
-        # on the real and imaginary parts: summed, then halved, which is
-        # exact, or, when a sum would pass the double range, halved first
-        data = coeffs[M:].view(np.float64)
+        # on the real and imaginary parts: halved, which is exact, then
+        # summed, so no sum passes the double range
         mirror = coeffs[M::-1].conj()
         parts = mirror.view(np.float64)
-        try:
-            with np.errstate(over="raise"):
-                np.add(data, parts, out=parts)
-        except FloatingPointError:
-            # the add that raised may have written the mirror: read it again
-            mirror = coeffs[M::-1].conj()
-            parts = mirror.view(np.float64)
-            parts *= 0.5
-            parts += data * 0.5
-        else:
-            parts *= 0.5
+        parts *= 0.5
+        parts += coeffs[M:].view(np.float64) * 0.5
         np.subtract(mirror, psi[M:], out=psi[M:])
         np.conjugate(psi[:M:-1], out=psi[:M])
     return Approximant(estimate, FourierSpectrum(M, psi, spec.real_valued), provenance)
@@ -405,7 +398,10 @@ def full_reconstruct(
     spectrum: per jump, the phases as one outer product of tables of
     M/64 + 1 and 64 entries and about 2(d+1) multiply-adds of length M,
     then, for real data, one pass over k >= 0 that averages the data with
-    their mirror, subtracts and mirrors, into the singular part's array.
+    their mirror (each halved, then summed, so data near the double range
+    do not overflow), subtracts and mirrors, into the singular part's array.
+    Data so large that detection's or a solve's values pass the double
+    range raise NumericError.
     Spectra with M < 32, too short for the window, raise ModelError, and so
     do spectra with too few modes for the window shape of order d.
     """

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .errors import ModelError, read_int, read_json, write_json
+from .errors import ModelError, NumericError, read_int, read_json, write_json
 
 __all__ = [
     "wrap_angle",
@@ -380,14 +380,32 @@ def weight_moments(plan: SamplePlan, values) -> MomentSequence:
     values holds c_k for k in plan.indices, in that order (plan_values'
     gather of a spectrum, or windowed values).  The one moment formula of
     every double solve: each moment is formed on Python numbers, in the
-    order 2pi, then (ik)^{d+1}, then c_k.
+    order 2pi, then (ik)^{d+1}, then c_k.  Non-finite values are a
+    ModelError; finite ones whose weights or moments pass the double range
+    are a NumericError.
     """
     cs = np.asarray(values, dtype=np.complex128)
     if cs.shape != (plan.d + 2,):
         raise ModelError("moment indices and values disagree in length")
-    return MomentSequence(plan, np.array(
-        list(map(operator.mul, _moment_weights(plan), cs.tolist())), dtype=np.complex128
-    ))
+    try:
+        weights = _moment_weights(plan)
+    except OverflowError as exc:
+        raise _moments_overflow(plan) from exc
+    try:
+        return MomentSequence(plan, np.array(
+            list(map(operator.mul, weights, cs.tolist())), dtype=np.complex128
+        ))
+    except ModelError as exc:
+        if not _all_finite(cs):
+            raise
+        raise _moments_overflow(plan) from exc
+
+
+def _moments_overflow(plan: SamplePlan) -> NumericError:
+    return NumericError(
+        f"moments 2pi (ik)^{plan.d + 1} c_k of the {plan.kind} plan up to "
+        f"k = {plan.indices[-1]} pass the double range"
+    )
 
 
 def plan_values(spectrum: FourierSpectrum, plan: SamplePlan) -> np.ndarray:

@@ -624,6 +624,56 @@ def test_magnitudes_past_the_double_range_exit_2(runner, tmp_path, command):
     assert "inf" in errtext(res)
 
 
+def _one_over_k_spectrum(scale, M=256):
+    # c_k = scale e^{-0.7ik} / |k|, c_0 = 0: finite, and a jump at 0.7
+    k = np.arange(-M, M + 1)
+    coeffs = scale * np.exp(-0.7j * k) / np.maximum(np.abs(k), 1)
+    coeffs[M] = 0.0
+    return FourierSpectrum(M, coeffs).to_json_dict()
+
+
+_NOISY_SWEEP = {"model": MODEL_D1, "M_values": [64, 128, 640], "seed": 5}
+
+
+@pytest.mark.parametrize(
+    "case, code, named",
+    [("detection", 3, "detection moments 2 pi i k c_k at k = 253..256 pass the double range"),
+     ("detection-extended", 3, "detection moments"),
+     ("moments", 3, "moments 2pi (ik)^2 c_k of the decimated plan up to k = 192"),
+     ("moments-priors", 3, "up to k = 192 pass the double range"),
+     ("noise-decay", 2, "'noise' with amp 0.5 and decay -400.0"),
+     ("noise-amp", 0, "wrote 9 benchmark rows")],
+    ids=["detection", "detection-extended", "moments", "moments-priors",
+         "noise-decay", "noise-amp"],
+)
+def test_overflow_on_finite_data_exits_by_its_family(runner, tmp_path, case, code, named):
+    # each once printed a RuntimeWarning and exited 2 ("detection certified
+    # only 0", "moments hold non-finite values"), or, under the suite's
+    # warning filter, left a traceback (exit 1)
+    bp = write_json(tmp_path / "b.json", BOUNDS)
+    scale = 1.7e308 if case.startswith("detection") else 1e306
+    sp = write_json(tmp_path / "s.json", _one_over_k_spectrum(scale))
+    args = ["recover", sp, "-d", "1", "-K", "1", "--bounds", bp]
+    if case == "detection-extended":
+        args = ["--precision", "extended:60"] + args
+    elif case == "moments-priors":
+        args += ["--priors", "[0.7]"]
+    elif case.startswith("noise"):
+        noise = {"amp": 0.5, "decay": -400} if case == "noise-decay" else {"amp": 1e308, "decay": 0}
+        args = ["bench", write_json(tmp_path / "sweep.json", dict(_NOISY_SWEEP, noise=noise))]
+    outp = tmp_path / "out"
+    res = runner.invoke(main, ["--out", str(outp)] + args)
+    assert res.exit_code == code, errtext(res)
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert named in errtext(res)
+    assert "Traceback" not in errtext(res) and "Warning" not in errtext(res)
+    if case == "noise-amp":
+        # every row reaches the detection overflow and fails on its own
+        failed = [l for l in outp.read_text().splitlines() if l.startswith("# failed")]
+        assert len(failed) == 9
+        assert all("NumericError: detection moments" in l for l in failed)
+
+
 def test_adversarial_artifacts(runner, tmp_path):
     mp = write_json(tmp_path / "m.json", MODEL_D1)
     bp = write_json(tmp_path / "b.json", {"J": np.pi / 2, "A": 2.0, "B": 0.5,

@@ -180,6 +180,16 @@ def test_model_reads_its_fields_as_its_record_reader_does(jump, message):
         JumpModel(0, (jump,))
 
 
+@pytest.mark.parametrize("pair", [[1, 2, 3], [1, 2, "x"], [1], []])
+def test_record_magnitude_pair_is_exactly_two_numbers(pair):
+    # [1, 2, 3] and [1, 2, "x"] once read as 1+2j, the rest dropped
+    record = {"d": 1, "jumps": [{"xi": 0.7, "a": [pair, 0.3]}]}
+    with pytest.raises(ModelError, match=re.escape(f"a={pair!r}")):
+        JumpModel.from_json_dict(record)
+    record["jumps"][0]["a"][0] = [1, 2]
+    assert JumpModel.from_json_dict(record).jumps == ((0.7, (1 + 2j, 0.3 + 0j)),)
+
+
 def test_model_keeps_numbers_as_float_locations_and_complex_magnitudes():
     m = JumpModel(1, ((np.float64(0.3), (np.complex128(1 + 2j), 2)),))
     ((xi, mags),) = m.jumps

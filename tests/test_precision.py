@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jumprec.errors import ModelError
+from jumprec.errors import ModelError, NumericError
 from jumprec.model import JumpModel, phi_coeff_array
 from jumprec.precision import parse_precision, recover_single_jump_mp
 from jumprec.solver import recover_single_jump
@@ -68,7 +68,8 @@ def test_non_finite_coefficients_are_a_model_error_in_both_precisions():
         recover_single_jump(sampled_moments(FourierSpectrum(64, coeffs), plan), 0.7)
     with pytest.raises(ModelError):
         recover_single_jump_mp(FourierSpectrum(64, coeffs), 1, 0.7)
-    # finite but huge coefficients overflow the double moments to inf
+    # finite but huge coefficients overflow the double moments to inf: the
+    # data are well formed, so that is a numeric error, not a model error
     huge = FourierSpectrum(64, np.full(129, 1e306 + 0j))
-    with pytest.raises(ModelError):
+    with pytest.raises(NumericError, match="pass the double range"):
         recover_single_jump(sampled_moments(huge, plan), 0.7)

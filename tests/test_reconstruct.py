@@ -247,6 +247,21 @@ def test_trusted_priors_skip_detection(monkeypatch):
     assert abs(ap.estimate.locations[0] - 0.7) <= 1e-12
 
 
+@pytest.mark.parametrize("d, M", [(1, 256), (2, 1024), (3, 4096)])
+def test_half_order_pass_rescues_a_supplied_prior_off_by_up_to_a_quarter_J(d, M):
+    # a decimated root resolves its N-fold ambiguity only from a prior
+    # within pi/N (0.037 at d=3, M=4096); a supplied prior 0.01 to J/4 off
+    # reaches that only through the half-order refinement.  Disambiguating
+    # with the supplied prior itself missed by 0.01 to 0.39, at exit 0
+    model = JumpModel(d, ((0.7, (1.0, -0.4, 0.25, 0.2)[: d + 1]),))
+    spec = synth_spectrum(model, smooth_catalog("expsin"), M)
+    for offset in (0.01, 0.05, 0.1, 0.2, 0.3, BND.J / 4.0):
+        for prior in (0.7 - offset, 0.7 + offset):
+            cfg = ReconstructionConfig(d=d, K=1, bounds=BND, priors=(prior,))
+            (xi,) = full_reconstruct(spec, cfg).estimate.locations
+            assert abs(xi - 0.7) <= 1e-10, (offset, prior, xi)
+
+
 def test_underdetected_jump_count_is_a_contract_error():
     spec = synth_spectrum(JumpModel(0, ((0.7, (1.0,)),)), None, 128)
     with pytest.raises(ModelError, match="certified only"):

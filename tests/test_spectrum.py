@@ -20,7 +20,7 @@ from conftest import (
     product_reference,
 )
 from jumprec import spectrum as spectrum_module
-from jumprec.errors import ModelError
+from jumprec.errors import ModelError, NumericError
 from jumprec.localize import make_bump
 from jumprec.model import JumpModel, phi_coeff_array, phi_eval, synth_spectrum
 from jumprec.reconstruct import pipeline_geometry
@@ -491,6 +491,21 @@ def test_moment_index_validation():
     for values in (np.ones(3), np.ones(5), np.ones((4, 1)), 1.0):
         with pytest.raises(ModelError, match="disagree in length"):
             weight_moments(plan, values)
+
+
+def test_moments_past_the_double_range_are_a_numeric_error():
+    # finite values whose weights 2pi (ik)^{d+1} (Python's complex power
+    # once leaked OverflowError) or whose moments pass the double range;
+    # non-finite values handed in stay a model error
+    with pytest.raises(NumericError, match="up to k = 62000000 pass the double range"):
+        weight_moments(SamplePlan("decimated", 60, 62_000_000), np.ones(62))
+    plan = SamplePlan("decimated", 1, 64)
+    with pytest.raises(NumericError, match="up to k = 63 pass the double range"):
+        weight_moments(plan, np.full(3, 1e306))
+    with pytest.raises(ModelError, match="non-finite"):
+        weight_moments(plan, [1.0, np.inf, 1.0])
+    with pytest.raises(ModelError, match="non-finite"):
+        weight_moments(plan, [1e306, np.nan, 1.0])
 
 
 @given(
