@@ -6,9 +6,9 @@ failures (rank loss, non-convergent root finding, unresolvable phases), and
 plain I/O problems which are left to the standard OSError/ValueError types
 and translated at the CLI boundary.  read_json and write_json are the one
 reading and the one writing of every JSON record file, and read_int,
-read_real and read_complex the one reading of a record's numbers: a value
-of the wrong type, or a number that is not finite, is a ModelError that
-names its field.
+read_real, read_reals and read_complex the one reading of a record's
+numbers: a value of the wrong type, or a number that is not finite, is a
+ModelError that names its field.
 """
 
 from __future__ import annotations
@@ -92,6 +92,13 @@ def read_real(value, name: str) -> float:
     if not math.isfinite(out):
         raise ModelError(f"{name} must be finite, got {name}={out!r}")
     return out
+
+
+def read_reals(values, name: str) -> list:
+    """A list, tuple or 1-d array as a list of floats, entry i read as name[i]."""
+    if not (isinstance(values, (list, tuple)) or getattr(values, "ndim", 0) == 1):
+        raise ModelError(f"{name} must be a list of reals, got {values!r}")
+    return [read_real(v, f"{name}[{i}]") for i, v in enumerate(values)]
 
 
 def read_complex(value, name: str) -> complex:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DetectionError, ModelError, NumericError, read_int, read_real
+from .errors import DetectionError, ModelError, NumericError, read_int, read_real, read_reals
 from .localize import _BUMP_MIN_M, _separation_degree, localize_jump, make_bump, prony_order0
 from .model import (
     AprioriBounds,
@@ -116,11 +116,7 @@ class ReconstructionConfig:
                 f"jumps on the circle (needs J <= 2pi/K = {2.0 * np.pi / self.K:.6g})"
             )
         if self.priors is not None:
-            if not isinstance(self.priors, (list, tuple, np.ndarray)) or (
-                getattr(self.priors, "ndim", 1) != 1
-            ):
-                raise ModelError(f"priors must be a list of reals, got {self.priors!r}")
-            pri = [read_real(p, f"priors[{i}]") for i, p in enumerate(self.priors)]
+            pri = read_reals(self.priors, "priors")
             if len(pri) != self.K:
                 raise ModelError(
                     f"got {len(pri)} priors for K={self.K} jumps"
@@ -503,11 +499,7 @@ def jump_free_error(
         raise ModelError(f"grid must have at least one point, got grid={grid}")
     excl = list(appr.estimate.locations)
     if true_jumps is not None:
-        listed = isinstance(true_jumps, (list, tuple, np.ndarray))
-        if not listed or getattr(true_jumps, "ndim", 1) != 1:
-            raise ModelError(f"true_jumps must be a list of reals, got {true_jumps!r}")
-        for i, t in enumerate(true_jumps):
-            excl.append(read_real(t, f"true_jumps[{i}]"))
+        excl += read_reals(true_jumps, "true_jumps")
     xs = uniform_grid(grid)
     dist = np.abs(wrap_angle(xs - np.array(excl)[:, None]))
     keep = (dist > radius).all(axis=0)

@@ -2,20 +2,19 @@
 
 Double precision takes the eigenvalues of the companion matrix with
 numpy.linalg.eigvals, the matrix numpy.roots builds, and extended precision
-uses mpmath.polyroots, started from those same eigenvalues for the
-polynomial rounded to double: Durand-Kerner converges quadratically from a
-start accurate to double precision, where its default spiral start takes
-several times the steps.  When the rounded polynomial has no finite
-eigenvalues, or the warm start does not converge within its short budget,
-polyroots runs again from its default start.  Both finders normalize the
-polynomial by its leading coefficient first, take each trailing zero
-coefficient as an exact zero root, return the roots in one order and
-accept them only if each one's residual is small against the scale of
-its own evaluation.  The
-checks run on Python numbers (one .tolist() per array): the polynomials
-here have a handful of coefficients, where numpy's per-call overhead costs
-more than the arithmetic.  The moduli of each coefficient list are taken in
-one pass; those of the normalized list both check it and scale the gate.
+makes one mpmath.polyroots call, started from those same eigenvalues for
+the polynomial rounded to double: Durand-Kerner converges quadratically
+from a start accurate to double precision, where its default spiral start
+takes several times the steps.  Only when the rounded polynomial has no
+finite eigenvalues does the call start from the spiral.  Both finders
+normalize the polynomial by its leading coefficient first, take each
+trailing zero coefficient as an exact zero root, return the roots in one
+order and accept them only if each one's residual is small against the
+scale of its own evaluation.  The checks run on Python numbers (one
+.tolist() per array): the polynomials here have a handful of coefficients,
+where numpy's per-call overhead costs more than the arithmetic.  The moduli
+of each coefficient list are taken in one pass; those of the normalized
+list both check it and scale the gate.
 Coefficients are given in descending powers, matching numpy.roots; one that
 is not a number is a ModelError.
 """
@@ -39,19 +38,13 @@ _RESIDUAL_FACTOR = 1e-11
 # a double carries about 16 decimal digits; find_roots_mp tightens the gate
 # by one decade for every digit it works with beyond these
 _DOUBLE_DIGITS = 16
-# mpmath.polyroots iteration budget from its default start, a fixed spiral
-# that knows nothing of the roots; mpmath's own default of 50 assumes good
-# starting points
+# mpmath.polyroots iteration budget.  polyroots stops at its first step
+# whose correction is below the working epsilon, so a start good to double
+# precision takes a few steps at simple roots, where Durand-Kerner converges
+# quadratically.  The budget serves mpmath's default start, a fixed spiral
+# that knows nothing of the roots, and multiple roots, which converge only
+# linearly; mpmath's own default of 50 assumes good starting points
 _MP_MAX_STEPS = 200
-# Durand-Kerner converges quadratically at simple roots, so a start good to
-# a double's 53 bits is good to 106, 212, 424, ... bits after 1, 2, 3, ...
-# steps.  polyroots stops once a step's correction, the error the step
-# started from, is below the working precision's epsilon: a warm start at
-# p bits needs 1 + ceil(log2(p / 53)) steps (3 at 60 digits, 6 at 400).
-# The spare steps cover seeds a few bits short of double accuracy (roots
-# of modulus 26 beside gaps of 0.39 in the d=3 annihilators take 4 at 60
-# digits); a start that needs more falls back to the spiral.
-_WARM_SPARE_STEPS = 2
 
 
 def _normalized(c: np.ndarray, lead_tol):
@@ -135,7 +128,7 @@ def _companion_eigvals(c: np.ndarray) -> list:
 
 
 def _double_seeds(c: list):
-    """The companion eigenvalues of c rounded to double, or None.
+    """The companion eigenvalues of c rounded to double, as mpmath numbers, or None.
 
     None when the rounded coefficients or their eigenvalues are not all
     finite: c is normalized, and its other coefficients can pass the
@@ -148,7 +141,7 @@ def _double_seeds(c: list):
         seeds = _companion_eigvals(rounded)
     except np.linalg.LinAlgError:
         return None
-    return seeds if all(map(cmath.isfinite, seeds)) else None
+    return [mp.mpc(z) for z in seeds] if all(map(cmath.isfinite, seeds)) else None
 
 
 def _not_a_number(coeffs) -> ModelError:
@@ -198,18 +191,17 @@ def find_roots_mp(coeffs, prec_dps: int):
 
     coeffs is a sequence of numbers (mpmath's among them), descending
     powers.  As in find_roots, each trailing zero coefficient of the
-    normalized polynomial is an exact zero root.  mpmath.polyroots finds
-    the rest with extra guard bits and no cleanup, so a nonzero root
-    below the working epsilon stays nonzero.  It starts from the
-    companion eigenvalues of that polynomial rounded to double
+    normalized polynomial is an exact zero root.  One mpmath.polyroots
+    call finds the rest with extra guard bits and no cleanup, so a
+    nonzero root below the working epsilon stays nonzero.  It starts from
+    the companion eigenvalues of that polynomial rounded to double
     (find_roots' step, without its residual gate: a polynomial that is
-    well posed at prec_dps digits may not be in double).  That call gets
-    a short budget; when it does not converge, or the rounded polynomial
-    gives no finite eigenvalues, polyroots runs from its default start
-    with the full budget.  The roots pass the same scaled residual gate
-    as find_roots, moved to prec_dps digits, and return as a list of
-    mpmath numbers in find_roots' order: by real, then imaginary part,
-    each rounded to 10 decimals.
+    well posed at prec_dps digits may not be in double), or from mpmath's
+    default start when the rounded polynomial gives no finite
+    eigenvalues.  The roots pass the same scaled residual gate as
+    find_roots, moved to prec_dps digits, and return as a list of mpmath
+    numbers in find_roots' order: by real, then imaginary part, each
+    rounded to 10 decimals.
     """
     if not all(isinstance(x, numbers.Number) for x in coeffs):
         raise _not_a_number(coeffs)
@@ -229,19 +221,12 @@ def find_roots_mp(coeffs, prec_dps: int):
 
 
 def _polyroots_mp(c: list) -> list:
-    # mpmath.polyroots at the working precision from the double seeds,
-    # then from its default start; c is normalized with a nonzero last term
-    seeds = _double_seeds(c)
-    if seeds is not None:
-        warm = 1 + math.ceil(math.log2(mp.mp.prec / 53)) + _WARM_SPARE_STEPS
-        try:
-            return mp.polyroots(
-                c, maxsteps=min(_MP_MAX_STEPS, warm), cleanup=False,
-                extraprec=mp.mp.prec, roots_init=[mp.mpc(z) for z in seeds],
-            )
-        except mp.mp.NoConvergence:
-            pass
+    # one mpmath.polyroots call at the working precision, from the double
+    # seeds when there are any; c is normalized with a nonzero last term
     try:
-        return mp.polyroots(c, maxsteps=_MP_MAX_STEPS, cleanup=False, extraprec=mp.mp.prec)
+        return mp.polyroots(
+            c, maxsteps=_MP_MAX_STEPS, cleanup=False, extraprec=mp.mp.prec,
+            roots_init=_double_seeds(c),
+        )
     except mp.mp.NoConvergence as exc:
         raise RootFindError(f"extended root finding did not converge: {exc}") from exc

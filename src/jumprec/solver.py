@@ -47,7 +47,6 @@ from .errors import AmbiguityError, ModelError, NumericError, read_int, read_rea
 from .spectrum import (
     MomentSequence,
     SamplePlan,
-    circular_distance,
     moduli,
     modulus,
     wrap_angle,
@@ -141,13 +140,13 @@ def select_root(roots) -> complex:
 def disambiguate_nth_root(z: complex, N: int, xi_prior: float) -> float:
     """Resolve xi from z ~ e^{-i xi N} using a prior of accuracy < pi/N.
 
-    Candidates are (-arg z + 2 pi n)/N wrapped into [-pi, pi); the one
-    circularly closest to the prior wins.  Near-ties mean the prior was
-    too weak; that raises an ambiguity error rather than guessing.  The
-    candidates are evenly spaced, so the winner and the runner-up are the
-    two around the prior: only the branch n* nearest the prior and its
-    neighbours are evaluated.  xi comes back in the arithmetic of z.
-    N is an integer and xi_prior a finite real, else ModelError.
+    The branches (-arg z + 2 pi n)/N sit 2 pi/N apart; the one closest to
+    the prior on the circle is n = round(place), place = ((xi_prior +
+    arg z / N) mod 2 pi) N / 2 pi.  When the runner-up's distance is
+    within 1e-12 of it, the prior was too weak: an ambiguity error names
+    both rather than guessing.  xi is branch n wrapped into [-pi, pi), in the
+    arithmetic of z.  N is an integer and xi_prior a finite real, else
+    ModelError.
     """
     N, xi_prior = read_int(N, "N"), read_real(xi_prior, "xi_prior")
     if N < 1:
@@ -159,21 +158,16 @@ def disambiguate_nth_root(z: complex, N: int, xi_prior: float) -> float:
     t = -ar.phase(z)
     if not math.isfinite(float(t)):
         raise ModelError(f"non-finite root {z}")
-    offset = (xi_prior - float(t) / N) % (2.0 * math.pi)
-    n_star = round(offset * N / (2.0 * math.pi))
-    branches = sorted({(n_star - 1) % N, n_star % N, (n_star + 1) % N})
-    cands = [wrap_angle(t / N + 2 * pi * n / N, pi) for n in branches]
-    dists = [circular_distance(xi, xi_prior, pi) for xi in cands]
-    order = sorted(range(len(cands)), key=dists.__getitem__)
-    best = order[0]
-    if len(cands) > 1:
-        second = order[1]
-        if abs(dists[second] - dists[best]) < 1e-12:
-            raise AmbiguityError(
-                f"prior {xi_prior:.6g} sits equidistant from candidates "
-                f"{float(cands[best]):.12g} and {float(cands[second]):.12g} (N={N})"
-            )
-    return cands[best]
+    place = (xi_prior - float(t) / N) % (2.0 * math.pi) * N / (2.0 * math.pi)
+    n = round(place)
+    xi = wrap_angle(t / N + 2 * pi * (n % N) / N, pi)
+    if N > 1 and abs(place - n) > 0.5 - 1e-12 * N / (4.0 * math.pi):
+        other = n + (1 if place > n else -1)
+        raise AmbiguityError(
+            f"prior {xi_prior:.6g} sits equidistant from candidates {float(xi):.12g} "
+            f"and {float(wrap_angle(t / N + 2 * pi * (other % N) / N, pi)):.12g} (N={N})"
+        )
+    return xi
 
 
 @functools.lru_cache(maxsize=64)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -89,14 +90,20 @@ def moduli(values) -> list:
         return [modulus(z) for z in values]
 
 
-def _complex_values(values) -> np.ndarray:
-    # complex128, unless the values are mpmath numbers of an
-    # extended-precision solve, which keep their precision as an object array;
-    # a complex128 array, weight_moments' own, is taken as it is
-    if type(values) is np.ndarray and values.dtype == np.complex128:
-        return values
-    arr = np.asarray(values)
-    return arr if arr.dtype == object else arr.astype(np.complex128, copy=False)
+def _numbers(values, name: str, real: bool = False) -> np.ndarray:
+    # values as an array of numbers (of reals when real), else a ModelError
+    # naming name; an array of a numeric dtype passes on its dtype alone, an
+    # object array (of mpmath numbers, say) entry by entry and stays one
+    kinds, number = ("biuf", numbers.Real) if real else ("biufc", numbers.Complex)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged sequence
+        arr = None
+    if arr is not None and (arr.dtype.kind in kinds or (
+        arr.dtype == object and all(isinstance(x, number) for x in arr.flat)
+    )):
+        return arr
+    raise ModelError(f"{name} must be {'real ' if real else ''}numbers, got {name}={values!r}")
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -174,7 +181,7 @@ class FourierSpectrum:
         object.__setattr__(self, "M", read_int(self.M, "M"))
         if self.M < 0:
             raise ModelError(f"truncation index must be >= 0, got {self.M}")
-        arr = np.asarray(self.coeffs, dtype=np.complex128)
+        arr = _numbers(self.coeffs, "coeffs").astype(np.complex128, copy=False)
         if arr.ndim != 1 or arr.size != 2 * self.M + 1:
             raise ModelError(
                 f"need 2M+1 = {2 * self.M + 1} coefficients, got shape {arr.shape}"
@@ -276,7 +283,11 @@ class MomentSequence:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _complex_values(self.values)
+        # mpmath numbers of an extended-precision solve keep their precision
+        # as an object array
+        vals = _numbers(self.values, "values")
+        if vals.dtype != object:
+            vals = vals.astype(np.complex128, copy=False)
         if vals.ndim != 1 or vals.size != self.plan.d + 2:
             raise ModelError("moment indices and values disagree in length")
         if not _all_finite(vals):
@@ -295,7 +306,7 @@ class MomentSequence:
 def _finite_points(x) -> np.ndarray:
     # the points as a float array of at least one dimension; NaN or inf is
     # a ModelError naming the first one, by its flat index
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.atleast_1d(_numbers(x, "x", real=True).astype(float, copy=False))
     finite = np.isfinite(xs)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -384,7 +395,7 @@ def weight_moments(plan: SamplePlan, values) -> MomentSequence:
     ModelError; finite ones whose weights or moments pass the double range
     are a NumericError.
     """
-    cs = np.asarray(values, dtype=np.complex128)
+    cs = _numbers(values, "values").astype(np.complex128, copy=False)
     if cs.shape != (plan.d + 2,):
         raise ModelError("moment indices and values disagree in length")
     try:

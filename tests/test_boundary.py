@@ -12,11 +12,24 @@ from hypothesis import given, settings, strategies as st
 
 import jumprec
 from jumprec.errors import JumprecError, ModelError, NumericError
-from jumprec.model import AprioriBounds, bernoulli_coefficients, bernoulli_poly, vn_eval
+from jumprec.model import (
+    AprioriBounds,
+    JumpModel,
+    bernoulli_coefficients,
+    bernoulli_poly,
+    phi_eval,
+    vn_eval,
+)
 from jumprec.reconstruct import ReconstructionConfig, full_reconstruct
 from jumprec.rootfind import find_roots
 from jumprec.solver import half_order_recover, recover_single_jump, s_poly
-from jumprec.spectrum import FourierSpectrum, SamplePlan
+from jumprec.spectrum import (
+    FourierSpectrum,
+    MomentSequence,
+    SamplePlan,
+    eval_partial_sum,
+    weight_moments,
+)
 from jumprec.stability import (
     PronyConfig,
     c9_bound,
@@ -159,6 +172,35 @@ def _prony(**fields):
     ],
 )
 def test_paper_objects_read_their_arguments_as_the_record_readers_do(call, name):
+    with pytest.raises(ModelError, match=rf"\b{name}="):
+        call()
+
+
+_JUMP = JumpModel(1, ((0.5, (1.0, 0.2)),))
+_PLAN = SamplePlan("consecutive", 0, 8)
+
+
+# values that are not numbers of the field a container or evaluation
+# takes are a ModelError naming it, not numpy's ValueError or mpmath's
+# TypeError
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: FourierSpectrum(1, ["a", "b", "c"]), "coeffs",
+                     id="FourierSpectrum-str-coeffs"),
+        pytest.param(lambda: FourierSpectrum(1, [1, [2, 3], 4]), "coeffs",
+                     id="FourierSpectrum-ragged-coeffs"),
+        pytest.param(lambda: weight_moments(_PLAN, ["a", "b"]), "values",
+                     id="weight_moments-str-values"),
+        pytest.param(lambda: MomentSequence(_PLAN, [None, 1]), "values",
+                     id="MomentSequence-none-value"),
+        pytest.param(lambda: eval_partial_sum(FourierSpectrum(1, [1, 2, 3]), "abc"), "x",
+                     id="eval_partial_sum-str-points"),
+        pytest.param(lambda: phi_eval(_JUMP, "x"), "x", id="phi_eval-str-points"),
+        pytest.param(lambda: phi_eval(_JUMP, [0.1 + 1j]), "x", id="phi_eval-complex-points"),
+    ],
+)
+def test_values_that_are_not_numbers_are_model_errors(call, name):
     with pytest.raises(ModelError, match=rf"\b{name}="):
         call()
 

@@ -199,8 +199,8 @@ def test_coefficients_that_are_not_numbers_are_model_errors(finder, coeffs):
 
 
 def _from_default_start(coeffs, digits):
-    # the extended finder with no companion roots to start from: its
-    # fallback, mpmath's own spiral start with the full budget
+    # the extended finder with no companion roots to start from: its one
+    # polyroots call then starts from mpmath's own spiral
     def no_seeds(c):
         raise np.linalg.LinAlgError("no seeds")
 
@@ -303,7 +303,22 @@ def test_warm_start_converges_within_a_short_budget(monkeypatch):
     assert len(find_roots_mp(coeffs, 60)) == 4
 
 
-def test_starts_the_warm_budget_cannot_serve_fall_back_to_the_default():
+def test_each_polynomial_takes_one_polyroots_call(monkeypatch):
+    # the double root converges only linearly, past a budget sized for
+    # quadratic convergence: the one call carries the full budget
+    calls = []
+    polyroots = mp.polyroots
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("roots_init"))
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "polyroots", counted)
+    find_roots_mp([1, -4, 5, -2], 60)
+    assert len(calls) == 1 and calls[0] is not None
+
+
+def test_a_double_root_converges_from_the_warm_start_and_non_finite_seeds_take_mpmaths_start():
     # a double root converges only linearly from any start
     with mp.workdps(60):
         roots = find_roots_mp([1, -4, 5, -2], 60)

@@ -356,7 +356,8 @@ def test_branch_disambiguation_errors():
         disambiguate_nth_root(1.0 + 0j, 0, 0.0)
     with pytest.raises(ModelError):
         disambiguate_nth_root(0.0j, 4, 0.0)
-    with pytest.raises(AmbiguityError):
+    # the error names both branches the prior sits between
+    with pytest.raises(AmbiguityError, match=r"candidates 0 and -3\.14159265359 \(N=2\)"):
         disambiguate_nth_root(1.0 + 0j, 2, np.pi / 2)
 
 
