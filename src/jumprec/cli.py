@@ -258,7 +258,7 @@ def recover(ctx, spectrum_path, order, jumps, bounds_path, priors):
         appr = _recover_extended(spec, cfg, digits)
     else:
         appr = full_reconstruct(spec, cfg)
-    write_json(out, appr.to_json_dict())
+    write_json(out, appr)
     locs = ", ".join(f"{x:.12g}" for x in appr.estimate.locations)
     click.echo(f"recovered {jumps} jump(s) at [{locs}] -> {out}")
 

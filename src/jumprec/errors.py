@@ -5,10 +5,13 @@ violations (bad orders, incompatible shapes, impossible requests), numeric
 failures (rank loss, non-convergent root finding, unresolvable phases), and
 plain I/O problems which are left to the standard OSError/ValueError types
 and translated at the CLI boundary.  read_json and write_json are the one
-reading and the one writing of every JSON record file, and read_int,
-read_real, read_reals and read_complex the one reading of a record's
-numbers: a value of the wrong type, or a number that is not finite, is a
-ModelError that names its field.
+reading and the one writing of every JSON record file.  write_json encodes
+the whole record before it opens the file: by json.dumps, or, for a
+spectrum or an approximant, by the record's own to_json_text, the same
+bytes with a real spectrum's doubles formatted once per conjugate pair.
+read_int, read_real, read_reals and read_complex are the one reading of a
+record's numbers: a value of the wrong type, or a number that is not
+finite, is a ModelError that names its field.
 """
 
 from __future__ import annotations
@@ -135,12 +138,16 @@ def read_json(path):
 def write_json(path, record, **fmt) -> None:
     """Write record to path as JSON text and a newline, in one call.
 
-    fmt goes to json.dumps (the reports pass indent=2, sort_keys=True).
-    Without indent, json.dumps runs CPython's C encoder, which json.dump
-    never does; the bytes are the ones json.dump wrote with the same fmt.
-    The text is encoded before the file is opened, so a record that fails
-    to encode leaves no partial file.
+    record is a JSON value, which json.dumps encodes with fmt (the reports
+    pass indent=2, sort_keys=True), or an object that encodes itself, a
+    spectrum or an approximant: its to_json_text() is the text json.dumps
+    writes for its to_json_dict().  Without indent, json.dumps runs
+    CPython's C encoder, which json.dump never does; the bytes are the ones
+    json.dump wrote with the same fmt.  The whole text is encoded before
+    the file is opened, so a record that fails to encode leaves no partial
+    file, and a file already at path keeps its bytes.
     """
-    text = json.dumps(record, **fmt) + "\n"
+    encode = getattr(record, "to_json_text", None)
+    text = (json.dumps(record, **fmt) if encode is None else encode()) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -12,6 +12,7 @@ smooth remainder's coefficients.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -158,6 +159,15 @@ class Approximant:
             "smooth_spectrum": self.corrected_spectrum.to_json_dict(),
             "provenance": {"config": dict(self.provenance)},
         }
+
+    def to_json_text(self) -> str:
+        """The bytes json.dumps writes for to_json_dict(), the corrected
+        spectrum's text from FourierSpectrum.to_json_text."""
+        return (
+            f'{{"model": {json.dumps(self.estimate.to_json_dict())}, '
+            f'"smooth_spectrum": {self.corrected_spectrum.to_json_text()}, '
+            f'"provenance": {json.dumps({"config": dict(self.provenance)})}}}'
+        )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Approximant":

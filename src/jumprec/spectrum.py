@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import json
 import math
 import numbers
 import operator
@@ -106,6 +107,18 @@ def _numbers(values, name: str, real: bool = False) -> np.ndarray:
     raise ModelError(f"{name} must be {'real ' if real else ''}numbers, got {name}={values!r}")
 
 
+def _doubles(values, name: str, real: bool = False) -> np.ndarray:
+    # _numbers as complex128, or float64 when real; a Python int past the
+    # double range, which numpy holds as an object, is a ModelError naming
+    # name, as read_real's is
+    try:
+        return _numbers(values, name, real).astype(
+            np.float64 if real else np.complex128, copy=False
+        )
+    except OverflowError as exc:
+        raise ModelError(f"{name} holds a number past the double range") from exc
+
+
 def _all_finite(arr: np.ndarray) -> bool:
     if arr.dtype == object:
         return all(mp.isfinite(x) for x in arr)
@@ -140,6 +153,30 @@ def _complex_pairs(pairs) -> np.ndarray:
             f"coeffs[{len(values)}]: {exc}"
         ) from exc
     return np.array(values, dtype=np.complex128)
+
+
+def _coeffs_text(coeffs: np.ndarray) -> str:
+    """The JSON text [[re, im], ...] of c_{-M}..c_M, as json.dumps writes it.
+
+    Each part is formatted by float.__repr__, the call CPython's C JSON
+    encoder makes for a float.  When the k < 0 half is the conjugate mirror
+    of k >= 1 bit for bit, as a real spectrum's is (_from_positive_half),
+    only c_0..c_M are formatted, and each c_{-k} reuses the text of c_k with
+    the imaginary part's sign flipped as text: that is repr(-x) for every
+    double x, signed zeros and subnormals included.  Any other array, one
+    off the mirror by an ulp among them, has every part formatted.
+    """
+    M = coeffs.size // 2
+    lo, hi = coeffs[:M], coeffs[:M:-1]
+    mirrored = (np.array_equal(lo.real.view(np.uint64), hi.real.view(np.uint64))
+                and np.array_equal(lo.imag.view(np.uint64), (-hi.imag).view(np.uint64)))
+    start = M if mirrored else 0
+    re = list(map(float.__repr__, coeffs.real[start:].tolist()))
+    im = list(map(float.__repr__, coeffs.imag[start:].tolist()))
+    if mirrored:
+        re = re[:0:-1] + re
+        im = [s[1:] if s[0] == "-" else "-" + s for s in im[:0:-1]] + im
+    return "[[" + "], [".join(map(", ".join, zip(re, im))) + "]]"
 
 
 def _from_positive_half(c0, pos, neg=None) -> np.ndarray:
@@ -181,7 +218,7 @@ class FourierSpectrum:
         object.__setattr__(self, "M", read_int(self.M, "M"))
         if self.M < 0:
             raise ModelError(f"truncation index must be >= 0, got {self.M}")
-        arr = _numbers(self.coeffs, "coeffs").astype(np.complex128, copy=False)
+        arr = _doubles(self.coeffs, "coeffs")
         if arr.ndim != 1 or arr.size != 2 * self.M + 1:
             raise ModelError(
                 f"need 2M+1 = {2 * self.M + 1} coefficients, got shape {arr.shape}"
@@ -213,6 +250,15 @@ class FourierSpectrum:
             "real_valued": self.real_valued,
             "coeffs": np.column_stack((self.coeffs.real, self.coeffs.imag)).tolist(),
         }
+
+    def to_json_text(self) -> str:
+        """The bytes json.dumps writes for to_json_dict(), the coefficients
+        formatted by _coeffs_text."""
+        return (
+            f'{{"M": {json.dumps(self.M)}, '
+            f'"real_valued": {json.dumps(self.real_valued)}, '
+            f'"coeffs": {_coeffs_text(self.coeffs)}}}'
+        )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FourierSpectrum":
@@ -306,7 +352,7 @@ class MomentSequence:
 def _finite_points(x) -> np.ndarray:
     # the points as a float array of at least one dimension; NaN or inf is
     # a ModelError naming the first one, by its flat index
-    xs = np.atleast_1d(_numbers(x, "x", real=True).astype(float, copy=False))
+    xs = np.atleast_1d(_doubles(x, "x", real=True))
     finite = np.isfinite(xs)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -395,7 +441,7 @@ def weight_moments(plan: SamplePlan, values) -> MomentSequence:
     ModelError; finite ones whose weights or moments pass the double range
     are a NumericError.
     """
-    cs = _numbers(values, "values").astype(np.complex128, copy=False)
+    cs = _doubles(values, "values")
     if cs.shape != (plan.d + 2,):
         raise ModelError("moment indices and values disagree in length")
     try:
@@ -482,7 +528,10 @@ def load_spectrum(path) -> FourierSpectrum:
 def save_spectrum(path, spectrum: FourierSpectrum) -> None:
     """Write spectrum as a one-line JSON record, the text in one call.
 
-    Every coefficient is written as the shortest repr of its double, so
-    load_spectrum gives back the same bits, -0.0 and subnormals included.
+    The text is spectrum.to_json_text(), the bytes json.dumps writes for
+    to_json_dict().  Every coefficient is written as the shortest repr of
+    its double, so load_spectrum gives back the same bits, -0.0 and
+    subnormals included; a real spectrum whose halves mirror bit for bit
+    has each double formatted once per conjugate pair.
     """
-    write_json(path, spectrum.to_json_dict())
+    write_json(path, spectrum)

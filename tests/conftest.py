@@ -22,6 +22,7 @@ from jumprec.spectrum import (
     FourierSpectrum,
     MomentSequence,
     SamplePlan,
+    _from_positive_half,
     plan_values,
     weight_moments,
 )
@@ -39,6 +40,13 @@ EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308,
 EDGE_COEFFS = np.array(
     [complex(re, im) for re in EDGE_FLOATS for im in EDGE_FLOATS] + [1.5 - 2j]
 )
+
+
+def edge_mirror(c0=-0.0) -> np.ndarray:
+    """c_{-37}..c_37 of a real spectrum: c_1..c_36 every pair of edge
+    doubles, c_37 = 1.5 - 2j, and the k < 0 half their conjugate mirror,
+    bit for bit."""
+    return _from_positive_half(c0, np.append(EDGE_COEFFS[:36], 1.5 - 2j))
 
 
 def dump_text(record, **fmt) -> str:

@@ -205,6 +205,30 @@ def test_values_that_are_not_numbers_are_model_errors(call, name):
         call()
 
 
+# a Python int past the double range, which numpy holds as an object, is
+# a ModelError naming the field, as read_real's is, not the OverflowError
+# of the conversion to doubles
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: FourierSpectrum(0, [10**400]), "coeffs",
+                     id="FourierSpectrum-coeffs"),
+        pytest.param(lambda: FourierSpectrum(1, [1, -(10**400), 1]), "coeffs",
+                     id="FourierSpectrum-negative-coeffs"),
+        pytest.param(lambda: eval_partial_sum(FourierSpectrum(1, [1, 2, 3]), [10**400]),
+                     "x", id="eval_partial_sum-points"),
+        pytest.param(lambda: eval_partial_sum(FourierSpectrum(1, [1, 2, 3]), 10**400),
+                     "x", id="eval_partial_sum-scalar-point"),
+        pytest.param(lambda: weight_moments(SamplePlan("consecutive", 0, 2), [10**400, 1]),
+                     "values", id="weight_moments-values"),
+        pytest.param(lambda: phi_eval(_JUMP, [0.5, 10**400]), "x", id="phi_eval-points"),
+    ],
+)
+def test_ints_past_the_double_range_are_model_errors(call, name):
+    with pytest.raises(ModelError, match=rf"^{name} holds a number past the double range"):
+        call()
+
+
 def test_every_export_resolves_and_the_package_imports_only_exports():
     modules = {
         info.name: importlib.import_module(f"jumprec.{info.name}")

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from jumprec import cli, reconstruct
+from jumprec import cli, errors, reconstruct
 from jumprec.cli import load_bench_spec, main, run_bench
 from jumprec.errors import ModelError
 from jumprec.model import JumpModel, smooth_catalog, synth_spectrum
@@ -21,6 +21,7 @@ from conftest import (
     EDGE_COEFFS,
     bits,
     dump_text,
+    edge_mirror,
     full_window,
     no_python_encoder,
     symmetry_edge_spectrum,
@@ -215,6 +216,54 @@ def test_recover_file_is_the_text_json_dump_wrote(runner, tmp_path, monkeypatch)
     assert res.exit_code == 0, errtext(res)
     text = (tmp_path / "a.json").read_text(encoding="utf-8")
     assert text == dump_text(made[0].to_json_dict())
+
+
+def _real_edge_approximant(provenance):
+    # a real corrected spectrum of edge doubles whose halves mirror bit for
+    # bit, with c_0 = 0.25 - 0.0j
+    return reconstruct.Approximant(
+        JumpModel(1, ((0.7, (1.0, -0.4)),)),
+        FourierSpectrum(37, edge_mirror(complex(0.25, -0.0)), real_valued=True),
+        provenance,
+    )
+
+
+@pytest.mark.parametrize("recovered", [False, True], ids=["edge-mirror", "recovered"])
+def test_real_recover_file_is_the_text_json_dump_wrote(runner, tmp_path, monkeypatch,
+                                                      recovered):
+    # real data: an edge-double spectrum as the corrected one, or the record
+    # full_reconstruct makes of a synthesized file
+    made = []
+
+    def kept(spec, cfg):
+        if recovered:
+            made.append(reconstruct.full_reconstruct(spec, cfg))
+        else:
+            made.append(_real_edge_approximant(cfg.to_json_dict()))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "full_reconstruct", kept)
+    res = runner.invoke(main, recover_args(runner, tmp_path))
+    assert res.exit_code == 0, errtext(res)
+    assert made[0].corrected_spectrum.real_valued
+    text = (tmp_path / "a.json").read_text(encoding="utf-8")
+    assert text == dump_text(made[0].to_json_dict())
+
+
+@pytest.mark.parametrize("as_dict", [False, True], ids=["approximant", "dict"])
+def test_a_record_that_fails_to_encode_leaves_no_file(tmp_path, as_dict):
+    # the text is encoded whole before the file is opened: no partial file,
+    # and a file already at the path keeps its bytes
+    appr = _real_edge_approximant({"seed": object()})
+    record = appr.to_json_dict() if as_dict else appr
+    path = tmp_path / "a.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        errors.write_json(path, record)
+    assert not path.exists()
+    path.write_bytes(b'{"kept": true}\n')
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        errors.write_json(path, record)
+    assert path.read_bytes() == b'{"kept": true}\n'
 
 
 def test_recover_takes_the_c_encoder(runner, tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from conftest import (
     bits,
     coeffs_of_function,
     dump_text,
+    edge_mirror,
     grid_sum_reference,
     moments_reference,
     no_python_encoder,
@@ -226,6 +227,36 @@ def test_spectrum_file_is_the_text_json_dump_wrote(tmp_path):
     path = tmp_path / "s.json"
     save_spectrum(path, sp)
     assert path.read_text(encoding="utf-8") == dump_text(loop_record)
+
+
+def _off_mirror(re, im):
+    # c_{-37} = re + i im, one ulp off conj(c_37) = 1.5 + 2j in one part:
+    # within the 1e-14 symmetry tolerance, but not the mirror bit for bit
+    coeffs = edge_mirror()
+    coeffs[0] = complex(re, im)
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "M, coeffs",
+    [
+        pytest.param(37, edge_mirror(), id="edge-mirror"),
+        pytest.param(37, _off_mirror(np.nextafter(1.5, 2.0), 2.0), id="real-one-ulp-off"),
+        pytest.param(37, _off_mirror(1.5, np.nextafter(2.0, 3.0)), id="imag-one-ulp-off"),
+        pytest.param(37, edge_mirror(complex(0.25, -0.0)), id="c0-imag-minus-zero"),
+        pytest.param(0, np.array([complex(-2.5e-310, -0.0)]), id="M0"),
+        pytest.param(1, spectrum_module._from_positive_half(5e-324, [complex(-0.0, 0.0)]),
+                     id="M1"),
+    ],
+)
+def test_real_spectrum_file_is_the_text_json_dump_wrote(tmp_path, M, coeffs):
+    # a real spectrum's k < 0 half reuses its mirror's text only where the
+    # halves mirror bit for bit; the bytes are the same either way
+    sp = FourierSpectrum(M, coeffs, real_valued=True)
+    path = tmp_path / "s.json"
+    save_spectrum(path, sp)
+    assert path.read_text(encoding="utf-8") == dump_text(sp.to_json_dict())
+    assert np.array_equal(bits(load_spectrum(path).coeffs), bits(coeffs))
 
 
 def test_save_spectrum_takes_the_c_encoder(tmp_path, monkeypatch):
